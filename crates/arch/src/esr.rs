@@ -32,6 +32,9 @@ pub enum ExceptionClass {
     WatchpointLower,
     /// Illegal execution state (EC 0b001110).
     IllegalState,
+    /// PC alignment fault: a fetch from a PC that is not 4-byte aligned
+    /// (EC 0b100010; `FAR` holds the PC).
+    PcAlignment,
 }
 
 impl ExceptionClass {
@@ -50,6 +53,7 @@ impl ExceptionClass {
             ExceptionClass::Brk => 0b111100,
             ExceptionClass::WatchpointLower => 0b110100,
             ExceptionClass::IllegalState => 0b001110,
+            ExceptionClass::PcAlignment => 0b100010,
         }
     }
 
@@ -69,6 +73,7 @@ impl ExceptionClass {
             0b111100 => ExceptionClass::Brk,
             0b110100 => ExceptionClass::WatchpointLower,
             0b001110 => ExceptionClass::IllegalState,
+            0b100010 => ExceptionClass::PcAlignment,
             _ => return None,
         })
     }
@@ -156,6 +161,7 @@ mod tests {
             ExceptionClass::Brk,
             ExceptionClass::WatchpointLower,
             ExceptionClass::IllegalState,
+            ExceptionClass::PcAlignment,
         ] {
             let esr = class.ec() << 26;
             assert_eq!(ExceptionClass::from_esr(esr), Some(class));

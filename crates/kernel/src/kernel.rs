@@ -479,6 +479,11 @@ impl Kernel {
                 self.finish_process(-4);
                 Some(Event::Exited(-4))
             }
+            ExceptionClass::PcAlignment => {
+                // SIGBUS.
+                self.finish_process(-7);
+                Some(Event::Exited(-7))
+            }
             // Watchpoints, HVC, trapped sysregs: upper layers.
             _ => Some(Event::Raw(if host { Exit::El2(class) } else { Exit::El1(class) })),
         }

@@ -664,6 +664,13 @@ impl Machine {
     pub fn step(&mut self) -> Option<Exit> {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
+        if pc & 3 != 0 {
+            // PC alignment fault, taken before any translation: nothing
+            // is fetched, so no fetch cost is charged.
+            let esr = ExceptionClass::PcAlignment.ec() << 26;
+            let target = self.svc_target();
+            return self.take_exception(target, ExceptionClass::PcAlignment, esr, pc, 0, pc);
+        }
         let cfg = self.walk_config();
         let fetch_ctx = AccessCtx { el: self.cpu.pstate.el, pan: false, unpriv: false };
         match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx, self.fetch_cache) {
@@ -705,30 +712,31 @@ impl Machine {
     ///
     /// Only "chainable" instructions (see `icache`) may appear mid-block,
     /// so EL, PSTATE.PAN and the regime registers cannot change under a
-    /// running block.
+    /// running block. A misaligned PC always single-steps: the icache
+    /// indexes words by `va >> 2`, and `step` raises the alignment fault.
     fn step_block(&mut self, budget: u64) -> (u64, Option<Exit>) {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
         let cfg = self.walk_config();
-        if !(cfg.s1_enabled || cfg.vttbr.is_some()) {
+        if pc & 3 != 0 || !(cfg.s1_enabled || cfg.vttbr.is_some()) {
             return (1, self.step());
         }
         let el = self.cpu.pstate.el;
         if self.jit {
-            if let Some((block, pa_page, frame_version)) =
-                self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn)
-            {
+            if let Some(lent) = self.tlb.jit_lend(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn) {
                 // A compiled block charges its ALU runs in batches, so it
                 // must never be entered with fewer budgeted instructions
                 // than it retires: re-check the quantum here rather than
                 // at extraction time (the interpreter path's `max` clamp)
                 // and fall back to the clamped interpreter superblock
                 // when the quantum is nearly spent.
-                if u64::from(block.total) <= budget {
-                    let (used, exit) = self.step_jit(&block, pc, pa_page, frame_version);
+                if u64::from(lent.block.total) <= budget {
+                    let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version);
+                    self.tlb.jit_return(lent);
                     debug_assert!(used <= budget, "JIT block overran its quantum budget");
                     return (used, exit);
                 }
+                self.tlb.jit_return(lent);
             }
         }
         let max = budget.min(SUPERBLOCK_MAX) as usize;
@@ -787,16 +795,18 @@ impl Machine {
     /// Execute a compiled superblock (see [`crate::jit`]).
     ///
     /// Equivalence to the interpreter superblock: ALU-template runs
-    /// cannot touch the TLB, memory, the PC, or the journal, so the
-    /// per-instruction revalidation `step_block` performs is a provable
-    /// no-op inside a run and is instead performed once per segment
-    /// boundary — which observes exactly the states the interpreter
-    /// would, because only `Slow` segments can perturb them. Cycle,
+    /// cannot touch the TLB, memory, or the journal, and move the PC only
+    /// in a branch terminal that ends the block, so the per-instruction
+    /// revalidation `step_block` performs is a provable no-op inside a
+    /// run and is instead performed once per segment boundary — which
+    /// observes exactly the states the interpreter would, because only
+    /// `Mem` and `Slow` segments can perturb them. Cycle,
     /// instruction, and hit counters are charged in per-run batches that
     /// sum to the interpreter's per-instruction totals, and no
     /// cycle-stamped event can be emitted between the instructions of a
-    /// run. `Slow` segments run the interpreter's own bookkeeping
-    /// verbatim.
+    /// run (a branch terminal included). `Mem` and `Slow` segments run the
+    /// interpreter's own per-instruction bookkeeping; a `Mem` access is
+    /// `data_access` itself or its armed micro-DTLB hit (`jit_mem`).
     fn step_jit(
         &mut self,
         block: &crate::jit::CompiledBlock,
@@ -840,11 +850,26 @@ impl Machine {
                     } else {
                         pc_k += 4 * n;
                     }
+                    // Fall-through PC first: templates never read it, and
+                    // a branch terminal (always the last op) overwrites it.
                     let cpu = &mut self.cpu;
+                    cpu.pc = pc_k;
                     for op in ops.iter() {
                         op.exec(cpu);
                     }
-                    cpu.pc = pc_k;
+                }
+                &Segment::Mem { word, rt, rn, offset, size, write } => {
+                    self.tlb.count_superblock_insn();
+                    used += 1;
+                    self.cpu.insns += 1;
+                    self.charge(self.model.insn_base);
+                    self.trace.record(pc_k, word, el);
+                    let va = self.cpu.base_reg(rn).wrapping_add(offset);
+                    pc_k += 4;
+                    exit = self.jit_mem(va, size, rt, write, pc_k);
+                    if exit.is_some() || self.cpu.pc != pc_k {
+                        break;
+                    }
                 }
                 Segment::Slow { word, insn } => {
                     self.tlb.count_superblock_insn();
@@ -1271,10 +1296,11 @@ impl Machine {
         unpriv: bool,
         next_pc: u64,
     ) -> Option<Exit> {
-        // Watchpoint match (EL0 accesses while enabled).
+        // Watchpoint match (EL0 accesses while enabled). Wrapping sums
+        // keep an access at the top of the VA space from overflowing.
         if self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0 {
             for wp in self.cpu.watchpoints.iter().flatten() {
-                let hit = va < wp.addr + wp.len && va + size.bytes() > wp.addr;
+                let hit = va < wp.addr.wrapping_add(wp.len) && va.wrapping_add(size.bytes()) > wp.addr;
                 if hit && ((is_write && wp.on_write) || (!is_write && wp.on_read)) {
                     let esr = (ExceptionClass::WatchpointLower.ec() << 26) | ((is_write as u64) << 6);
                     self.set_sysreg(SysReg::FAR_EL1, va);
@@ -1284,21 +1310,45 @@ impl Machine {
                 }
             }
         }
-
         let cfg = self.walk_config();
+        self.data_access_unwatched(&cfg, va, size, rt, is_write, unpriv, next_pc, false)
+    }
+
+    /// [`Machine::data_access`] past the watchpoint check. `dtlb_missed`
+    /// says the caller already probed the micro-DTLB for this
+    /// single-page access and missed, so translation skips that probe.
+    #[allow(clippy::too_many_arguments)]
+    fn data_access_unwatched(
+        &mut self,
+        cfg: &WalkConfig,
+        va: u64,
+        size: MemSize,
+        rt: u8,
+        is_write: bool,
+        unpriv: bool,
+        next_pc: u64,
+        dtlb_missed: bool,
+    ) -> Option<Exit> {
         let actx = AccessCtx { el: self.cpu.pstate.el, pan: self.cpu.pstate.pan, unpriv };
         let access = if is_write { Access::Write } else { Access::Read };
         let bytes = size.bytes();
 
-        // Split accesses that cross a page boundary.
-        let first_len = (4096 - (va & 0xfff)).min(bytes);
+        // Split accesses that cross a page boundary (the second part of an
+        // access at the top of the VA space wraps to page 0).
+        let first_len = first_page_len(va, bytes);
+        debug_assert!(!dtlb_missed || first_len == bytes, "only single-page accesses probe the micro-DTLB inline");
         let mut pas = [(0u64, 0u64); 2];
         let mut n = 0;
-        for (start, len) in [(va, first_len), (va + first_len, bytes - first_len)] {
+        for (start, len) in [(va, first_len), (va.wrapping_add(first_len), bytes - first_len)] {
             if len == 0 {
                 continue;
             }
-            match walk::translate(&self.mem, &mut self.tlb, &self.model, &cfg, start, access, &actx) {
+            let t = if dtlb_missed {
+                walk::translate_dtlb_missed(&self.mem, &mut self.tlb, &self.model, cfg, start, access, &actx)
+            } else {
+                walk::translate(&self.mem, &mut self.tlb, &self.model, cfg, start, access, &actx)
+            };
+            match t {
                 Ok(t) => {
                     self.charge(t.cost);
                     pas[n] = (t.pa, len);
@@ -1310,12 +1360,18 @@ impl Machine {
                 }
             }
         }
-        self.charge(self.model.mem_access);
+        self.complete_access(&pas[..n], va, rt, is_write, next_pc)
+    }
 
+    /// The translated tail of every data access: charge the memory
+    /// access, move the bytes of each `(pa, len)` part, and retire.
+    #[inline]
+    fn complete_access(&mut self, pas: &[(u64, u64)], va: u64, rt: u8, is_write: bool, next_pc: u64) -> Option<Exit> {
+        self.charge(self.model.mem_access);
         if is_write {
             let v = self.cpu.reg(rt);
             let mut shift = 0;
-            for &(pa, len) in &pas[..n] {
+            for &(pa, len) in pas {
                 let part = (v >> shift) & mask_for(len);
                 if !self.mem.write(pa, part, len) {
                     return self.bus_error(va);
@@ -1325,7 +1381,7 @@ impl Machine {
         } else {
             let mut v = 0u64;
             let mut shift = 0;
-            for &(pa, len) in &pas[..n] {
+            for &(pa, len) in pas {
                 match self.mem.read(pa, len) {
                     Some(part) => v |= part << shift,
                     None => return self.bus_error(va),
@@ -1336,6 +1392,30 @@ impl Machine {
         }
         self.cpu.pc = next_pc;
         None
+    }
+
+    /// A JIT `Mem` segment's access (`LDR`/`STR`, immediate offset).
+    ///
+    /// The inline path is `data_access` for an armed micro-DTLB hit: with
+    /// no EL0 watchpoint to match, a single-page access, and a TLB-backed
+    /// regime, `data_access` would make exactly one `translate` call,
+    /// whose probe this is — same hit counters, zero translation cost,
+    /// then `complete_access`'s `mem_access` charge and bus-error exit.
+    /// Anything else runs `data_access` itself, and a probe miss continues
+    /// there without probing again.
+    #[inline]
+    fn jit_mem(&mut self, va: u64, size: MemSize, rt: u8, is_write: bool, next_pc: u64) -> Option<Exit> {
+        let bytes = size.bytes();
+        let watched = self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0;
+        let cfg = self.walk_config();
+        if watched || first_page_len(va, bytes) != bytes || !(cfg.s1_enabled || cfg.vttbr.is_some()) {
+            return self.data_access(va, size, rt, is_write, false, next_pc);
+        }
+        let ps = self.cpu.pstate;
+        match self.tlb.dtlb_lookup(cfg.vmid(), cfg.asid(), ps.el, ps.pan, false, cfg.s1_enabled, va, is_write) {
+            Some(pa) => self.complete_access(&[(pa, bytes)], va, rt, is_write, next_pc),
+            None => self.data_access_unwatched(&cfg, va, size, rt, is_write, false, next_pc, true),
+        }
     }
 
     fn bus_error(&mut self, va: u64) -> Option<Exit> {
@@ -1427,6 +1507,12 @@ impl Machine {
             ExceptionLevel::El0 => unreachable!("exceptions never target EL0"),
         }
     }
+}
+
+/// Bytes of a `bytes`-long access at `va` that fall in `va`'s page.
+#[inline]
+fn first_page_len(va: u64, bytes: u64) -> u64 {
+    (4096 - (va & 0xfff)).min(bytes)
 }
 
 fn mask_for(len: u64) -> u64 {

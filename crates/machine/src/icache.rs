@@ -34,6 +34,22 @@
 //! the modelled costs (TLB-hit level cost or the deterministic walk cost for
 //! the active regime) and performs the same TLB state transitions the slow
 //! path would, so paper tables are bit-identical with the cache on or off.
+//!
+//! # JIT dispatch memo
+//!
+//! Compiled blocks are found through [`ICache::jit_lend`]: a direct-mapped
+//! memo of [`MEMO_SLOTS`] recent `jit_block` answers, allocated on first
+//! use. A slot hits only under `jit_block`'s own test — the same
+//! `(vmid, asid, el, s1_enabled, wxn)` tags, TLB generation and code-frame
+//! freshness — plus an unchanged *mutation epoch*: every fill, eviction,
+//! arm, block store and invalidation that can change what `jit_block`
+//! returns bumps the epoch, so a hit is always the block the page map
+//! would serve. A slot admits a block only when the same lookup reaches
+//! it twice in a row, so a dispatch stream that never repeats (gate
+//! switches that change the ASID between two visits to a PC) only
+//! rewrites slot keys and never drops a displaced block. An admitted
+//! block is moved out of its slot while it runs and moved back
+//! afterwards, so a hit neither hashes nor touches the `Arc` refcount.
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
@@ -45,6 +61,74 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 const WORDS_PER_PAGE: usize = 1024;
+
+/// Slots in the JIT dispatch memo (direct-mapped by `va >> 2`).
+const MEMO_SLOTS: usize = 64;
+
+/// The inputs of one [`ICache::jit_block`] lookup, plus the mutation
+/// epoch it was made in (the live epoch starts at 1, so the all-zero key
+/// of an empty slot never matches) and whether the slot has admitted the
+/// answer. A lookup builds its key with `admitted: true`, so it matches
+/// only an admitted slot; the same key with `admitted: false` matches a
+/// slot that has only recorded it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    epoch: u64,
+    tlb_gen: u64,
+    va: u64,
+    vmid: u16,
+    asid: u16,
+    el: ExceptionLevel,
+    s1_enabled: bool,
+    wxn: bool,
+    admitted: bool,
+}
+
+/// One dispatch-memo slot: the key of the last lookup made through it
+/// and, once that lookup has repeated, its answer.
+#[derive(Debug)]
+struct MemoSlot {
+    key: MemoKey,
+    /// The admitted answer's code frame and content version.
+    pa_page: u64,
+    frame_version: u64,
+    /// `PhysMem::write_gen` when the frame was last proven fresh.
+    checked_gen: u64,
+    /// The admitted block, `None` while it is lent out. Recording a new
+    /// key leaves an older block here, so that a miss never drops one.
+    block: Option<Arc<CompiledBlock>>,
+}
+
+const EMPTY_MEMO_SLOT: MemoSlot = MemoSlot {
+    key: MemoKey {
+        epoch: 0,
+        tlb_gen: 0,
+        va: 0,
+        vmid: 0,
+        asid: 0,
+        el: ExceptionLevel::El0,
+        s1_enabled: false,
+        wxn: false,
+        admitted: false,
+    },
+    pa_page: 0,
+    frame_version: 0,
+    checked_gen: 0,
+    block: None,
+};
+
+/// A compiled block lent out of the dispatch memo by [`ICache::jit_lend`];
+/// hand it back with [`ICache::jit_return`] once it has run.
+#[derive(Debug)]
+pub(crate) struct LentBlock {
+    pub(crate) block: Arc<CompiledBlock>,
+    /// The code frame and its content version, for per-segment
+    /// revalidation.
+    pub(crate) pa_page: u64,
+    pub(crate) frame_version: u64,
+    /// The memo slot the block goes back to, if it is admitted there.
+    slot: Option<usize>,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PageKey {
@@ -122,6 +206,10 @@ pub struct ICache {
     evictions: u64,
     /// Entries dropped by TLBI-scope maintenance (`clear`/`invalidate_*`).
     invalidations: u64,
+    /// Mutation epoch guarding the dispatch memo (see the module docs).
+    epoch: u64,
+    /// JIT dispatch memo, allocated on the first compiled-block dispatch.
+    memo: Option<Box<[MemoSlot; MEMO_SLOTS]>>,
 }
 
 impl Default for ICache {
@@ -141,6 +229,8 @@ impl ICache {
             misses: 0,
             evictions: 0,
             invalidations: 0,
+            epoch: 1,
+            memo: None,
         }
     }
 
@@ -197,6 +287,7 @@ impl ICache {
         };
         if stale_flags || stale_content {
             self.evictions += 1;
+            self.epoch += 1;
             entries.remove(idx);
             if entries.is_empty() {
                 self.pages.remove(&key);
@@ -243,10 +334,12 @@ impl ICache {
                         // blocks so they re-lower against the full run.
                         e.blocks.clear();
                         e.slots[slot] = Some((word, insn));
+                        self.epoch += 1;
                     }
                 } else {
                     // Regime or content moved on: restart the entry.
                     self.evictions += 1;
+                    self.epoch += 1;
                     e.info = info;
                     e.frame_version = frame_version;
                     e.checked_gen = checked_gen;
@@ -259,6 +352,9 @@ impl ICache {
             }
         }
 
+        // Capacity eviction, or a new entry that can shadow an older one
+        // for the same page.
+        self.epoch += 1;
         while self.order.len() >= self.capacity {
             if let Some(old) = self.order.pop_front() {
                 if let Some(dropped) = self.pages.remove(&old) {
@@ -418,6 +514,84 @@ impl ICache {
         Some((Arc::clone(block), e.info.pa_page, e.frame_version))
     }
 
+    /// Lend out the compiled block [`Self::jit_block`] would serve for the
+    /// fetch at `va`, through the dispatch memo (see the module docs). A
+    /// hit costs no hashing and no refcount traffic; a miss asks
+    /// `jit_block`, and admits a found block if the slot's last lookup was
+    /// this one. Return the block with [`Self::jit_return`] after running
+    /// it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn jit_lend(
+        &mut self,
+        mem: &PhysMem,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        s1_enabled: bool,
+        wxn: bool,
+        tlb_gen: u64,
+    ) -> Option<LentBlock> {
+        let idx = (va >> 2) as usize & (MEMO_SLOTS - 1);
+        let key = MemoKey { epoch: self.epoch, tlb_gen, va, vmid, asid, el, s1_enabled, wxn, admitted: true };
+        let recorded = MemoKey { admitted: false, ..key };
+        let mut repeat = false;
+        if let Some(s) = self.memo.as_deref_mut().map(|m| &mut m[idx]) {
+            if s.key == key && s.block.is_some() {
+                // Code-frame freshness, exactly as `jit_block` checks it:
+                // the page entry's version equals this one until the next
+                // epoch bump.
+                if s.checked_gen != mem.write_gen() {
+                    if mem.frame_version(s.pa_page) != Some(s.frame_version) {
+                        return None;
+                    }
+                    s.checked_gen = mem.write_gen();
+                }
+                let (pa_page, frame_version) = (s.pa_page, s.frame_version);
+                let block = s.block.take()?;
+                #[cfg(debug_assertions)]
+                {
+                    let served = self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen);
+                    assert!(
+                        served.as_ref().is_some_and(|(b, pa, fv)| {
+                            Arc::ptr_eq(b, &block) && (*pa, *fv) == (pa_page, frame_version)
+                        }),
+                        "JIT dispatch memo served a block the icache would not (va {va:#x})"
+                    );
+                }
+                return Some(LentBlock { block, pa_page, frame_version, slot: Some(idx) });
+            }
+            repeat = s.key == recorded;
+        }
+        let (block, pa_page, frame_version) = self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let s = &mut self.memo.get_or_insert_with(|| Box::new([EMPTY_MEMO_SLOT; MEMO_SLOTS]))[idx];
+        if !repeat {
+            s.key = recorded;
+            return Some(LentBlock { block, pa_page, frame_version, slot: None });
+        }
+        // The same lookup twice in a row, with no epoch bump or TLB
+        // generation move between: admit its answer.
+        s.key = key;
+        s.pa_page = pa_page;
+        s.frame_version = frame_version;
+        s.checked_gen = mem.write_gen();
+        s.block = None;
+        Some(LentBlock { block, pa_page, frame_version, slot: Some(idx) })
+    }
+
+    /// Put a block lent by [`Self::jit_lend`] back into its memo slot, or
+    /// drop it if the slot has not admitted it. The slot's key is
+    /// untouched while the block is out, so a mutation during the run (an
+    /// interpreted TLBI, say) has already made the slot stale through the
+    /// epoch or the TLB generation.
+    #[inline]
+    pub(crate) fn jit_return(&mut self, lent: LentBlock) {
+        if let (Some(memo), Some(slot)) = (self.memo.as_deref_mut(), lent.slot) {
+            memo[slot].block = Some(lent.block);
+        }
+    }
+
     /// Attach a compiled superblock to the page entry its decoded run was
     /// just extracted from. A missing entry (evicted between extraction
     /// and lowering — impossible today, but cheap to tolerate) simply
@@ -439,6 +613,7 @@ impl ICache {
         };
         let slot = (va >> 2) as u16 & (WORDS_PER_PAGE as u16 - 1);
         e.blocks.insert(slot, Arc::new(block));
+        self.epoch += 1;
         true
     }
 
@@ -463,14 +638,18 @@ impl ICache {
             if let Some(e) =
                 entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)
             {
-                e.fast_gen = tlb_gen;
-                e.fast_asid = asid;
+                if (e.fast_gen, e.fast_asid) != (tlb_gen, asid) {
+                    e.fast_gen = tlb_gen;
+                    e.fast_asid = asid;
+                    self.epoch += 1;
+                }
             }
         }
     }
 
     /// `TLBI ALLE1` scope: drop everything.
     pub fn clear(&mut self) {
+        self.epoch += 1;
         self.invalidations += self.len() as u64;
         self.pages.clear();
         self.order.clear();
@@ -478,6 +657,7 @@ impl ICache {
 
     /// `TLBI VMALLS12E1` scope: drop one VMID.
     pub fn invalidate_vmid(&mut self, vmid: u16) {
+        self.epoch += 1;
         let before = self.len();
         self.pages.retain(|k, _| k.vmid != vmid);
         self.order.retain(|k| k.vmid != vmid);
@@ -486,6 +666,7 @@ impl ICache {
 
     /// `TLBI ASIDE1` scope: drop one `(vmid, asid)`; global entries survive.
     pub fn invalidate_asid(&mut self, vmid: u16, asid: u16) {
+        self.epoch += 1;
         let before = self.len();
         for (k, v) in self.pages.iter_mut() {
             if k.vmid == vmid {
@@ -500,6 +681,7 @@ impl ICache {
 
     /// `TLBI VAAE1` scope: drop one page in a VMID, any ASID.
     pub fn invalidate_va(&mut self, vmid: u16, va: u64) {
+        self.epoch += 1;
         let key = PageKey { vmid, vpn: va >> 12 };
         if let Some(dropped) = self.pages.remove(&key) {
             self.invalidations += dropped.len() as u64;
@@ -680,6 +862,92 @@ mod tests {
         ic.seed_entry(&mem, 0, Some(1), 0x3000, pa);
         assert!(!ic.contains(0, Some(1), 0x1000), "oldest page evicted");
         assert!(ic.contains(0, Some(1), 0x3000));
+    }
+
+    /// An entry for `va` (code at `pa`; ASID 1, or global) armed for ASID
+    /// 1 at TLB generation 1 with a one-NOP compiled block.
+    fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
+        let mut ic = seeded(mem, &[(0, if global { None } else { Some(1) }, va, pa)]);
+        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1);
+        let nop = (0xD503_201F, Insn::decode(0xD503_201F));
+        let block = crate::jit::lower(va, &[nop], 1).expect("a NOP lowers");
+        assert!(ic.store_jit_block(0, 1, ExceptionLevel::El0, va, block));
+        ic
+    }
+
+    fn lend(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<LentBlock> {
+        ic.jit_lend(mem, 0, 1, ExceptionLevel::El0, va, true, false, tlb_gen)
+    }
+
+    /// Lend and return the block at `va` until its memo slot admits it;
+    /// returns the block's address.
+    fn admit(ic: &mut ICache, mem: &PhysMem, va: u64) -> *const CompiledBlock {
+        let first = lend(ic, mem, va, 1).expect("served");
+        assert!(first.slot.is_none(), "a first lookup only records its key");
+        let ptr = Arc::as_ptr(&first.block);
+        ic.jit_return(first);
+        let second = lend(ic, mem, va, 1).expect("served");
+        assert_eq!(second.slot, Some((va >> 2) as usize & (MEMO_SLOTS - 1)), "a repeated lookup is admitted");
+        ic.jit_return(second);
+        ptr
+    }
+
+    #[test]
+    fn memo_hits_serve_the_page_entrys_block() {
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        let mut ic = armed_with_block(&mem, 0x1000, pa, false);
+        let ptr = admit(&mut ic, &mem, 0x1000);
+        // A hit (debug builds cross-check it against `jit_block`) lends
+        // the very same block out of the slot.
+        let hit = lend(&mut ic, &mem, 0x1000, 1).expect("memo hit");
+        assert_eq!(Arc::as_ptr(&hit.block), ptr);
+        assert!(ic.memo.as_deref().is_some_and(|m| m[hit.slot.expect("admitted")].block.is_none()), "lent out");
+        ic.jit_return(hit);
+        assert!(lend(&mut ic, &mem, 0x1000, 2).is_none(), "another TLB generation must miss");
+        assert!(lend(&mut ic, &mem, 0x1004, 1).is_none(), "no block starts at the next slot");
+    }
+
+    #[test]
+    fn memo_admits_only_repeated_lookups() {
+        // Alternating ASIDs on one global page: each lookup records its
+        // key over the other's, so neither is ever admitted.
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        let va = 0x1000;
+        let mut ic = armed_with_block(&mem, va, pa, true);
+        for asid in [1, 2, 1, 2] {
+            ic.arm_fast(0, asid, ExceptionLevel::El0, va, 1);
+            let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
+            assert_eq!(lent.slot, None, "ASID {asid}: alternating lookups must not be admitted");
+            ic.jit_return(lent);
+        }
+    }
+
+    #[test]
+    fn memo_misses_after_mutations() {
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        let va = 0x1000;
+        for (i, what) in ["invalidation", "re-arm for another ASID", "slot refill", "code write"].iter().enumerate() {
+            // A global entry, so that it can be re-armed for ASID 2.
+            let mut ic = armed_with_block(&mem, va, pa, true);
+            admit(&mut ic, &mem, va);
+            match i {
+                0 => ic.invalidate_va(0, va),
+                1 => ic.arm_fast(0, 2, ExceptionLevel::El0, va, 1),
+                2 => ic.seed_entry(&mem, 0, None, va + 4, pa),
+                _ => assert!(mem.write(pa, 0, 4)),
+            }
+            assert!(lend(&mut ic, &mem, va, 1).is_none(), "{what} must retire the memo slot");
+        }
+    }
+
+    #[test]
+    fn memo_stays_small() {
+        // The memo is allocated per core on first dispatch; keep it within
+        // one page of host memory.
+        assert!(std::mem::size_of::<[MemoSlot; MEMO_SLOTS]>() <= 4096);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Template-JIT superblock engine: a lowered IR of pre-specialized host
-//! closures for the chainable ALU subset.
+//! closures for the chainable ALU subset, the immediate-offset
+//! loads/stores, and the direct branches that end a block.
 //!
 //! The interpreter's superblocks (see `Machine::step_block`) already
 //! execute straight-line decoded runs, but still dispatch one decoded
@@ -10,9 +11,12 @@
 //! selected at lowering time with register slots resolved, immediates
 //! constant-folded (including fully PC-folded `ADR`/`ADRP`, since a
 //! block's virtual address is fixed by its icache key), and flag-setting
-//! variants split into their own entry points — separated by `Slow`
-//! segments for anything that needs full interpreter bookkeeping
-//! (loads/stores and the block's trailing non-chainable instruction).
+//! variants split into their own entry points — separated by `Mem`
+//! segments for `LDR`/`STR` (immediate offset, every size) and `Slow`
+//! segments for anything else that needs full interpreter bookkeeping
+//! (pair and unprivileged accesses, and non-branch terminals). A block
+//! ending in `B`, `B.cond`, `CBZ` or `CBNZ` lowers that terminal to a
+//! PC-writing template at the end of the last ALU run.
 //!
 //! # Why per-segment revalidation is exact
 //!
@@ -20,14 +24,14 @@
 //! `PhysMem::write_gen`/`frame_version` before every instruction after
 //! the first. An ALU template touches only `Cpu` registers, NZCV, and
 //! the cycle/instruction counters: it cannot insert or promote a TLB
-//! entry, write memory, fault, or move the PC off the fall-through path.
-//! Both checks are therefore provably no-ops *inside* an ALU run, and
-//! checking once per segment boundary observes exactly the states the
-//! interpreter would. `Slow` segments run through `Machine::execute`
-//! with the interpreter's own per-instruction bookkeeping, so a store
-//! that bumps `write_gen` (self-modifying code) or a load that promotes
-//! a TLB entry ends the compiled block at the same boundary it would
-//! have ended the decoded one.
+//! entry, write memory, fault, or move the PC off the fall-through path
+//! (a branch template moves it, but only as the block's last
+//! instruction). Both checks are therefore provably no-ops *inside* an
+//! ALU run, and checking once per segment boundary observes exactly the
+//! states the interpreter would. `Mem` and `Slow` segments are segment
+//! boundaries: a store that bumps `write_gen` (self-modifying code) or a
+//! load that promotes a TLB entry ends the compiled block at the same
+//! boundary it would have ended the decoded one.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -35,13 +39,15 @@
 //! multiply/divide latencies) is summed at lowering time and charged in
 //! one `cycles +=`. The only observers of intermediate cycle values are
 //! journal events (`Machine::record_event` stamps `cpu.cycles`) and
-//! traps — and ALU templates emit neither, so no observation point can
-//! distinguish batched from per-instruction charging. Trace entries are
-//! `(pc, word, EL)` tuples without a cycle stamp and are replayed
-//! per-op when tracing is enabled.
+//! traps — and ALU and branch templates emit neither, so no observation
+//! point can distinguish batched from per-instruction charging. Trace
+//! entries are `(pc, word, EL)` tuples without a cycle stamp and are
+//! replayed per-op when tracing is enabled. `Mem` segments charge per
+//! instruction, in the interpreter's order, because a load or store can
+//! fault.
 
 use crate::cpu::Cpu;
-use lz_arch::insn::{Cond, Insn, LogicOp};
+use lz_arch::insn::{Cond, Insn, LogicOp, MemSize};
 use lz_arch::pstate::Nzcv;
 
 /// Extra modelled latency of `MADD` beyond `insn_base` (shared with the
@@ -55,8 +61,9 @@ pub(crate) const UDIV_EXTRA_CYCLES: u64 = 8;
 /// add/sub variants get distinct entry points), register slots are plain
 /// indices (`x31` semantics live in [`Cpu::reg`]/[`Cpu::set_reg`]), and
 /// `a`/`b` carry folded immediates — a shift amount, a pre-shifted
-/// imm12, a MOVK keep-mask, or a fully PC-folded `ADR`/`ADRP` result.
-/// `word` is kept for trace replay.
+/// imm12, a MOVK keep-mask, a fully PC-folded `ADR`/`ADRP` result, or a
+/// branch terminal's taken and fall-through targets. `word` is kept for
+/// trace replay.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tmpl {
     run: fn(&mut Cpu, &Tmpl),
@@ -81,12 +88,17 @@ impl Tmpl {
 /// A compiled superblock segment.
 #[derive(Debug)]
 pub(crate) enum Segment {
-    /// A run of pure-ALU templates; `cycles` is the run's total modelled
-    /// cost (`ops.len() × insn_base` plus fixed latencies), charged once.
+    /// A run of pure-ALU templates, possibly ending in the block's branch
+    /// terminal; `cycles` is the run's total modelled cost
+    /// (`ops.len() × insn_base` plus fixed latencies), charged once.
     Alu { ops: Box<[Tmpl]>, cycles: u64 },
-    /// An instruction that needs full interpreter bookkeeping: a
-    /// load/store (may fault, self-modify, or perturb the TLB) or the
-    /// block's trailing non-chainable instruction.
+    /// `LDR`/`STR` (immediate offset) of `size` at `base_reg(rn) +
+    /// offset`. Executed by `Machine::jit_mem`: inline on an armed
+    /// micro-DTLB hit, through the interpreter's `data_access` otherwise.
+    Mem { word: u32, rt: u8, rn: u8, offset: u64, size: MemSize, write: bool },
+    /// An instruction that needs full interpreter bookkeeping: a pair or
+    /// unprivileged load/store (may fault, self-modify, or perturb the
+    /// TLB) or the block's trailing non-branch terminal.
     Slow { word: u32, insn: Insn },
 }
 
@@ -199,6 +211,24 @@ fn t_csinc(cpu: &mut Cpu, t: &Tmpl) {
 
 fn t_nop(_cpu: &mut Cpu, _t: &Tmpl) {}
 
+// Branch terminals: `a` is the taken target, `b` the fall-through PC.
+
+fn t_b(cpu: &mut Cpu, t: &Tmpl) {
+    cpu.pc = t.a;
+}
+
+fn t_bcond(cpu: &mut Cpu, t: &Tmpl) {
+    cpu.pc = if t.cond.holds(cpu.pstate.nzcv) { t.a } else { t.b };
+}
+
+fn t_cbz(cpu: &mut Cpu, t: &Tmpl) {
+    cpu.pc = if cpu.reg(t.rn) == 0 { t.a } else { t.b };
+}
+
+fn t_cbnz(cpu: &mut Cpu, t: &Tmpl) {
+    cpu.pc = if cpu.reg(t.rn) != 0 { t.a } else { t.b };
+}
+
 // --- lowering -----------------------------------------------------------
 
 const BLANK: Tmpl = Tmpl { run: t_nop, a: 0, b: 0, rd: 31, rn: 31, rm: 31, ra: 31, cond: Cond::Al, word: 0 };
@@ -263,18 +293,51 @@ fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<(Tmpl, u64)> {
     Some((t, 0))
 }
 
+/// Lower a block-ending direct branch to a PC-writing template. `B`,
+/// `B.cond` and `CBZ`/`CBNZ` emit no events and charge only
+/// `insn_base`, so they join the preceding ALU run's batched charge.
+fn lower_branch(pc: u64, word: u32, insn: Insn) -> Option<Tmpl> {
+    let next = pc.wrapping_add(4);
+    let t = match insn {
+        Insn::B { offset } => Tmpl { run: t_b, a: pc.wrapping_add_signed(offset), word, ..BLANK },
+        Insn::BCond { cond, offset } => {
+            Tmpl { run: t_bcond, a: pc.wrapping_add_signed(offset), b: next, cond, word, ..BLANK }
+        }
+        Insn::Cbz { rt, offset, nonzero } => {
+            let run = if nonzero { t_cbnz } else { t_cbz };
+            Tmpl { run, a: pc.wrapping_add_signed(offset), b: next, rn: rt, word, ..BLANK }
+        }
+        _ => return None,
+    };
+    Some(t)
+}
+
+/// Lower an immediate-offset load/store to a `Mem` segment.
+fn lower_mem(word: u32, insn: Insn) -> Option<Segment> {
+    match insn {
+        Insn::LdrImm { rt, rn, offset, size } => Some(Segment::Mem { word, rt, rn, offset, size, write: false }),
+        Insn::StrImm { rt, rn, offset, size } => Some(Segment::Mem { word, rt, rn, offset, size, write: true }),
+        _ => None,
+    }
+}
+
 /// Lower a decoded superblock (as extracted by `ICache::superblock`,
-/// starting at virtual address `va`) into a [`CompiledBlock`]. Returns
-/// `None` when no instruction lowers to an ALU template — a pure
-/// load/store or single-terminal block gains nothing over the
-/// interpreter superblock.
+/// starting at virtual address `va`) into a [`CompiledBlock`]. A branch
+/// is lowered only as the block's last instruction. Returns `None` when
+/// every instruction would be a `Slow` segment — such a block gains
+/// nothing over the interpreter superblock.
 pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<CompiledBlock> {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
     for (k, &(word, insn)) in buf.iter().enumerate() {
         let pc_k = va + 4 * k as u64;
-        match lower_alu(pc_k, word, insn) {
+        let last = k + 1 == buf.len();
+        let tmpl = match lower_alu(pc_k, word, insn) {
+            None if last => lower_branch(pc_k, word, insn).map(|t| (t, 0)),
+            alu => alu,
+        };
+        match tmpl {
             Some((t, extra)) => {
                 run.push(t);
                 run_cycles += insn_base + extra;
@@ -284,14 +347,14 @@ pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<Comp
                     segs.push(Segment::Alu { ops: std::mem::take(&mut run).into_boxed_slice(), cycles: run_cycles });
                     run_cycles = 0;
                 }
-                segs.push(Segment::Slow { word, insn });
+                segs.push(lower_mem(word, insn).unwrap_or(Segment::Slow { word, insn }));
             }
         }
     }
     if !run.is_empty() {
         segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
     }
-    if !segs.iter().any(|s| matches!(s, Segment::Alu { .. })) {
+    if segs.iter().all(|s| matches!(s, Segment::Slow { .. })) {
         return None;
     }
     Some(CompiledBlock { segs: segs.into_boxed_slice(), total: buf.len() as u32 })
@@ -300,6 +363,7 @@ pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<Comp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lz_arch::asm::Asm;
 
     fn block(words: &[u32]) -> Vec<(u32, Insn)> {
         words.iter().map(|&w| (w, Insn::decode(w))).collect()
@@ -328,15 +392,142 @@ mod tests {
         let b = lower(0x40_0000, &buf, 1).expect("lowers");
         assert_eq!(b.segs.len(), 3);
         assert!(matches!(b.segs[0], Segment::Alu { .. }));
-        assert!(matches!(b.segs[1], Segment::Slow { .. }));
+        assert!(matches!(b.segs[1], Segment::Mem { rt: 1, rn: 2, offset: 0, size: MemSize::X, write: false, .. }));
         assert!(matches!(b.segs[2], Segment::Alu { .. }));
     }
 
     #[test]
-    fn block_with_no_alu_does_not_lower() {
-        // ldr x1, [x2] ; svc #0
-        let buf = block(&[0xF940_0041, 0xD400_0001]);
-        assert!(lower(0x40_0000, &buf, 1).is_none());
+    fn loads_and_stores_of_every_size_lower_to_mem() {
+        let mut a = Asm::new(0x40_0000);
+        for size in [MemSize::B, MemSize::H, MemSize::W, MemSize::X] {
+            let off = 2 * size.bytes();
+            a.emit(Insn::LdrImm { rt: 3, rn: 4, offset: off, size });
+            a.emit(Insn::StrImm { rt: 5, rn: 31, offset: off, size });
+        }
+        let buf = block(&a.words());
+        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        assert_eq!(b.total, 8);
+        assert_eq!(b.segs.len(), 8, "each access is its own segment");
+        for (i, size) in [MemSize::B, MemSize::H, MemSize::W, MemSize::X].into_iter().enumerate() {
+            let off = 2 * size.bytes();
+            match (&b.segs[2 * i], &b.segs[2 * i + 1]) {
+                (
+                    Segment::Mem { rt: 3, rn: 4, offset: lo, size: ls, write: false, .. },
+                    Segment::Mem { rt: 5, rn: 31, offset: so, size: ss, write: true, .. },
+                ) => {
+                    assert_eq!((*lo, *ls, *so, *ss), (off, size, off, size));
+                }
+                s => panic!("expected load then store of {size:?}, got {s:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn pair_and_unprivileged_accesses_stay_slow() {
+        let mut a = Asm::new(0x40_0000);
+        a.ldp(1, 2, 3, 16).ldtr(4, 5, 0).movz(0, 1, 0);
+        let b = lower(0x40_0000, &block(&a.words()), 1).expect("lowers");
+        assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::Ldp { .. }, .. }));
+        assert!(matches!(b.segs[1], Segment::Slow { insn: Insn::Ldtr { .. }, .. }));
+        assert!(matches!(b.segs[2], Segment::Alu { .. }));
+    }
+
+    #[test]
+    fn all_slow_block_does_not_lower() {
+        // ldp x1, x2, [x3] ; svc #0
+        let mut a = Asm::new(0x40_0000);
+        a.ldp(1, 2, 3, 0).svc(0);
+        assert!(lower(0x40_0000, &block(&a.words()), 1).is_none());
+    }
+
+    #[test]
+    fn scan_loop_blocks_lower_without_slow_segments() {
+        // The NVM search loop: ldrb ; add ; cmp ; b.eq | subs ; b.ne.
+        let mut a = Asm::new(0x40_0000);
+        let top = a.label();
+        let found = a.label();
+        a.bind(top);
+        a.ldrb(26, 25, 0).add_imm(25, 25, 1).cmp_imm(26, 0xff).b_eq(found);
+        a.subs_imm(24, 24, 1).b_ne(top);
+        a.bind(found);
+        let buf = block(&a.words());
+        let first = lower(0x40_0000, &buf[..4], 1).expect("lowers");
+        assert!(matches!(first.segs[0], Segment::Mem { size: MemSize::B, write: false, .. }));
+        match &first.segs[1] {
+            Segment::Alu { ops, cycles } => assert_eq!((ops.len(), *cycles), (3, 3), "b.eq joins the run's charge"),
+            s => panic!("expected ALU run, got {s:?}"),
+        }
+        assert_eq!(first.segs.len(), 2);
+        let second = lower(0x40_0010, &buf[4..], 1).expect("lowers");
+        assert_eq!(second.segs.len(), 1);
+        assert!(matches!(&second.segs[0], Segment::Alu { ops, cycles: 2 } if ops.len() == 2));
+    }
+
+    /// Run a one-segment lowered block's ALU ops on `cpu` the way
+    /// `step_jit` does: fall-through PC first, then the templates.
+    fn run_alu(b: &CompiledBlock, cpu: &mut Cpu, end: u64) {
+        let Segment::Alu { ops, .. } = &b.segs[0] else { panic!("expected ALU run") };
+        cpu.pc = end;
+        for op in ops.iter() {
+            op.exec(cpu);
+        }
+    }
+
+    #[test]
+    fn branch_terminals_write_taken_and_fall_through_pcs() {
+        let va = 0x40_0100;
+        for name in ["b.eq", "cbz", "cbnz", "b"] {
+            let mut a = Asm::new(va);
+            let target = a.label();
+            a.subs_imm(0, 1, 0);
+            match name {
+                "b.eq" => a.b_eq(target),
+                "cbz" => a.cbz(0, target),
+                "cbnz" => a.cbnz(0, target),
+                _ => a.b(target),
+            };
+            a.nop().nop();
+            a.bind(target);
+            let b = lower(va, &block(&a.words()[..2]), 1).expect("lowers");
+            assert_eq!(b.segs.len(), 1, "{name}: branch joins the ALU run");
+            assert!(matches!(&b.segs[0], Segment::Alu { ops, cycles: 2 } if ops.len() == 2), "{name}");
+            for x1 in [0u64, 5] {
+                let mut cpu = Cpu::new();
+                cpu.x[1] = x1;
+                run_alu(&b, &mut cpu, va + 8);
+                let taken = match name {
+                    "b.eq" | "cbz" => x1 == 0,
+                    "cbnz" => x1 != 0,
+                    _ => true,
+                };
+                let want = if taken { va + 16 } else { va + 8 };
+                assert_eq!(cpu.pc, want, "{name} with x1 = {x1}");
+            }
+        }
+    }
+
+    #[test]
+    fn branch_before_the_end_stays_slow() {
+        // b.ne is only a template as the block's last instruction.
+        let mut a = Asm::new(0x40_0000);
+        let l = a.label();
+        a.b_ne(l).nop();
+        a.bind(l);
+        let b = lower(0x40_0000, &block(&a.words()), 1).expect("lowers");
+        assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::BCond { .. }, .. }));
+        assert!(matches!(b.segs[1], Segment::Alu { .. }));
+    }
+
+    #[test]
+    fn lone_branch_block_lowers() {
+        let mut a = Asm::new(0x40_0000);
+        let l = a.label();
+        a.bind(l);
+        a.b(l);
+        let b = lower(0x40_0000, &block(&a.words()), 1).expect("a branch-only block lowers");
+        let mut cpu = Cpu::new();
+        run_alu(&b, &mut cpu, 0x40_0004);
+        assert_eq!(cpu.pc, 0x40_0000);
     }
 
     #[test]

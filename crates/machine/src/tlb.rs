@@ -596,14 +596,14 @@ impl Tlb {
         self.icache.superblock(mem, vmid, asid, el, va, s1_enabled, wxn, gen, max, out)
     }
 
-    /// Serve a compiled superblock for the fetch at `va` (see
-    /// [`crate::jit`]). Validation mirrors [`Self::superblock`]: gated on
-    /// the fast path and armed at the *current* generation, so any TLBI,
-    /// insert, or promotion since arming refuses service exactly as it
-    /// would refuse the decoded run.
+    /// Lend out the compiled superblock for the fetch at `va` (see
+    /// [`crate::jit`] and `ICache::jit_lend`). Validation mirrors
+    /// [`Self::superblock`]: gated on the fast path and armed at the
+    /// *current* generation, so any TLBI, insert, or promotion since
+    /// arming refuses service exactly as it would refuse the decoded run.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn jit_block(
+    pub(crate) fn jit_lend(
         &mut self,
         mem: &crate::PhysMem,
         vmid: u16,
@@ -612,12 +612,18 @@ impl Tlb {
         va: u64,
         s1_enabled: bool,
         wxn: bool,
-    ) -> Option<(std::sync::Arc<crate::jit::CompiledBlock>, u64, u64)> {
+    ) -> Option<crate::icache::LentBlock> {
         if !self.fastpath {
             return None;
         }
         let gen = self.gen;
-        self.icache.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, gen)
+        self.icache.jit_lend(mem, vmid, asid, el, va, s1_enabled, wxn, gen)
+    }
+
+    /// Hand a block from [`Self::jit_lend`] back to the dispatch memo.
+    #[inline]
+    pub(crate) fn jit_return(&mut self, lent: crate::icache::LentBlock) {
+        self.icache.jit_return(lent);
     }
 
     /// Attach a freshly lowered block to its icache page entry.

@@ -213,7 +213,23 @@ pub fn translate(
             return Ok(Translation { pa, cost: 0, tlb_hit: true });
         }
     }
+    translate_dtlb_missed(mem, tlb, model, cfg, va, access, actx)
+}
 
+/// [`translate`] after its micro-DTLB probe: the caller has just probed
+/// for exactly these tags and missed (or the access is a fetch), so the
+/// probe is not repeated. Used by the JIT's `Mem` segments, whose inline
+/// path is that probe.
+pub(crate) fn translate_dtlb_missed(
+    mem: &PhysMem,
+    tlb: &mut Tlb,
+    model: &CycleModel,
+    cfg: &WalkConfig,
+    va: u64,
+    access: Access,
+    actx: &AccessCtx,
+) -> Result<Translation, Fault> {
+    let has_tlb = cfg.s1_enabled || cfg.vttbr.is_some();
     let pre = if has_tlb { tlb.lookup_leveled(cfg.vmid(), cfg.asid(), va) } else { None };
     let r = translate_after_lookup(mem, tlb, model, cfg, va, access, actx, pre);
     match &r {

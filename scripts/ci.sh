@@ -373,6 +373,10 @@ ratchet crates/machine/src/walk.rs 1
 ratchet crates/machine/src/mem.rs 0
 ratchet crates/machine/src/cpu.rs 0
 ratchet crates/machine/src/jit.rs 0
+# icache.rs/tlb.rs hold the JIT dispatch memo and its callers; tlb.rs: 1 =
+# the walk-cache entry re-borrowed right after its validation.
+ratchet crates/machine/src/icache.rs 0
+ratchet crates/machine/src/tlb.rs 1
 # smp.rs: 5 = shell-join/overlay bookkeeping that cannot fail unless a
 # shell panicked first (which already aborts the epoch); sched.rs: 2 =
 # scheduler-internal map lookups guarded by the run-queue invariants.

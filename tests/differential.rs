@@ -1042,3 +1042,752 @@ fn walk_config_memo_matches_live_regs_exhaustively() {
         check(&k.machine, &format!("chaos-preempted SMP run, core {i}"));
     }
 }
+
+// ---------------------------------------------------------------------
+// Compiled loads/stores, branch terminals and the JIT dispatch memo
+// (DESIGN.md §13.1–§13.3)
+// ---------------------------------------------------------------------
+
+/// The three execution engines the template-JIT differentials compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// Compiled blocks (`Mem` segments, branch templates, dispatch memo).
+    Jit,
+    /// Interpreter superblocks (JIT off, fast path on).
+    Superblock,
+    /// The slow path: no fetch cache, no fast path.
+    Slow,
+}
+
+const ENGINES: [Engine; 3] = [Engine::Jit, Engine::Superblock, Engine::Slow];
+
+impl Engine {
+    fn configure(self, m: &mut Machine) {
+        m.set_fetch_cache(self != Engine::Slow);
+        m.set_fastpath(self != Engine::Slow);
+        m.set_jit(self == Engine::Jit);
+        m.set_metrics(true);
+        m.trace.set_enabled(true);
+    }
+}
+
+/// Everything one engine's run exposes: the snapshot (exit, registers,
+/// PC, cycles, instructions, TLB statistics, trace), the metric journal,
+/// and whatever else the scenario reads back (`extra`).
+type EngineRun<R> = (Snapshot, String, R);
+
+/// Build and drive one machine per engine; every engine must produce the
+/// JIT's run byte for byte. Returns the JIT machine's fast-path counters
+/// after asserting that compiled blocks ran and the micro-DTLB hit, so
+/// the comparison cannot pass vacuously.
+fn three_way<R: PartialEq + std::fmt::Debug>(
+    ctx: &str,
+    build: impl Fn() -> Machine,
+    drive: impl Fn(&mut Machine) -> (Exit, R),
+) -> lz_machine::metrics::FastStats {
+    let mut reference: Option<EngineRun<R>> = None;
+    let mut jit_fast = Default::default();
+    for engine in ENGINES {
+        let mut m = build();
+        engine.configure(&mut m);
+        let (exit, extra) = drive(&mut m);
+        let got = (snapshot(&m, exit, 0), m.journal.dump_json(), extra);
+        match &reference {
+            None => {
+                jit_fast = m.tlb.fast_stats();
+                reference = Some(got);
+            }
+            Some(want) => assert_eq!(&got, want, "{ctx}: {engine:?} diverged from the template JIT"),
+        }
+    }
+    let fast: lz_machine::metrics::FastStats = jit_fast;
+    assert!(fast.jit_blocks > 0, "{ctx}: no compiled block ran");
+    assert!(fast.dtlb_hits > 0, "{ctx}: the micro-DTLB never hit");
+    fast
+}
+
+/// Read `len` bytes of guest memory at `va` through the live stage-1
+/// tables (host-side, no TLB interaction).
+fn guest_bytes(m: &Machine, va: u64, len: u64) -> Vec<u8> {
+    let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+    (va..va + len)
+        .map(|a| {
+            let (pa, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, a).expect("mapped");
+            m.mem.read(pa, 1).expect("backed") as u8
+        })
+        .collect()
+}
+
+/// Run the program to its final `svc #0` and read back both data pages.
+fn run_and_read_data(m: &mut Machine) -> (Exit, Vec<u8>) {
+    let (exit, _) = run_to_completion(m);
+    (exit, guest_bytes(m, DATA, 0x2000))
+}
+
+/// Emit one `nvm_scan` search: scan `window` bytes from `x19 + start`
+/// for a 0xff byte with the Figure 5 loop (`ldrb ; add ; cmp ; b.eq` and
+/// `subs ; b.ne`), leaving the address after the hit (or the window) in
+/// x25.
+fn emit_scan(a: &mut Asm, start: u16, window: u64) {
+    a.mov_imm64(24, window);
+    a.add_imm(25, 19, start);
+    let found = a.label();
+    let scan = a.label();
+    a.bind(scan);
+    a.ldrb(26, 25, 0);
+    a.add_imm(25, 25, 1);
+    a.cmp_imm(26, 0xff);
+    a.b_eq(found);
+    a.subs_imm(24, 24, 1);
+    a.b_ne(scan);
+    a.bind(found);
+}
+
+/// The Figure 5 search loop across both data pages: one scan finds a
+/// planted needle in the second page (a micro-DTLB miss at the page
+/// boundary, then hits), one starts past it, one ends inside its window
+/// without a hit — so `b.eq` and `b.ne` both go both ways.
+#[test]
+fn jit_nvm_scan_loop_agrees() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(1, 0xff, 0);
+    a.mov_imm64(2, DATA + 0x1300);
+    a.strb(1, 2, 0); // the needle
+    for (i, (start, window)) in [(0u16, 0x1f00u64), (0x400, 0x1f00), (0x10, 0x600)].into_iter().enumerate() {
+        emit_scan(&mut a, start, window);
+        a.mov_reg(20 + i as u8, 25);
+    }
+    a.svc(0);
+    let code = a.bytes();
+    let fast = three_way("nvm scan loop", || build_machine(&code, &patch_area(4), true), run_and_read_data);
+    assert!(fast.dtlb_hits > 1000, "the scan should be micro-DTLB dominated: {fast:?}");
+}
+
+/// Loads and stores of every size through `Mem` segments, aligned and
+/// page-crossing (the crossing ones take the interpreter's split path),
+/// repeated so later rounds hit the micro-DTLB entries earlier ones armed.
+#[test]
+fn jit_loads_and_stores_of_every_size_agree() {
+    use lz_arch::insn::MemSize;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.mov_imm64(5, 0x0123_4567_89ab_cdef);
+    a.movz(0, 4, 0);
+    let top = a.label();
+    a.bind(top);
+    for (i, size) in [MemSize::B, MemSize::H, MemSize::W, MemSize::X].into_iter().enumerate() {
+        let off = 8 * size.bytes() * (i as u64 + 1);
+        a.emit(Insn::StrImm { rt: 5, rn: 19, offset: off, size });
+        a.emit(Insn::LdrImm { rt: 6 + i as u8, rn: 19, offset: off, size });
+        a.add_reg(5, 5, 0);
+        // Page-crossing: the access starts `bytes - 1` before the page end.
+        a.mov_imm64(20, DATA + 0x1000 - (size.bytes() - 1).max(1));
+        a.emit(Insn::StrImm { rt: 5, rn: 20, offset: 0, size });
+        a.emit(Insn::LdrImm { rt: 10 + i as u8, rn: 20, offset: 0, size });
+    }
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    three_way("every size", || build_machine(&code, &patch_area(4), true), run_and_read_data);
+}
+
+/// A store into the running block's own code page: once the block is
+/// compiled, one round aims its store at the very next instruction, so
+/// the compiled block must end at the store exactly like the
+/// interpreter superblock does and fetch the new word.
+#[test]
+fn jit_store_into_own_code_page_agrees() {
+    use lz_arch::insn::{Cond, MemSize};
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(21, CODE + 0x40);
+    a.mov_imm64(22, DATA + 0x100);
+    a.mov_imm64(5, Insn::Movz { rd: 17, imm16: 0x2222, hw: 0 }.encode() as u64);
+    a.movz(0, 6, 0);
+    while a.here() < CODE + 0x34 {
+        a.nop();
+    }
+    let top = a.label();
+    a.bind(top);
+    a.cmp_imm(0, 2);
+    a.csel(20, 21, 22, Cond::Eq); // the code page in round 2 only
+    a.emit(Insn::StrImm { rt: 5, rn: 20, offset: 0, size: MemSize::W }); // CODE + 0x3c
+    assert_eq!(a.here(), CODE + 0x40);
+    a.movz(17, 0x1111, 0); // patched by the store above
+    a.ldr(18, 22, 0);
+    a.add_reg(16, 16, 17);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    three_way(
+        "store into own code page",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!(m.cpu.reg(16), 4 * 0x1111 + 2 * 0x2222, "the patched word runs from the patching round on");
+            (exit, data)
+        },
+    );
+}
+
+/// EL0 watchpoints armed: every `Mem` access takes the interpreter path
+/// (which still probes the micro-DTLB). The compiled loop walks a load
+/// and a store through the data page; unwatched accesses retire, and the
+/// load that reaches the watched doubleword traps with the same syndrome
+/// on every engine.
+#[test]
+fn jit_with_watchpoints_armed_agrees() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.mov_imm64(20, DATA);
+    a.movz(0, 50, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 20, 0); // reaches the watched DATA + 0x100 in round 33
+    a.str(1, 19, 0x800);
+    a.add_imm(20, 20, 8);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let build = || {
+        let mut m = build_machine(&code, &patch_area(4), true);
+        m.cpu.watchpoints[0] =
+            Some(lz_machine::cpu::Watchpoint { addr: DATA + 0x100, len: 8, on_read: true, on_write: false });
+        m.cpu.watchpoints_enabled = true;
+        m
+    };
+    three_way("watchpoints armed", build, |m| {
+        let (exit, data) = run_and_read_data(m);
+        assert_eq!(exit, Exit::El2(ExceptionClass::WatchpointLower));
+        assert_eq!(m.cpu.reg(0), 50 - 32, "the trap lands in round 33");
+        (exit, (data, m.sysreg(SysReg::FAR_EL2), m.sysreg(SysReg::ESR_EL2)))
+    });
+}
+
+/// A bare EL1 machine: priv-exec code at `CODE`, one user page at `DATA`,
+/// one ASID-tagged root per entry of `roots_data` (each mapping `DATA` to
+/// its own frame, pre-filled with the given byte), EL1 exceptions exiting
+/// the interpreter.
+fn build_el1_machine(code: &[u8], data_fill: &[u8]) -> (Machine, Vec<u64>) {
+    let mut m = Machine::new(Platform::CortexA55);
+    let el1_code = S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: false, global: true };
+    let user_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
+    let code_pa = m.mem.alloc_frame();
+    m.mem.write_bytes(code_pa, code);
+    let mut roots = Vec::new();
+    for &fill in data_fill {
+        let root = alloc_table(&mut m.mem);
+        s1_map_page(&mut m.mem, root, CODE, code_pa, el1_code);
+        let pa = m.mem.alloc_frame();
+        m.mem.write_bytes(pa, &[fill; 0x1000]);
+        s1_map_page(&mut m.mem, root, DATA, pa, user_rw);
+        roots.push(root);
+    }
+    m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, roots[0]));
+    m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+    m.set_el1_external(true);
+    m.cpu.pstate = PState::reset();
+    m.cpu.pc = CODE;
+    (m, roots)
+}
+
+/// PAN-on EL1 access to a user page: a compiled loop arms micro-DTLB
+/// entries with PAN clear, the host sets PSTATE.PAN on the return from
+/// the second round's `svc`, and the same compiled loop's next load of
+/// that page must permission-fault instead of hitting an entry. (Every
+/// instruction is decoded in the first round, since a first fetch in a
+/// page drops the page's compiled blocks.)
+#[test]
+fn jit_pan_on_el1_access_to_user_page_agrees() {
+    let mut a = Asm::new(CODE);
+    let scan = a.label();
+    a.mov_imm64(19, DATA);
+    a.movz(5, 3, 0);
+    let outer = a.label();
+    a.bind(outer);
+    a.movz(0, 40, 0);
+    a.bl(scan); // third round: the first load must fault
+    a.svc(1);
+    a.subs_imm(5, 5, 1);
+    a.b_ne(outer);
+    a.svc(0);
+    a.bind(scan);
+    a.ldr(1, 19, 8);
+    a.add_reg(2, 2, 1);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(scan);
+    a.ret();
+    let code = a.bytes();
+    three_way(
+        "PAN-on EL1 access",
+        || build_el1_machine(&code, &[7]).0,
+        |m| {
+            for pan in [false, true] {
+                assert_eq!(m.run(100_000), Exit::El1(ExceptionClass::Svc));
+                m.enter_from_el1(PState { pan, ..PState::reset() }, m.sysreg(SysReg::ELR_EL1));
+            }
+            let exit = m.run(100_000);
+            assert_eq!(exit, Exit::El1(ExceptionClass::DataAbortSame));
+            assert_eq!((m.cpu.reg(5), m.cpu.reg(0)), (1, 40), "the fault is the third call's first load");
+            (exit, (m.sysreg(SysReg::ESR_EL1), m.sysreg(SysReg::FAR_EL1), m.sysreg(SysReg::ELR_EL1)))
+        },
+    );
+}
+
+/// A micro-DTLB miss after an ASID switch: the same EL1 loop reads `DATA`
+/// under ASID 1, then under ASID 2 (another frame behind the same VA);
+/// the entries armed for ASID 1 must miss and the values must follow the
+/// live ASID.
+#[test]
+fn jit_dtlb_miss_after_asid_switch_agrees() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(0, 30, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldrb(1, 19, 0);
+    a.add_reg(2, 2, 1);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    // Frame allocation is deterministic, so every engine's machine gets
+    // these same two roots.
+    let roots = build_el1_machine(&code, &[1, 2]).1;
+    three_way(
+        "ASID switch",
+        || build_el1_machine(&code, &[1, 2]).0,
+        |m| {
+            let mut sums = Vec::new();
+            let mut exit = Exit::Limit;
+            for asid in [1u16, 2, 1] {
+                m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(asid, roots[asid as usize - 1]));
+                m.cpu.x[2] = 0;
+                m.cpu.pstate = PState::reset();
+                m.cpu.pc = CODE;
+                exit = m.run(100_000);
+                assert_eq!(exit, Exit::El1(ExceptionClass::Svc));
+                sums.push(m.cpu.reg(2));
+            }
+            assert_eq!(sums, [30, 60, 30], "loads must follow the live ASID");
+            (exit, sums)
+        },
+    );
+}
+
+/// `B`, `B.cond`, `CBZ` and `CBNZ` terminals, each taken on some rounds
+/// and not taken on others, behind a `Mem` load.
+#[test]
+fn jit_branch_terminals_taken_and_not_taken_agree() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(3, 1, 0);
+    a.movz(0, 9, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.and_reg(2, 0, 3); // odd round?
+    let even = a.label();
+    a.cbz(2, even);
+    a.add_imm(4, 4, 1);
+    a.bind(even);
+    let skip = a.label();
+    a.cbnz(2, skip);
+    a.add_imm(5, 5, 1);
+    a.bind(skip);
+    a.cmp_imm(2, 0);
+    let odd = a.label();
+    a.b_ne(odd);
+    a.add_imm(6, 6, 1);
+    let join = a.label();
+    a.b(join);
+    a.bind(odd);
+    a.add_imm(7, 7, 1);
+    a.bind(join);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    three_way(
+        "branch terminals",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!([m.cpu.reg(4), m.cpu.reg(5), m.cpu.reg(6), m.cpu.reg(7)], [5, 4, 4, 5]);
+            (exit, data)
+        },
+    );
+}
+
+// --- dispatch-memo epoch sources ---------------------------------------
+
+/// The hot subroutine every memo scenario runs before and after the
+/// mutation under test: `movz x0, #200` at `HOT`, then the loop at
+/// `HOT_TOP` (same page as the main routine).
+const HOT: u64 = CODE + 0x800;
+const HOT_TOP: u64 = HOT + 4;
+/// Guest routines the host runs between the phases, each ending in
+/// `svc #2`: `FRESH` is a never-executed `nop` in the hot page (its
+/// fetch fills a new slot), `EVICT` calls a `ret` stub in each of
+/// `STUB_PAGES` pages at `STUBS`, overflowing the 64-page icache.
+const FRESH: u64 = CODE + 0x600;
+const EVICT: u64 = CODE + 0x400;
+const STUBS: u64 = 0x100_0000;
+const STUB_PAGES: u64 = 72;
+
+/// Main routine at `CODE`: two rounds of (call the hot loop, `svc #1`), then
+/// `svc #0`; plus the `FRESH` and `EVICT` routines and the hot loop. The
+/// first round decodes every instruction the second one runs, so nothing
+/// is fetched for the first time between the second round's last hot
+/// dispatch and the host's mutation at its `svc #1`.
+fn memo_program() -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(5, 2, 0);
+    let round = a.label();
+    a.bind(round);
+    a.mov_imm64(9, HOT);
+    a.blr(9);
+    a.svc(1);
+    a.subs_imm(5, 5, 1);
+    a.b_ne(round);
+    a.svc(0);
+    while a.here() < EVICT {
+        a.nop();
+    }
+    a.mov_imm64(10, STUBS);
+    a.mov_imm64(11, STUB_PAGES);
+    a.mov_imm64(12, 0x1000);
+    let call = a.label();
+    a.bind(call);
+    a.blr(10);
+    a.add_reg(10, 10, 12);
+    a.subs_imm(11, 11, 1);
+    a.b_ne(call);
+    a.svc(2);
+    while a.here() < FRESH {
+        a.nop();
+    }
+    a.nop();
+    a.svc(2);
+    while a.here() < HOT {
+        a.nop();
+    }
+    a.movz(0, 200, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.add_reg(2, 2, 1);
+    a.add_imm(3, 3, 7); // the physical-patch scenario rewrites this immediate
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.ret();
+    a.bytes()
+}
+
+/// Run the guest routine at `pc` to its `svc #2` (host-side, between the
+/// phases of a memo scenario).
+fn run_routine(m: &mut Machine, pc: u64) {
+    m.enter(PState::user(), pc);
+    assert_eq!(m.run(100_000), Exit::El2(ExceptionClass::Svc));
+    assert_eq!(lz_arch::esr::esr_imm(m.sysreg(SysReg::ESR_EL2)), 2);
+}
+
+/// Run one memo scenario on every engine: run both main-routine rounds to the
+/// second `svc #1`, apply the `host` mutation, then re-enter the hot loop
+/// *directly* at `HOT_TOP` (returning into the main routine, which exits), so
+/// the first dispatch after the mutation is a PC whose memo slot the
+/// second round filled. On the JIT engine compiled blocks must run in
+/// every round; `x3` is the loop's expected final sum (200 × its
+/// immediate, per round).
+fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: impl Fn(&mut Machine)) {
+    let code = memo_program();
+    three_way(
+        ctx,
+        || build(&code),
+        |m| {
+            let mut blocks = 0;
+            for round in 0..2 {
+                assert_eq!(m.run(1_000_000), Exit::El2(ExceptionClass::Svc), "{ctx}: round {round}");
+                assert_eq!(lz_arch::esr::esr_imm(m.sysreg(SysReg::ESR_EL2)), 1, "{ctx}: round {round}");
+                let now = m.tlb.fast_stats().jit_blocks;
+                assert!(!m.jit() || now - blocks > 100, "{ctx}: hot loop not compiled in round {round}");
+                blocks = now;
+                if round == 0 {
+                    m.enter(PState::user(), m.sysreg(SysReg::ELR_EL2));
+                }
+            }
+            let resume = m.sysreg(SysReg::ELR_EL2);
+            host(m);
+            m.cpu.x[0] = 200;
+            m.cpu.x[30] = resume;
+            m.enter(PState::user(), HOT_TOP);
+            let (exit, _) = run_to_completion(m);
+            assert_eq!(exit, Exit::El2(ExceptionClass::Svc), "{ctx}: after the mutation");
+            assert!(!m.jit() || m.tlb.fast_stats().jit_blocks - blocks > 100, "{ctx}: hot loop not compiled after");
+            assert_eq!(m.cpu.reg(3), x3, "{ctx}: hot loop result");
+            (exit, guest_bytes(m, DATA, 16))
+        },
+    );
+}
+
+fn plain_build(code: &[u8]) -> Machine {
+    build_machine(code, &patch_area(4), true)
+}
+
+#[test]
+fn jit_memo_refill_agrees() {
+    // Decoding a new slot of the hot page drops its compiled blocks.
+    memo_scenario("memo: refill", 4200, plain_build, |m| run_routine(m, FRESH));
+}
+
+#[test]
+fn jit_memo_eviction_agrees() {
+    // Capacity eviction driven by the guest (calls into 72 stub pages,
+    // which also fill the TLB), and by host-side icache fills alone
+    // (which leave the TLB generation alone, so only the epoch retires
+    // the memo slots of the evicted hot page).
+    let build = |code: &[u8]| {
+        let mut m = plain_build(code);
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        let mut ret = Asm::new(STUBS);
+        ret.ret();
+        let stub = ret.bytes();
+        for i in 0..STUB_PAGES {
+            let pa = m.mem.alloc_frame();
+            m.mem.write_bytes(pa, &stub);
+            s1_map_page(&mut m.mem, root, STUBS + i * 0x1000, pa, user_rwx());
+        }
+        m
+    };
+    memo_scenario("memo: eviction by the guest", 4200, build, |m| {
+        let before = m.tlb.icache().eviction_count();
+        run_routine(m, EVICT);
+        assert!(!m.fetch_cache() || m.tlb.icache().eviction_count() > before, "the icache never evicted");
+    });
+    memo_scenario("memo: eviction by icache fills", 4200, plain_build, |m| {
+        let before = m.tlb.icache().eviction_count();
+        let pa = m.mem.alloc_frame();
+        for i in 0..STUB_PAGES {
+            m.tlb.icache_mut().seed_entry(&m.mem, 0, Some(1), STUBS + i * 0x1000, pa);
+        }
+        assert!(m.tlb.icache().eviction_count() > before, "the icache never evicted");
+    });
+}
+
+#[test]
+fn jit_memo_tlbi_agrees() {
+    // Every TLBI scope, then the same scopes as icache-only maintenance,
+    // which leaves the TLB generation alone so that only the epoch
+    // retires the memo slots.
+    for scope in 0..8 {
+        memo_scenario(&format!("memo: TLBI scope {scope}"), 4200, plain_build, |m| match scope {
+            0 => m.tlb.invalidate_va(0, HOT),
+            1 => m.tlb.invalidate_asid(0, 1),
+            2 => m.tlb.invalidate_vmid(0),
+            3 => m.tlb.invalidate_all(),
+            4 => m.tlb.icache_mut().invalidate_va(0, HOT),
+            5 => m.tlb.icache_mut().invalidate_asid(0, 1),
+            6 => m.tlb.icache_mut().invalidate_vmid(0),
+            _ => m.tlb.icache_mut().clear(),
+        });
+    }
+}
+
+#[test]
+fn jit_memo_tlb_generation_agrees() {
+    // A TLB fill for an unrelated page moves the TLB generation without
+    // touching the icache: the memo's generation tag must retire its
+    // slots (`jit_block` refuses the stale arm, and the fetch re-arms).
+    memo_scenario("memo: TLB generation", 4200, plain_build, |m| {
+        let ctx = lz_machine::walk::AccessCtx { el: lz_arch::pstate::ExceptionLevel::El0, pan: false, unpriv: false };
+        let gen = m.tlb.generation();
+        assert!(m.probe(DATA + 0x1000, lz_machine::Access::Read, &ctx).is_ok());
+        assert!(m.tlb.generation() > gen);
+    });
+}
+
+#[test]
+fn jit_memo_rearm_under_new_asid_agrees() {
+    // Global pages: one icache entry serves both ASIDs, and every lookup
+    // is a global L1 hit, so the TLB generation never moves. One step of
+    // the hot loop under ASID 2 re-arms the entry for ASID 2 (and misses
+    // the micro-DTLB's ASID tag); back under ASID 1, only the arm's epoch
+    // bump keeps the memo from serving the slots the first phase filled.
+    let build = |code: &[u8]| {
+        let mut m = plain_build(code);
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        for (base, pages) in [(CODE, 4u64), (DATA, 2)] {
+            for page in 0..pages {
+                let va = base + page * 0x1000;
+                let (pa, perms, _) = lz_machine::walk::s1_lookup(&m.mem, root, va).expect("mapped");
+                s1_map_page(&mut m.mem, root, va, pa, S1Perms { global: true, ..perms });
+            }
+        }
+        m
+    };
+    memo_scenario("memo: re-arm under a new ASID", 4200, build, |m| {
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(2, root));
+        m.enter(PState::user(), HOT_TOP);
+        assert_eq!(m.step(), None);
+        m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, root));
+    });
+}
+
+#[test]
+fn jit_memo_physical_code_patch_agrees() {
+    memo_scenario("memo: physical code patch", 2 * 1400 + 200 * 11, plain_build, |m| {
+        // Rewrite the hot loop's `add x3, x3, #7` in place: same frame,
+        // no TLB maintenance.
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        let (pa, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, HOT).expect("mapped");
+        let add = |imm12| Insn::AddImm { rd: 3, rn: 3, imm12, shift12: false, sub: false, set_flags: false }.encode();
+        let at = (0..0x1000u64).step_by(4).find(|&o| m.mem.read_u32(pa + o) == Some(add(7))).expect("patch site");
+        m.mem.write(pa + at, add(11) as u64, 4);
+    });
+}
+
+// ---------------------------------------------------------------------
+// Guest-reachable edge cases: misaligned PCs and the top of the VA space
+// ---------------------------------------------------------------------
+
+/// Run `drive` on a fresh `build()` machine under every combination of
+/// the fetch cache, the data-side fast path and the template JIT. Every
+/// combination must return the same value and leave the same snapshot.
+fn all_switches_agree<R: PartialEq + std::fmt::Debug>(
+    ctx: &str,
+    build: impl Fn() -> Machine,
+    drive: impl Fn(&mut Machine) -> (Exit, R),
+) -> (Exit, R) {
+    let mut reference: Option<(Snapshot, (Exit, R))> = None;
+    for bits in 0..8u8 {
+        let mut m = build();
+        m.set_fetch_cache(bits & 1 != 0);
+        m.set_fastpath(bits & 2 != 0);
+        m.set_jit(bits & 4 != 0);
+        let (exit, extra) = drive(&mut m);
+        let got = (snapshot(&m, exit, 0), (exit, extra));
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(&got, want, "{ctx}: switches {bits:03b} diverged from all-off"),
+        }
+    }
+    reference.map(|(_, r)| r).expect("eight runs")
+}
+
+/// A hot ALU + load loop, so the fetch cache, superblocks, the micro-DTLB
+/// and compiled blocks are all warm (slot 0 of the code page included)
+/// before the edge case runs.
+fn emit_warm_loop(a: &mut Asm) {
+    a.mov_imm64(19, DATA);
+    a.movz(0, 40, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.add_reg(2, 2, 1);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+}
+
+/// `br`/`blr`/`ret` to a PC two bytes into a word — mid-page, where the
+/// icache's `va >> 2` slot index would alias the aligned word, and two
+/// bytes before a page end, where an uncached fetch would straddle two
+/// frames — must raise a PC alignment fault (FAR = ELR = the PC) with
+/// every engine switch on or off, never panic or run on.
+#[test]
+fn misaligned_pc_faults_identically_on_every_engine() {
+    for target in [CODE + 2, CODE + 0x1000 - 2] {
+        for jump in ["br", "blr", "ret"] {
+            let mut a = Asm::new(CODE);
+            emit_warm_loop(&mut a);
+            a.mov_imm64(9, target);
+            match jump {
+                "br" => a.br(9),
+                "blr" => a.blr(9),
+                _ => a.ret_reg(9),
+            };
+            a.svc(0);
+            let code = a.bytes();
+            let ctx = format!("{jump} to {target:#x}");
+            let (exit, regs) = all_switches_agree(
+                &ctx,
+                || build_machine(&code, &patch_area(4), true),
+                |m| {
+                    let exit = m.run(100_000);
+                    (exit, [SysReg::ESR_EL2, SysReg::FAR_EL2, SysReg::ELR_EL2].map(|r| m.sysreg(r)))
+                },
+            );
+            assert_eq!(exit, Exit::El2(ExceptionClass::PcAlignment), "{ctx}");
+            assert_eq!(regs, [ExceptionClass::PcAlignment.ec() << 26, target, target], "{ctx}: ESR/FAR/ELR");
+        }
+    }
+}
+
+/// `eret` from EL1 to a misaligned EL0 PC faults at EL1 the same way.
+#[test]
+fn misaligned_eret_target_faults_identically_on_every_engine() {
+    let target = CODE + 0x1000 - 2;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, target);
+    a.msr(SysReg::ELR_EL1, 0);
+    a.mov_imm64(1, PState::user().to_spsr());
+    a.msr(SysReg::SPSR_EL1, 1);
+    a.eret();
+    let code = a.bytes();
+    let (exit, regs) = all_switches_agree(
+        "eret",
+        || build_el1_machine(&code, &[0]).0,
+        |m| {
+            let exit = m.run(1_000);
+            (exit, [SysReg::ESR_EL1, SysReg::FAR_EL1, SysReg::ELR_EL1].map(|r| m.sysreg(r)))
+        },
+    );
+    assert_eq!(exit, Exit::El1(ExceptionClass::PcAlignment));
+    assert_eq!(regs, [ExceptionClass::PcAlignment.ec() << 26, target, target]);
+}
+
+/// Data accesses at the very top of the VA space: the page-split and
+/// watchpoint-overlap sums wrap instead of overflowing (a debug-build
+/// panic before), and every engine reports the same fault.
+#[test]
+fn top_of_va_space_accesses_do_not_overflow() {
+    use lz_arch::insn::MemSize;
+    use lz_machine::cpu::Watchpoint;
+    let cases = [
+        (u64::MAX, MemSize::B, false, false),
+        (u64::MAX, MemSize::B, false, true),
+        (u64::MAX - 3, MemSize::X, false, false),
+        (u64::MAX - 1, MemSize::W, true, true),
+    ];
+    for (va, size, write, watched) in cases {
+        let mut a = Asm::new(CODE);
+        emit_warm_loop(&mut a);
+        a.mov_imm64(9, va);
+        if write {
+            a.emit(Insn::StrImm { rt: 2, rn: 9, offset: 0, size });
+        } else {
+            a.emit(Insn::LdrImm { rt: 3, rn: 9, offset: 0, size });
+        }
+        a.svc(0);
+        let code = a.bytes();
+        let build = || {
+            let mut m = build_machine(&code, &patch_area(4), true);
+            if watched {
+                // One watchpoint that ends exactly at the top of the VA
+                // space, one elsewhere.
+                m.cpu.watchpoints[0] = Some(Watchpoint { addr: u64::MAX - 7, len: 8, on_read: false, on_write: false });
+                m.cpu.watchpoints[1] = Some(Watchpoint { addr: DATA + 0x800, len: 8, on_read: true, on_write: true });
+                m.cpu.watchpoints_enabled = true;
+            }
+            m
+        };
+        let ctx = format!("{size:?} {} at {va:#x}, watched: {watched}", if write { "store" } else { "load" });
+        let (exit, far) = all_switches_agree(&ctx, build, |m| (m.run(100_000), m.sysreg(SysReg::FAR_EL2)));
+        assert_eq!(exit, Exit::El2(ExceptionClass::DataAbortLower), "{ctx}");
+        assert_eq!(far, va, "{ctx}: FAR");
+    }
+}

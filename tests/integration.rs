@@ -388,3 +388,39 @@ fn ve_mprotect_revokes_stale_write_permission() {
     lz.enter_process(pid);
     assert!(lz.run_to_exit() != 0, "store after mprotect(READ) must be fatal");
 }
+
+/// A process that branches to a misaligned PC: a plain process dies of
+/// SIGBUS (exit -7) under the host and the guest kernel; inside a VE the
+/// alignment fault is forwarded to the module, which kills the VE as an
+/// unexpected trap class. The run must never panic the host.
+#[test]
+fn misaligned_pc_kills_plain_process_and_ve() {
+    use lz_machine::EventKind;
+    for target in [CODE + 2, CODE + PAGE_SIZE - 2] {
+        for guest in [false, true] {
+            let mut lz =
+                if guest { LightZone::new_guest(Platform::Carmel) } else { LightZone::new_host(Platform::Carmel) };
+            let mut a = lz_arch::asm::Asm::new(CODE);
+            a.mov_imm64(9, target);
+            a.br(9);
+            let plain = lz.kernel.spawn(&lz_kernel::Program::from_code(CODE, a.bytes()));
+            lz.enter_process(plain);
+            assert_eq!(lz.run(1_000), Event::Exited(-7), "plain process, target {target:#x}, guest {guest}");
+        }
+
+        let mut lz = LightZone::new_host(Platform::Carmel);
+        let mut b = LzProgramBuilder::new(CODE);
+        b.asm.lz_enter(false, SAN_PAN);
+        b.asm.mov_imm64(9, target);
+        b.asm.br(9);
+        let ve = lz.spawn(&b.build());
+        lz.machine().set_metrics(true);
+        lz.enter_process(ve);
+        assert_eq!(lz.run_to_exit(), SECURITY_KILL, "VE, target {target:#x}");
+        let killed = lz
+            .machine()
+            .journal
+            .count(|e| matches!(e, EventKind::Violation { reason } if *reason == "unexpected trap class in VE"));
+        assert_eq!(killed, 1, "VE, target {target:#x}: kill reason");
+    }
+}

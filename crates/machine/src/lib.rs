@@ -27,6 +27,7 @@
 pub mod chaos;
 pub mod cpu;
 pub mod fxhash;
+mod helpers;
 pub mod icache;
 pub mod jit;
 pub mod mem;

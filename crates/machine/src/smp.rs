@@ -51,13 +51,17 @@
 //! deferred Inner-Shareable TLBIs reach the other cores' TLBs, chaos
 //! deltas and journal/trace/metric streams fold into the globals. With
 //! [`Machine::set_parallel`] on (`LZ_PARALLEL`, the default) the
-//! shells run on real host threads; off, the identical shells run
-//! sequentially in core order — the deterministic-replay verification
-//! mode. The schedule of epochs and the commit order are the same in
-//! both modes, so cycles, journals, and counters are byte-identical
-//! (CI runs both and compares; see DESIGN.md §15).
+//! calling thread runs the first shell while the machine's parked
+//! helper threads claim the others; a shell no helper has claimed by
+//! the time the caller is free runs on the caller (the caller-runs
+//! protocol of `helpers.rs`). Off, the same loop runs without helpers:
+//! every shell on the caller, in core order — the deterministic-replay
+//! verification mode. The schedule of epochs and the commit order are
+//! the same in both modes, so cycles, journals, and counters are
+//! byte-identical (CI runs both and compares; see DESIGN.md §15).
 
 use crate::cpu::{Cpu, Exit, Machine};
+use crate::helpers::{Helpers, Task};
 use crate::metrics::{EventKind, MachineMetrics, Section};
 use crate::tlb::Tlb;
 use lz_arch::tlbi::{self, TlbiOp, TlbiScope};
@@ -128,6 +132,10 @@ pub struct SmpState {
     /// running on the panicking core; the other shells commit
     /// normally).
     pub shell_panics: u64,
+    /// Host threads that run epoch shells beside the caller; empty (no
+    /// allocation, no thread) until the first parallel epoch with two
+    /// or more shells, joined when this state drops.
+    pub(crate) helpers: Helpers<ShellTask>,
 }
 
 impl Default for SmpState {
@@ -145,6 +153,7 @@ impl Default for SmpState {
             barrier_stalls: 0,
             phys_merge_conflicts: 0,
             shell_panics: 0,
+            helpers: Helpers::default(),
         }
     }
 }
@@ -158,10 +167,10 @@ impl Default for SmpState {
 /// other early exit; panics never cross the barrier, so the other
 /// shells commit normally and the process stays up.
 ///
-/// Both epoch backends (host threads and sequential replay) run shells
-/// only through this helper, so a deterministic panic — e.g. the
-/// [`Machine::set_panic_after`] hook — produces byte-identical results
-/// on either.
+/// Every shell runs only through this helper — on the caller or a
+/// helper thread, in parallel epochs or in replay — so a deterministic
+/// panic (e.g. the [`Machine::set_panic_after`] hook) produces
+/// byte-identical results whichever thread ran the shell.
 fn run_shell_contained(shell: &mut Machine, budget: u64) -> (Exit, u64) {
     let before = shell.cpu.insns;
     let exit = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shell.run(budget))) {
@@ -172,6 +181,25 @@ fn run_shell_contained(shell: &mut Machine, budget: u64) -> (Exit, u64) {
         }
     };
     (exit, shell.cpu.insns - before)
+}
+
+/// One core's share of an epoch: its shell machine and instruction
+/// budget. Runs on the caller or on a helper thread.
+pub(crate) struct ShellTask {
+    core: usize,
+    shell: Machine,
+    budget: u64,
+}
+
+impl Task for ShellTask {
+    /// The task after its quantum, with the shell's exit and the
+    /// instructions it retired.
+    type Output = (ShellTask, Exit, u64);
+
+    fn run(mut self) -> Self::Output {
+        let (exit, used) = run_shell_contained(&mut self.shell, self.budget);
+        (self, exit, used)
+    }
 }
 
 /// Apply one decoded TLBI operation to a single core's TLB.
@@ -352,13 +380,16 @@ impl Machine {
     /// core's `(exit, instructions_retired)`; zero-budget cores report
     /// `(Exit::Limit, 0)` without running.
     ///
-    /// The epoch schedule *is* the SMP semantics for both execution
-    /// backends: with [`Machine::set_parallel`] on, concurrent shells
-    /// run on real host threads (the first on the calling thread);
-    /// off, the identical shells run sequentially in core order —
+    /// The epoch schedule *is* the SMP semantics, wherever a shell
+    /// runs: with [`Machine::set_parallel`] on, the calling thread runs
+    /// the first shell and this machine's parked helper threads (started
+    /// on the first such epoch, up to `cores − 1`) claim the rest; the
+    /// caller then runs every shell no helper has claimed yet and blocks
+    /// until the claimed ones finish. Off, the same loop runs with no
+    /// helpers: every shell on the caller in core order —
     /// deterministic replay. Because the shells are isolated and the
     /// barrier commits in core order either way, every modelled
-    /// quantity is byte-identical across backends.
+    /// quantity is byte-identical across modes.
     ///
     /// Epochs with at most one active core bypass the shell machinery
     /// and run in place — exactly the pre-epoch single-core path, so
@@ -409,7 +440,7 @@ impl Machine {
         self.smp.cores[active] = Some(CoreCtx { cpu: parked_cpu, tlb: parked_tlb });
 
         // Assemble one shell machine per active core.
-        let mut work: Vec<(usize, Machine)> = Vec::with_capacity(order.len());
+        let mut work: Vec<ShellTask> = Vec::with_capacity(order.len());
         for &c in &order {
             let Some(ctx) = self.smp.cores[c].take() else { continue };
             let chaos = if c == 0 {
@@ -420,9 +451,10 @@ impl Machine {
                     None => crate::chaos::ChaosState::default(),
                 }
             };
-            work.push((
-                c,
-                Machine {
+            work.push(ShellTask {
+                core: c,
+                budget: budgets[c],
+                shell: Machine {
                     mem: self.mem.epoch_view(),
                     tlb: ctx.tlb,
                     cpu: ctx.cpu,
@@ -442,50 +474,15 @@ impl Machine {
                     chaos,
                     panic_after: self.panic_after,
                 },
-            ));
+            });
         }
 
-        // Run the shells: host threads when parallel (the first shell
-        // on the calling thread), sequentially in core order when
-        // replaying. Shells share nothing mutable, so the two backends
-        // compute identical states.
-        let mut done: Vec<(usize, Machine, Exit, u64)> = if self.parallel {
-            let mut rest = work.split_off(1);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rest
-                    .drain(..)
-                    .map(|(c, mut shell)| {
-                        let budget = budgets[c];
-                        s.spawn(move || {
-                            let (exit, used) = run_shell_contained(&mut shell, budget);
-                            (c, shell, exit, used)
-                        })
-                    })
-                    .collect();
-                let mut finished: Vec<(usize, Machine, Exit, u64)> = work
-                    .drain(..)
-                    .map(|(c, mut shell)| {
-                        let (exit, used) = run_shell_contained(&mut shell, budgets[c]);
-                        (c, shell, exit, used)
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(r) => finished.push(r),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                finished
-            })
-        } else {
-            work.drain(..)
-                .map(|(c, mut shell)| {
-                    let (exit, used) = run_shell_contained(&mut shell, budgets[c]);
-                    (c, shell, exit, used)
-                })
-                .collect()
-        };
-        done.sort_unstable_by_key(|&(c, ..)| c);
+        // Run the shells: the caller takes the first and whatever no
+        // helper claims; without helpers (replay) it runs them all in
+        // core order. Shells share nothing mutable, so which thread ran
+        // which shell changes nothing, and the results come back in core
+        // order either way.
+        let done = self.smp.helpers.run(work, self.parallel);
 
         // Barrier: dismantle shells and commit cross-core effects in
         // core order — memory overlays first (exit handlers such as
@@ -494,7 +491,7 @@ impl Machine {
         // journal/trace/metric streams.
         let mut overlays = Vec::with_capacity(done.len());
         let mut deferred: Vec<(usize, Vec<(TlbiOp, u16, u64)>)> = Vec::new();
-        for (c, mut shell, exit, used) in done {
+        for (ShellTask { core: c, mut shell, .. }, exit, used) in done {
             results[c] = (exit, used);
             if exit != Exit::Limit {
                 self.smp.barrier_stalls += 1;

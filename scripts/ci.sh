@@ -25,11 +25,13 @@
 # zero invariant violations, byte-reproducible and replay-identical,
 # plus a debug-build panic-containment smoke), the parallel-executor
 # equivalence legs (full workspace under
-# LZ_PARALLEL=0, a debug-build run of tests/parallel.rs as the
-# data-race smoke, and a modelled-field byte-compare of the SMP scaling
-# report between the host-threaded backend and sequential replay), and
-# an unwrap/expect ratchet over the isolation-stack sources so
-# guest-reachable panics cannot creep back in (DESIGN.md §11).
+# LZ_PARALLEL=0, a debug-build run of tests/parallel.rs — including
+# its tiny-quantum helper stress test — as the data-race smoke, and a
+# modelled-field byte-compare of the SMP scaling report between
+# parallel epochs and sequential replay), a run of every example
+# (each must exit 0), and an unwrap/expect ratchet over the
+# isolation-stack sources so guest-reachable panics cannot creep back
+# in (DESIGN.md §11).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,13 +69,21 @@ echo "== differential suite (cache on vs off, explicit) =="
 cargo test -q --release --test differential
 
 echo "== parallel equivalence suite (release + debug-assertion smoke) =="
-# Release: the proptest sweep byte-compares host-threaded runs against
-# sequential replay. Debug: the same suite with debug assertions on is
-# the in-tree stand-in for a TSan leg — the shells share nothing
-# mutable, so a data race surfaces as cross-backend divergence or a
-# debug assert, not a silent corruption.
+# Release: the proptest sweep byte-compares parallel epochs against
+# sequential replay. Debug: the same suite with debug assertions on —
+# including the >=10k-epoch tiny-quantum stress, where the caller and a
+# waking helper race for a shell on nearly every epoch — is the
+# in-tree stand-in for a TSan leg: the shells share nothing mutable, so
+# a data race surfaces as divergence from replay or a debug assert,
+# not a silent corruption.
 cargo test -q --release --test parallel
 cargo test -q --test parallel
+
+echo "== examples (each must exit 0) =="
+for example in quickstart jit_wx key_vault nvm_store plugin_sandbox; do
+    echo "  $example"
+    ./target/release/examples/"$example" > /dev/null
+done
 
 echo "== repro all (smoke mode, non---full) =="
 ./target/release/repro all > /dev/null
@@ -377,10 +387,13 @@ ratchet crates/machine/src/jit.rs 0
 # the walk-cache entry re-borrowed right after its validation.
 ratchet crates/machine/src/icache.rs 0
 ratchet crates/machine/src/tlb.rs 1
-# smp.rs: 5 = shell-join/overlay bookkeeping that cannot fail unless a
-# shell panicked first (which already aborts the epoch); sched.rs: 2 =
-# scheduler-internal map lookups guarded by the run-queue invariants.
+# smp.rs: 5 = parked-core slot lookups ("inactive core is parked"),
+# which hold because only the active core's slot is ever empty outside
+# an epoch; helpers.rs: 0 = the epoch helper pool recovers a poisoned
+# board lock explicitly; sched.rs: 2 = scheduler-internal map lookups
+# guarded by the run-queue invariants.
 ratchet crates/machine/src/smp.rs 5
+ratchet crates/machine/src/helpers.rs 0
 ratchet crates/kernel/src/sched.rs 2
 ratchet crates/core/src/module.rs 7
 ratchet crates/core/src/gate.rs 0

@@ -8,7 +8,7 @@ use lightzone::api::{LzAsm, LzProgramBuilder, SAN_PAN, SAN_TTBR};
 use lightzone::{LightZone, SECURITY_KILL};
 use lz_arch::Platform;
 use lz_fleet::{run_fleet, FleetConfig};
-use lz_kernel::{Event, Sysno};
+use lz_kernel::{Event, Pid, Sysno};
 use lz_machine::{EventKind, Exit, LzFault};
 
 const CODE: u64 = 0x40_0000;
@@ -291,27 +291,9 @@ struct PanicImage {
     journal_json: String,
 }
 
-/// Two cores, two tenant VEs; the host-panic hook fires inside core 0's
-/// epoch shell only. The blast radius must stop at that shell: core 0's
-/// VE dies with a typed `SECURITY_KILL`, core 1's VE commits its full
-/// quantum in the same epoch and keeps running afterwards.
-fn contained_panic_run(parallel: bool) -> PanicImage {
-    let mut lz = LightZone::new_host(Platform::Carmel);
-    lz.kernel.machine.set_parallel(parallel);
-    lz.kernel.machine.configure_smp(2);
-    let prog = looper();
-    let mut pids = Vec::new();
-    for core in 0..2 {
-        lz.kernel.machine.switch_core(core);
-        let pid = lz.spawn(&prog);
-        lz.schedule_to(pid);
-        lz.kernel.clear_current();
-        pids.push(pid);
-    }
-
-    // Warm up past demand paging: run epochs (servicing stage-2 faults
-    // barrier-side) until both cores retire a full unfaulted quantum.
-    let mut warm = false;
+/// Run two-shell epochs (servicing stage-2 faults barrier-side) until
+/// both cores' VEs retire a full unfaulted quantum: past demand paging.
+fn warm_up(lz: &mut LightZone, pids: &[Pid]) {
     for _ in 0..64 {
         let results = lz.kernel.machine.run_epoch(&[2_000, 2_000]);
         for core in 0..2 {
@@ -324,34 +306,82 @@ fn contained_panic_run(parallel: bool) -> PanicImage {
             }
         }
         if results.iter().all(|&(exit, used)| exit == Exit::Limit && used == 2_000) {
-            warm = true;
-            break;
+            return;
         }
     }
-    assert!(warm, "VEs never reached steady state");
+    panic!("VEs never reached steady state");
+}
 
-    // Arm the hook above both cores' retired counts, with budgets that
-    // let only core 0 cross it: core 0 panics mid-epoch, core 1 cannot.
-    let i0 = lz.kernel.machine.core_cpu(0).insns;
-    let i1 = lz.kernel.machine.core_cpu(1).insns;
-    let threshold = i0.max(i1) + 1_000;
+/// Spawn a `looper` VE on `core` and leave it scheduled there.
+fn spawn_on(lz: &mut LightZone, core: usize) -> Pid {
+    lz.kernel.machine.switch_core(core);
+    let pid = lz.spawn(&looper());
+    lz.schedule_to(pid);
+    lz.kernel.clear_current();
+    pid
+}
+
+/// Two cores, two tenant VEs; the host-panic hook fires inside the
+/// `victim` core's epoch shell only. The blast radius must stop at that
+/// shell: the victim's VE dies with a typed `SECURITY_KILL`, the
+/// neighbour's VE commits its full quantum in the same epoch and keeps
+/// running afterwards, and a replacement VE on the victim's core then
+/// serves further two-shell epochs beside it.
+///
+/// Core 0's shell always runs on the calling thread. The neighbour's
+/// panic-epoch quantum is long (100k instructions), so when the victim
+/// is core 1 a helper wakes and claims its shell long before the
+/// caller is free: the panic is contained on a helper thread. The
+/// assertions hold whichever thread runs it.
+fn contained_panic_run(parallel: bool, victim: usize) -> PanicImage {
+    let neighbour = 1 - victim;
+    let mut lz = LightZone::new_host(Platform::Carmel);
+    // The journal is checked below, so record it whatever LZ_METRICS says.
+    lz.kernel.machine.set_metrics(true);
+    lz.kernel.machine.set_parallel(parallel);
+    lz.kernel.machine.configure_smp(2);
+    let mut pids: Vec<Pid> = (0..2).map(|core| spawn_on(&mut lz, core)).collect();
+    warm_up(&mut lz, &pids);
+
+    // Give the victim a lead, then arm the hook 1,000 instructions past
+    // it: only the victim can cross it, even on the neighbour's long
+    // quantum.
+    let mut lead = [0; 2];
+    lead[victim] = 200_000;
+    assert_eq!(lz.kernel.machine.run_epoch(&lead)[victim], (Exit::Limit, 200_000));
+    let i_victim = lz.kernel.machine.core_cpu(victim).insns;
+    let threshold = i_victim + 1_000;
+    assert!(lz.kernel.machine.core_cpu(neighbour).insns + 100_000 < threshold);
     lz.kernel.machine.set_panic_after(Some(threshold));
-    let results = lz.kernel.machine.run_epoch(&[4_000, 500]);
+    let mut budgets = [0; 2];
+    budgets[victim] = 4_000;
+    budgets[neighbour] = 100_000;
+    let results = lz.kernel.machine.run_epoch(&budgets);
     lz.kernel.machine.set_panic_after(None);
-    assert_eq!(results[0].0, Exit::HostPanic, "core 0's shell must trip the hook");
-    assert_eq!(results[0].1, threshold - i0, "panic point is insn-deterministic");
-    assert_eq!(results[1], (Exit::Limit, 500), "the neighbour shell commits its quantum");
+    assert_eq!(results[victim].0, Exit::HostPanic, "the victim's shell must trip the hook");
+    assert_eq!(results[victim].1, threshold - i_victim, "panic point is insn-deterministic");
+    assert_eq!(results[neighbour], (Exit::Limit, 100_000), "the neighbour shell commits its quantum");
 
     // Barrier-side the panic becomes a typed kill of exactly that VE.
-    lz.kernel.machine.switch_core(0);
-    lz.kernel.set_current(pids[0]);
+    lz.kernel.machine.switch_core(victim);
+    lz.kernel.set_current(pids[victim]);
     let kill_event = lz.dispatch_exit(Exit::HostPanic);
     lz.kernel.clear_current();
-    assert!(lz.reap(pids[0]), "the killed VE reaps cleanly");
+    assert!(lz.reap(pids[victim]), "the killed VE reaps cleanly");
 
-    // The survivor keeps serving: one more full quantum on core 1.
-    let after = lz.kernel.machine.run_epoch(&[0, 800]);
-    assert_eq!(after[1], (Exit::Limit, 800), "survivor wedged after the panic");
+    // The survivor keeps serving: one more full quantum on its core.
+    let mut budgets = [0; 2];
+    budgets[neighbour] = 800;
+    let after = lz.kernel.machine.run_epoch(&budgets);
+    assert_eq!(after[neighbour], (Exit::Limit, 800), "survivor wedged after the panic");
+
+    // Later two-shell epochs complete, on whichever threads claim them.
+    pids[victim] = spawn_on(&mut lz, victim);
+    warm_up(&mut lz, &pids);
+    for _ in 0..16 {
+        let later = lz.kernel.machine.run_epoch(&[3_000, 3_000]);
+        assert_eq!(later, [(Exit::Limit, 3_000); 2], "an epoch after the panic did not complete");
+    }
 
     PanicImage {
         panic_epoch: results,
@@ -362,14 +392,12 @@ fn contained_panic_run(parallel: bool) -> PanicImage {
             .machine
             .journal
             .count(|e| matches!(e, EventKind::Violation { reason } if *reason == LzFault::HostPanic.reason())),
-        survivor_insns: lz.kernel.machine.core_cpu(1).insns,
+        survivor_insns: lz.kernel.machine.core_cpu(neighbour).insns,
         journal_json: lz.kernel.machine.journal.dump_json(),
     }
 }
 
-#[test]
-fn host_panic_is_contained_to_the_offending_ve() {
-    let image = contained_panic_run(true);
+fn assert_contained(image: &PanicImage) {
     assert_eq!(image.kill_event, Some(Event::Exited(SECURITY_KILL)));
     assert_eq!(image.shell_panics, 1, "exactly one shell panicked");
     // The shell journals the priority violation at the catch point and
@@ -378,13 +406,27 @@ fn host_panic_is_contained_to_the_offending_ve() {
 }
 
 #[test]
+fn host_panic_is_contained_to_the_offending_ve() {
+    assert_contained(&contained_panic_run(true, 0));
+}
+
+#[test]
 fn host_panic_containment_matches_replay() {
     // The injected panic fires at a fixed retired-instruction count, so
-    // the host-threaded and sequential-replay backends must agree
-    // byte-for-byte — including the journal dump.
-    let par = contained_panic_run(true);
-    let rep = contained_panic_run(false);
-    assert_eq!(par, rep, "containment diverged across epoch backends");
+    // parallel epochs and sequential replay must agree byte-for-byte —
+    // including the journal dump.
+    let par = contained_panic_run(true, 0);
+    let rep = contained_panic_run(false, 0);
+    assert_eq!(par, rep, "containment diverged between parallel epochs and replay");
+}
+
+#[test]
+fn host_panic_on_a_helper_thread_is_contained_and_matches_replay() {
+    // The mirror case: core 1's shell panics, on a helper thread.
+    let par = contained_panic_run(true, 1);
+    assert_contained(&par);
+    let rep = contained_panic_run(false, 1);
+    assert_eq!(par, rep, "helper-thread containment diverged from replay");
 }
 
 #[test]

@@ -1,6 +1,8 @@
 //! Parallel-executor equivalence: the epoch scheduler must produce
-//! byte-identical runs on the host-threaded backend (`LZ_PARALLEL=1`)
-//! and on sequential deterministic replay (`LZ_PARALLEL=0`).
+//! byte-identical runs with parallel epochs (`LZ_PARALLEL=1`: the
+//! calling thread runs the first shell, the machine's helper threads
+//! claim the others) and with sequential deterministic replay
+//! (`LZ_PARALLEL=0`: the caller runs every shell in core order).
 //!
 //! "Byte-identical" is taken literally: exit codes, total steps,
 //! per-core instruction and cycle tables, the SMP counters (epochs,
@@ -12,16 +14,30 @@
 //! core counts, quanta, seeds, and the fastpath/JIT feature matrix.
 //!
 //! This file is also the data-race smoke: the CI runs it in a debug
-//! build, where the `std::thread::scope` backend executes shells with
-//! debug assertions on (the closest in-tree stand-in for TSan — the
-//! shells share nothing mutable, so a race would show up as divergence
-//! here).
+//! build, where the caller and the machine's parked helper threads
+//! claim and run shells with debug assertions on (the closest in-tree
+//! stand-in for TSan — the shells share nothing mutable, so a race
+//! would show up as divergence here). The tiny-quantum stress test
+//! makes nearly every epoch a race between the caller and a waking
+//! helper, and the thread census checks that helpers never outlive
+//! their machine.
 
 use lz_arch::asm::Asm;
 use lz_arch::Platform;
 use lz_kernel::syscall::futex;
 use lz_kernel::{Kernel, Program, SmpConfig, Sysno, VmProt};
 use proptest::prelude::*;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// The host's thread count is process-wide, and libtest runs tests on
+/// parallel threads. Every test here that runs epochs holds this lock
+/// shared; the thread census holds it exclusively, so no other test
+/// starts or joins threads while it counts.
+static HOST_THREADS: RwLock<()> = RwLock::new(());
+
+fn shared_host() -> RwLockReadGuard<'static, ()> {
+    HOST_THREADS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 const CODE: u64 = 0x40_0000;
 const SHARED: u64 = 0x50_0000;
@@ -174,6 +190,7 @@ fn run_image(
 /// on 2 and 4 cores, must be byte-identical across backends.
 #[test]
 fn feature_matrix_parallel_matches_replay() {
+    let _host = shared_host();
     let progs = vec![fan_out_prog(3, 200, true), compute_prog(300)];
     for cores in [2usize, 4] {
         for fastpath in [false, true] {
@@ -190,11 +207,67 @@ fn feature_matrix_parallel_matches_replay() {
 /// An 8-core run exercises the full `MAX_CORES` shell fan-out.
 #[test]
 fn eight_core_parallel_matches_replay() {
+    let _host = shared_host();
     let progs = vec![fan_out_prog(3, 150, true), fan_out_prog(2, 100, false), compute_prog(400)];
     let par = run_image(&progs, 8, 32, 0xfeed, true, true, true);
     let rep = run_image(&progs, 8, 32, 0xfeed, true, true, false);
     assert!(!par.stalled);
     assert_eq!(par, rep, "8-core parallel and replay diverged");
+}
+
+/// Helper stress: quanta of 1–64 instructions make most epochs shorter
+/// than a helper's wake-up, so the caller and a helper race to claim
+/// the same shell on nearly every epoch. At least 10,000 epochs on 2
+/// and on 8 cores must each replay byte-identically.
+#[test]
+fn tiny_quanta_stress_parallel_matches_replay() {
+    let _host = shared_host();
+    let progs = vec![fan_out_prog(3, 300, true), compute_prog(2_000), compute_prog(1_500)];
+    for cores in [2usize, 8] {
+        let mut epochs = 0;
+        for quantum in [1u64, 2, 3, 5, 8, 13, 21, 34, 55, 64] {
+            let par = run_image(&progs, cores, quantum, 0xc1a1 ^ quantum, true, true, true);
+            let rep = run_image(&progs, cores, quantum, 0xc1a1 ^ quantum, true, true, false);
+            assert!(!par.stalled, "stalled at cores={cores} quantum={quantum}");
+            assert_eq!(par, rep, "parallel and replay diverged at cores={cores} quantum={quantum}");
+            epochs += par.epochs;
+        }
+        assert!(epochs >= 10_000, "{cores} cores ran only {epochs} epochs");
+    }
+}
+
+/// The `Threads:` line of `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn host_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("status has a Threads line");
+    line.trim().parse().expect("Threads is a count")
+}
+
+/// Helpers never outlive their machine: 64 two-core machines that ran
+/// parallel epochs and were dropped leave no thread behind, and
+/// `configure_smp` joins the helpers of the SMP state it replaces.
+#[cfg(target_os = "linux")]
+#[test]
+fn epoch_helpers_never_outlive_their_machine() {
+    let _alone = HOST_THREADS.write().unwrap_or_else(PoisonError::into_inner);
+    let start = host_threads();
+    let progs = vec![compute_prog(300), compute_prog(300)];
+    for seed in 0..64 {
+        let image = run_image(&progs, 2, 32, seed, true, true, true);
+        assert!(image.epochs > 0 && !image.stalled);
+    }
+    assert_eq!(host_threads(), start, "a dropped machine left helper threads behind");
+
+    let mut k = Kernel::new_host(Platform::CortexA55);
+    k.machine.set_parallel(true);
+    for p in &progs {
+        k.spawn(p);
+    }
+    assert!(!k.run_smp(SmpConfig { cores: 2, quantum: 32, seed: 7 }, 1_000_000).stalled);
+    assert_eq!(host_threads(), start + 1, "two-shell epochs run with one helper");
+    k.machine.configure_smp(2);
+    assert_eq!(host_threads(), start, "configure_smp left the old helpers running");
 }
 
 proptest! {
@@ -214,6 +287,7 @@ proptest! {
         fastpath in any::<bool>(),
         jit in any::<bool>(),
     ) {
+        let _host = shared_host();
         let progs = vec![fan_out_prog(workers, iters, munmap), compute_prog(compute_iters)];
         let par = run_image(&progs, cores, quantum, seed, fastpath, jit, true);
         let rep = run_image(&progs, cores, quantum, seed, fastpath, jit, false);

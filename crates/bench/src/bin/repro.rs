@@ -12,7 +12,7 @@
 //! repro pentest       §7.2 penetration tests (128 domains)
 //! repro memory        §9.1–9.3 memory overheads
 //! repro ablation      Design-choice ablations (DESIGN.md §6)
-//! repro throughput    Host-side simulator MIPS, fetch cache on vs off
+//! repro throughput    Host-side simulator MIPS on both engines
 //! repro stats         Observability report for a composite workload
 //!                     (TLB, icache, walks, gates, W^X, stage-2, kernel)
 //! repro smp           SMP scaling: a clone/futex/munmap workload on
@@ -169,14 +169,14 @@ fn table5(full: bool) {
 
 fn throughput() {
     let r = lz_bench::throughput::run(20_000_000);
-    println!("\n== Simulator throughput: fetch cache + data-side fast path ==\n");
+    println!("\n== Simulator throughput: compiled blocks vs the reference interpreter ==\n");
     println!("ALU hot loop, {} instructions:", r.alu.insns);
-    println!("  fastpath on   {:>8.2} MIPS  ({} modelled cycles)", r.alu.mips_on(), r.alu.cycles_on);
-    println!("  fastpath off  {:>8.2} MIPS  ({} modelled cycles)", r.alu.mips_off(), r.alu.cycles_off);
+    println!("  accel on      {:>8.2} MIPS  ({} modelled cycles)", r.alu.mips_on(), r.alu.cycles_on);
+    println!("  accel off     {:>8.2} MIPS  ({} modelled cycles)", r.alu.mips_off(), r.alu.cycles_off);
     println!("  speedup       {:>8.2}x", r.alu.speedup());
     println!("mixed ALU + load/store loop, {} instructions:", r.mem.insns);
-    println!("  fastpath on   {:>8.2} MIPS  ({} modelled cycles)", r.mem.mips_on(), r.mem.cycles_on);
-    println!("  fastpath off  {:>8.2} MIPS  ({} modelled cycles)", r.mem.mips_off(), r.mem.cycles_off);
+    println!("  accel on      {:>8.2} MIPS  ({} modelled cycles)", r.mem.mips_on(), r.mem.cycles_on);
+    println!("  accel off     {:>8.2} MIPS  ({} modelled cycles)", r.mem.mips_off(), r.mem.cycles_off);
     println!("  speedup       {:>8.2}x", r.mem.speedup());
     println!("cycles match (both workloads): {}", r.cycles_match());
 }
@@ -743,7 +743,7 @@ fn chaos(json: bool) {
 }
 
 /// `repro attacks` — run the seeded attack-synthesis corpus over the
-/// full ablation matrix (1- and 4-core, fastpath on and off) and report
+/// full ablation matrix on 1 and 4 cores and report
 /// per-defense escapes with their shrunk minimal exploits. The run is a
 /// pure function of the seed: `--json` output is byte-deterministic and
 /// the CI corpus gate re-runs and compares.

@@ -1,6 +1,6 @@
 //! `sim_throughput` — host-side simulator speed on a straight-line ALU
-//! hot loop and a mixed load/store loop, with the acceleration layer
-//! (decoded-block fetch cache + data-side fast path) on vs off.
+//! hot loop and a mixed load/store loop, on the accelerated engine and on
+//! the reference interpreter (`LZ_ACCEL=0`).
 //!
 //! Prints one line of JSON to stdout (CI captures it as
 //! `BENCH_sim_throughput.json`); a human-readable summary goes to stderr.

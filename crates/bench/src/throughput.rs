@@ -1,10 +1,11 @@
 //! `sim_throughput`: host-side simulation speed (instructions per
-//! second) of the interpreter, with the acceleration layer (decoded-block
-//! fetch cache + data-side fast path) on and off.
+//! second) of the two execution engines: compiled blocks (`LZ_ACCEL` on)
+//! and the reference interpreter (off).
 //!
 //! Two workloads are measured:
 //!
-//! * a straight-line **ALU hot loop** (superblock execution's best case);
+//! * a straight-line **ALU hot loop** (the compiled-block engine's best
+//!   case);
 //! * a **mixed ALU + load/store loop** that keeps the micro-DTLB and the
 //!   data-access path honest.
 //!
@@ -100,7 +101,7 @@ impl ThroughputResult {
                 "\"speedup\":{:.2},\"cycles_cache_on\":{},\"cycles_cache_off\":{},",
                 "\"mem_insns\":{},\"mips_mem_on\":{:.2},\"mips_mem_off\":{:.2},",
                 "\"mem_speedup\":{:.2},\"cycles_mem_on\":{},\"cycles_mem_off\":{},",
-                "\"jit\":{},\"cycles_match\":{}}}"
+                "\"cycles_match\":{}}}"
             ),
             SEED,
             self.alu.insns,
@@ -117,7 +118,6 @@ impl ThroughputResult {
             self.mem.speedup(),
             self.mem.cycles_on,
             self.mem.cycles_off,
-            lz_machine::default_jit(),
             self.cycles_match(),
         )
     }
@@ -133,8 +133,8 @@ enum Workload {
 }
 
 /// A machine whose EL0 program is a counted loop sized to retire roughly
-/// `insns_target` instructions. `accel` flips the whole acceleration
-/// layer (fetch cache + data-side fast path) together.
+/// `insns_target` instructions, on the accelerated engine (`accel`) or
+/// the reference interpreter.
 fn hot_loop_machine(insns_target: u64, accel: bool, workload: Workload) -> (Machine, u64) {
     let iters = (insns_target / (UNROLL + 2)).max(1);
     let mut a = Asm::new(CODE);
@@ -168,12 +168,7 @@ fn hot_loop_machine(insns_target: u64, accel: bool, workload: Workload) -> (Mach
     a.svc(0);
 
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(accel);
-    m.set_fastpath(accel);
-    // The JIT polarity follows the process default (`LZ_JIT`), recorded
-    // in the report's `jit` field so the bench trajectory distinguishes
-    // the engines; the off leg disables the whole layer regardless.
-    m.set_jit(accel && lz_machine::default_jit());
+    m.set_accel(accel);
     let root = alloc_table(&mut m.mem);
     let code_pa = m.mem.alloc_frame();
     m.mem.write_bytes(code_pa, &a.bytes());

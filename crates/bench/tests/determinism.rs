@@ -4,19 +4,20 @@
 //!
 //! * back-to-back runs of the same table are byte-identical (the whole
 //!   pipeline is deterministic — seeded PRNGs, no wall-clock input);
-//! * the decoded-block fetch cache changes no modelled cycle count, so
-//!   every table is byte-identical with the cache on and off.
+//! * the execution engine changes no modelled cycle count, so every
+//!   table is byte-identical on compiled blocks and on the reference
+//!   interpreter.
 
 use lz_bench::report;
-use lz_machine::cpu::{default_fetch_cache, set_default_fetch_cache};
+use lz_machine::{default_accel, set_default_accel};
 use std::sync::Mutex;
 
-/// Serialises tests that flip the process-global fetch-cache default.
-static CACHE_FLAG: Mutex<()> = Mutex::new(());
+/// Serialises tests that flip a process-global engine or journal default.
+static ENGINE_FLAG: Mutex<()> = Mutex::new(());
 
 #[test]
 fn table5_back_to_back_runs_are_byte_identical() {
-    let _guard = CACHE_FLAG.lock().unwrap();
+    let _guard = ENGINE_FLAG.lock().unwrap();
     let first = report::table5_report(false);
     let second = report::table5_report(false);
     assert!(!first.is_empty());
@@ -25,29 +26,29 @@ fn table5_back_to_back_runs_are_byte_identical() {
 
 #[test]
 fn table4_back_to_back_runs_are_byte_identical() {
-    let _guard = CACHE_FLAG.lock().unwrap();
+    let _guard = ENGINE_FLAG.lock().unwrap();
     assert_eq!(report::table4_report(), report::table4_report());
 }
 
 #[test]
-fn tables_are_byte_identical_cache_on_and_off() {
-    let _guard = CACHE_FLAG.lock().unwrap();
-    let saved = default_fetch_cache();
-    set_default_fetch_cache(true);
+fn tables_are_byte_identical_on_both_engines() {
+    let _guard = ENGINE_FLAG.lock().unwrap();
+    let saved = default_accel();
+    set_default_accel(true);
     let t4_on = report::table4_report();
     let t5_on = report::table5_report(false);
-    set_default_fetch_cache(false);
+    set_default_accel(false);
     let t4_off = report::table4_report();
     let t5_off = report::table5_report(false);
-    set_default_fetch_cache(saved);
-    assert_eq!(t4_on, t4_off, "table 4 cycles must not depend on the fetch cache");
-    assert_eq!(t5_on, t5_off, "table 5 cycles must not depend on the fetch cache");
+    set_default_accel(saved);
+    assert_eq!(t4_on, t4_off, "table 4 cycles must not depend on the engine");
+    assert_eq!(t5_on, t5_off, "table 5 cycles must not depend on the engine");
 }
 
 #[test]
 fn tables_are_byte_identical_metrics_on_and_off() {
     use lz_machine::metrics::{default_metrics, set_default_metrics};
-    let _guard = CACHE_FLAG.lock().unwrap();
+    let _guard = ENGINE_FLAG.lock().unwrap();
     let saved = default_metrics();
     set_default_metrics(true);
     let t4_on = report::table4_report();

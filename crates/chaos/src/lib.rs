@@ -6,8 +6,7 @@
 //! machine/kernel/module consults the engine only at *modelled* events
 //! (trap boundaries, interpreted TLBIs, shootdown round trips,
 //! scheduling slices), so a run under a given plan is byte-reproducible
-//! and independent of host-side caches such as the fetch cache or the
-//! data-side fast path.
+//! and independent of the execution engine (`LZ_ACCEL`).
 //!
 //! This crate is the harness around that engine:
 //!

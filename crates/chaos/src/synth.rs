@@ -4,8 +4,7 @@
 //! candidate exploit programs across six families — direct access,
 //! gate abuse, sanitizer/W^X, cross-core stale alias, fake-phys layout
 //! probes, and kernel-context abuse — then runs every candidate under
-//! every [`Defense`] polarity on 1- and 4-core machines with the data
-//! fast path on and off.
+//! every [`Defense`] polarity on 1- and 4-core machines.
 //!
 //! The oracle is *positive evidence of an isolation break*, never "the
 //! program exited cleanly": a direct-access or gate-abuse attack
@@ -194,10 +193,6 @@ pub struct SynthConfig {
     pub seed: u64,
     pub platform: Platform,
     pub cores: Vec<usize>,
-    pub fastpaths: Vec<bool>,
-    /// Template-JIT polarities to sweep (compiled vs interpreted
-    /// superblocks must be attack-indistinguishable).
-    pub jits: Vec<bool>,
     pub pan_domains: u64,
     pub ttbr_domains: u64,
     /// ddmin-shrink escaping attacks (the expensive part).
@@ -205,29 +200,17 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
-    /// The full release matrix (`repro attacks`): 1- and 4-core,
-    /// fastpath on and off, JIT on and off.
+    /// The release matrix (`repro attacks`): 1- and 4-core, on the
+    /// process-default engine (`LZ_ACCEL`; the differential suite proves
+    /// both engines equivalent).
     pub fn full(seed: u64) -> Self {
         SynthConfig {
             seed,
             platform: Platform::CortexA55,
             cores: vec![1, 4],
-            fastpaths: vec![true, false],
-            jits: vec![true, false],
             pan_domains: 8,
             ttbr_domains: 6,
             shrink: true,
-        }
-    }
-
-    /// Reduced matrix for the in-tree debug test: both core counts
-    /// (the stale-alias family needs a remote core), default fast path
-    /// and JIT polarity.
-    pub fn reduced(seed: u64) -> Self {
-        SynthConfig {
-            fastpaths: vec![lz_machine::default_fastpath()],
-            jits: vec![lz_machine::default_jit()],
-            ..SynthConfig::full(seed)
         }
     }
 }
@@ -693,11 +676,8 @@ pub fn run_candidate(
     subset: &BTreeSet<usize>,
     ablation: AblationConfig,
     cores: usize,
-    fastpath: bool,
-    jit: bool,
     cfg: &SynthConfig,
 ) -> bool {
-    let ablation = AblationConfig { fastpath, jit, ..ablation };
     let prog = materialize(c, subset, cfg);
     match c.family {
         Family::StaleAlias => run_stale_oracle(&prog, c, ablation, cores, cfg.platform),
@@ -814,7 +794,7 @@ impl AttackCorpusReport {
 
 /// Run the full synthesis sweep: every candidate under the all-on
 /// baseline and every single-defense-off ablation, across the
-/// `cores × fastpath` matrix, ddmin-shrinking every escape.
+/// core counts, ddmin-shrinking every escape.
 pub fn run_synthesis(cfg: &SynthConfig) -> AttackCorpusReport {
     let candidates = generate(cfg);
     let mut runs = 0u64;
@@ -823,23 +803,18 @@ pub fn run_synthesis(cfg: &SynthConfig) -> AttackCorpusReport {
         let mut col = AblationOutcome { defense, ..AblationOutcome::default() };
         let mut distinct: BTreeSet<String> = BTreeSet::new();
         for c in &candidates {
-            let mut escaping_cell: Option<(usize, bool, bool)> = None;
+            let mut escaping_cores: Option<usize> = None;
             for &cores in &cfg.cores {
-                for &fp in &cfg.fastpaths {
-                    for &jit in &cfg.jits {
-                        col.runs += 1;
-                        if run_candidate(c, &c.all_steps(), ablation, cores, fp, jit, cfg) {
-                            col.escapes += 1;
-                            distinct.insert(c.id());
-                            escaping_cell.get_or_insert((cores, fp, jit));
-                        }
-                    }
+                col.runs += 1;
+                if run_candidate(c, &c.all_steps(), ablation, cores, cfg) {
+                    col.escapes += 1;
+                    distinct.insert(c.id());
+                    escaping_cores.get_or_insert(cores);
                 }
             }
             if shrink {
-                if let Some((cores, fp, jit)) = escaping_cell {
-                    let shrunk =
-                        ddmin_set(&c.all_steps(), |s| run_candidate(c, s, ablation, cores, fp, jit, cfg).then_some(()));
+                if let Some(cores) = escaping_cores {
+                    let shrunk = ddmin_set(&c.all_steps(), |s| run_candidate(c, s, ablation, cores, cfg).then_some(()));
                     if let Some((minimal, ())) = shrunk {
                         col.shrunk.push(ShrunkAttack {
                             attack: c.id(),
@@ -878,7 +853,7 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_and_diverse() {
-        let cfg = SynthConfig::reduced(0xFEED);
+        let cfg = SynthConfig::full(0xFEED);
         let a = generate(&cfg);
         let b = generate(&cfg);
         assert_eq!(a.len(), b.len());
@@ -892,96 +867,52 @@ mod tests {
 
     #[test]
     fn forged_gate_call_killed_with_check_phase_on() {
-        let cfg = SynthConfig::reduced(1);
+        let cfg = SynthConfig::full(1);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::GateAbuse).expect("gate candidate");
         assert!(
-            !run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::default(),
-                1,
-                lz_machine::default_fastpath(),
-                lz_machine::default_jit(),
-                &cfg
-            ),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, &cfg),
             "gate abuse must be defeated with the check phase on"
         );
     }
 
     #[test]
     fn forged_gate_call_escapes_without_check_phase() {
-        let cfg = SynthConfig::reduced(1);
+        let cfg = SynthConfig::full(1);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::GateAbuse).expect("gate candidate");
         assert!(
-            run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::with_defense_off(Defense::GateCheckPhase),
-                1,
-                lz_machine::default_fastpath(),
-                lz_machine::default_jit(),
-                &cfg
-            ),
+            run_candidate(&c, &c.all_steps(), AblationConfig::with_defense_off(Defense::GateCheckPhase), 1, &cfg),
             "forged gate call must land in the victim domain without the check phase"
         );
     }
 
     #[test]
     fn phys_probe_polarity() {
-        let cfg = SynthConfig::reduced(2);
+        let cfg = SynthConfig::full(2);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::PhysProbe).expect("probe candidate");
-        let fp = lz_machine::default_fastpath();
-        let jit = lz_machine::default_jit();
         assert!(
-            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, fp, jit, &cfg),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 1, &cfg),
             "randomized fake roots must not leak the real layout"
         );
         assert!(
-            run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::with_defense_off(Defense::RandomizePhys),
-                1,
-                fp,
-                jit,
-                &cfg
-            ),
+            run_candidate(&c, &c.all_steps(), AblationConfig::with_defense_off(Defense::RandomizePhys), 1, &cfg),
             "identity fake-phys must leak a real table root"
         );
     }
 
     #[test]
     fn stale_alias_polarity() {
-        let cfg = SynthConfig::reduced(3);
+        let cfg = SynthConfig::full(3);
         let c = generate(&cfg).into_iter().find(|c| c.family == Family::StaleAlias).expect("stale candidate");
-        let fp = lz_machine::default_fastpath();
-        let jit = lz_machine::default_jit();
         assert!(
-            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 4, fp, jit, &cfg),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::default(), 4, &cfg),
             "IPI shootdown must kill the stale alias"
         );
         assert!(
-            run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::with_defense_off(Defense::RemoteShootdown),
-                4,
-                fp,
-                jit,
-                &cfg
-            ),
+            run_candidate(&c, &c.all_steps(), AblationConfig::with_defense_off(Defense::RemoteShootdown), 4, &cfg),
             "skipping the remote shootdown must leave the stale alias live"
         );
         assert!(
-            !run_candidate(
-                &c,
-                &c.all_steps(),
-                AblationConfig::with_defense_off(Defense::RemoteShootdown),
-                1,
-                fp,
-                jit,
-                &cfg
-            ),
+            !run_candidate(&c, &c.all_steps(), AblationConfig::with_defense_off(Defense::RemoteShootdown), 1, &cfg),
             "on one core the local invalidate alone must defeat the attack"
         );
     }

@@ -47,16 +47,6 @@ pub struct AblationConfig {
     /// §5.2.2 (from NEVE): redirect guest sysreg accesses to a shared
     /// per-core page instead of trapping each one.
     pub deferred_sysreg_page: bool,
-    /// Host-side data/fetch fast path (micro-DTLB, superblock
-    /// execution, stage-1/stage-2 walk cache). Cycle-invariant by
-    /// construction; exposed as a knob so the differential harness can
-    /// prove it (see `tests/differential.rs`).
-    pub fastpath: bool,
-    /// Template-JIT superblock engine (see `lz_machine::jit`). Layers on
-    /// `fastpath`; cycle-invariant by construction and exposed as its own
-    /// ablation column so attack synthesis and the differential harness
-    /// sweep compiled and interpreted execution independently.
-    pub jit: bool,
     /// **Deliberately broken** when `true`: skip the cross-core IPI
     /// shootdown on break-before-make and detach paths, invalidating
     /// only the issuing core's TLB. Models a kernel that forgets remote
@@ -83,8 +73,6 @@ impl Default for AblationConfig {
             randomize_phys: true,
             shared_pt_regs: true,
             deferred_sysreg_page: true,
-            fastpath: lz_machine::default_fastpath(),
-            jit: lz_machine::default_jit(),
             skip_remote_shootdown: false,
             skip_rollover_shootdown: false,
         }
@@ -1806,9 +1794,7 @@ impl LightZone {
 
     /// Same, with ablation knobs.
     pub fn with_ablation(platform: Platform, guest: bool, ablation: AblationConfig) -> Self {
-        let mut kernel = if guest { Kernel::new_guest(platform) } else { Kernel::new_host(platform) };
-        kernel.machine.set_fastpath(ablation.fastpath);
-        kernel.machine.set_jit(ablation.jit);
+        let kernel = if guest { Kernel::new_guest(platform) } else { Kernel::new_host(platform) };
         let mut module = LzModule::new();
         module.ablation = ablation;
         LightZone { kernel, module }

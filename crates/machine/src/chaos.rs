@@ -14,8 +14,8 @@
 //!   engine. Injection points ("sites", [`FaultSite`]) are consulted at
 //!   *modelled* events only — shootdown round trips, interpreted TLBIs,
 //!   VE exits, scheduling slices — never on host-side cache paths, so a
-//!   plan fires at identical points whether the interpreter fast paths
-//!   are on or off. Every decision comes from per-site LCG streams
+//!   plan fires at identical points on both execution engines. Every
+//!   decision comes from per-site LCG streams
 //!   derived from the plan seed: a run under a given plan is
 //!   byte-reproducible, and a recorded schedule can be replayed (and
 //!   shrunk) through [`FaultPlan::only`].

@@ -27,74 +27,50 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Process-wide default for [`Machine::set_fetch_cache`], initialised from
-/// the `LZ_FETCH_CACHE` environment variable (`0`/`off` disables). Lets
-/// harnesses (`repro`, CI) flip the fast path for whole runs without
-/// threading a flag through every constructor.
-fn default_flag() -> &'static AtomicBool {
+/// An `AtomicBool` initialised from the environment variable `var`: on
+/// unless it is set to `0`, `off` or `false`. Backs the process-wide
+/// defaults that let harnesses (`repro`, CI) flip a switch for whole
+/// runs without threading a flag through every constructor.
+pub(crate) fn env_switch(var: &str) -> AtomicBool {
+    AtomicBool::new(!matches!(std::env::var(var).as_deref(), Ok("0" | "off" | "false")))
+}
+
+/// Process-wide default for [`Machine::set_accel`], initialised from the
+/// `LZ_ACCEL` environment variable. Selects between the two execution
+/// engines: compiled blocks over the fetch cache, the micro-DTLB and the
+/// walk cache (on), or the per-step reference interpreter with all of
+/// those off (`LZ_ACCEL=0`).
+fn accel_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_FETCH_CACHE").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
+    FLAG.get_or_init(|| env_switch("LZ_ACCEL"))
 }
 
-/// The default decoded-block cache setting for new [`Machine`]s.
-pub fn default_fetch_cache() -> bool {
-    default_flag().load(Ordering::Relaxed)
+/// The default engine for new [`Machine`]s: `true` for compiled blocks,
+/// `false` for the reference interpreter.
+pub fn default_accel() -> bool {
+    accel_flag().load(Ordering::Relaxed)
 }
 
-/// Override the default decoded-block cache setting for new [`Machine`]s
-/// (tests and benchmarks; existing machines are unaffected).
+/// Override the default engine for new [`Machine`]s (tests and
+/// benchmarks; existing machines are unaffected).
+pub fn set_default_accel(on: bool) {
+    accel_flag().store(on, Ordering::Relaxed);
+}
+
+// The benchmark harness in `benchmark/` still pins the engine through
+// the three switches `LZ_ACCEL` replaced, always with one value for all
+// three. These forwards keep it building until its next change.
+#[doc(hidden)]
 pub fn set_default_fetch_cache(on: bool) {
-    default_flag().store(on, Ordering::Relaxed);
+    set_default_accel(on);
 }
-
-/// Process-wide default for [`Machine::set_fastpath`], initialised from
-/// the `LZ_FASTPATH` environment variable (`0`/`off` disables). Governs
-/// the data-side acceleration layer: micro-DTLB, stage-1/stage-2 walk
-/// cache, and superblock execution.
-fn fastpath_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_FASTPATH").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
-}
-
-/// The default data-side fast path setting for new [`Machine`]s.
-pub fn default_fastpath() -> bool {
-    fastpath_flag().load(Ordering::Relaxed)
-}
-
-/// Override the default data-side fast path setting for new [`Machine`]s
-/// (tests and benchmarks; existing machines are unaffected).
+#[doc(hidden)]
 pub fn set_default_fastpath(on: bool) {
-    fastpath_flag().store(on, Ordering::Relaxed);
+    set_default_accel(on);
 }
-
-/// Process-wide default for [`Machine::set_jit`], initialised from the
-/// `LZ_JIT` environment variable (`0`/`off` disables). Governs the
-/// template-JIT superblock engine (see [`crate::jit`]); it layers on top
-/// of the fetch cache and the data-side fast path, so it only ever
-/// engages when both of those are on too.
-fn jit_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_JIT").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
-}
-
-/// The default template-JIT setting for new [`Machine`]s.
-pub fn default_jit() -> bool {
-    jit_flag().load(Ordering::Relaxed)
-}
-
-/// Override the default template-JIT setting for new [`Machine`]s
-/// (tests and benchmarks; existing machines are unaffected).
+#[doc(hidden)]
 pub fn set_default_jit(on: bool) {
-    jit_flag().store(on, Ordering::Relaxed);
+    set_default_accel(on);
 }
 
 /// Process-wide default for [`Machine::set_parallel`], initialised from
@@ -107,10 +83,7 @@ pub fn set_default_jit(on: bool) {
 /// — is byte-identical either way (CI runs both and compares).
 fn parallel_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_PARALLEL").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
+    FLAG.get_or_init(|| env_switch("LZ_PARALLEL"))
 }
 
 /// The default epoch-parallelism setting for new [`Machine`]s.
@@ -123,13 +96,6 @@ pub fn default_parallel() -> bool {
 pub fn set_default_parallel(on: bool) {
     parallel_flag().store(on, Ordering::Relaxed);
 }
-
-/// Upper bound on instructions per superblock. Bounds the per-block
-/// scratch buffer; the effective bound is `min(SUPERBLOCK_MAX, budget)`
-/// so scheduler quanta are never overrun. Compiled JIT blocks inherit
-/// this bound (they are lowered from extracted superblocks) and re-check
-/// it against the live budget at entry — see `Machine::step_block`.
-pub(crate) const SUPERBLOCK_MAX: u64 = 64;
 
 /// Why the interpreter stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,14 +237,6 @@ pub struct Machine {
     /// vectoring through `VBAR_EL1` (the EL1 software is a modelled guest
     /// kernel rather than interpreted code).
     pub(crate) el1_external: bool,
-    /// Decoded-block fetch cache toggle. Skips host-side walk + decode
-    /// work only; modelled cycles are bit-identical either way.
-    pub(crate) fetch_cache: bool,
-    /// Template-JIT toggle. Machine-wide (like `fetch_cache`): compiled
-    /// blocks themselves live per-core inside each TLB's icache. Only
-    /// engages when the fetch cache and the fast path are also on;
-    /// modelled cycles and journals are bit-identical either way.
-    pub(crate) jit: bool,
     /// Epoch execution backend: host threads (`true`) or sequential
     /// deterministic replay (`false`). Host-side only; see
     /// [`Machine::run_epoch`].
@@ -290,9 +248,6 @@ pub struct Machine {
     /// [`Machine::set_sysreg`] so [`Machine::walk_config`] can memoise.
     pub(crate) cfg_gen: u64,
     pub(crate) cfg_memo: Cell<Option<(u64, WalkConfig)>>,
-    /// Reusable scratch buffer for superblock extraction (avoids a heap
-    /// allocation per block).
-    pub(crate) sb_buf: Vec<(u32, Insn)>,
     /// SMP state: parked cores and cross-core traffic counters. A
     /// default machine is single-core; see [`crate::smp`].
     pub(crate) smp: crate::smp::SmpState,
@@ -311,7 +266,7 @@ impl Machine {
     pub fn new(platform: Platform) -> Self {
         let model = platform.model();
         let mut tlb = Tlb::with_l1(model.tlb_l1_entries, model.tlb_entries);
-        tlb.set_fastpath(default_fastpath());
+        tlb.set_accel(default_accel());
         Machine {
             mem: PhysMem::new(),
             tlb,
@@ -321,13 +276,10 @@ impl Machine {
             journal: Journal::default(),
             metrics: MachineMetrics::default(),
             el1_external: false,
-            fetch_cache: default_fetch_cache(),
-            jit: default_jit(),
             parallel: default_parallel(),
             epoch: None,
             cfg_gen: 0,
             cfg_memo: Cell::new(None),
-            sb_buf: Vec::with_capacity(SUPERBLOCK_MAX as usize),
             smp: crate::smp::SmpState::default(),
             chaos: crate::chaos::ChaosState::default(),
             panic_after: None,
@@ -350,48 +302,48 @@ impl Machine {
         self.cfg_memo.set(None);
     }
 
-    /// Enable or disable the decoded-block fetch cache (tests run both
-    /// paths; see `tests/differential.rs` at the workspace root).
-    pub fn set_fetch_cache(&mut self, on: bool) {
-        self.fetch_cache = on;
-        self.cfg_memo.set(None);
-    }
-
-    /// Whether the decoded-block fetch cache is enabled.
-    pub fn fetch_cache(&self) -> bool {
-        self.fetch_cache
-    }
-
-    /// Enable or disable the data-side fast path (micro-DTLB, walk
-    /// cache, superblock execution) on every core. Host-side only: the
-    /// differential suite proves cycles, exits, and journals identical
-    /// with it on or off.
-    pub fn set_fastpath(&mut self, on: bool) {
-        self.tlb.set_fastpath(on);
+    /// Choose the execution engine on every core: `true` runs compiled
+    /// blocks over the fetch cache, the micro-DTLB and the walk cache;
+    /// `false` runs the per-step reference interpreter with all of those
+    /// off. Host-side only: the differential suite proves cycles, exits
+    /// and journals identical on both engines.
+    pub fn set_accel(&mut self, on: bool) {
+        self.tlb.set_accel(on);
         for core in self.smp.cores.iter_mut().flatten() {
-            core.tlb.set_fastpath(on);
+            core.tlb.set_accel(on);
         }
     }
 
-    /// Whether the data-side fast path is enabled (active core).
-    pub fn fastpath(&self) -> bool {
-        self.tlb.fastpath()
+    /// Whether the active core runs the accelerated engine.
+    pub fn accel(&self) -> bool {
+        self.tlb.accel()
     }
 
-    /// Enable or disable the template-JIT superblock engine. Host-side
-    /// only — compiled blocks replay exactly the cycles, counters, and
-    /// journal the interpreter superblock would produce (differential
-    /// suite). Disabling drops nothing: stale compiled blocks are simply
-    /// never served, and the icache's invalidation scopes already drop
-    /// them alongside their decoded pages.
+    // Forwards to the one engine switch for the benchmark harness in
+    // `benchmark/` (see `set_default_fetch_cache`).
+    #[doc(hidden)]
+    pub fn set_fetch_cache(&mut self, on: bool) {
+        self.set_accel(on);
+    }
+    #[doc(hidden)]
+    pub fn set_fastpath(&mut self, on: bool) {
+        self.set_accel(on);
+    }
+    #[doc(hidden)]
     pub fn set_jit(&mut self, on: bool) {
-        self.jit = on;
+        self.set_accel(on);
     }
-
-    /// Whether the template-JIT is enabled (it engages only when the
-    /// fetch cache and the data-side fast path are also on).
+    #[doc(hidden)]
+    pub fn fetch_cache(&self) -> bool {
+        self.accel()
+    }
+    #[doc(hidden)]
+    pub fn fastpath(&self) -> bool {
+        self.accel()
+    }
+    #[doc(hidden)]
     pub fn jit(&self) -> bool {
-        self.jit
+        self.accel()
     }
 
     /// Choose the epoch execution backend: `true` (the `LZ_PARALLEL`
@@ -621,14 +573,12 @@ impl Machine {
     /// Run the interpreter until an exit condition, retiring at most
     /// `limit` instructions.
     ///
-    /// With both the fetch cache and the data-side fast path on,
-    /// execution proceeds in superblocks: straight-line decoded runs
-    /// execute without a per-instruction probe, but every instruction
-    /// boundary the budget-driven loop below would observe (quantum
-    /// expiry, exits, faults) is observed identically — a block never
-    /// executes past the remaining budget.
+    /// The accelerated engine executes compiled blocks, but every
+    /// instruction boundary the budget-driven `step` loop below would
+    /// observe (quantum expiry, exits, faults) is observed identically —
+    /// a block is never entered with less budget than it retires.
     pub fn run(&mut self, limit: u64) -> Exit {
-        if self.fetch_cache && self.tlb.fastpath() {
+        if self.tlb.accel() {
             let mut remaining = limit;
             while remaining > 0 {
                 self.check_panic_hook();
@@ -673,7 +623,7 @@ impl Machine {
         }
         let cfg = self.walk_config();
         let fetch_ctx = AccessCtx { el: self.cpu.pstate.el, pan: false, unpriv: false };
-        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx, self.fetch_cache) {
+        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx) {
             Ok(f) => {
                 // Fetch charges only the translation cost: sequential
                 // i-fetch bandwidth is covered by `insn_base`.
@@ -690,30 +640,19 @@ impl Machine {
         }
     }
 
-    /// Execute up to `budget` instructions as one superblock: a
-    /// straight-line decoded run served by the armed fetch-cache entry
-    /// for the current PC, executed without per-instruction probes.
+    /// Execute the compiled block at the current PC, or single-step.
     ///
     /// Returns `(attempts, exit)` where `attempts` counts run-loop
     /// iterations consumed — one per retired instruction, or one for a
-    /// faulting fetch attempt on the fallback path — exactly matching
+    /// faulting fetch attempt on the single-step path — exactly matching
     /// what `budget` iterations of `step()` would consume.
     ///
-    /// Equivalence to stepping is maintained by revalidating, between
-    /// instructions, everything the per-step fast probe checks:
-    ///
-    /// * the TLB generation (a load/store may have inserted or promoted
-    ///   an entry, an interpreted TLBI may have invalidated — any change
-    ///   ends the block);
-    /// * the code frame's content version via the `write_gen` shortcut
-    ///   (self-modifying stores end the block before the next fetch);
-    /// * the PC (a data fault vectored to interpreted EL1, or any control
-    ///   transfer by the block's final instruction, ends the block).
-    ///
-    /// Only "chainable" instructions (see `icache`) may appear mid-block,
-    /// so EL, PSTATE.PAN and the regime registers cannot change under a
-    /// running block. A misaligned PC always single-steps: the icache
-    /// indexes words by `va >> 2`, and `step` raises the alignment fault.
+    /// A block whose `total` exceeds `budget` is not entered: the core
+    /// single-steps to the quantum edge instead, so no block overruns its
+    /// quantum and a block's shape never depends on the budget. A
+    /// misaligned PC always single-steps (the icache indexes words by
+    /// `va >> 2`, and `step` raises the alignment fault), and so does the
+    /// bare identity regime, which has no TLB to arm the icache against.
     fn step_block(&mut self, budget: u64) -> (u64, Option<Exit>) {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
@@ -722,91 +661,59 @@ impl Machine {
             return (1, self.step());
         }
         let el = self.cpu.pstate.el;
-        if self.jit {
-            if let Some(lent) = self.tlb.jit_lend(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn) {
-                // A compiled block charges its ALU runs in batches, so it
-                // must never be entered with fewer budgeted instructions
-                // than it retires: re-check the quantum here rather than
-                // at extraction time (the interpreter path's `max` clamp)
-                // and fall back to the clamped interpreter superblock
-                // when the quantum is nearly spent.
-                if u64::from(lent.block.total) <= budget {
-                    let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version);
-                    self.tlb.jit_return(lent);
-                    debug_assert!(used <= budget, "JIT block overran its quantum budget");
-                    return (used, exit);
-                }
-                self.tlb.jit_return(lent);
-            }
-        }
-        let max = budget.min(SUPERBLOCK_MAX) as usize;
-        let mut buf = std::mem::take(&mut self.sb_buf);
-        let got =
-            self.tlb.superblock(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, max, &mut buf);
-        let Some((pa_page, frame_version)) = got else {
-            self.sb_buf = buf;
-            return (1, self.step());
+        let Some(lent) = self.tlb.jit_lend(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn) else {
+            return self.jit_miss(budget, pc, &cfg);
         };
-        // Lower this superblock for future entries — but only when its
-        // boundary is natural (terminal, empty slot, page end), not an
-        // artifact of a nearly-spent quantum: compiled blocks must have
-        // budget-independent shape.
-        if self.jit && (buf.len() < max || max == SUPERBLOCK_MAX as usize) {
-            if let Some(block) = crate::jit::lower(pc, &buf, self.model.insn_base) {
-                self.tlb.store_jit_block(cfg.vmid(), cfg.asid(), el, pc, block);
-            }
+        if u64::from(lent.block.total) > budget {
+            self.tlb.jit_return(lent);
+            return (1, self.step());
         }
-        let gen0 = self.tlb.generation();
-        let mut checked_wg = self.mem.write_gen();
-        let mut used = 0u64;
-        let mut exit = None;
-        for (k, &(word, insn)) in buf.iter().enumerate() {
-            let pc_k = pc + 4 * k as u64;
-            if k > 0 {
-                if self.tlb.generation() != gen0 {
-                    break;
-                }
-                let wg = self.mem.write_gen();
-                if wg != checked_wg {
-                    if self.mem.frame_version(pa_page) != Some(frame_version) {
-                        break;
-                    }
-                    checked_wg = wg;
-                }
-            }
-            self.tlb.count_superblock_insn();
-            used += 1;
-            self.cpu.insns += 1;
-            self.charge(self.model.insn_base);
-            self.trace.record(pc_k, word, el);
-            exit = self.execute(insn, word);
-            if exit.is_some() {
-                break;
-            }
-            if self.cpu.pc != pc_k + 4 {
-                break;
-            }
-        }
-        self.tlb.count_superblock_exit();
-        self.sb_buf = buf;
+        let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version);
+        self.tlb.jit_return(lent);
+        debug_assert!(used <= budget, "compiled block overran its quantum budget");
         (used, exit)
     }
 
-    /// Execute a compiled superblock (see [`crate::jit`]).
+    /// No compiled block starts at `pc`: lower the decoded run there once,
+    /// store it for later entries, and run it — or single-step when the
+    /// icache cannot serve the run (its page entry is not armed for this
+    /// TLB generation, say) or the block is longer than `budget`. Kept cold
+    /// and out of line so that `step_block`'s hit path stays small.
+    #[cold]
+    #[inline(never)]
+    fn jit_miss(&mut self, budget: u64, pc: u64, cfg: &WalkConfig) -> (u64, Option<Exit>) {
+        let el = self.cpu.pstate.el;
+        let insn_base = self.model.insn_base;
+        match self.tlb.jit_compile(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
+            Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
+                self.step_jit(&block, pc, pa_page, frame_version)
+            }
+            _ => (1, self.step()),
+        }
+    }
+
+    /// Execute a compiled block (see [`crate::jit`]).
     ///
-    /// Equivalence to the interpreter superblock: ALU-template runs
-    /// cannot touch the TLB, memory, or the journal, and move the PC only
-    /// in a branch terminal that ends the block, so the per-instruction
-    /// revalidation `step_block` performs is a provable no-op inside a
-    /// run and is instead performed once per segment boundary — which
-    /// observes exactly the states the interpreter would, because only
-    /// `Mem` and `Slow` segments can perturb them. Cycle,
+    /// Equivalence to stepping: between segments the block revalidates
+    /// everything the per-step fetch probe checks — the TLB generation (a
+    /// load/store may have inserted or promoted an entry, an interpreted
+    /// TLBI may have invalidated), the code frame's content version via
+    /// the `write_gen` shortcut (a self-modifying store ends the block
+    /// before the next fetch), and the PC (a data fault vectored to
+    /// interpreted EL1, or any control transfer, ends the block). ALU
+    /// runs cannot touch the TLB, memory, or the journal, and move the PC
+    /// only in a branch terminal that ends the block, so checking once
+    /// per segment boundary observes exactly the states stepping would:
+    /// only `Mem` and `Slow` segments can perturb them. Only chainable
+    /// instructions (see [`crate::jit::lower`]) appear mid-block, so EL,
+    /// PSTATE.PAN and the regime registers cannot change under a running
+    /// block. Cycle,
     /// instruction, and hit counters are charged in per-run batches that
-    /// sum to the interpreter's per-instruction totals, and no
-    /// cycle-stamped event can be emitted between the instructions of a
-    /// run (a branch terminal included). `Mem` and `Slow` segments run the
-    /// interpreter's own per-instruction bookkeeping; a `Mem` access is
-    /// `data_access` itself or its armed micro-DTLB hit (`jit_mem`).
+    /// sum to the per-instruction totals, and no cycle-stamped event can
+    /// be emitted between the instructions of a run (a branch terminal
+    /// included). `Mem` and `Slow` segments run the interpreter's own
+    /// per-instruction bookkeeping; a `Mem` access is `data_access`
+    /// itself or its armed micro-DTLB hit (`jit_mem`).
     fn step_jit(
         &mut self,
         block: &crate::jit::CompiledBlock,

@@ -173,12 +173,11 @@ struct PageEntry {
     fast_gen: u64,
     fast_asid: u16,
     slots: Vec<Option<(u32, Insn)>>,
-    /// Compiled superblocks keyed by start slot (see [`crate::jit`]).
-    /// Sharing the page entry means every path that drops or restarts the
-    /// decoded page — TLBI scopes, content staleness, capacity eviction —
-    /// drops its compiled blocks for the same reason at the same moment;
-    /// serve-time validation then only has to mirror
-    /// [`ICache::superblock`]'s checks.
+    /// Compiled blocks keyed by start slot (see [`crate::jit`]). Sharing
+    /// the page entry means every path that drops or restarts the decoded
+    /// page — TLBI scopes, content staleness, capacity eviction — drops its
+    /// compiled blocks for the same reason at the same moment; serve-time
+    /// validation is then [`ICache::armed_entry`]'s test.
     blocks: FxHashMap<u16, Arc<CompiledBlock>>,
 }
 
@@ -298,7 +297,7 @@ impl ICache {
         }
 
         let e = &entries[idx];
-        let slot = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
+        let slot = slot_of(va);
         match e.slots[slot] {
             Some((word, insn)) => {
                 self.hits += 1;
@@ -321,7 +320,7 @@ impl ICache {
     pub fn fill(&mut self, mem: &PhysMem, vmid: u16, va: u64, info: FillInfo, word: u32, insn: Insn) {
         let Some(frame_version) = mem.frame_version(info.pa_page) else { return };
         let key = PageKey { vmid, vpn: va >> 12 };
-        let slot = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
+        let slot = slot_of(va);
         let checked_gen = mem.write_gen();
 
         if let Some(entries) = self.pages.get_mut(&key) {
@@ -399,40 +398,21 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<(u64, u32, Insn)> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
-        let slot = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
-        let (word, insn) = e.slots[slot]?;
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let (word, insn) = e.slots[slot_of(va)]?;
+        let pa = e.info.pa_page | (va & 0xfff);
         self.hits += 1;
-        Some((e.info.pa_page | (va & 0xfff), word, insn))
+        Some((pa, word, insn))
     }
 
-    /// Extract a straight-line decoded run for superblock execution.
-    ///
-    /// Validation is exactly [`Self::fast_probe`]'s (armed at `tlb_gen`
-    /// for `asid`, regime flags unchanged, code frame content-fresh) but
-    /// no hit/miss counters are touched here: the superblock executor
-    /// replays one hit per instruction *as it executes*, so a partially
-    /// executed block leaves the same statistics as stepping would.
-    ///
-    /// The run starts at `va`'s slot and extends while each instruction
-    /// is decoded, [`chainable`], and within the page, up to `max`
-    /// instructions; one trailing non-chainable instruction may be
-    /// included because nothing executes after it inside the block.
-    /// Returns the backing `(pa_page, frame_version)` for per-instruction
-    /// content revalidation, or `None` to fall back to single-stepping.
+    /// The page entry for the fetch at `va` if it is armed at `tlb_gen`
+    /// for `asid` (see [`Self::arm_fast`]), its regime flags are unchanged,
+    /// and its code frame is content-fresh — the test every lookup-free
+    /// path ([`Self::fast_probe`], [`Self::jit_block`], [`Self::compile`])
+    /// applies before serving anything from the entry.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn superblock(
+    #[inline]
+    fn armed_entry(
         &mut self,
         mem: &PhysMem,
         vmid: u16,
@@ -442,13 +422,7 @@ impl ICache {
         s1_enabled: bool,
         wxn: bool,
         tlb_gen: u64,
-        max: usize,
-        out: &mut Vec<(u32, Insn)>,
-    ) -> Option<(u64, u64)> {
-        out.clear();
-        if max == 0 {
-            return None;
-        }
+    ) -> Option<&mut PageEntry> {
         let key = PageKey { vmid, vpn: va >> 12 };
         let entries = self.pages.get_mut(&key)?;
         let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
@@ -461,29 +435,13 @@ impl ICache {
             }
             e.checked_gen = mem.write_gen();
         }
-        let first = (va >> 2) as usize & (WORDS_PER_PAGE - 1);
-        for slot in first..WORDS_PER_PAGE {
-            if out.len() >= max {
-                break;
-            }
-            let Some((word, insn)) = e.slots[slot] else { break };
-            out.push((word, insn));
-            if !chainable(&insn) {
-                break;
-            }
-        }
-        if out.is_empty() {
-            return None;
-        }
-        Some((e.info.pa_page, e.frame_version))
+        Some(e)
     }
 
-    /// Serve a compiled superblock for the fetch at `va`. Validation is
-    /// exactly [`Self::superblock`]'s — armed at `tlb_gen` for `asid`,
-    /// regime flags unchanged, code frame content-fresh — so a compiled
-    /// block is served only in states where the decoded run it was
-    /// lowered from would have been. Returns the block plus the backing
-    /// `(pa_page, frame_version)` for per-segment content revalidation.
+    /// Serve the compiled block stored for the fetch at `va`, if its page
+    /// entry passes [`Self::armed_entry`]'s test. Returns the block plus the
+    /// backing `(pa_page, frame_version)` for per-segment content
+    /// revalidation.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -497,21 +455,37 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
-        let slot = (va >> 2) as u16 & (WORDS_PER_PAGE as u16 - 1);
-        let block = e.blocks.get(&slot)?;
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let block = e.blocks.get(&(slot_of(va) as u16))?;
         Some((Arc::clone(block), e.info.pa_page, e.frame_version))
+    }
+
+    /// Lower the decoded run that starts at `va` (see
+    /// [`crate::jit::lower`]) and store it as the compiled block for that
+    /// slot, where [`Self::jit_block`] serves it from then on. Validation
+    /// is `jit_block`'s, so a block is compiled only where it could be
+    /// served; `None` means the entry fails that test or `va`'s slot is
+    /// not decoded. Returns what `jit_block` would.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn compile(
+        &mut self,
+        mem: &PhysMem,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        s1_enabled: bool,
+        wxn: bool,
+        tlb_gen: u64,
+        insn_base: u64,
+    ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
+        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let first = slot_of(va);
+        let block = Arc::new(crate::jit::lower(va, &e.slots[first..], insn_base)?);
+        e.blocks.insert(first as u16, Arc::clone(&block));
+        let (pa_page, frame_version) = (e.info.pa_page, e.frame_version);
+        self.epoch += 1;
+        Some((block, pa_page, frame_version))
     }
 
     /// Lend out the compiled block [`Self::jit_block`] would serve for the
@@ -592,32 +566,7 @@ impl ICache {
         }
     }
 
-    /// Attach a compiled superblock to the page entry its decoded run was
-    /// just extracted from. A missing entry (evicted between extraction
-    /// and lowering — impossible today, but cheap to tolerate) simply
-    /// drops the block.
-    pub(crate) fn store_jit_block(
-        &mut self,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        block: CompiledBlock,
-    ) -> bool {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let Some(entries) = self.pages.get_mut(&key) else { return false };
-        let Some(e) =
-            entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)
-        else {
-            return false;
-        };
-        let slot = (va >> 2) as u16 & (WORDS_PER_PAGE as u16 - 1);
-        e.blocks.insert(slot, Arc::new(block));
-        self.epoch += 1;
-        true
-    }
-
-    /// Replay one decoded-block hit (superblock per-instruction
+    /// Replay one decoded-block hit (compiled-block per-instruction
     /// bookkeeping).
     #[inline]
     pub(crate) fn count_hit(&mut self) {
@@ -738,42 +687,10 @@ impl ICache {
     }
 }
 
-/// Can a superblock continue past this instruction?
-///
-/// Chainable instructions fall through to `pc + 4` when they do not fault
-/// and cannot by themselves change the exception level, PSTATE, a system
-/// register, or TLB *structure beyond ordinary inserts* — loads and
-/// stores may still fault or self-modify code, which the superblock
-/// executor catches by revalidating the TLB generation, the code frame
-/// version, and the PC after every instruction. Branches, exception
-/// generators, barriers, and system-register traffic all end the block
-/// (they may be its final instruction, since nothing executes after
-/// them inside the block).
-fn chainable(insn: &Insn) -> bool {
-    matches!(
-        insn,
-        Insn::Movz { .. }
-            | Insn::Movk { .. }
-            | Insn::Movn { .. }
-            | Insn::AddImm { .. }
-            | Insn::AddReg { .. }
-            | Insn::LogicReg { .. }
-            | Insn::LsrImm { .. }
-            | Insn::LslImm { .. }
-            | Insn::Adr { .. }
-            | Insn::Adrp { .. }
-            | Insn::Ldp { .. }
-            | Insn::Stp { .. }
-            | Insn::Madd { .. }
-            | Insn::Udiv { .. }
-            | Insn::Csel { .. }
-            | Insn::Csinc { .. }
-            | Insn::LdrImm { .. }
-            | Insn::StrImm { .. }
-            | Insn::Ldtr { .. }
-            | Insn::Sttr { .. }
-            | Insn::Nop
-    )
+/// The icache slot of the word at `va`.
+#[inline]
+fn slot_of(va: u64) -> usize {
+    (va >> 2) as usize & (WORDS_PER_PAGE - 1)
 }
 
 #[cfg(test)]
@@ -869,9 +786,7 @@ mod tests {
     fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
         let mut ic = seeded(mem, &[(0, if global { None } else { Some(1) }, va, pa)]);
         ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1);
-        let nop = (0xD503_201F, Insn::decode(0xD503_201F));
-        let block = crate::jit::lower(va, &[nop], 1).expect("a NOP lowers");
-        assert!(ic.store_jit_block(0, 1, ExceptionLevel::El0, va, block));
+        assert!(ic.compile(mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
         ic
     }
 

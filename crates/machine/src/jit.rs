@@ -1,37 +1,36 @@
-//! Template-JIT superblock engine: a lowered IR of pre-specialized host
+//! Template-JIT block engine: a lowered IR of pre-specialized host
 //! closures for the chainable ALU subset, the immediate-offset
 //! loads/stores, and the direct branches that end a block.
 //!
-//! The interpreter's superblocks (see `Machine::step_block`) already
-//! execute straight-line decoded runs, but still dispatch one decoded
-//! [`Insn`] at a time through the full `execute` match, re-checking the
-//! TLB generation and the code frame's content version between every
-//! instruction. This module lowers a superblock once into a
-//! [`CompiledBlock`]: runs of pure-ALU *templates* — function pointers
-//! selected at lowering time with register slots resolved, immediates
-//! constant-folded (including fully PC-folded `ADR`/`ADRP`, since a
-//! block's virtual address is fixed by its icache key), and flag-setting
-//! variants split into their own entry points — separated by `Mem`
-//! segments for `LDR`/`STR` (immediate offset, every size) and `Slow`
-//! segments for anything else that needs full interpreter bookkeeping
-//! (pair and unprivileged accesses, and non-branch terminals). A block
-//! ending in `B`, `B.cond`, `CBZ` or `CBNZ` lowers that terminal to a
-//! PC-writing template at the end of the last ALU run.
+//! Every block the accelerated engine runs is a [`CompiledBlock`],
+//! lowered once from a straight-line decoded run of the fetch cache (see
+//! [`lower`]) and stored in the icache page entry it came from: runs of
+//! pure-ALU *templates* — function pointers selected at lowering time
+//! with register slots resolved, immediates constant-folded (including
+//! fully PC-folded `ADR`/`ADRP`, since a block's virtual address is fixed
+//! by its icache key), and flag-setting variants split into their own
+//! entry points — separated by `Mem` segments for `LDR`/`STR` (immediate
+//! offset, every size) and `Slow` segments for anything else that needs
+//! full interpreter bookkeeping (pair and unprivileged accesses, and
+//! non-branch terminals). A block ending in `B`, `B.cond`, `CBZ` or
+//! `CBNZ` lowers that terminal to a PC-writing template at the end of the
+//! last ALU run. A run with nothing to template lowers to all-`Slow`
+//! segments, which execute exactly as stepping would.
 //!
 //! # Why per-segment revalidation is exact
 //!
-//! The interpreter superblock revalidates `Tlb::generation` and
-//! `PhysMem::write_gen`/`frame_version` before every instruction after
-//! the first. An ALU template touches only `Cpu` registers, NZCV, and
-//! the cycle/instruction counters: it cannot insert or promote a TLB
-//! entry, write memory, fault, or move the PC off the fall-through path
-//! (a branch template moves it, but only as the block's last
-//! instruction). Both checks are therefore provably no-ops *inside* an
-//! ALU run, and checking once per segment boundary observes exactly the
-//! states the interpreter would. `Mem` and `Slow` segments are segment
-//! boundaries: a store that bumps `write_gen` (self-modifying code) or a
-//! load that promotes a TLB entry ends the compiled block at the same
-//! boundary it would have ended the decoded one.
+//! Stepping revalidates `Tlb::generation` and
+//! `PhysMem::write_gen`/`frame_version` before every fetch. An ALU
+//! template touches only `Cpu` registers, NZCV, and the
+//! cycle/instruction counters: it cannot insert or promote a TLB entry,
+//! write memory, fault, or move the PC off the fall-through path (a
+//! branch template moves it, but only as the block's last instruction).
+//! Both checks are therefore provably no-ops *inside* an ALU run, and
+//! checking once per segment boundary observes exactly the states
+//! stepping would. `Mem` and `Slow` segments are segment boundaries: a
+//! store that bumps `write_gen` (self-modifying code) or a load that
+//! promotes a TLB entry ends the compiled block at the same boundary at
+//! which the next fetch would have noticed it.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -42,13 +41,18 @@
 //! traps — and ALU and branch templates emit neither, so no observation
 //! point can distinguish batched from per-instruction charging. Trace
 //! entries are `(pc, word, EL)` tuples without a cycle stamp and are
-//! replayed per-op when tracing is enabled. `Mem` segments charge per
-//! instruction, in the interpreter's order, because a load or store can
+//! replayed per-op when tracing is enabled. `Mem` and `Slow` segments
+//! charge per instruction, in the interpreter's order, because they can
 //! fault.
 
 use crate::cpu::Cpu;
 use lz_arch::insn::{Cond, Insn, LogicOp, MemSize};
 use lz_arch::pstate::Nzcv;
+
+/// Upper bound on instructions per compiled block. A block is entered
+/// only with at least `total` instructions of budget left, so the engine
+/// single-steps fewer than this many instructions before a quantum edge.
+pub(crate) const SUPERBLOCK_MAX: usize = 64;
 
 /// Extra modelled latency of `MADD` beyond `insn_base` (shared with the
 /// interpreter's `execute`).
@@ -85,7 +89,7 @@ impl Tmpl {
     }
 }
 
-/// A compiled superblock segment.
+/// A compiled block segment.
 #[derive(Debug)]
 pub(crate) enum Segment {
     /// A run of pure-ALU templates, possibly ending in the block's branch
@@ -102,12 +106,12 @@ pub(crate) enum Segment {
     Slow { word: u32, insn: Insn },
 }
 
-/// A superblock lowered to alternating ALU-template runs and `Slow`
-/// interpreter segments. Stored in the icache page entry that produced
-/// it and therefore dropped by exactly the invalidation scopes (TLBI,
-/// ASID/VMID maintenance, content staleness, capacity) that drop the
-/// decoded block; serve-time and per-segment revalidation mirror the
-/// interpreter superblock's checks.
+/// A decoded run lowered to ALU-template runs and `Mem`/`Slow`
+/// segments. Stored in the icache page entry that produced it and
+/// therefore dropped by exactly the invalidation scopes (TLBI, ASID/VMID
+/// maintenance, content staleness, capacity) that drop the decoded words;
+/// serve-time and per-segment revalidation mirror the per-step fetch
+/// probe's checks.
 #[derive(Debug)]
 pub struct CompiledBlock {
     pub(crate) segs: Box<[Segment]>,
@@ -321,18 +325,23 @@ fn lower_mem(word: u32, insn: Insn) -> Option<Segment> {
     }
 }
 
-/// Lower a decoded superblock (as extracted by `ICache::superblock`,
-/// starting at virtual address `va`) into a [`CompiledBlock`]. A branch
-/// is lowered only as the block's last instruction. Returns `None` when
-/// every instruction would be a `Slow` segment — such a block gains
-/// nothing over the interpreter superblock.
-pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<CompiledBlock> {
+/// Lower the straight-line decoded run at the start of `slots` (an
+/// icache page's word slots from the one at virtual address `va` on)
+/// into a [`CompiledBlock`]. The run extends while each slot is decoded
+/// and [`chainable`], up to [`SUPERBLOCK_MAX`] instructions and the end
+/// of the page, and includes one trailing non-chainable instruction,
+/// since nothing executes after it inside the block — so a branch can
+/// only ever be a block's last instruction. Every run lowers, an
+/// all-`Slow` one included; `None` means the first slot is not decoded.
+pub(crate) fn lower(va: u64, slots: &[Option<(u32, Insn)>], insn_base: u64) -> Option<CompiledBlock> {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
-    for (k, &(word, insn)) in buf.iter().enumerate() {
+    let mut total = 0u32;
+    for (k, &(word, insn)) in slots.iter().take(SUPERBLOCK_MAX).map_while(|s| s.as_ref()).enumerate() {
         let pc_k = va + 4 * k as u64;
-        let last = k + 1 == buf.len();
+        let last = !chainable(&insn);
+        total += 1;
         let tmpl = match lower_alu(pc_k, word, insn) {
             None if last => lower_branch(pc_k, word, insn).map(|t| (t, 0)),
             alu => alu,
@@ -350,14 +359,53 @@ pub(crate) fn lower(va: u64, buf: &[(u32, Insn)], insn_base: u64) -> Option<Comp
                 segs.push(lower_mem(word, insn).unwrap_or(Segment::Slow { word, insn }));
             }
         }
+        if last {
+            break;
+        }
+    }
+    if total == 0 {
+        return None;
     }
     if !run.is_empty() {
         segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
     }
-    if segs.iter().all(|s| matches!(s, Segment::Slow { .. })) {
-        return None;
-    }
-    Some(CompiledBlock { segs: segs.into_boxed_slice(), total: buf.len() as u32 })
+    Some(CompiledBlock { segs: segs.into_boxed_slice(), total })
+}
+
+/// Can a block continue past this instruction?
+///
+/// Chainable instructions fall through to `pc + 4` when they do not fault
+/// and cannot by themselves change the exception level, PSTATE, a system
+/// register, or TLB *structure beyond ordinary inserts* — loads and
+/// stores may still fault or self-modify code, which `Machine::step_jit`
+/// catches by revalidating the TLB generation, the code frame version,
+/// and the PC after every `Mem` and `Slow` segment. Branches, exception
+/// generators, barriers, and system-register traffic all end the block.
+fn chainable(insn: &Insn) -> bool {
+    matches!(
+        insn,
+        Insn::Movz { .. }
+            | Insn::Movk { .. }
+            | Insn::Movn { .. }
+            | Insn::AddImm { .. }
+            | Insn::AddReg { .. }
+            | Insn::LogicReg { .. }
+            | Insn::LsrImm { .. }
+            | Insn::LslImm { .. }
+            | Insn::Adr { .. }
+            | Insn::Adrp { .. }
+            | Insn::Ldp { .. }
+            | Insn::Stp { .. }
+            | Insn::Madd { .. }
+            | Insn::Udiv { .. }
+            | Insn::Csel { .. }
+            | Insn::Csinc { .. }
+            | Insn::LdrImm { .. }
+            | Insn::StrImm { .. }
+            | Insn::Ldtr { .. }
+            | Insn::Sttr { .. }
+            | Insn::Nop
+    )
 }
 
 #[cfg(test)]
@@ -365,8 +413,8 @@ mod tests {
     use super::*;
     use lz_arch::asm::Asm;
 
-    fn block(words: &[u32]) -> Vec<(u32, Insn)> {
-        words.iter().map(|&w| (w, Insn::decode(w))).collect()
+    fn block(words: &[u32]) -> Vec<Option<(u32, Insn)>> {
+        words.iter().map(|&w| Some((w, Insn::decode(w)))).collect()
     }
 
     #[test]
@@ -433,11 +481,24 @@ mod tests {
     }
 
     #[test]
-    fn all_slow_block_does_not_lower() {
-        // ldp x1, x2, [x3] ; svc #0
+    fn all_slow_run_lowers_to_slow_segments() {
+        // ldp x1, x2, [x3] ; svc #0 — nothing to template, still a block.
         let mut a = Asm::new(0x40_0000);
         a.ldp(1, 2, 3, 0).svc(0);
-        assert!(lower(0x40_0000, &block(&a.words()), 1).is_none());
+        let b = lower(0x40_0000, &block(&a.words()), 1).expect("every run lowers");
+        assert_eq!(b.total, 2);
+        assert_eq!(b.segs.len(), 2);
+        assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::Ldp { .. }, .. }));
+        assert!(matches!(b.segs[1], Segment::Slow { insn: Insn::Svc { .. }, .. }));
+    }
+
+    #[test]
+    fn runs_end_at_an_empty_slot_and_at_the_length_bound() {
+        let nop = Some((0xD503_201F, Insn::decode(0xD503_201F)));
+        assert_eq!(lower(0x40_0000, &[nop, None, nop], 1).expect("lowers").total, 1);
+        assert!(lower(0x40_0000, &[None, nop], 1).is_none(), "nothing decoded at the block's start");
+        let long = vec![nop; 2 * SUPERBLOCK_MAX];
+        assert_eq!(lower(0x40_0000, &long, 1).expect("lowers").total as usize, SUPERBLOCK_MAX);
     }
 
     #[test]
@@ -507,15 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn branch_before_the_end_stays_slow() {
-        // b.ne is only a template as the block's last instruction.
+    fn a_branch_ends_the_block() {
+        // b.ne ; nop — the nop is the next block's.
         let mut a = Asm::new(0x40_0000);
         let l = a.label();
         a.b_ne(l).nop();
         a.bind(l);
         let b = lower(0x40_0000, &block(&a.words()), 1).expect("lowers");
-        assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::BCond { .. }, .. }));
-        assert!(matches!(b.segs[1], Segment::Alu { .. }));
+        assert_eq!(b.total, 1);
+        assert!(matches!(&b.segs[..], [Segment::Alu { ops, cycles: 1 }] if ops.len() == 1));
     }
 
     #[test]

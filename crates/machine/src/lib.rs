@@ -39,10 +39,9 @@ pub mod trace;
 pub mod walk;
 
 pub use chaos::{ChaosState, FaultPlan, FaultSite, LzFault, ALL_SITES};
-pub use cpu::{
-    default_fastpath, default_fetch_cache, default_jit, default_parallel, set_default_fastpath,
-    set_default_fetch_cache, set_default_jit, set_default_parallel, Exit, Machine,
-};
+pub use cpu::{default_accel, default_parallel, set_default_accel, set_default_parallel, Exit, Machine};
+#[doc(hidden)]
+pub use cpu::{set_default_fastpath, set_default_fetch_cache, set_default_jit};
 pub use icache::ICache;
 pub use mem::PhysMem;
 pub use metrics::{Event, EventKind, Journal, Report, Section};

@@ -32,14 +32,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Process-wide default for journal recording, initialised from the
-/// `LZ_METRICS` environment variable (`0`/`off` disables). Mirrors the
-/// `LZ_FETCH_CACHE` pattern in `cpu.rs`.
+/// `LZ_METRICS` environment variable (`0`/`off`/`false` disables).
 fn default_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = !matches!(std::env::var("LZ_METRICS").as_deref(), Ok("0") | Ok("off") | Ok("false"));
-        AtomicBool::new(on)
-    })
+    FLAG.get_or_init(|| crate::cpu::env_switch("LZ_METRICS"))
 }
 
 /// The default journal-recording setting for new [`Journal`]s.
@@ -117,12 +113,13 @@ impl WalkStats {
     }
 }
 
-/// Host-side fast-path counters: how often the data-side acceleration
-/// layer (micro-DTLB, superblock execution, stage-1/stage-2 walk cache)
+/// Host-side fast-path counters: how often the accelerated engine
+/// (micro-DTLB, compiled blocks, stage-1/stage-2 walk cache)
 /// short-circuited host work.
 ///
 /// Unlike [`WalkStats`], these counters describe *host-side* savings
-/// only: they are zero with the fast path off and positive with it on,
+/// only: they are zero on the reference engine and positive on the
+/// accelerated one,
 /// while every modelled quantity (cycles, TLB hit/miss counts, walk
 /// counts, fault ordering) stays byte-identical. They live in the `walk`
 /// report section because that is the work they elide.
@@ -130,16 +127,15 @@ impl WalkStats {
 pub struct FastStats {
     /// Data accesses served by the micro-DTLB (replayed as free L1 hits).
     pub dtlb_hits: u64,
-    /// Superblocks completed (each exit covers one straight-line run of
-    /// decoded instructions executed without per-instruction probes).
+    /// Compiled blocks completed (each exit covers one straight-line run
+    /// of decoded instructions executed without per-instruction probes).
     pub superblock_exits: u64,
     /// Stage-1(+stage-2) walks replayed from the walk cache instead of
     /// touching up to 7 table descriptors.
     pub walkcache_hits: u64,
-    /// Compiled superblocks executed by the template-JIT (zero with the
-    /// JIT — or anything it layers on — off).
+    /// Compiled blocks entered (zero on the reference engine).
     pub jit_blocks: u64,
-    /// Superblocks lowered to compiled blocks (each counts once, at
+    /// Decoded runs lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,
 }

@@ -224,7 +224,7 @@ impl Machine {
         cores.push(None); // this core is core 0 and stays active
         for _ in 1..n {
             let mut tlb = Tlb::with_l1(self.model.tlb_l1_entries, self.model.tlb_entries);
-            tlb.set_fastpath(self.tlb.fastpath());
+            tlb.set_accel(self.tlb.accel());
             cores.push(Some(CoreCtx { cpu: self.cpu.fork_boot_state(), tlb }));
         }
         let chaos_forks = (0..n).map(|_| None).collect();
@@ -463,13 +463,10 @@ impl Machine {
                     journal: self.journal.fork(),
                     metrics: MachineMetrics::default(),
                     el1_external: self.el1_external,
-                    fetch_cache: self.fetch_cache,
-                    jit: self.jit,
                     parallel: false,
                     epoch: Some(EpochCtx::default()),
                     cfg_gen: 0,
                     cfg_memo: std::cell::Cell::new(None),
-                    sb_buf: Vec::with_capacity(crate::cpu::SUPERBLOCK_MAX as usize),
                     smp: SmpState::default(),
                     chaos,
                     panic_after: self.panic_after,

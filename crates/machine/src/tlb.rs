@@ -132,13 +132,10 @@ const EMPTY_DTLB_SLOT: DtlbSlot = DtlbSlot {
 /// the final stage-2 walk: 4 * (3 + 1) + 3 = 19; 24 leaves headroom).
 pub(crate) const WALK_FRAMES_MAX: usize = 24;
 
-// The walk-cache's `nframes` field and the superblock length bound must
-// both fit in a `u8` (`wcache_fill` converts with `u8::try_from`, and a
-// compiled superblock's per-run instruction counts derive from
-// `SUPERBLOCK_MAX`); widening either constant past 255 requires widening
-// those fields first.
+// The walk-cache's `nframes` field must fit in a `u8` (`wcache_fill`
+// converts with `u8::try_from`); widening the constant past 255 requires
+// widening that field first.
 const _: () = assert!(WALK_FRAMES_MAX <= u8::MAX as usize);
-const _: () = assert!(crate::cpu::SUPERBLOCK_MAX <= u8::MAX as u64);
 
 /// Walk-cache capacity (FIFO replacement, like the TLB levels).
 const WCACHE_CAP: usize = 128;
@@ -194,10 +191,11 @@ pub struct Tlb {
     /// Walk/fault counters, owned here because every walk flows through
     /// `walk::translate`/`walk::fetch` with `&mut Tlb` in hand.
     pub(crate) walk: WalkStats,
-    /// Data-side fast path master switch (micro-DTLB, walk cache, and —
-    /// via `Machine::run` — superblock execution). Host-side only; every
-    /// modelled quantity is identical with it on or off.
-    fastpath: bool,
+    /// The engine switch for this core: compiled blocks over the fetch
+    /// cache, the micro-DTLB and the walk cache (on), or the per-step
+    /// reference interpreter with all of those off. Host-side only; every
+    /// modelled quantity is identical either way.
+    accel: bool,
     /// Micro-DTLB: direct-mapped by VPN, guarded by `gen`.
     dtlb: [DtlbSlot; DTLB_SLOTS],
     /// Stage-1/stage-2 walk cache, FIFO-replaced at `WCACHE_CAP`.
@@ -225,7 +223,7 @@ impl Tlb {
             icache: ICache::default(),
             inval: InvalStats::default(),
             walk: WalkStats::default(),
-            fastpath: false,
+            accel: false,
             dtlb: [EMPTY_DTLB_SLOT; DTLB_SLOTS],
             wcache: FxHashMap::default(),
             wcache_order: VecDeque::new(),
@@ -233,11 +231,12 @@ impl Tlb {
         }
     }
 
-    /// Enable or disable the data-side fast path. Disabling drops every
-    /// armed micro-DTLB slot and cached walk so a later re-enable cannot
-    /// resurrect state from a different configuration epoch.
-    pub fn set_fastpath(&mut self, on: bool) {
-        self.fastpath = on;
+    /// Select the engine (see the `accel` field). Selecting the reference
+    /// engine drops every armed micro-DTLB slot and cached walk so a later
+    /// re-enable cannot resurrect state from a different configuration
+    /// epoch.
+    pub fn set_accel(&mut self, on: bool) {
+        self.accel = on;
         if !on {
             self.dtlb = [EMPTY_DTLB_SLOT; DTLB_SLOTS];
             self.wcache.clear();
@@ -245,9 +244,9 @@ impl Tlb {
         }
     }
 
-    /// Whether the data-side fast path is enabled.
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
+    /// Whether this core runs the accelerated engine.
+    pub fn accel(&self) -> bool {
+        self.accel
     }
 
     /// Host-side fast-path savings counters.
@@ -428,7 +427,7 @@ impl Tlb {
         va: u64,
         write: bool,
     ) -> Option<u64> {
-        if !self.fastpath {
+        if !self.accel {
             return None;
         }
         let vpn = va >> 12;
@@ -469,7 +468,7 @@ impl Tlb {
         write: bool,
         pa_page: u64,
     ) {
-        if !self.fastpath {
+        if !self.accel {
             return;
         }
         let vpn = va >> 12;
@@ -510,7 +509,7 @@ impl Tlb {
         vttbr_key: u64,
         va: u64,
     ) -> Option<(u64, u64, S1Perms, Option<S2Perms>)> {
-        if !self.fastpath {
+        if !self.accel {
             return None;
         }
         let key = WalkCacheKey { root, vttbr_key, vpn: va >> 12 };
@@ -547,7 +546,7 @@ impl Tlb {
         s2: Option<S2Perms>,
         frames: &[(u64, u64)],
     ) {
-        if !self.fastpath || frames.len() > WALK_FRAMES_MAX {
+        if !self.accel || frames.len() > WALK_FRAMES_MAX {
             return;
         }
         // `nframes` is a u8: a checked conversion (rather than `as u8`)
@@ -570,37 +569,10 @@ impl Tlb {
         }
     }
 
-    /// Extract a straight-line decoded run starting at `va` into `out`
-    /// (superblock execution). Returns the backing `(pa_page,
-    /// frame_version)` the caller must revalidate between instructions.
-    /// Validation is identical to `fast_probe` — armed at the current
-    /// generation, same flags, fresh content — just without serving a
-    /// single instruction, so the caller replays hits per instruction.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn superblock(
-        &mut self,
-        mem: &crate::PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-        max: usize,
-        out: &mut Vec<(u32, lz_arch::insn::Insn)>,
-    ) -> Option<(u64, u64)> {
-        if !self.fastpath {
-            return None;
-        }
-        let gen = self.gen;
-        self.icache.superblock(mem, vmid, asid, el, va, s1_enabled, wxn, gen, max, out)
-    }
-
-    /// Lend out the compiled superblock for the fetch at `va` (see
-    /// [`crate::jit`] and `ICache::jit_lend`). Validation mirrors
-    /// [`Self::superblock`]: gated on the fast path and armed at the
-    /// *current* generation, so any TLBI, insert, or promotion since
-    /// arming refuses service exactly as it would refuse the decoded run.
+    /// Lend out the compiled block for the fetch at `va` (see
+    /// [`crate::jit`] and `ICache::jit_lend`). Served only when armed at
+    /// the *current* generation, so any TLBI, insert, or promotion since
+    /// arming refuses service exactly as it would refuse a fetch-cache hit.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_lend(
@@ -613,9 +585,6 @@ impl Tlb {
         s1_enabled: bool,
         wxn: bool,
     ) -> Option<crate::icache::LentBlock> {
-        if !self.fastpath {
-            return None;
-        }
         let gen = self.gen;
         self.icache.jit_lend(mem, vmid, asid, el, va, s1_enabled, wxn, gen)
     }
@@ -626,21 +595,25 @@ impl Tlb {
         self.icache.jit_return(lent);
     }
 
-    /// Attach a freshly lowered block to its icache page entry.
-    pub(crate) fn store_jit_block(
+    /// Lower the decoded run at `va` and store it in its icache page entry
+    /// (see `ICache::compile`), validated at the current generation.
+    /// Returns the block and its backing `(pa_page, frame_version)`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn jit_compile(
         &mut self,
+        mem: &crate::PhysMem,
         vmid: u16,
         asid: u16,
         el: ExceptionLevel,
         va: u64,
-        block: crate::jit::CompiledBlock,
-    ) {
-        if !self.fastpath {
-            return;
-        }
-        if self.icache.store_jit_block(vmid, asid, el, va, block) {
-            self.fast.jit_compiled += 1;
-        }
+        s1_enabled: bool,
+        wxn: bool,
+        insn_base: u64,
+    ) -> Option<(std::sync::Arc<crate::jit::CompiledBlock>, u64, u64)> {
+        let gen = self.gen;
+        let compiled = self.icache.compile(mem, vmid, asid, el, va, s1_enabled, wxn, gen, insn_base)?;
+        self.fast.jit_compiled += 1;
+        Some(compiled)
     }
 
     /// Count one compiled-block execution (host-side observability only).
@@ -649,7 +622,7 @@ impl Tlb {
         self.fast.jit_blocks += 1;
     }
 
-    /// Replay the per-instruction bookkeeping a superblock instruction
+    /// Replay the per-instruction bookkeeping a compiled-block instruction
     /// would have generated on the step path: one free L1 TLB hit and one
     /// decoded-block cache hit.
     #[inline]
@@ -666,7 +639,7 @@ impl Tlb {
         self.icache.count_hits(n);
     }
 
-    /// Count one completed superblock (host-side observability only).
+    /// Count one completed compiled block (host-side observability only).
     #[inline]
     pub(crate) fn count_superblock_exit(&mut self) {
         self.fast.superblock_exits += 1;
@@ -693,8 +666,8 @@ impl Tlb {
     }
 
     /// Count the walks a decoded-block replay skipped host-side but
-    /// modelled (see `walk::fetch`): the counters must be identical with
-    /// the fetch cache on or off.
+    /// modelled (see `walk::fetch`): the counters must be identical on
+    /// both engines.
     pub(crate) fn count_replayed_walk(&mut self, s1: bool, s2: bool) {
         if s1 {
             self.walk.s1_walks += 1;

@@ -345,7 +345,7 @@ fn translate_after_lookup(
         }
     }
 
-    let mut rec = FrameRec::new(tlb.fastpath() && cfg.s1_enabled);
+    let mut rec = FrameRec::new(tlb.accel() && cfg.s1_enabled);
     let (ipa_page, s1_perms, mut cost) = if cfg.s1_enabled {
         tlb.walk.s1_walks += 1;
         walk_stage1(mem, model, cfg, va, access, actx, &mut rec)?
@@ -447,11 +447,12 @@ fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
 /// historical accounting) or the translation cost for a bus error on a
 /// successfully translated PC.
 ///
-/// With `use_cache = false` this is exactly [`translate`] + `read_u32` +
-/// `Insn::decode`. With `use_cache = true` the decoded-block cache may skip
-/// that host-side work, but every modelled side effect is replayed: the TLB
-/// sees the same single lookup, the same insert, and the same hit/miss
-/// statistics, and the returned `cost` is bit-identical.
+/// On the reference engine (`tlb.accel()` off) this is exactly
+/// [`translate`] + `read_u32` + `Insn::decode`. On the accelerated engine
+/// the decoded-block cache may skip that host-side work, but every
+/// modelled side effect is replayed: the TLB sees the same single lookup,
+/// the same insert, and the same hit/miss statistics, and the returned
+/// `cost` is bit-identical.
 pub fn fetch(
     mem: &PhysMem,
     tlb: &mut Tlb,
@@ -459,9 +460,8 @@ pub fn fetch(
     cfg: &WalkConfig,
     va: u64,
     actx: &AccessCtx,
-    use_cache: bool,
 ) -> Result<Fetched, (Fault, u64)> {
-    if !use_cache {
+    if !tlb.accel() {
         let t = translate(mem, tlb, model, cfg, va, Access::Fetch, actx).map_err(|f| (f, model.stage1_walk()))?;
         let word = mem.read_u32(t.pa).ok_or((fetch_bus_fault(va), t.cost))?;
         return Ok(Fetched { pa: t.pa, cost: t.cost, word, insn: Insn::decode(word) });

@@ -17,7 +17,7 @@ const SEED: u64 = 0x1297_5EED;
 
 #[test]
 fn synthesized_corpus_has_teeth_and_is_deterministic() {
-    let cfg = SynthConfig::reduced(SEED);
+    let cfg = SynthConfig::full(SEED);
     let report = run_synthesis(&cfg);
 
     // (a) + floors: `problems()` encodes the acceptance criteria —

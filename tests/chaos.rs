@@ -103,29 +103,30 @@ fn shrink_rejects_passing_plan() {
     assert!(shrink_plan(Scenario::Randomized, 9, &plan).is_none());
 }
 
-/// The interpreter fast paths must not change what a fault plan does:
-/// same seed, same plan, fast path forced on vs off ⇒ identical
-/// digest, schedule, and journal. (Chaos consultations happen only at
-/// modelled events, which the fast paths preserve exactly.)
+/// The execution engine must not change what a fault plan does: same
+/// seed, same plan, accelerated engine vs reference interpreter ⇒
+/// identical digest, schedule, and journal. (Chaos consultations happen
+/// only at modelled events, which the accelerated engine preserves
+/// exactly.)
 #[test]
 fn fastpath_on_off_agree_under_chaos() {
-    use lz_machine::{default_fastpath, set_default_fastpath};
-    let saved = default_fastpath();
+    use lz_machine::{default_accel, set_default_accel};
+    let saved = default_accel();
     let run_both = |scenario: Scenario, seed: u64| {
         let plan = FaultPlan::new(seed ^ 0xF00D).with_rate(6);
-        set_default_fastpath(true);
+        set_default_accel(true);
         let on = run_scenario(scenario, seed, Some(&plan));
-        set_default_fastpath(false);
+        set_default_accel(false);
         let off = run_scenario(scenario, seed, Some(&plan));
-        assert_eq!(on.digest, off.digest, "{}: fastpath changed the digest", scenario.name());
-        assert_eq!(on.fired, off.fired, "{}: fastpath changed the fault schedule", scenario.name());
-        assert_eq!(on.journal_json, off.journal_json, "{}: fastpath changed the journal", scenario.name());
+        assert_eq!(on.digest, off.digest, "{}: the engine changed the digest", scenario.name());
+        assert_eq!(on.fired, off.fired, "{}: the engine changed the fault schedule", scenario.name());
+        assert_eq!(on.journal_json, off.journal_json, "{}: the engine changed the journal", scenario.name());
         assert!(on.violations.is_empty() && off.violations.is_empty());
     };
     for (i, &scenario) in ALL_SCENARIOS.iter().enumerate() {
         run_both(scenario, 0xFA57 + i as u64);
     }
-    set_default_fastpath(saved);
+    set_default_accel(saved);
 }
 
 /// Single-site sweeps: each site, alone, at an aggressive rate, must be

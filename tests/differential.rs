@@ -1,30 +1,23 @@
-//! Differential testing of the decoded-block fetch cache.
+//! Differential testing of the two execution engines.
 //!
-//! Every test here builds two identical machines, enables the fetch cache
-//! on one and disables it on the other, drives both through the same
-//! program and the same host-side operations, and asserts the complete
-//! observable state is identical: exit reason, registers, PC, cycle and
-//! instruction counts, TLB statistics, and the retired-instruction trace.
-//! The cache is allowed to skip host-side work only — any divergence is
-//! a coherence or accounting bug.
+//! Every test here builds identical machines, runs one on the
+//! accelerated engine — compiled blocks over the decoded-block fetch
+//! cache, the micro-DTLB and the walk cache (DESIGN.md §7, §10, §13) —
+//! and one on the per-step reference interpreter (`LZ_ACCEL=0`), drives
+//! both through the same program and the same host-side operations, and
+//! asserts the complete observable state is identical: exit reason,
+//! registers, PC, cycle and instruction counts, TLB statistics, the
+//! retired-instruction trace and, where enabled, the metric journal. The
+//! accelerated engine is allowed to skip host-side work only — any
+//! divergence is a coherence or accounting bug.
 //!
 //! Coverage: seeded random programs (ALU, loads/stores, forward branches,
 //! trap-and-resume via `svc`, self-modifying stores into an executed-twice
 //! patch area), plus deterministic scenarios for break-before-make code
-//! remapping, physical code patching without TLBI, and TTBR/ASID domain
-//! switching over global and non-global pages.
-//!
-//! The same harness also differentials the *data-side fast path*
-//! (micro-DTLB + superblock execution + stage-1/stage-2 walk cache,
-//! DESIGN.md §10): every scenario runs fastpath-on vs fastpath-off with
-//! the fetch cache held on, asserting byte-identical cycles, exits,
-//! snapshots, and metric journals.
-//!
-//! A third sweep differentials the *template-JIT superblock engine*
-//! (DESIGN.md §13): jit-on vs jit-off (both atop the full fast path)
-//! and vs the slow path, over the random-program families, domain
-//! switching, SMP quantum interleaving, and break-before-make /
-//! cross-core code-flip penetration scenarios.
+//! remapping, physical code patching without TLBI, TTBR/ASID domain
+//! switching over global and non-global pages, SMP quantum interleaving,
+//! compiled loads/stores and branch terminals, the JIT dispatch memo's
+//! epoch sources, and quantum edges at every offset inside a block.
 
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
@@ -44,7 +37,7 @@ use lz_chaos::programs::{
 };
 
 fn assert_identical(on: Snapshot, off: Snapshot, ctx: &str) {
-    assert_eq!(on, off, "cache-on and cache-off runs diverged ({ctx})");
+    assert_eq!(on, off, "accelerated and reference runs diverged ({ctx})");
 }
 
 fn differential_run(seed: u64) {
@@ -71,16 +64,13 @@ fn random_programs_agree() {
     }
 }
 
-/// Build the fastpath-on/fastpath-off machine pair for one program:
-/// fetch cache held ON on both sides (superblocks need it; the cache
-/// itself has its own differential above), metrics journal enabled so
-/// journal equality is part of the assertion.
-fn build_fastpath_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
+/// Build the accelerated/reference machine pair for one program, with
+/// the metrics journal enabled so journal equality is part of the
+/// assertion.
+fn build_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
     let mut on = build_machine(code, patch, true);
-    on.set_fastpath(true);
     on.set_metrics(true);
-    let mut off = build_machine(code, patch, true);
-    off.set_fastpath(false);
+    let mut off = build_machine(code, patch, false);
     off.set_metrics(true);
     (on, off)
 }
@@ -89,35 +79,35 @@ fn assert_journals_identical(on: &Machine, off: &Machine, ctx: &str) {
     assert_eq!(on.journal.dump_json(), off.journal.dump_json(), "metric journals diverged ({ctx})");
 }
 
-/// Fastpath differential over the same randomized, self-modifying,
-/// trap-and-resume program generator the fetch-cache suite uses.
+/// The random-program differential with the metric journals compared
+/// too, and with the accelerated engine's layers — micro-DTLB, compiled
+/// blocks — required to have engaged.
 #[test]
 fn fastpath_random_programs_agree() {
-    let mut dtlb_hits = 0u64;
-    let mut superblock_exits = 0u64;
+    let mut total = lz_machine::metrics::FastStats::default();
     for seed in 0..16u64 {
         let (code, patch) = random_program(seed, 400, 64);
-        let (mut on, mut off) = build_fastpath_pair(&code, &patch);
+        let (mut on, mut off) = build_pair(&code, &patch);
         let (e_on, r_on) = run_to_completion(&mut on);
         let (e_off, r_off) = run_to_completion(&mut off);
-        assert_identical(
-            snapshot(&on, e_on, r_on),
-            snapshot(&off, e_off, r_off),
-            &format!("fastpath random program, seed {seed}"),
-        );
-        assert_journals_identical(&on, &off, &format!("fastpath random program, seed {seed}"));
+        let ctx = format!("random program with journals, seed {seed}");
+        assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), &ctx);
+        assert_journals_identical(&on, &off, &ctx);
         let fast = on.tlb.fast_stats();
-        dtlb_hits += fast.dtlb_hits;
-        superblock_exits += fast.superblock_exits;
-        let fast_off = off.tlb.fast_stats();
-        assert_eq!(fast_off, Default::default(), "seed {seed}: disabled fast path recorded activity");
+        total.dtlb_hits += fast.dtlb_hits;
+        total.superblock_exits += fast.superblock_exits;
+        total.jit_compiled += fast.jit_compiled;
+        total.jit_blocks += fast.jit_blocks;
+        assert_eq!(off.tlb.fast_stats(), Default::default(), "seed {seed}: the reference engine recorded activity");
     }
-    // The comparison proves nothing unless the fast path actually ran.
-    assert!(dtlb_hits > 0, "micro-DTLB never hit across any seed");
-    assert!(superblock_exits > 0, "superblock execution never engaged across any seed");
+    // The comparison proves nothing unless the accelerated layers ran.
+    assert!(total.dtlb_hits > 0, "micro-DTLB never hit across any seed");
+    assert!(total.superblock_exits > 0, "no compiled block completed across any seed");
+    assert!(total.jit_compiled > 0, "no block was ever compiled across any seed");
+    assert!(total.jit_blocks > 0, "no compiled block ever executed across any seed");
 }
 
-/// Fastpath differential over TTBR/ASID domain switching: two address
+/// Engine differential over TTBR/ASID domain switching: two address
 /// spaces, different code at the same VA, a shared global data page.
 /// The micro-DTLB's vmid/asid/el/pan tags must keep armed entries from
 /// leaking across domains.
@@ -140,10 +130,9 @@ fn fastpath_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let run = |fastpath: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(fastpath);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
@@ -174,7 +163,7 @@ fn fastpath_domain_switch_agrees() {
     };
     let (snap_on, counter_on, fast) = run(true);
     let (snap_off, counter_off, _) = run(false);
-    assert_identical(snap_on, snap_off, "fastpath domain switch");
+    assert_identical(snap_on, snap_off, "micro-DTLB domain switch");
     // 9 rounds alternating: 5 × tag 1, 4 × tag 1000.
     assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
@@ -208,7 +197,7 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
         }
         last
     };
-    let (mut on, mut off) = build_fastpath_pair(&code, &patch);
+    let (mut on, mut off) = build_pair(&code, &patch);
     let e_on = drive(&mut on);
     let e_off = drive(&mut off);
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "spurious TLBI");
@@ -216,16 +205,16 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
 }
 
 /// Single-core penetration test (mirrors the cross-core one in
-/// `tests/smp.rs`): a JIT page covered by a *hot superblock* and an
+/// `tests/smp.rs`): a JIT page covered by a *hot compiled block* and an
 /// *armed micro-DTLB entry* is remapped via break-before-make. Neither
-/// the stale decoded block nor the stale data translation may survive —
+/// the stale compiled block nor the stale data translation may survive —
 /// re-entry must execute and load the fresh frame's bytes, identically
-/// with the fast path on or off.
+/// on both engines.
 #[test]
 fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
     // The JIT stub at PATCH both executes and is read as data: it arms
-    // an instruction-side superblock and a data-side DTLB entry for the
-    // same page. x21 = PATCH (set by build_machine's caller below).
+    // an instruction-side compiled block and a data-side DTLB entry for
+    // the same page. x21 = PATCH (set by the warm-up loop below).
     let stub = |marker: u16| {
         let mut a = Asm::new(PATCH);
         a.movz(17, marker, 0);
@@ -245,7 +234,7 @@ fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
     warm.b_ne(top);
     warm.svc(0);
     let run = |m: &mut Machine| {
-        // Phase 1: heat the superblock + DTLB entry over the stub page.
+        // Phase 1: heat the compiled block + DTLB entry over the stub page.
         let (exit, _) = run_to_completion(m);
         assert_eq!(exit, Exit::El2(ExceptionClass::Svc));
         assert_eq!(m.cpu.reg(17), 0x1111);
@@ -263,18 +252,19 @@ fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
         (m.cpu.reg(17), m.cpu.reg(18))
     };
     let code = warm.bytes();
-    let (mut on, mut off) = build_fastpath_pair(&code, &stub(0x1111));
+    let (mut on, mut off) = build_pair(&code, &stub(0x1111));
     let (x17_on, x18_on) = run(&mut on);
     let (x17_off, x18_off) = run(&mut off);
     let fresh_word = first_dword(&stub(0x2222));
-    assert_eq!(x17_on, 0x2222, "stale superblock executed old code (fastpath on)");
-    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data (fastpath on)");
-    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "fastpath changed BBM outcome");
+    assert_eq!(x17_on, 0x2222, "stale compiled block executed old code");
+    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data");
+    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "the engine changed the BBM outcome");
     assert_eq!(
         (on.cpu.cycles, on.cpu.insns, on.tlb.stats()),
         (off.cpu.cycles, off.cpu.insns, off.tlb.stats()),
-        "fastpath changed BBM accounting"
+        "the engine changed BBM accounting"
     );
+    assert!(on.tlb.fast_stats().jit_blocks > 0, "warm-up never executed a compiled block");
 }
 
 #[test]
@@ -383,9 +373,9 @@ fn ttbr_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let build = |cache_on: bool| {
+    let build = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(cache_on);
+        m.set_accel(accel);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
         for (i, tag) in [1u64, 1000].iter().enumerate() {
@@ -432,12 +422,13 @@ fn ttbr_domain_switch_agrees() {
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "domain switch");
 }
 
-/// The full LightZone stack (gate, kernel, traps) under both settings:
-/// a guest syscall loop must produce identical cycle counts.
+/// The full LightZone stack (gate, kernel, traps) on both engines: a
+/// guest syscall loop must produce identical cycles, instructions, and
+/// metric journals.
 #[test]
 fn lightzone_syscall_loop_agrees() {
     use lightzone::api::{LzAsm, LzProgramBuilder, SAN_TTBR};
-    let run = |cache_on: bool| {
+    let run = |accel: bool| {
         let mut b = LzProgramBuilder::new(CODE);
         b.asm.lz_enter(true, SAN_TTBR);
         b.asm.mov_imm64(23, 200);
@@ -450,50 +441,22 @@ fn lightzone_syscall_loop_agrees() {
         b.asm.exit_imm(0);
         let prog = b.build();
         let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
-        lz.kernel.machine.set_fetch_cache(cache_on);
-        let pid = lz.spawn(&prog);
-        lz.enter_process(pid);
-        assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
-        (lz.kernel.machine.cpu.cycles, lz.kernel.machine.cpu.insns)
-    };
-    assert_eq!(run(true), run(false), "LightZone syscall loop diverged");
-}
-
-/// The full LightZone stack with the data-side fast path on vs off:
-/// identical cycles, instructions, and metric journals.
-#[test]
-fn lightzone_fastpath_on_off_agrees() {
-    use lightzone::api::{LzAsm, LzProgramBuilder, SAN_TTBR};
-    let run = |fastpath: bool| {
-        let mut b = LzProgramBuilder::new(CODE);
-        b.asm.lz_enter(true, SAN_TTBR);
-        b.asm.mov_imm64(23, 200);
-        b.asm.mov_imm64(8, lz_kernel::Sysno::Yield.nr());
-        let top = b.asm.label();
-        b.asm.bind(top);
-        b.asm.svc(0);
-        b.asm.subs_imm(23, 23, 1);
-        b.asm.b_ne(top);
-        b.asm.exit_imm(0);
-        let prog = b.build();
-        let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
-        lz.kernel.machine.set_fetch_cache(true);
-        lz.kernel.machine.set_fastpath(fastpath);
+        lz.kernel.machine.set_accel(accel);
         lz.kernel.machine.set_metrics(true);
         let pid = lz.spawn(&prog);
         lz.enter_process(pid);
         assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
         (lz.kernel.machine.cpu.cycles, lz.kernel.machine.cpu.insns, lz.kernel.machine.journal.dump_json())
     };
-    assert_eq!(run(true), run(false), "LightZone run diverged under the data-side fast path");
+    assert_eq!(run(true), run(false), "LightZone syscall loop diverged");
 }
 
 /// Regression test for the unconditional [`Machine::walk_config`] memo:
 /// every way the translation regime can change — a host-side
 /// `set_sysreg`, an interpreted EL1 `MSR TTBR0_EL1`, an `ERET`, and a
 /// `switch_core` — must invalidate the memo, so a stale configuration
-/// can never serve a translation. Runs with the fetch cache *and* the
-/// fast path off: the memo is the only cache in play.
+/// can never serve a translation. Runs on the reference interpreter: the
+/// memo is the only cache in play.
 #[test]
 fn walk_config_memo_never_stale() {
     // Read-only: EL0-*writable* pages are never privileged-executable
@@ -501,8 +464,7 @@ fn walk_config_memo_never_stale() {
     let exec_rw = S1Perms { read: true, write: false, user_exec: true, priv_exec: true, el0: true, global: false };
     let data_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
     let mut m = Machine::new(Platform::CortexA55);
-    m.set_fetch_cache(false);
-    m.set_fastpath(false);
+    m.set_accel(false);
 
     // EL0 probe at CODE: load the data page, exit. EL1 probe at
     // CODE+0x100: interpreted MSR domain switch, load, ERET to EL0.
@@ -638,70 +600,13 @@ fn lightzone_metrics_on_off_agree_and_violations_match() {
 }
 
 // ---------------------------------------------------------------------
-// Template-JIT superblock engine (DESIGN.md §13)
+// Compiled blocks (DESIGN.md §13)
 // ---------------------------------------------------------------------
 
-/// Build the jit-on/jit-off machine pair: fetch cache and data-side
-/// fast path held ON on both sides (the JIT only compiles what the
-/// superblock extractor produces, and both layers have their own
-/// differentials above), metrics journal enabled so journal equality is
-/// part of the assertion.
-fn build_jit_pair(code: &[u8], patch: &[u8]) -> (Machine, Machine) {
-    let mut on = build_machine(code, patch, true);
-    on.set_fastpath(true);
-    on.set_jit(true);
-    on.set_metrics(true);
-    let mut off = build_machine(code, patch, true);
-    off.set_fastpath(true);
-    off.set_jit(false);
-    off.set_metrics(true);
-    (on, off)
-}
-
-/// Three-way differential over the randomized, self-modifying,
-/// trap-and-resume program generator: the template JIT vs the
-/// interpreter superblock engine vs the full slow path (no fetch cache,
-/// no fast path) must produce byte-identical snapshots and journals.
-#[test]
-fn jit_random_programs_agree() {
-    let mut jit_blocks = 0u64;
-    let mut jit_compiled = 0u64;
-    for seed in 0..16u64 {
-        let (code, patch) = random_program(seed, 400, 64);
-        let (mut on, mut off) = build_jit_pair(&code, &patch);
-        let mut slow = build_machine(&code, &patch, false);
-        slow.set_fastpath(false);
-        slow.set_metrics(true);
-        let (e_on, r_on) = run_to_completion(&mut on);
-        let (e_off, r_off) = run_to_completion(&mut off);
-        let (e_slow, r_slow) = run_to_completion(&mut slow);
-        assert_identical(
-            snapshot(&on, e_on, r_on),
-            snapshot(&off, e_off, r_off),
-            &format!("jit vs interpreter superblocks, seed {seed}"),
-        );
-        assert_identical(
-            snapshot(&on, e_on, r_on),
-            snapshot(&slow, e_slow, r_slow),
-            &format!("jit vs slow path, seed {seed}"),
-        );
-        assert_journals_identical(&on, &off, &format!("jit vs interpreter superblocks, seed {seed}"));
-        assert_journals_identical(&on, &slow, &format!("jit vs slow path, seed {seed}"));
-        let fast = on.tlb.fast_stats();
-        jit_blocks += fast.jit_blocks;
-        jit_compiled += fast.jit_compiled;
-        let fast_off = off.tlb.fast_stats();
-        assert_eq!((fast_off.jit_blocks, fast_off.jit_compiled), (0, 0), "seed {seed}: disabled JIT recorded activity");
-    }
-    // The comparison proves nothing unless compiled blocks actually ran.
-    assert!(jit_compiled > 0, "the template JIT never compiled a block across any seed");
-    assert!(jit_blocks > 0, "no compiled block ever executed across any seed");
-}
-
-/// JIT differential over TTBR/ASID domain switching: compiled blocks
-/// are keyed by the same `(vmid, asid, el, page)` tags as decoded
-/// superblocks, so switching domains must never serve a block compiled
-/// for the other address space.
+/// Compiled-block differential over TTBR/ASID domain switching: compiled
+/// blocks are keyed by the same `(vmid, asid, el, page)` tags as the
+/// decoded words they were lowered from, so switching domains must never
+/// serve a block compiled for the other address space.
 #[test]
 fn jit_domain_switch_agrees() {
     let body = |tag: u64| {
@@ -717,11 +622,9 @@ fn jit_domain_switch_agrees() {
         a.bytes()
     };
     let global_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: true };
-    let run = |jit: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let shared = m.mem.alloc_frame();
         let mut roots = [0u64; 2];
@@ -751,76 +654,18 @@ fn jit_domain_switch_agrees() {
         (snapshot(&m, last, 0), counter, m.tlb.fast_stats())
     };
     let (snap_on, counter_on, fast) = run(true);
-    let (snap_off, counter_off, fast_off) = run(false);
-    assert_identical(snap_on, snap_off, "jit domain switch");
+    let (snap_off, counter_off, _) = run(false);
+    assert_identical(snap_on, snap_off, "compiled-block domain switch");
     assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
     assert!(fast.jit_blocks > 0, "domain-switch rounds never executed a compiled block");
-    assert_eq!(fast_off.jit_blocks, 0, "disabled JIT executed a compiled block");
-}
-
-/// The break-before-make scenario from
-/// [`fastpath_bbm_with_hot_superblock_and_dtlb_agrees`], with the
-/// template JIT as the swept polarity: a *compiled* block over the
-/// remapped page must die with the decoded superblock it shadows —
-/// re-entry executes the fresh frame's bytes, identically with the JIT
-/// on or off.
-#[test]
-fn jit_bbm_with_hot_compiled_block_agrees() {
-    let stub = |marker: u16| {
-        let mut a = Asm::new(PATCH);
-        a.movz(17, marker, 0);
-        a.ldr(18, 21, 0);
-        a.ret();
-        a.bytes()
-    };
-    let first_dword = |bytes: &[u8]| u64::from_le_bytes(bytes[..8].try_into().unwrap());
-    let mut warm = Asm::new(CODE);
-    warm.mov_imm64(21, PATCH);
-    warm.mov_imm64(10, PATCH);
-    warm.mov_imm64(11, 8);
-    let top = warm.label();
-    warm.bind(top);
-    warm.blr(10);
-    warm.subs_imm(11, 11, 1);
-    warm.b_ne(top);
-    warm.svc(0);
-    let run = |m: &mut Machine| {
-        let (exit, _) = run_to_completion(m);
-        assert_eq!(exit, Exit::El2(ExceptionClass::Svc));
-        assert_eq!(m.cpu.reg(17), 0x1111);
-        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
-        s1_unmap(&mut m.mem, root, PATCH);
-        m.tlb.invalidate_va(0, PATCH);
-        let fresh = m.mem.alloc_frame();
-        m.mem.write_bytes(fresh, &stub(0x2222));
-        s1_map_page(&mut m.mem, root, PATCH, fresh, user_rwx());
-        m.cpu.x[30] = 0;
-        m.enter(PState::user(), PATCH);
-        let _ = m.run(8);
-        (m.cpu.reg(17), m.cpu.reg(18))
-    };
-    let code = warm.bytes();
-    let (mut on, mut off) = build_jit_pair(&code, &stub(0x1111));
-    let (x17_on, x18_on) = run(&mut on);
-    let (x17_off, x18_off) = run(&mut off);
-    let fresh_word = first_dword(&stub(0x2222));
-    assert_eq!(x17_on, 0x2222, "stale compiled block executed old code (jit on)");
-    assert_eq!(x18_on, fresh_word, "stale micro-DTLB entry served old data (jit on)");
-    assert_eq!((x17_on, x18_on), (x17_off, x18_off), "JIT changed BBM outcome");
-    assert_eq!(
-        (on.cpu.cycles, on.cpu.insns, on.tlb.stats()),
-        (off.cpu.cycles, off.cpu.insns, off.tlb.stats()),
-        "JIT changed BBM accounting"
-    );
-    assert!(on.tlb.fast_stats().jit_blocks > 0, "warm-up never executed a compiled block");
 }
 
 /// Cross-core code-byte flip on a bare SMP machine: core 0 compiles a
 /// hot block over its code page, core 1 patches the code *frame*
 /// physically (no TLBI, no IPI — the frame-version check is the only
 /// defence), and core 0 re-enters. The stale compiled block must not
-/// serve, identically with the JIT on or off.
+/// serve, identically on both engines.
 #[test]
 fn jit_cross_core_code_flip_agrees() {
     let body = |tag: u16| {
@@ -830,11 +675,9 @@ fn jit_cross_core_code_flip_agrees() {
         a.svc(0);
         a.bytes()
     };
-    let run = |jit: bool| {
+    let run = |accel: bool| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         m.trace.set_enabled(true);
         let root = alloc_table(&mut m.mem);
         let code_pa = m.mem.alloc_frame();
@@ -860,26 +703,22 @@ fn jit_cross_core_code_flip_agrees() {
         (m.cpu.reg(17), m.cpu.cycles, m.cpu.insns, m.tlb.fast_stats().jit_blocks)
     };
     let (x17_on, cy_on, in_on, blocks_on) = run(true);
-    let (x17_off, cy_off, in_off, blocks_off) = run(false);
-    assert_eq!(x17_on, 0x2222, "stale compiled block survived a cross-core code flip (jit on)");
-    assert_eq!((x17_on, cy_on, in_on), (x17_off, cy_off, in_off), "JIT changed the cross-core flip outcome");
+    let (x17_off, cy_off, in_off, _) = run(false);
+    assert_eq!(x17_on, 0x2222, "stale compiled block survived a cross-core code flip");
+    assert_eq!((x17_on, cy_on, in_on), (x17_off, cy_off, in_off), "the engine changed the cross-core flip outcome");
     assert!(blocks_on > 0, "warm-up never executed a compiled block");
-    assert_eq!(blocks_off, 0, "disabled JIT executed a compiled block");
 }
 
 /// Two cores interleaved on a quantum *smaller* than the hot block:
 /// compiled blocks must honor the per-slice instruction budget exactly
-/// like interpreter superblocks do (the dispatcher refuses entry when
-/// the block's footprint exceeds the remaining budget and falls back to
-/// the interpreter), so per-core cycles, instruction counts, and the
-/// round-robin schedule are identical with the JIT on or off.
+/// (the dispatcher refuses entry when the block's footprint exceeds the
+/// remaining budget and single-steps), so per-core cycles, instruction
+/// counts, and the round-robin schedule are identical on both engines.
 #[test]
 fn jit_smp_interleaved_quantum_agrees() {
-    let run = |jit: bool, quantum: u64| {
+    let run = |accel: bool, quantum: u64| {
         let mut m = Machine::new(Platform::CortexA55);
-        m.set_fetch_cache(true);
-        m.set_fastpath(true);
-        m.set_jit(jit);
+        m.set_accel(accel);
         let root = alloc_table(&mut m.mem);
         let code_pa = m.mem.alloc_frame();
         let mut a = Asm::new(CODE);
@@ -915,14 +754,14 @@ fn jit_smp_interleaved_quantum_agrees() {
         (exits, per_core, jit_blocks)
     };
     // Quantum 7 ends most slices mid-block (the loop body is 6
-    // instructions plus the terminal), so the budget re-check — not the
+    // instructions plus the terminal), so the budget check — not the
     // block length — decides where execution pauses. Quantum 64 lets
     // whole blocks run; both must agree with the interpreter.
     for quantum in [7u64, 64] {
         let (exits_on, per_core_on, jit_blocks) = run(true, quantum);
         let (exits_off, per_core_off, _) = run(false, quantum);
-        assert_eq!(exits_on, exits_off, "quantum {quantum}: JIT changed the interleaved exits");
-        assert_eq!(per_core_on, per_core_off, "quantum {quantum}: JIT changed per-core accounting");
+        assert_eq!(exits_on, exits_off, "quantum {quantum}: the engine changed the interleaved exits");
+        assert_eq!(per_core_on, per_core_off, "quantum {quantum}: the engine changed per-core accounting");
         assert!(jit_blocks > 0, "quantum {quantum}: no compiled block ever executed");
     }
 }
@@ -1048,59 +887,28 @@ fn walk_config_memo_matches_live_regs_exhaustively() {
 // (DESIGN.md §13.1–§13.3)
 // ---------------------------------------------------------------------
 
-/// The three execution engines the template-JIT differentials compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Compiled blocks (`Mem` segments, branch templates, dispatch memo).
-    Jit,
-    /// Interpreter superblocks (JIT off, fast path on).
-    Superblock,
-    /// The slow path: no fetch cache, no fast path.
-    Slow,
-}
-
-const ENGINES: [Engine; 3] = [Engine::Jit, Engine::Superblock, Engine::Slow];
-
-impl Engine {
-    fn configure(self, m: &mut Machine) {
-        m.set_fetch_cache(self != Engine::Slow);
-        m.set_fastpath(self != Engine::Slow);
-        m.set_jit(self == Engine::Jit);
-        m.set_metrics(true);
-        m.trace.set_enabled(true);
-    }
-}
-
-/// Everything one engine's run exposes: the snapshot (exit, registers,
-/// PC, cycles, instructions, TLB statistics, trace), the metric journal,
-/// and whatever else the scenario reads back (`extra`).
-type EngineRun<R> = (Snapshot, String, R);
-
-/// Build and drive one machine per engine; every engine must produce the
-/// JIT's run byte for byte. Returns the JIT machine's fast-path counters
-/// after asserting that compiled blocks ran and the micro-DTLB hit, so
-/// the comparison cannot pass vacuously.
-fn three_way<R: PartialEq + std::fmt::Debug>(
+/// Build and drive one machine per engine, with the journal and the
+/// trace on; the reference interpreter must reproduce the accelerated
+/// engine's run byte for byte — snapshot, journal, and whatever else the
+/// scenario reads back. Returns the accelerated machine's fast-path
+/// counters after asserting that compiled blocks ran and the micro-DTLB
+/// hit, so the comparison cannot pass vacuously.
+fn both_engines<R: PartialEq + std::fmt::Debug>(
     ctx: &str,
     build: impl Fn() -> Machine,
     drive: impl Fn(&mut Machine) -> (Exit, R),
 ) -> lz_machine::metrics::FastStats {
-    let mut reference: Option<EngineRun<R>> = None;
-    let mut jit_fast = Default::default();
-    for engine in ENGINES {
+    let run = |accel: bool| {
         let mut m = build();
-        engine.configure(&mut m);
+        m.set_accel(accel);
+        m.set_metrics(true);
+        m.trace.set_enabled(true);
         let (exit, extra) = drive(&mut m);
-        let got = (snapshot(&m, exit, 0), m.journal.dump_json(), extra);
-        match &reference {
-            None => {
-                jit_fast = m.tlb.fast_stats();
-                reference = Some(got);
-            }
-            Some(want) => assert_eq!(&got, want, "{ctx}: {engine:?} diverged from the template JIT"),
-        }
-    }
-    let fast: lz_machine::metrics::FastStats = jit_fast;
+        ((snapshot(&m, exit, 0), m.journal.dump_json(), extra), m.tlb.fast_stats())
+    };
+    let (accel, fast) = run(true);
+    let (reference, _) = run(false);
+    assert_eq!(reference, accel, "{ctx}: the reference interpreter diverged from the accelerated engine");
     assert!(fast.jit_blocks > 0, "{ctx}: no compiled block ran");
     assert!(fast.dtlb_hits > 0, "{ctx}: the micro-DTLB never hit");
     fast
@@ -1160,7 +968,7 @@ fn jit_nvm_scan_loop_agrees() {
     }
     a.svc(0);
     let code = a.bytes();
-    let fast = three_way("nvm scan loop", || build_machine(&code, &patch_area(4), true), run_and_read_data);
+    let fast = both_engines("nvm scan loop", || build_machine(&code, &patch_area(4), true), run_and_read_data);
     assert!(fast.dtlb_hits > 1000, "the scan should be micro-DTLB dominated: {fast:?}");
 }
 
@@ -1190,13 +998,13 @@ fn jit_loads_and_stores_of_every_size_agree() {
     a.b_ne(top);
     a.svc(0);
     let code = a.bytes();
-    three_way("every size", || build_machine(&code, &patch_area(4), true), run_and_read_data);
+    both_engines("every size", || build_machine(&code, &patch_area(4), true), run_and_read_data);
 }
 
 /// A store into the running block's own code page: once the block is
 /// compiled, one round aims its store at the very next instruction, so
-/// the compiled block must end at the store exactly like the
-/// interpreter superblock does and fetch the new word.
+/// the compiled block must end at the store and fetch the new word
+/// exactly as stepping does.
 #[test]
 fn jit_store_into_own_code_page_agrees() {
     use lz_arch::insn::{Cond, MemSize};
@@ -1221,7 +1029,7 @@ fn jit_store_into_own_code_page_agrees() {
     a.b_ne(top);
     a.svc(0);
     let code = a.bytes();
-    three_way(
+    both_engines(
         "store into own code page",
         || build_machine(&code, &patch_area(4), true),
         |m| {
@@ -1259,7 +1067,7 @@ fn jit_with_watchpoints_armed_agrees() {
         m.cpu.watchpoints_enabled = true;
         m
     };
-    three_way("watchpoints armed", build, |m| {
+    both_engines("watchpoints armed", build, |m| {
         let (exit, data) = run_and_read_data(m);
         assert_eq!(exit, Exit::El2(ExceptionClass::WatchpointLower));
         assert_eq!(m.cpu.reg(0), 50 - 32, "the trap lands in round 33");
@@ -1321,7 +1129,7 @@ fn jit_pan_on_el1_access_to_user_page_agrees() {
     a.b_ne(scan);
     a.ret();
     let code = a.bytes();
-    three_way(
+    both_engines(
         "PAN-on EL1 access",
         || build_el1_machine(&code, &[7]).0,
         |m| {
@@ -1357,7 +1165,7 @@ fn jit_dtlb_miss_after_asid_switch_agrees() {
     // Frame allocation is deterministic, so every engine's machine gets
     // these same two roots.
     let roots = build_el1_machine(&code, &[1, 2]).1;
-    three_way(
+    both_engines(
         "ASID switch",
         || build_el1_machine(&code, &[1, 2]).0,
         |m| {
@@ -1411,7 +1219,7 @@ fn jit_branch_terminals_taken_and_not_taken_agree() {
     a.b_ne(top);
     a.svc(0);
     let code = a.bytes();
-    three_way(
+    both_engines(
         "branch terminals",
         || build_machine(&code, &patch_area(4), true),
         |m| {
@@ -1420,6 +1228,65 @@ fn jit_branch_terminals_taken_and_not_taken_agree() {
             (exit, data)
         },
     );
+}
+
+/// Quantum edges at every offset: a loop whose hot path holds an ALU
+/// run, `Mem` segments, an all-`Slow` block (a pair load and a trap the
+/// host resumes from), a one-instruction `Slow` block and a branch
+/// terminal, driven by `run(limit)` for every limit from 1 to 70 — past
+/// the whole program's length. A block longer than the remaining budget
+/// is never entered; the accelerated engine single-steps to the edge
+/// instead, and that fallback is the only code that places a quantum
+/// edge inside a block. Both engines are compared after every call.
+#[test]
+fn quantum_edges_inside_blocks_agree() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(0, 6, 0);
+    let top = a.label();
+    let slow = a.label();
+    a.bind(top);
+    a.add_imm(1, 1, 3); // ALU run
+    a.eor_reg(2, 1, 0);
+    a.ldr(3, 19, 0); // Mem
+    a.add_reg(4, 4, 1);
+    a.str(4, 19, 8); // Mem
+    a.bl(slow); // Slow terminal
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top); // branch terminal
+    a.svc(0);
+    a.bind(slow);
+    a.ldp(5, 6, 19, 0); // the all-Slow block: pair load, trap
+    a.svc(1);
+    a.ret(); // a one-instruction block
+    let code = a.bytes();
+    for limit in 1..=70u64 {
+        let mut ms = [true, false].map(|accel| {
+            let mut m = build_machine(&code, &patch_area(4), accel);
+            m.set_metrics(true);
+            m.trace.set_enabled(true);
+            m
+        });
+        for call in 1.. {
+            let exits = ms.each_mut().map(|m| m.run(limit));
+            let ctx = format!("limit {limit}, call {call}");
+            assert_identical(snapshot(&ms[0], exits[0], 0), snapshot(&ms[1], exits[1], 0), &ctx);
+            assert_journals_identical(&ms[0], &ms[1], &ctx);
+            match exits[0] {
+                Exit::Limit => {}
+                Exit::El2(ExceptionClass::Svc) if lz_arch::esr::esr_imm(ms[0].sysreg(SysReg::ESR_EL2)) == 1 => {
+                    for m in &mut ms {
+                        let elr = m.sysreg(SysReg::ELR_EL2);
+                        m.enter(PState::user(), elr);
+                    }
+                }
+                Exit::El2(ExceptionClass::Svc) => break,
+                other => panic!("{ctx}: unexpected exit {other:?}"),
+            }
+        }
+        assert_eq!(ms[0].cpu.reg(4), 3 + 6 + 9 + 12 + 15 + 18, "limit {limit}: the loop ran to completion");
+        assert!(ms[0].tlb.fast_stats().jit_blocks > 0, "limit {limit}: no compiled block ran");
+    }
 }
 
 // --- dispatch-memo epoch sources ---------------------------------------
@@ -1496,16 +1363,16 @@ fn run_routine(m: &mut Machine, pc: u64) {
     assert_eq!(lz_arch::esr::esr_imm(m.sysreg(SysReg::ESR_EL2)), 2);
 }
 
-/// Run one memo scenario on every engine: run both main-routine rounds to the
+/// Run one memo scenario on both engines: run both main-routine rounds to the
 /// second `svc #1`, apply the `host` mutation, then re-enter the hot loop
 /// *directly* at `HOT_TOP` (returning into the main routine, which exits), so
 /// the first dispatch after the mutation is a PC whose memo slot the
-/// second round filled. On the JIT engine compiled blocks must run in
-/// every round; `x3` is the loop's expected final sum (200 × its
+/// second round filled. On the accelerated engine compiled blocks must run
+/// in every round; `x3` is the loop's expected final sum (200 × its
 /// immediate, per round).
 fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: impl Fn(&mut Machine)) {
     let code = memo_program();
-    three_way(
+    both_engines(
         ctx,
         || build(&code),
         |m| {
@@ -1514,7 +1381,7 @@ fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: imp
                 assert_eq!(m.run(1_000_000), Exit::El2(ExceptionClass::Svc), "{ctx}: round {round}");
                 assert_eq!(lz_arch::esr::esr_imm(m.sysreg(SysReg::ESR_EL2)), 1, "{ctx}: round {round}");
                 let now = m.tlb.fast_stats().jit_blocks;
-                assert!(!m.jit() || now - blocks > 100, "{ctx}: hot loop not compiled in round {round}");
+                assert!(!m.accel() || now - blocks > 100, "{ctx}: hot loop not compiled in round {round}");
                 blocks = now;
                 if round == 0 {
                     m.enter(PState::user(), m.sysreg(SysReg::ELR_EL2));
@@ -1527,7 +1394,7 @@ fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: imp
             m.enter(PState::user(), HOT_TOP);
             let (exit, _) = run_to_completion(m);
             assert_eq!(exit, Exit::El2(ExceptionClass::Svc), "{ctx}: after the mutation");
-            assert!(!m.jit() || m.tlb.fast_stats().jit_blocks - blocks > 100, "{ctx}: hot loop not compiled after");
+            assert!(!m.accel() || m.tlb.fast_stats().jit_blocks - blocks > 100, "{ctx}: hot loop not compiled after");
             assert_eq!(m.cpu.reg(3), x3, "{ctx}: hot loop result");
             (exit, guest_bytes(m, DATA, 16))
         },
@@ -1566,7 +1433,7 @@ fn jit_memo_eviction_agrees() {
     memo_scenario("memo: eviction by the guest", 4200, build, |m| {
         let before = m.tlb.icache().eviction_count();
         run_routine(m, EVICT);
-        assert!(!m.fetch_cache() || m.tlb.icache().eviction_count() > before, "the icache never evicted");
+        assert!(!m.accel() || m.tlb.icache().eviction_count() > before, "the icache never evicted");
     });
     memo_scenario("memo: eviction by icache fills", 4200, plain_build, |m| {
         let before = m.tlb.icache().eviction_count();
@@ -1655,33 +1522,27 @@ fn jit_memo_physical_code_patch_agrees() {
 // Guest-reachable edge cases: misaligned PCs and the top of the VA space
 // ---------------------------------------------------------------------
 
-/// Run `drive` on a fresh `build()` machine under every combination of
-/// the fetch cache, the data-side fast path and the template JIT. Every
-/// combination must return the same value and leave the same snapshot.
-fn all_switches_agree<R: PartialEq + std::fmt::Debug>(
+/// Run `drive` on a fresh `build()` machine on each engine. Both must
+/// return the same value and leave the same snapshot.
+fn engines_agree<R: PartialEq + std::fmt::Debug>(
     ctx: &str,
     build: impl Fn() -> Machine,
     drive: impl Fn(&mut Machine) -> (Exit, R),
 ) -> (Exit, R) {
-    let mut reference: Option<(Snapshot, (Exit, R))> = None;
-    for bits in 0..8u8 {
+    let run = |accel: bool| {
         let mut m = build();
-        m.set_fetch_cache(bits & 1 != 0);
-        m.set_fastpath(bits & 2 != 0);
-        m.set_jit(bits & 4 != 0);
+        m.set_accel(accel);
         let (exit, extra) = drive(&mut m);
-        let got = (snapshot(&m, exit, 0), (exit, extra));
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "{ctx}: switches {bits:03b} diverged from all-off"),
-        }
-    }
-    reference.map(|(_, r)| r).expect("eight runs")
+        (snapshot(&m, exit, 0), (exit, extra))
+    };
+    let accel = run(true);
+    assert_eq!(run(false), accel, "{ctx}: the reference interpreter diverged from the accelerated engine");
+    accel.1
 }
 
-/// A hot ALU + load loop, so the fetch cache, superblocks, the micro-DTLB
-/// and compiled blocks are all warm (slot 0 of the code page included)
-/// before the edge case runs.
+/// A hot ALU + load loop, so the fetch cache, the micro-DTLB and compiled
+/// blocks are all warm (slot 0 of the code page included) before the edge
+/// case runs.
 fn emit_warm_loop(a: &mut Asm) {
     a.mov_imm64(19, DATA);
     a.movz(0, 40, 0);
@@ -1696,8 +1557,8 @@ fn emit_warm_loop(a: &mut Asm) {
 /// `br`/`blr`/`ret` to a PC two bytes into a word — mid-page, where the
 /// icache's `va >> 2` slot index would alias the aligned word, and two
 /// bytes before a page end, where an uncached fetch would straddle two
-/// frames — must raise a PC alignment fault (FAR = ELR = the PC) with
-/// every engine switch on or off, never panic or run on.
+/// frames — must raise a PC alignment fault (FAR = ELR = the PC) on
+/// both engines, never panic or run on.
 #[test]
 fn misaligned_pc_faults_identically_on_every_engine() {
     for target in [CODE + 2, CODE + 0x1000 - 2] {
@@ -1713,7 +1574,7 @@ fn misaligned_pc_faults_identically_on_every_engine() {
             a.svc(0);
             let code = a.bytes();
             let ctx = format!("{jump} to {target:#x}");
-            let (exit, regs) = all_switches_agree(
+            let (exit, regs) = engines_agree(
                 &ctx,
                 || build_machine(&code, &patch_area(4), true),
                 |m| {
@@ -1738,7 +1599,7 @@ fn misaligned_eret_target_faults_identically_on_every_engine() {
     a.msr(SysReg::SPSR_EL1, 1);
     a.eret();
     let code = a.bytes();
-    let (exit, regs) = all_switches_agree(
+    let (exit, regs) = engines_agree(
         "eret",
         || build_el1_machine(&code, &[0]).0,
         |m| {
@@ -1786,7 +1647,7 @@ fn top_of_va_space_accesses_do_not_overflow() {
             m
         };
         let ctx = format!("{size:?} {} at {va:#x}, watched: {watched}", if write { "store" } else { "load" });
-        let (exit, far) = all_switches_agree(&ctx, build, |m| (m.run(100_000), m.sysreg(SysReg::FAR_EL2)));
+        let (exit, far) = engines_agree(&ctx, build, |m| (m.run(100_000), m.sysreg(SysReg::FAR_EL2)));
         assert_eq!(exit, Exit::El2(ExceptionClass::DataAbortLower), "{ctx}");
         assert_eq!(far, va, "{ctx}: FAR");
     }

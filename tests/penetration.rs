@@ -19,6 +19,7 @@ use lz_chaos::attacks::{
 use lz_kernel::VmProt;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 #[test]
 fn pan_direct_access_random_domains_killed() {
@@ -291,34 +292,35 @@ fn rollover_smp_local_only_invalidate_leaks_on_remote_core() {
     assert_eq!(out.attacker_exit, attacks::ROLLOVER_SECRET as i64, "remote stale entry must leak");
 }
 
+/// Serialises the tests that flip the process-wide engine default.
+static ENGINE_DEFAULT: Mutex<()> = Mutex::new(());
+
+/// Run `attack` on each engine — accelerated, then the reference
+/// interpreter — by flipping the process-wide default that the attack
+/// harness builds its machines with.
+fn on_both_engines<R>(attack: impl Fn() -> R) -> [R; 2] {
+    let _guard = ENGINE_DEFAULT.lock().unwrap_or_else(PoisonError::into_inner);
+    let saved = lz_machine::default_accel();
+    let out = [true, false].map(|accel| {
+        lz_machine::set_default_accel(accel);
+        attack()
+    });
+    lz_machine::set_default_accel(saved);
+    out
+}
+
 #[test]
 fn rollover_outcomes_are_fastpath_and_jit_invariant() {
-    // The fast path and template JIT may only reproduce the slow path's
-    // TLB semantics — defended runs kill identically and the ablated
-    // runs leak identically across every (fastpath, jit) polarity.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    let defended: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { fastpath, jit, ..AblationConfig::default() };
-            attacks::rollover_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for d in &defended[1..] {
-        assert_eq!(d, &defended[0], "fastpath/jit changed the defended rollover outcome");
-    }
-    assert!(defended[0].attacker_exit < 0);
-    let broken: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { skip_rollover_shootdown: true, fastpath, jit, ..AblationConfig::default() };
-            attacks::rollover_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for b in &broken[1..] {
-        assert_eq!(b, &broken[0], "fastpath/jit changed the broken kernel's leak");
-    }
-    assert_eq!(broken[0].attacker_exit, attacks::ROLLOVER_SECRET as i64);
+    // The accelerated engine may only reproduce the reference
+    // interpreter's TLB semantics — defended runs kill identically and
+    // the ablated runs leak identically on both engines.
+    let [on, off] = on_both_engines(|| attacks::rollover_attack(Platform::CortexA55, AblationConfig::default(), 1));
+    assert_eq!(on, off, "the engine changed the defended rollover outcome");
+    assert!(on.attacker_exit < 0);
+    let ablation = AblationConfig { skip_rollover_shootdown: true, ..AblationConfig::default() };
+    let [on, off] = on_both_engines(|| attacks::rollover_attack(Platform::CortexA55, ablation, 1));
+    assert_eq!(on, off, "the engine changed the broken kernel's leak");
+    assert_eq!(on.attacker_exit, attacks::ROLLOVER_SECRET as i64);
 }
 
 // ---------------------------------------------------------------------
@@ -383,32 +385,16 @@ fn restore_smp_local_only_invalidate_leaks_on_remote_core() {
 
 #[test]
 fn restore_outcomes_are_fastpath_and_jit_invariant() {
-    // Fast path and template JIT may only reproduce the slow path's
-    // restart semantics: defended restores kill identically and ablated
-    // restores leak identically across every (fastpath, jit) polarity.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    let defended: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { fastpath, jit, ..AblationConfig::default() };
-            attacks::restore_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for d in &defended[1..] {
-        assert_eq!(d, &defended[0], "fastpath/jit changed the defended restore outcome");
-    }
-    assert!(defended[0].probe_exit < 0);
-    let broken: Vec<_> = combos
-        .iter()
-        .map(|&(fastpath, jit)| {
-            let ablation = AblationConfig { skip_rollover_shootdown: true, fastpath, jit, ..AblationConfig::default() };
-            attacks::restore_attack(Platform::CortexA55, ablation, 1)
-        })
-        .collect();
-    for b in &broken[1..] {
-        assert_eq!(b, &broken[0], "fastpath/jit changed the broken kernel's leak");
-    }
-    assert_eq!(broken[0].probe_exit, attacks::ROLLOVER_SECRET as i64);
+    // The accelerated engine may only reproduce the reference
+    // interpreter's restart semantics: defended restores kill
+    // identically and ablated restores leak identically on both engines.
+    let [on, off] = on_both_engines(|| attacks::restore_attack(Platform::CortexA55, AblationConfig::default(), 1));
+    assert_eq!(on, off, "the engine changed the defended restore outcome");
+    assert!(on.probe_exit < 0);
+    let ablation = AblationConfig { skip_rollover_shootdown: true, ..AblationConfig::default() };
+    let [on, off] = on_both_engines(|| attacks::restore_attack(Platform::CortexA55, ablation, 1));
+    assert_eq!(on, off, "the engine changed the broken kernel's leak");
+    assert_eq!(on.probe_exit, attacks::ROLLOVER_SECRET as i64);
 }
 
 #[test]

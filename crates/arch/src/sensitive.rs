@@ -176,17 +176,40 @@ pub fn classify(word: u32, mode: SanitizeMode) -> InsnClass {
     }
 }
 
+/// Could [`classify`] reject `word` in some [`SanitizeMode`]? Only ERET,
+/// the unprivileged load/store class (bits\[29:24\] = `0b111000`) and the
+/// system-instruction space (bits\[31:22\] = `0b1101010100`) can be
+/// sensitive; every other word classifies as [`InsnClass::Allowed`] in
+/// all three modes, so a scan skips it without classifying.
+///
+/// ```
+/// use lz_arch::sensitive::may_be_sensitive;
+///
+/// assert!(may_be_sensitive(0xD69F03E0)); // eret
+/// assert!(!may_be_sensitive(0xD65F03C0)); // ret
+/// ```
+#[inline]
+pub fn may_be_sensitive(word: u32) -> bool {
+    word == 0xD69F_03E0 || extract(word, 29, 24) == 0b111000 || extract(word, 31, 22) == 0b11_0101_0100
+}
+
 /// Scan a page-worth of code and return the first offending word, if any.
 ///
 /// Returns `Err((byte_offset, class))` for the first word that is not
 /// [`InsnClass::Allowed`]. Gate-only instructions are offending here: this
 /// function is used on *application* pages; the gate pages are emitted and
-/// mapped by the trusted kernel module, never scanned.
+/// mapped by the trusted kernel module, never scanned. A trailing partial
+/// word is zero-padded.
 pub fn scan_code(bytes: &[u8], mode: SanitizeMode) -> Result<(), (usize, InsnClass)> {
-    for (i, chunk) in bytes.chunks(4).enumerate() {
-        let mut w = [0u8; 4];
-        w[..chunk.len()].copy_from_slice(chunk);
-        let word = u32::from_le_bytes(w);
+    let words = bytes.chunks_exact(4);
+    let mut tail = [0u8; 4];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let tail = (!words.remainder().is_empty()).then_some(tail);
+    let words = words.map(|w| [w[0], w[1], w[2], w[3]]).chain(tail).map(u32::from_le_bytes);
+    for (i, word) in words.enumerate() {
+        if !may_be_sensitive(word) {
+            continue;
+        }
         match classify(word, mode) {
             InsnClass::Allowed => {}
             class => return Err((i * 4, class)),

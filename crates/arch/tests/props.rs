@@ -2,7 +2,7 @@
 //! sensitive-instruction classifier.
 
 use lz_arch::insn::{Cond, Insn, LogicOp, MemSize};
-use lz_arch::sensitive::{classify, InsnClass, SanitizeMode};
+use lz_arch::sensitive::{classify, may_be_sensitive, scan_code, InsnClass, SanitizeMode, Sensitivity};
 use lz_arch::sysreg::{SysReg, SysRegEnc};
 use proptest::prelude::*;
 
@@ -116,6 +116,77 @@ fn any_insn() -> impl Strategy<Value = Insn> {
     ]
 }
 
+const MODES: [SanitizeMode; 3] = [SanitizeMode::Ttbr, SanitizeMode::Pan, SanitizeMode::Both];
+
+fn any_mode() -> impl Strategy<Value = SanitizeMode> {
+    proptest::sample::select(MODES.to_vec())
+}
+
+/// One Table 3 word per [`Sensitivity`] variant, plus a gate-only read.
+/// `msr ttbr0_el1` is [`InsnClass::GateOnly`] under TTBR sanitization and
+/// `TranslationTableBase` under PAN; `ldtr` is allowed under TTBR only.
+const TABLE3: [(u32, Sensitivity); 8] = [
+    (0xD69F_03E0, Sensitivity::ExceptionReturn),        // eret
+    (0x3840_0820, Sensitivity::UnprivilegedLoadStore),  // ldtrb w0, [x1]
+    (0xD500_40BF, Sensitivity::PstateImm),              // msr spsel, #0
+    (0xD50B_7E20, Sensitivity::CacheMaintenance),       // dc civac, x0
+    (0xD518_4020, Sensitivity::ExceptionStateRegister), // msr elr_el1, x0
+    (0xD518_C000, Sensitivity::PrivilegedSysreg),       // msr vbar_el1, x0
+    (0xD518_2000, Sensitivity::TranslationTableBase),   // msr ttbr0_el1, x0
+    (0xD538_2003, Sensitivity::TranslationTableBase),   // mrs x3, ttbr0_el1
+];
+
+/// Words from the three spaces the sanitizer prefilter keeps — the system
+/// instruction space (bits[31:22] = 0b1101010100), the unprivileged
+/// load/store class (bits[29:24] = 0b111000, optionally with the fixed
+/// `LDTR`/`STTR` bits) and Table 3 itself — two times in three with one
+/// bit flipped, so words just outside the kept spaces are drawn too. Random
+/// words alone land in the system space once in 1,024.
+fn any_scanned_word() -> impl Strategy<Value = u32> {
+    let kept = prop_oneof![
+        any::<u32>().prop_map(|w| (w & 0x003F_FFFF) | 0xD500_0000),
+        any::<u32>().prop_map(|w| (w & !0x3F00_0000) | 0x3800_0000),
+        any::<u32>().prop_map(|w| (w & !0x3F20_0C00) | 0x3800_0800),
+        proptest::sample::select(TABLE3.map(|(w, _)| w).to_vec()),
+    ];
+    prop_oneof![any::<u32>(), (kept, 0u32..48).prop_map(|(w, bit)| if bit < 32 { w ^ (1 << bit) } else { w })]
+}
+
+/// Filler for a scanned page: mostly clean code, sometimes a random word
+/// (which may itself be sensitive).
+fn filler_word() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0xD503_201Fu32), Just(0xD65F_03C0u32), any::<u32>(), any::<u32>()]
+}
+
+/// The scan's reference: classify every (zero-padded) word in order.
+fn first_offender(bytes: &[u8], mode: SanitizeMode) -> Result<(), (usize, InsnClass)> {
+    for (i, chunk) in bytes.chunks(4).enumerate() {
+        let mut w = [0u8; 4];
+        w[..chunk.len()].copy_from_slice(chunk);
+        match classify(u32::from_le_bytes(w), mode) {
+            InsnClass::Allowed => {}
+            class => return Err((i * 4, class)),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The scan's prefilter never skips a word `classify` could reject:
+    /// in every mode, a word it skips classifies as Allowed.
+    #[test]
+    fn prefilter_skips_only_allowed_words(word in any_scanned_word()) {
+        for mode in MODES {
+            prop_assert!(
+                may_be_sensitive(word) || classify(word, mode) == InsnClass::Allowed,
+                "{word:#010x} skipped but not Allowed under {mode:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     /// Every constructible instruction survives an encode/decode roundtrip.
     #[test]
@@ -141,17 +212,35 @@ proptest! {
         }
     }
 
-    /// A forbidden word stays forbidden if it appears at any alignment in a
-    /// scanned page (scan looks at every aligned word).
+    /// A Table 3 word planted at any word offset of a page-sized scan is
+    /// found unless an earlier word is: the scan reports exactly the offset
+    /// and class a per-word `classify` loop does, in every mode, with or
+    /// without a trailing partial word.
     #[test]
-    fn scan_finds_planted_eret(prefix_words in 0usize..64) {
-        let mut bytes = vec![];
-        for _ in 0..prefix_words {
-            bytes.extend_from_slice(&0xD503_201Fu32.to_le_bytes()); // nop
+    fn scan_finds_planted_eret(
+        prefix in proptest::collection::vec(filler_word(), 0..1024),
+        planted in 0usize..TABLE3.len(),
+        suffix in proptest::collection::vec(filler_word(), 0..16),
+        tail in proptest::collection::vec(any::<u8>(), 0..4),
+        mode in any_mode(),
+    ) {
+        let (word, sensitivity) = TABLE3[planted];
+        let mut bytes: Vec<u8> = prefix.iter().flat_map(|w| w.to_le_bytes()).collect();
+        bytes.extend_from_slice(&word.to_le_bytes());
+        bytes.extend(suffix.iter().flat_map(|w| w.to_le_bytes()));
+        bytes.extend_from_slice(&tail);
+        let found = scan_code(&bytes, mode);
+        prop_assert_eq!(found, first_offender(&bytes, mode));
+        let expected = match (sensitivity, mode) {
+            (Sensitivity::UnprivilegedLoadStore, SanitizeMode::Ttbr) => InsnClass::Allowed,
+            (Sensitivity::TranslationTableBase, SanitizeMode::Ttbr) => InsnClass::GateOnly,
+            _ => InsnClass::Forbidden(sensitivity),
+        };
+        prop_assert_eq!(classify(word, mode), expected);
+        if expected != InsnClass::Allowed {
+            let (offset, _) = found.unwrap_err();
+            prop_assert!(offset <= prefix.len() * 4, "planted word at {} missed", prefix.len() * 4);
         }
-        bytes.extend_from_slice(&0xD69F_03E0u32.to_le_bytes()); // eret
-        let err = lz_arch::sensitive::scan_code(&bytes, SanitizeMode::Ttbr).unwrap_err();
-        prop_assert_eq!(err.0, prefix_words * 4);
     }
 
     /// System-register field packing roundtrips for arbitrary encodings.

@@ -24,7 +24,7 @@ use lz_arch::{page_align_down, Platform, PAGE_SIZE};
 use lz_kernel::syscall::{custom, CUSTOM_BASE};
 use lz_kernel::{Event, Kernel, KernelMode, Pid, SysOutcome};
 use lz_machine::pte::{S1Perms, S2Perms};
-use lz_machine::walk::{alloc_table, free_s2_tree, s2_map_block, s2_map_page, s2_unmap};
+use lz_machine::walk::{alloc_table, free_table_tree, s2_map_block, s2_map_page, s2_unmap};
 use lz_machine::{EventKind, Exit, Machine, Report, Section};
 use std::collections::{BTreeMap, HashMap};
 
@@ -775,7 +775,7 @@ impl LzModule {
             }
             k.machine.mem.try_free_frame(real);
         }
-        free_s2_tree(&mut k.machine.mem, s2_root);
+        free_table_tree(&mut k.machine.mem, s2_root, 1);
         k.vmids.free(vmid);
     }
 

@@ -9,7 +9,7 @@
 use crate::fakephys::FakePhys;
 use lz_arch::PAGE_SIZE;
 use lz_machine::pte::{self, S1Perms, S2Perms};
-use lz_machine::walk::s2_map_page;
+use lz_machine::walk::{s2_map_page, table_slots};
 use lz_machine::{LzFault, PhysMem};
 
 /// One stage-1 tree of a LightZone process (one isolation domain view).
@@ -217,15 +217,16 @@ impl LzTable {
     /// the process's own fake-address space are visited).
     pub fn free_tree(self, mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64) {
         fn walk(mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64, table_real: u64, level: u8) {
-            if level < 3 {
-                for idx in 0..512u64 {
-                    // An unbacked table frame reads as "no descriptor":
-                    // skip the subtree instead of panicking.
-                    let desc = mem.read_u64(table_real + idx * 8).unwrap_or(0);
-                    if pte::is_valid(desc) && pte::is_table(desc, level) {
-                        if let Some(next_real) = fake.real_of(pte::desc_oa(desc)) {
-                            walk(mem, fake, s2_root, next_real, level + 1);
-                        }
+            // One frame lookup finds the table descriptors; each is
+            // re-read just before descending, because a child walk may
+            // have freed this frame or cleared the slot (`table_slots`).
+            // An unbacked table frame reads as "no descriptor": skip the
+            // subtree instead of panicking.
+            for idx in table_slots(mem, table_real, level) {
+                let desc = mem.read_u64(table_real + idx * 8).unwrap_or(0);
+                if pte::is_valid(desc) && pte::is_table(desc, level) {
+                    if let Some(next_real) = fake.real_of(pte::desc_oa(desc)) {
+                        walk(mem, fake, s2_root, next_real, level + 1);
                     }
                 }
             }

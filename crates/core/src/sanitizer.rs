@@ -88,7 +88,8 @@ impl WxTracker {
     }
 }
 
-/// Scan one physical page for sensitive instructions.
+/// Scan the physical page at `pa` (page-aligned) for sensitive
+/// instructions, in place.
 ///
 /// Returns the cycle cost of the scan on success, or the byte offset and
 /// class of the first offending word.
@@ -98,13 +99,14 @@ pub fn sanitize_page(
     mode: SanitizeMode,
     model: &CycleModel,
 ) -> Result<u64, (usize, InsnClass)> {
+    debug_assert_eq!(pa & (PAGE_SIZE - 1), 0, "sanitize_page scans whole pages");
     // Fail closed: a page that cannot be read cannot be proven clean,
     // so it is rejected outright (it will never become executable)
     // rather than panicking the host on a guest-reachable path.
-    let Some(bytes) = mem.read_bytes(pa, PAGE_SIZE as usize) else {
+    let Some(frame) = mem.frame(pa) else {
         return Err((0, InsnClass::Forbidden(Sensitivity::PrivilegedSysreg)));
     };
-    scan_code(&bytes, mode)?;
+    scan_code(frame, mode)?;
     Ok(scan_cost(model))
 }
 
@@ -174,6 +176,18 @@ mod tests {
         let model = Platform::CortexA55.model();
         let err = sanitize_page(&mem, pa, SanitizeMode::Both, &model).unwrap_err();
         assert_eq!(err.0, 4);
+    }
+
+    #[test]
+    fn sanitize_scans_to_the_last_word_and_fails_closed_when_unbacked() {
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        assert!(mem.write(pa + PAGE_SIZE - 4, 0xD69F_03E0, 4)); // eret
+        let model = Platform::CortexA55.model();
+        let err = sanitize_page(&mem, pa, SanitizeMode::Ttbr, &model).unwrap_err();
+        assert_eq!(err.0, PAGE_SIZE as usize - 4);
+        mem.free_frame(pa);
+        assert!(sanitize_page(&mem, pa, SanitizeMode::Ttbr, &model).is_err(), "an unbacked page is never clean");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use crate::hist::{LatSummary, Log2Hist};
 use crate::load::Lcg;
+use crate::sim::read_guest_u64;
 use crate::supervisor::{FaultKind, FaultReport, Supervisor, SupervisorConfig, TenantState, Verdict};
 use lightzone::api::{LzAsm, LzProgram, LzProgramBuilder, RW, SAN_TTBR};
 use lightzone::gate::layout;
@@ -278,14 +279,6 @@ fn server_prog(domains: usize, seq_seed: u64, stuck_after: Option<u64>) -> LzPro
         b.register_gate_entry(g, entry);
     }
     b.build()
-}
-
-/// Read one u64 from a live guest's memory; 0 if never populated.
-fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
-    let Some(pa) = lz.kernel.process(pid).mm.page_at(va & !(PAGE_SIZE - 1)) else {
-        return 0;
-    };
-    lz.kernel.machine.mem.read_u64(pa + (va & (PAGE_SIZE - 1))).unwrap_or(0)
 }
 
 /// Everything the soak tracks per tenant slot, outside the supervisor.

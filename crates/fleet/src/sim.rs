@@ -278,9 +278,9 @@ fn churn_prog() -> LzProgram {
     b.build()
 }
 
-/// Read one u64 from an (exited but unreaped) guest's memory; 0 if the
-/// address was never populated.
-fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
+/// Read one u64 from a guest's memory (live, or exited but unreaped);
+/// 0 if the address was never populated.
+pub(crate) fn read_guest_u64(lz: &LightZone, pid: Pid, va: u64) -> u64 {
     let Some(pa) = lz.kernel.process(pid).mm.page_at(va & !(PAGE_SIZE - 1)) else {
         return 0;
     };

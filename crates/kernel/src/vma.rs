@@ -286,7 +286,7 @@ impl Mm {
         self.vmas.clear();
         self.unmapped_hint.clear();
         self.huge_ranges.clear();
-        lz_machine::walk::free_s1_tree(mem, self.root);
+        lz_machine::walk::free_table_tree(mem, self.root, 0);
     }
 }
 

@@ -269,7 +269,11 @@ impl PhysMem {
         self.frames.len()
     }
 
-    fn frame(&self, pa: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
+    /// Read-only view of the whole frame containing `pa`, or `None` on a
+    /// bus error. Page-sized host scans (page-table teardown, the code
+    /// sanitizer) use it to look the frame up once instead of once per
+    /// word.
+    pub fn frame(&self, pa: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
         let key = pa >> PAGE_SHIFT;
         if let Some(overlay) = &self.overlay {
             if let Some(frame) = overlay.get(&key) {

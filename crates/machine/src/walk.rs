@@ -921,43 +921,48 @@ pub fn s2_unmap(mem: &mut PhysMem, root: u64, ipa: u64) -> Option<u64> {
     None
 }
 
-/// Free every *table* frame of a stage-1 tree (root plus intermediate
-/// levels). Leaf data frames are owned by whoever mapped them and are
-/// not touched. Teardown is tolerant like `LzTable::free_tree`: a
-/// corrupted descriptor costs at worst a leaked frame, never a panic —
-/// process reaping must survive trees a dying guest damaged.
-pub fn free_s1_tree(mem: &mut PhysMem, root: u64) {
-    fn walk(mem: &mut PhysMem, table: u64, level: u8) {
-        if level < 3 {
-            for idx in 0..512u64 {
-                let desc = mem.read_u64(table + idx * 8).unwrap_or(0);
-                if pte::is_valid(desc) && pte::is_table(desc, level) {
-                    walk(mem, pte::desc_oa(desc), level + 1);
-                }
-            }
-        }
-        mem.try_free_frame(table);
+/// The slots of the valid table descriptors in the level-`level` table
+/// frame at `table`, in ascending order, found with one frame lookup.
+/// A level-3 table holds no table descriptors, and an unbacked frame
+/// reads as none.
+///
+/// Teardown walkers descend through these slots, re-reading each
+/// descriptor just before descending. Teardown never writes a valid
+/// descriptor, so between the scan and the re-read a slot can only lose
+/// its table descriptor, never gain one — on a corrupted, cyclic tree a
+/// child walk may free this very frame — and the walk frees the same
+/// frames in the same order as a per-descriptor walk.
+pub fn table_slots(mem: &PhysMem, table: u64, level: u8) -> Vec<u64> {
+    if level >= 3 {
+        return Vec::new();
     }
-    walk(mem, root, 0);
+    let Some(frame) = mem.frame(table) else { return Vec::new() };
+    let descs = frame.chunks_exact(8).map(|d| u64::from_le_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]]));
+    (0..)
+        .zip(descs)
+        .filter(|&(_, desc)| pte::is_valid(desc) && pte::is_table(desc, level))
+        .map(|(idx, _)| idx)
+        .collect()
 }
 
-/// Free every *table* frame of a stage-2 tree (root at level 1). Leaf
-/// target frames (guest data, stage-1 tables) are owned elsewhere and
-/// are not touched. Same tolerant teardown contract as
-/// [`free_s1_tree`].
-pub fn free_s2_tree(mem: &mut PhysMem, root: u64) {
+/// Free every *table* frame of the tree whose root table, at
+/// `root_level`, is `root`: a stage-1 tree starts at level 0, a stage-2
+/// tree at level 1. Leaf frames (guest data, stage-1 tables mapped at
+/// stage 2) are owned by whoever mapped them and are not touched.
+/// Teardown is tolerant like `LzTable::free_tree`: a corrupted
+/// descriptor costs at worst a leaked frame, never a panic — process
+/// reaping must survive trees a dying guest damaged.
+pub fn free_table_tree(mem: &mut PhysMem, root: u64, root_level: u8) {
     fn walk(mem: &mut PhysMem, table: u64, level: u8) {
-        if level < 3 {
-            for idx in 0..512u64 {
-                let desc = mem.read_u64(table + idx * 8).unwrap_or(0);
-                if pte::is_valid(desc) && pte::is_table(desc, level) {
-                    walk(mem, pte::desc_oa(desc), level + 1);
-                }
+        for idx in table_slots(mem, table, level) {
+            let desc = mem.read_u64(table + idx * 8).unwrap_or(0);
+            if pte::is_valid(desc) && pte::is_table(desc, level) {
+                walk(mem, pte::desc_oa(desc), level + 1);
             }
         }
         mem.try_free_frame(table);
     }
-    walk(mem, root, 1);
+    walk(mem, root, root_level);
 }
 
 /// Read back the stage-2 leaf mapping for `ipa`.

@@ -381,6 +381,9 @@ ratchet crates/core/src/module.rs 7
 ratchet crates/core/src/gate.rs 0
 ratchet crates/core/src/pgt.rs 0
 ratchet crates/core/src/fakephys.rs 0
+ratchet crates/core/src/sanitizer.rs 0
+ratchet crates/arch/src/sensitive.rs 0
+ratchet crates/kernel/src/vma.rs 0
 ratchet crates/kernel/src/kernel.rs 21
 # attacks.rs: 4 = restore_attack's setup steps (the victim and restored
 # VEs are live, the donor snapshots, the snapshot restores). They are

@@ -28,11 +28,12 @@ use lz_kernel::syscall::futex;
 use lz_kernel::{Kernel, Program, SmpConfig, Sysno, VmProt};
 use proptest::prelude::*;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::time::{Duration, Instant};
 
-/// The host's thread count is process-wide, and libtest runs tests on
-/// parallel threads. Every test here that runs epochs holds this lock
+/// The host's helper threads are process-wide, and libtest runs tests
+/// on parallel threads. Every test here that runs epochs holds this lock
 /// shared; the thread census holds it exclusively, so no other test
-/// starts or joins threads while it counts.
+/// starts or joins helpers while it counts.
 static HOST_THREADS: RwLock<()> = RwLock::new(());
 
 fn shared_host() -> RwLockReadGuard<'static, ()> {
@@ -223,12 +224,31 @@ fn tiny_quanta_stress_parallel_matches_replay() {
     }
 }
 
-/// The `Threads:` line of `/proc/self/status`.
+/// Live epoch-helper threads, counted by name (`lz-epoch-helper`) so
+/// that the threads libtest starts for other tests, which can begin at
+/// any moment and then wait on `HOST_THREADS`, do not count.
 #[cfg(target_os = "linux")]
-fn host_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("status has a Threads line");
-    line.trim().parse().expect("Threads is a count")
+fn helper_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs is mounted")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "lz-epoch-helper")
+        .count()
+}
+
+/// [`helper_threads`] once it reaches `n`, or after two seconds: a new
+/// thread carries its creator's name until it first runs, and the
+/// caller may have run every shell before the helper ever did.
+#[cfg(target_os = "linux")]
+fn helper_threads_reaching(n: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let live = helper_threads();
+        if live >= n || Instant::now() >= deadline {
+            return live;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Helpers never outlive their machine: 64 two-core machines that ran
@@ -238,13 +258,13 @@ fn host_threads() -> usize {
 #[test]
 fn epoch_helpers_never_outlive_their_machine() {
     let _alone = HOST_THREADS.write().unwrap_or_else(PoisonError::into_inner);
-    let start = host_threads();
+    let start = helper_threads();
     let progs = vec![compute_prog(300), compute_prog(300)];
     for seed in 0..64 {
         let image = run_image(&progs, 2, 32, seed, true, true);
         assert!(image.epochs > 0 && !image.stalled);
     }
-    assert_eq!(host_threads(), start, "a dropped machine left helper threads behind");
+    assert_eq!(helper_threads(), start, "a dropped machine left helper threads behind");
 
     let mut k = Kernel::new_host(Platform::CortexA55);
     k.machine.set_parallel(true);
@@ -252,9 +272,9 @@ fn epoch_helpers_never_outlive_their_machine() {
         k.spawn(p);
     }
     assert!(!k.run_smp(SmpConfig { cores: 2, quantum: 32, seed: 7 }, 1_000_000).stalled);
-    assert_eq!(host_threads(), start + 1, "two-shell epochs run with one helper");
+    assert_eq!(helper_threads_reaching(start + 1), start + 1, "two-shell epochs run with one helper");
     k.machine.configure_smp(2);
-    assert_eq!(host_threads(), start, "configure_smp left the old helpers running");
+    assert_eq!(helper_threads(), start, "configure_smp left the old helpers running");
 }
 
 proptest! {

@@ -4,4 +4,3 @@
 pub mod paper;
 pub mod report;
 pub mod table;
-pub mod throughput;

@@ -13,17 +13,11 @@
 //! folded into the same problem list.
 
 use crate::programs::{run_scenario, Scenario, ScenarioRun, ALL_SCENARIOS};
+use lz_machine::fields;
+use lz_machine::json::{Json, Object};
+use lz_machine::rng::splitmix64;
 use lz_machine::FaultPlan;
 use std::collections::BTreeSet;
-
-/// splitmix64 — local copy for deriving per-round seeds (the engine's
-/// own mixer is private to `lz_machine::chaos`).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// One scenario, one seed, one plan: everything the report aggregates.
 #[derive(Debug, Clone)]
@@ -88,18 +82,10 @@ impl SoakReport {
     /// Single-line JSON for the CI determinism leg (two invocations
     /// with the same arguments must emit identical bytes).
     pub fn to_json(&self, base_seed: u64, rate: u64) -> String {
-        format!(
-            r#"{{"benchmark":"chaos_soak","seed":{},"rate":{},"runs":{},"kills":{},"faults_injected":{},"faults_contained":{},"ve_kills":{},"journal_dropped":{},"invariant_violations":{}}}"#,
-            base_seed,
-            rate,
-            self.runs,
-            self.kills,
-            self.faults_injected,
-            self.faults_contained,
-            self.ve_kills,
-            self.journal_dropped,
-            self.problems.len(),
-        )
+        let obj = Object::new().field("benchmark", "chaos_soak").field("seed", &base_seed).field("rate", &rate);
+        fields!(obj, self; runs, kills, faults_injected, faults_contained, ve_kills, journal_dropped)
+            .field("invariant_violations", &self.problems.len())
+            .to_json()
     }
 }
 
@@ -113,8 +99,8 @@ pub fn run_soak(base_seed: u64, rate: u64, target_faults: u64, max_rounds: u64) 
             break;
         }
         for (i, &scenario) in ALL_SCENARIOS.iter().enumerate() {
-            let seed = mix(base_seed ^ mix(round << 8 | i as u64));
-            let plan = FaultPlan::new(mix(seed)).with_rate(rate);
+            let seed = splitmix64(base_seed ^ splitmix64(round << 8 | i as u64));
+            let plan = FaultPlan::new(splitmix64(seed)).with_rate(rate);
             let v = verify_plan(scenario, seed, &plan);
             report.runs += 1;
             report.kills += v.run.killed as u64;
@@ -262,8 +248,8 @@ mod tests {
 
     #[test]
     fn seed_mixing_separates_rounds() {
-        let a = mix(1 ^ mix(0));
-        let b = mix(1 ^ mix(1));
+        let a = splitmix64(1 ^ splitmix64(0));
+        let b = splitmix64(1 ^ splitmix64(1));
         assert_ne!(a, b);
     }
 

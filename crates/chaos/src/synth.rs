@@ -50,6 +50,9 @@ use lz_arch::pstate::PState;
 use lz_arch::sysreg::{ttbr, SysReg};
 use lz_arch::{Platform, PAGE_SIZE};
 use lz_kernel::{Event, VmProt};
+use lz_machine::fields;
+use lz_machine::json::{Json, Object};
+use lz_machine::rng::splitmix64;
 use std::collections::BTreeSet;
 
 /// Scratch page for decoy steps (legal attacker-owned memory).
@@ -65,14 +68,6 @@ pub const ESCAPE_FLOOR: usize = 2;
 /// The defenses whose ablation actually weakens the isolation boundary
 /// (the others are cost-model knobs — see the module docs).
 pub const SECURITY_DEFENSES: [Defense; 3] = [Defense::RemoteShootdown, Defense::GateCheckPhase, Defense::RandomizePhys];
-
-/// splitmix64 (local copy; the engine's mixer is private).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 // ---------------------------------------------------------------------
 // Attack families and steps
@@ -174,7 +169,7 @@ impl Candidate {
     }
 
     fn secret(&self, domain: u64) -> u64 {
-        0x5EC0_0000 | (mix(self.secret_seed ^ domain) & 0xFFFF)
+        0x5EC0_0000 | (splitmix64(self.secret_seed ^ domain) & 0xFFFF)
     }
 
     fn all_steps(&self) -> BTreeSet<usize> {
@@ -218,8 +213,8 @@ impl SynthConfig {
 /// Generate the deterministic candidate corpus for `cfg`.
 pub fn generate(cfg: &SynthConfig) -> Vec<Candidate> {
     let mut out = Vec::new();
-    let d = |i: u64, m: u64| mix(cfg.seed ^ (i << 12)) % m;
-    let v = |i: u64| 0x4000 | (mix(cfg.seed ^ (i << 20)) & 0xFFF) as u16;
+    let d = |i: u64, m: u64| splitmix64(cfg.seed ^ (i << 12)) % m;
+    let v = |i: u64| 0x4000 | (splitmix64(cfg.seed ^ (i << 20)) & 0xFFF) as u16;
     let mut push = |family: Family,
                     index: usize,
                     steps: Vec<Step>,
@@ -233,7 +228,7 @@ pub fn generate(cfg: &SynthConfig) -> Vec<Candidate> {
             escape_exits,
             victim_domain,
             payload_imm,
-            secret_seed: mix(cfg.seed ^ ((family as u64) << 32) ^ index as u64),
+            secret_seed: splitmix64(cfg.seed ^ ((family as u64) << 32) ^ index as u64),
         });
     };
 
@@ -241,8 +236,8 @@ pub fn generate(cfg: &SynthConfig) -> Vec<Candidate> {
     let pd0 = d(0, cfg.pan_domains);
     let pd1 = d(1, cfg.pan_domains);
     let td2 = d(2, cfg.ttbr_domains);
-    let sec = |seed: u64, dom: u64| (0x5EC0_0000 | (mix(seed ^ dom) & 0xFFFF)) as i64;
-    let da_seed = |i: usize| mix(cfg.seed ^ ((Family::DirectAccess as u64) << 32) ^ i as u64);
+    let sec = |seed: u64, dom: u64| (0x5EC0_0000 | (splitmix64(seed ^ dom) & 0xFFFF)) as i64;
+    let da_seed = |i: usize| splitmix64(cfg.seed ^ ((Family::DirectAccess as u64) << 32) ^ i as u64);
     push(
         Family::DirectAccess,
         0,
@@ -271,7 +266,7 @@ pub fn generate(cfg: &SynthConfig) -> Vec<Candidate> {
     // gate_abuse: forged calls and mid-gate jumps. Gate g is wired to
     // pgt g+1 by the shared ttbr base, so the victim domain is the gate
     // index itself.
-    let ga_seed = |i: usize| mix(cfg.seed ^ ((Family::GateAbuse as u64) << 32) ^ i as u64);
+    let ga_seed = |i: usize| splitmix64(cfg.seed ^ ((Family::GateAbuse as u64) << 32) ^ i as u64);
     let g0 = d(10, cfg.ttbr_domains) as u16;
     let g1 = d(11, cfg.ttbr_domains) as u16;
     let g2 = d(12, cfg.ttbr_domains) as u16;
@@ -328,7 +323,7 @@ pub fn generate(cfg: &SynthConfig) -> Vec<Candidate> {
             vec![Step::WxExecClean, Step::StaleFlip],
             vec![],
             0,
-            0xBE00 | (mix(cfg.seed ^ i as u64) & 0xFF) as u16,
+            0xBE00 | (splitmix64(cfg.seed ^ i as u64) & 0xFF) as u16,
         );
     }
 
@@ -753,42 +748,30 @@ impl AttackCorpusReport {
     pub fn ok(&self) -> bool {
         self.problems().is_empty()
     }
+}
 
-    /// Single-line JSON, byte-deterministic for a given config (fixed
-    /// family and defense ordering, sorted attack ids — no hash-map
-    /// iteration anywhere).
-    pub fn to_json(&self) -> String {
-        let families: Vec<String> =
-            self.families.iter().map(|(name, n)| format!(r#"{{"name":"{name}","candidates":{n}}}"#)).collect();
-        let col_json = |col: &AblationOutcome| {
-            let attacks: Vec<String> = col.distinct_attacks.iter().map(|a| format!("\"{a}\"")).collect();
-            let shrunk: Vec<String> = col
-                .shrunk
-                .iter()
-                .map(|s| {
-                    format!(r#"{{"attack":"{}","steps":{},"shrunk_steps":{}}}"#, s.attack, s.steps, s.shrunk_steps)
-                })
-                .collect();
-            format!(
-                r#"{{"defense":"{}","runs":{},"escapes":{},"distinct_attacks":[{}],"shrunk":[{}]}}"#,
-                col.defense,
-                col.runs,
-                col.escapes,
-                attacks.join(","),
-                shrunk.join(",")
-            )
-        };
-        let ablations: Vec<String> = self.ablations.iter().map(col_json).collect();
-        format!(
-            r#"{{"benchmark":"attack_corpus","seed":{},"candidates":{},"runs":{},"families":[{}],"defenses_on":{},"ablations":[{}],"problems":{}}}"#,
-            self.seed,
-            self.candidates,
-            self.runs,
-            families.join(","),
-            col_json(&self.defenses_on),
-            ablations.join(","),
-            self.problems().len(),
-        )
+/// Single-line JSON, byte-deterministic for a given config (fixed family
+/// and defense ordering, sorted attack ids — no hash-map iteration
+/// anywhere).
+impl Json for AttackCorpusReport {
+    fn write_json(&self, out: &mut String) {
+        let families: Vec<Object> =
+            self.families.iter().map(|(name, n)| Object::new().field("name", name).field("candidates", n)).collect();
+        let obj = fields!(Object::new().field("benchmark", "attack_corpus"), self; seed, candidates, runs)
+            .field("families", &families);
+        fields!(obj, self; defenses_on, ablations).field("problems", &self.problems().len()).write_json(out)
+    }
+}
+
+impl Json for AblationOutcome {
+    fn write_json(&self, out: &mut String) {
+        fields!(Object::new(), self; defense, runs, escapes, distinct_attacks, shrunk).write_json(out)
+    }
+}
+
+impl Json for ShrunkAttack {
+    fn write_json(&self, out: &mut String) {
+        fields!(Object::new(), self; attack, steps, shrunk_steps).write_json(out)
     }
 }
 

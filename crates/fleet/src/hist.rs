@@ -8,6 +8,9 @@
 //! quantile error at ~12.5% while keeping the whole table at 256
 //! counters regardless of sample range.
 
+use lz_machine::fields;
+use lz_machine::json::{Json, Object};
+
 /// Number of buckets: values 0..4 exact, then 4 sub-buckets per octave
 /// up to 2^63.
 const BUCKETS: usize = 256;
@@ -140,14 +143,11 @@ impl LatSummary {
     pub fn of(h: &Log2Hist) -> Self {
         LatSummary { p50: h.p50(), p99: h.p99(), p999: h.p999(), max: h.max(), mean: h.mean(), samples: h.samples() }
     }
+}
 
-    /// Hand-rolled JSON object (the repo emits all BENCH files without a
-    /// serde dependency).
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"p50\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}, \"mean\": {}, \"samples\": {}}}",
-            self.p50, self.p99, self.p999, self.max, self.mean, self.samples
-        )
+impl Json for LatSummary {
+    fn write_json(&self, out: &mut String) {
+        fields!(Object::new(), self; p50, p99, p999, max, mean, samples).write_json(out)
     }
 }
 
@@ -225,9 +225,9 @@ mod tests {
         for v in [10u64, 20, 30, 1000] {
             h.record(v);
         }
-        let a = LatSummary::of(&h).json();
-        let b = LatSummary::of(&h).json();
+        let a = LatSummary::of(&h).to_json();
+        let b = LatSummary::of(&h).to_json();
         assert_eq!(a, b);
-        assert!(a.starts_with("{\"p50\":"));
+        assert!(a.starts_with(r#"{"p50":"#));
     }
 }

@@ -28,7 +28,7 @@ impl Lcg {
 
     /// Next 32 uniform bits.
     pub fn next_u32(&mut self) -> u32 {
-        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        self.state = lz_machine::rng::lcg(self.state);
         (self.state >> 32) as u32
     }
 

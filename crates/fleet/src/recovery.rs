@@ -39,6 +39,8 @@ use lightzone::{LightZone, SECURITY_KILL};
 use lz_arch::{Platform, PAGE_SIZE};
 use lz_kernel::kvm::VmidAllocator;
 use lz_kernel::{Pid, Sysno, VmProt};
+use lz_machine::fields;
+use lz_machine::json::{Json, Object};
 use lz_machine::{EventKind, Exit, FaultPlan, FaultSite};
 use std::collections::VecDeque;
 
@@ -158,48 +160,15 @@ pub struct RecoveryRun {
     pub recovery_epochs: LatSummary,
 }
 
-impl RecoveryRun {
-    /// One JSON object, keys in a fixed order (byte-deterministic).
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"cores\": {}, \"tenants\": {}, \"seed\": {}, ",
-                "\"epochs\": {}, \"requests\": {}, \"spawns\": {}, ",
-                "\"faults_injected\": {}, \"faults_contained\": {}, ",
-                "\"ve_crashes\": {}, \"watchdog_kills\": {}, ",
-                "\"missed_epochs\": {}, \"snapshot_corruptions\": {}, ",
-                "\"warm_restarts\": {}, \"cold_restarts\": {}, ",
-                "\"denials\": {}, \"storm_compressions\": {}, ",
-                "\"strikes\": {}, \"quarantines\": {}, ",
-                "\"snapshots_taken\": {}, \"vmid_recycles\": {}, ",
-                "\"rollover_shootdowns\": {}, \"priority_events\": {}, ",
-                "\"invariant_violations\": {}, \"recovery_epochs\": {}}}"
-            ),
-            self.cores,
-            self.tenants,
-            self.seed,
-            self.epochs,
-            self.requests,
-            self.spawns,
-            self.faults_injected,
-            self.faults_contained,
-            self.ve_crashes,
-            self.watchdog_kills,
-            self.missed_epochs,
-            self.snapshot_corruptions,
-            self.warm_restarts,
-            self.cold_restarts,
-            self.denials,
-            self.storm_compressions,
-            self.strikes,
-            self.quarantines,
-            self.snapshots_taken,
-            self.vmid_recycles,
-            self.rollover_shootdowns,
-            self.priority_events,
-            self.invariant_violations,
-            self.recovery_epochs.json(),
-        )
+/// One JSON object, keys in field order (byte-deterministic).
+impl Json for RecoveryRun {
+    fn write_json(&self, out: &mut String) {
+        fields!(Object::new(), self;
+            cores, tenants, seed, epochs, requests, spawns, faults_injected, faults_contained, ve_crashes,
+            watchdog_kills, missed_epochs, snapshot_corruptions, warm_restarts, cold_restarts, denials,
+            storm_compressions, strikes, quarantines, snapshots_taken, vmid_recycles, rollover_shootdowns,
+            priority_events, invariant_violations, recovery_epochs)
+        .write_json(out)
     }
 }
 
@@ -642,7 +611,7 @@ mod tests {
         let a = run_recovery(&cfg);
         let b = run_recovery(&cfg);
         assert_eq!(a, b);
-        assert_eq!(a.json(), b.json());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -672,6 +641,6 @@ mod tests {
         let b = run_recovery(&cfg);
         lz_machine::set_default_parallel(prior);
         assert_eq!(a, b, "parallel and replay soaks diverged");
-        assert_eq!(a.json(), b.json());
+        assert_eq!(a.to_json(), b.to_json());
     }
 }

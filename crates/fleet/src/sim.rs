@@ -38,6 +38,8 @@ use lightzone::LightZone;
 use lz_arch::{Platform, PAGE_SIZE};
 use lz_kernel::kvm::VmidAllocator;
 use lz_kernel::{Event, Pid, Sysno, VmProt};
+use lz_machine::fields;
+use lz_machine::json::{Json, Object};
 use lz_workloads::FleetShape;
 
 const CODE: u64 = 0x40_0000;
@@ -136,34 +138,14 @@ pub struct FleetRun {
     pub domains_live_final: u64,
 }
 
-impl FleetRun {
-    /// One JSON object, keys in a fixed order (byte-deterministic).
-    pub fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"cores\": {}, \"tenants\": {}, \"requests\": {}, ",
-                "\"domains_live_peak\": {}, \"arrival_gap_mean\": {}, ",
-                "\"switch_cycles\": {}, \"service_cycles\": {}, ",
-                "\"request_latency\": {}, \"vmid_recycles\": {}, ",
-                "\"vmid_rollovers\": {}, \"asid_recycles\": {}, ",
-                "\"rollover_shootdowns\": {}, \"ve_reaps\": {}, ",
-                "\"domains_live_final\": {}}}"
-            ),
-            self.cores,
-            self.tenants,
-            self.requests,
-            self.domains_live_peak,
-            self.arrival_gap_mean,
-            self.switch_cycles.json(),
-            self.service_cycles.json(),
-            self.request_latency.json(),
-            self.vmid_recycles,
-            self.vmid_rollovers,
-            self.asid_recycles,
-            self.rollover_shootdowns,
-            self.ve_reaps,
-            self.domains_live_final,
-        )
+/// One JSON object, keys in field order (byte-deterministic).
+impl Json for FleetRun {
+    fn write_json(&self, out: &mut String) {
+        fields!(Object::new(), self;
+            cores, tenants, requests, domains_live_peak, arrival_gap_mean, switch_cycles, service_cycles,
+            request_latency, vmid_recycles, vmid_rollovers, asid_recycles, rollover_shootdowns, ve_reaps,
+            domains_live_final)
+        .write_json(out)
     }
 }
 
@@ -460,7 +442,7 @@ mod tests {
         let a = run_fleet(&cfg);
         let b = run_fleet(&cfg);
         assert_eq!(a, b);
-        assert_eq!(a.json(), b.json());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -508,7 +490,7 @@ mod tests {
         let b = run_fleet(&cfg);
         lz_machine::set_default_parallel(prior);
         assert_eq!(a, b, "parallel and replay wave drains diverged");
-        assert_eq!(a.json(), b.json());
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl Kernel {
             // rotated origin (seedable schedule). Injected preemption
             // draws from the global chaos engine here, barrier-side, so
             // the schedule itself is fixed before the epoch runs.
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg = lz_machine::rng::lcg(lcg);
             let start = ((lcg >> 33) as usize) % n;
             for k in 0..n {
                 let c = (start + k) % n;

@@ -152,7 +152,7 @@ proptest! {
             a.ldr(5, 9, (i + 1) * 8);
             a.add_reg(4, 4, 5);
         }
-        a.cmp_imm(4, (nthreads as u16 - 1));
+        a.cmp_imm(4, nthreads as u16 - 1);
         a.b_ne(wait);
         a.mov_reg(0, 4);
         a.mov_imm64(8, Sysno::Exit.nr());

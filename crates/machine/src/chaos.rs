@@ -26,6 +26,7 @@
 //! handling is written to that rule; `lz-chaos`'s invariant checker
 //! verifies it after every injected fault rather than trusting it.
 
+use crate::rng::{lcg, splitmix64};
 use std::collections::BTreeSet;
 
 /// Typed fault for guest-reachable host paths.
@@ -188,18 +189,6 @@ impl FaultSite {
     }
 }
 
-fn lcg(x: u64) -> u64 {
-    x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)
-}
-
-/// splitmix64 finalizer — stream separation for per-site seeds.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A deterministic fault schedule: seed, site filter, firing rate, and
 /// an optional replay allowlist.
 #[derive(Debug, Clone)]
@@ -304,7 +293,7 @@ impl ChaosState {
             self.enabled[s.index()] = true;
         }
         for (i, s) in self.streams.iter_mut().enumerate() {
-            *s = mix(plan.seed ^ mix(i as u64 + 1));
+            *s = splitmix64(plan.seed ^ splitmix64(i as u64 + 1));
         }
         self.seq = 0;
         self.faults_injected = 0;
@@ -345,7 +334,7 @@ impl ChaosState {
         if let Some(plan) = &self.plan {
             fork.enabled = self.enabled;
             for (i, s) in fork.streams.iter_mut().enumerate() {
-                *s = mix(plan.seed ^ mix(((core as u64) << 32) | (i as u64 + 1)));
+                *s = splitmix64(plan.seed ^ splitmix64(((core as u64) << 32) | (i as u64 + 1)));
             }
             fork.seq = (core as u64) << 56;
             fork.plan = Some(plan.clone());

@@ -30,9 +30,11 @@ pub mod fxhash;
 mod helpers;
 pub mod icache;
 pub mod jit;
+pub mod json;
 pub mod mem;
 pub mod metrics;
 pub mod pte;
+pub mod rng;
 pub mod smp;
 pub mod tlb;
 pub mod trace;

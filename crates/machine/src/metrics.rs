@@ -25,6 +25,7 @@
 //! suites are byte-identical with metrics enabled or disabled; the
 //! toggle only controls host-side journal recording.
 
+use crate::json::{Json, Object};
 use crate::walk::{Fault, FaultKind, Stage};
 use lz_arch::esr::ExceptionClass;
 use std::collections::{BTreeMap, VecDeque};
@@ -233,36 +234,6 @@ impl EventKind {
             EventKind::Fault { .. } => "Fault",
         }
     }
-
-    fn json_fields(&self, out: &mut String) {
-        use std::fmt::Write;
-        match self {
-            EventKind::DomainSwitch { asid, root } => {
-                let _ = write!(out, ",\"asid\":{asid},\"root\":{root}");
-            }
-            EventKind::Stage2Fault { fake_page } => {
-                let _ = write!(out, ",\"fake_page\":{fake_page}");
-            }
-            EventKind::SanitizerReject { page } | EventKind::BbmUnmap { page } => {
-                let _ = write!(out, ",\"page\":{page}");
-            }
-            EventKind::Violation { reason } => {
-                let _ = write!(out, ",\"reason\":\"{}\"", escape_json(reason));
-            }
-            EventKind::Ipi { from, to } => {
-                let _ = write!(out, ",\"from\":{from},\"to\":{to}");
-            }
-            EventKind::Shootdown { vmid, page, targets } => {
-                let _ = write!(out, ",\"vmid\":{vmid},\"page\":{page},\"targets\":{targets}");
-            }
-            EventKind::Trap { class } => {
-                let _ = write!(out, ",\"class\":\"{class:?}\"");
-            }
-            EventKind::Fault { site, seq } => {
-                let _ = write!(out, ",\"site\":\"{}\",\"seq\":{seq}", escape_json(site));
-            }
-        }
-    }
 }
 
 /// One journal entry: an event plus the cycle counter when it happened.
@@ -270,6 +241,26 @@ impl EventKind {
 pub struct Event {
     pub cycles: u64,
     pub kind: EventKind,
+}
+
+/// `{"cycles":…,"event":"<tag>",…}`, the payload fields after the tag.
+impl Json for Event {
+    fn write_json(&self, out: &mut String) {
+        let obj = Object::new().field("cycles", &self.cycles).field("event", self.kind.tag());
+        let obj = match self.kind {
+            EventKind::DomainSwitch { asid, root } => obj.field("asid", &asid).field("root", &root),
+            EventKind::Stage2Fault { fake_page } => obj.field("fake_page", &fake_page),
+            EventKind::SanitizerReject { page } | EventKind::BbmUnmap { page } => obj.field("page", &page),
+            EventKind::Violation { reason } => obj.field("reason", reason),
+            EventKind::Ipi { from, to } => obj.field("from", &from).field("to", &to),
+            EventKind::Shootdown { vmid, page, targets } => {
+                obj.field("vmid", &vmid).field("page", &page).field("targets", &targets)
+            }
+            EventKind::Trap { class } => obj.field("class", &format!("{class:?}")),
+            EventKind::Fault { site, seq } => obj.field("site", site).field("seq", &seq),
+        };
+        obj.write_json(out)
+    }
 }
 
 /// A bounded ring of typed events (compare `trace::Trace`, which records
@@ -405,20 +396,9 @@ impl Journal {
         out
     }
 
-    /// JSON array of `{"cycles":…,"event":"…",…}` objects, oldest first.
+    /// JSON array of the events ([`Event`]'s form), oldest first.
     pub fn dump_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"cycles\":{},\"event\":\"{}\"", e.cycles, e.kind.tag());
-            e.kind.json_fields(&mut out);
-            out.push('}');
-        }
-        out.push(']');
-        out
+        self.events.iter().collect::<Vec<_>>().to_json()
     }
 }
 
@@ -474,27 +454,6 @@ impl Report {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    /// `{"tlb":{"hits":…},…}` — sections as objects keyed by name.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{");
-        for (i, s) in self.sections.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{{", escape_json(s.name));
-            for (j, (k, v)) in s.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", escape_json(k), v);
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
-    }
-
     /// Aligned human-readable dump.
     pub fn to_text(&self) -> String {
         use std::fmt::Write;
@@ -509,19 +468,18 @@ impl Report {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `{"tlb":{"hits":…},…}` — sections as objects keyed by name.
+impl Json for Report {
+    fn write_json(&self, out: &mut String) {
+        self.sections.iter().fold(Object::new(), |obj, s| obj.field(s.name, s)).write_json(out)
     }
-    out
+}
+
+/// A section's counters as one object, in insertion order.
+impl Json for Section {
+    fn write_json(&self, out: &mut String) {
+        self.counters.iter().fold(Object::new(), |obj, (k, v)| obj.field(k, v)).write_json(out)
+    }
 }
 
 #[cfg(test)]
@@ -598,17 +556,36 @@ mod tests {
         assert_eq!(j.len(), 1);
     }
 
+    /// One event of every kind, against the exact bytes the journal's
+    /// JSON form has always had (escaped reason included).
     #[test]
-    fn journal_json_is_parseable_shape() {
-        let mut j = Journal::new(8);
+    fn journal_json_is_byte_stable() {
+        let mut j = Journal::new(16);
         j.set_enabled(true);
-        j.record(7, EventKind::DomainSwitch { asid: 3, root: 0x1000 });
-        j.record(9, EventKind::Violation { reason: "PAN \"violation\"" });
-        let json = j.dump_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"event\":\"DomainSwitch\""));
-        assert!(json.contains("\"asid\":3"));
-        assert!(json.contains("\\\"violation\\\""), "quotes escaped: {json}");
+        j.record(1, EventKind::DomainSwitch { asid: 3, root: 0x4000 });
+        j.record(2, EventKind::Stage2Fault { fake_page: 0x8000_0000 });
+        j.record(3, EventKind::SanitizerReject { page: 0x40_1000 });
+        j.record(4, EventKind::BbmUnmap { page: 0x61_0000 });
+        j.record(5, EventKind::Violation { reason: "gate \"check\" failed\\\tat\n" });
+        j.record(6, EventKind::Trap { class: ExceptionClass::Svc });
+        j.record(7, EventKind::Ipi { from: 0, to: 3 });
+        j.record(8, EventKind::Shootdown { vmid: 7, page: 0x50_0000, targets: 2 });
+        j.record(u64::MAX, EventKind::Fault { site: "ve_crash", seq: 42 });
+        assert_eq!(
+            j.dump_json(),
+            concat!(
+                r#"[{"cycles":1,"event":"DomainSwitch","asid":3,"root":16384},"#,
+                r#"{"cycles":2,"event":"Stage2Fault","fake_page":2147483648},"#,
+                r#"{"cycles":3,"event":"SanitizerReject","page":4198400},"#,
+                r#"{"cycles":4,"event":"BbmUnmap","page":6356992},"#,
+                r#"{"cycles":5,"event":"Violation","reason":"gate \"check\" failed\\\tat\n"},"#,
+                r#"{"cycles":6,"event":"Trap","class":"Svc"},"#,
+                r#"{"cycles":7,"event":"Ipi","from":0,"to":3},"#,
+                r#"{"cycles":8,"event":"Shootdown","vmid":7,"page":5242880,"targets":2},"#,
+                r#"{"cycles":18446744073709551615,"event":"Fault","site":"ve_crash","seq":42}]"#,
+            )
+        );
+        assert_eq!(Journal::new(4).dump_json(), "[]");
     }
 
     #[test]
@@ -617,7 +594,7 @@ mod tests {
         r.push(Section::new("tlb").with("hits", 3).with("misses", 1));
         r.push(Section::new("gate").with("switches", 2));
         assert_eq!(r.section("tlb").unwrap().get("misses"), Some(1));
-        assert_eq!(r.to_json(), "{\"tlb\":{\"hits\":3,\"misses\":1},\"gate\":{\"switches\":2}}");
+        assert_eq!(r.to_json(), r#"{"tlb":{"hits":3,"misses":1},"gate":{"switches":2}}"#);
         assert!(r.to_text().contains("gate:"));
     }
 

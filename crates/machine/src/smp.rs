@@ -558,7 +558,7 @@ impl Machine {
         let mut lcg = seed;
         let mut executed = 0u64;
         while exits.iter().any(|e| e.is_none()) && executed < limit {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg = crate::rng::lcg(lcg);
             let start = ((lcg >> 33) as usize) % n;
             let mut budgets = vec![0u64; n];
             let mut remaining = limit - executed;

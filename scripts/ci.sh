@@ -9,9 +9,10 @@
 # domain — the differential suite, a `repro all` smoke pass, a
 # `repro stats` JSON validation, the SMP scaling leg (schema check +
 # byte-for-byte determinism re-run, emitted as BENCH_smp_scaling.json),
-# the simulator-throughput benchmark as BENCH_sim_throughput.json
-# (unified schema check + a MIPS floor so accelerated-engine
-# regressions fail loudly), the chaos soak (BENCH_chaos_soak.json: >=10k
+# the host-speed gate (one seed-1 benchmark/ run of alu_jit and nvm_scan:
+# golden modelled outputs plus a scaled-MIPS floor per workload, so
+# engine regressions fail loudly) and the benchmark crate's own tests,
+# the chaos soak (BENCH_chaos_soak.json: >=10k
 # injected faults, zero invariant or containment violations,
 # byte-reproducible, and byte-identical under LZ_ACCEL=0), the
 # attack-synthesis corpus gate (BENCH_attack_corpus.json: >=5 families,
@@ -119,6 +120,7 @@ python3 -c '
 import json
 report = json.load(open("BENCH_smp_scaling.json"))
 assert report["benchmark"] == "smp_scaling"
+assert isinstance(report["seed"], int)
 cores = [r["cores"] for r in report["runs"]]
 assert cores == [1, 2, 4, 8], f"unexpected core sweep: {cores}"
 for r in report["runs"]:
@@ -157,27 +159,28 @@ print(f"smp scaling JSON ok: {cores} cores, {speedup:.2f}x modelled at 4 cores, 
 '
 cat BENCH_smp_scaling.json
 
-echo "== sim_throughput -> BENCH_sim_throughput.json (schema + MIPS floor) =="
-./target/release/sim_throughput > BENCH_sim_throughput.json
-python3 -c '
-import json
-report = json.load(open("BENCH_sim_throughput.json"))
-# Unified bench schema: every BENCH_*.json names its benchmark and seed.
-for key in ("benchmark", "seed"):
-    for path in ("BENCH_sim_throughput.json", "BENCH_smp_scaling.json"):
-        assert key in json.load(open(path)), f"{path} missing {key!r}"
-assert report["benchmark"] == "sim_throughput"
-assert report["cycles_match"] is True, "acceleration layer changed modelled cycles"
-assert report["cycles_cache_on"] == report["cycles_cache_off"]
-assert report["cycles_mem_on"] == report["cycles_mem_off"]
-# Throughput floor: compiled blocks must keep the ALU hot loop above
-# 120 MIPS on this class of host (measured ~268); a regression below
-# it fails CI.
-mips = report["mips_cache_on"]
-assert mips >= 120.0, f"accelerated throughput regressed: {mips} MIPS < 120"
-print(f"sim_throughput JSON ok: {mips:.2f} MIPS on, floor 120")
+echo "== host speed: benchmark/ alu_jit + nvm_scan at seed 1 (golden outputs + MIPS floors) =="
+# Three rounds of each workload, about 10 s. Any failed output check
+# (seed 1 includes every modelled output against benchmark/golden.json)
+# makes the run exit 1 and report "correct": false. The floors are about
+# half the median scaled sim_mips of five runs on a 2-vCPU x86-64 KVM
+# guest (alu_jit 322, nvm_scan 85 MIPS).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload alu_jit --workload nvm_scan --seed 1 > /tmp/host_speed.out
+tail -n 1 /tmp/host_speed.out | python3 -c '
+import json, sys
+report = json.load(sys.stdin)
+failed = report["failed"]
+assert report["correct"] is True, "benchmark output checks failed (golden modelled outputs)"
+assert failed == 0, f"{failed} failed ops"
+for workload, floor in (("alu_jit", 150), ("nvm_scan", 42)):
+    mips = report["metrics"][f"{workload}.sim_mips"]["value"]
+    assert mips >= floor, f"{workload}: host speed regressed: {mips:.1f} MIPS < {floor}"
+    print(f"  {workload}: {mips:.1f} MIPS, floor {floor}")
 '
-cat BENCH_sim_throughput.json
+
+echo "== benchmark crate tests (fidelity + held-out seed) =="
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repro chaos -> BENCH_chaos_soak.json (soak + determinism + reference engine) =="
 ./target/release/repro chaos --json > BENCH_chaos_soak.json
@@ -376,8 +379,9 @@ ratchet crates/machine/src/tlb.rs 1
 # guarded by the run-queue invariants.
 ratchet crates/machine/src/smp.rs 5
 ratchet crates/machine/src/helpers.rs 0
+ratchet crates/machine/src/json.rs 0
 ratchet crates/kernel/src/sched.rs 2
-ratchet crates/core/src/module.rs 7
+ratchet crates/core/src/module.rs 6
 ratchet crates/core/src/gate.rs 0
 ratchet crates/core/src/pgt.rs 0
 ratchet crates/core/src/fakephys.rs 0

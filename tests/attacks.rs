@@ -11,6 +11,7 @@
 
 use lightzone::{AblationConfig, LightZone};
 use lz_chaos::synth::{run_synthesis, SynthConfig, ESCAPE_FLOOR, SECURITY_DEFENSES};
+use lz_machine::json::Json;
 use lz_machine::metrics::Journal;
 
 const SEED: u64 = 0x1297_5EED;

@@ -267,9 +267,39 @@ fn fastpath_bbm_with_hot_superblock_and_dtlb_agrees() {
     assert!(on.tlb.fast_stats().jit_blocks > 0, "warm-up never executed a compiled block");
 }
 
+/// A counted loop around one of the two 14-instruction bodies the
+/// engine's host speed was first timed on: the ALU body (`add`, `eor`,
+/// `orr`, `add` by `i % 4`, the pattern `alu_jit` seeds its body from)
+/// or the mixed body (`str`, `ldr`, `add`, `eor` over the first data
+/// page).
+fn timed_loop(mixed: bool, iters: u64) -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(0, iters);
+    a.mov_imm64(11, DATA);
+    let top = a.label();
+    a.bind(top);
+    for i in 0..14u64 {
+        let rd = 1 + (i % 7) as u8;
+        match (mixed, i % 4) {
+            (false, 0) => a.add_imm(rd, rd, 1),
+            (false, 1) => a.eor_reg(rd, rd, 8),
+            (false, 2) => a.orr_reg(rd, rd, 9),
+            (false, _) => a.add_reg(rd, rd, 10),
+            (true, 0) => a.str(rd, 11, 8 * (i % 8)),
+            (true, 1) => a.ldr(rd, 11, 8 * ((i + 1) % 8)),
+            (true, 2) => a.add_imm(rd, rd, 1),
+            (true, _) => a.eor_reg(rd, rd, 8),
+        };
+    }
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    a.bytes()
+}
+
 #[test]
 fn hot_loop_agrees_and_hits() {
-    // Straight-line loop: the cache's bread and butter.
+    // Straight-line loops: the cache's bread and butter.
     let mut a = Asm::new(CODE);
     a.mov_imm64(0, 5_000);
     a.movz(1, 0, 0);
@@ -280,15 +310,20 @@ fn hot_loop_agrees_and_hits() {
     a.subs_imm(0, 0, 1);
     a.b_ne(top);
     a.svc(0);
-    let code = a.bytes();
-    let patch = patch_area(4);
-    let mut on = build_machine(&code, &patch, true);
-    let mut off = build_machine(&code, &patch, false);
-    let (e_on, r_on) = run_to_completion(&mut on);
-    let (e_off, r_off) = run_to_completion(&mut off);
-    assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), "hot loop");
-    let (hits, misses) = on.tlb.icache().stats();
-    assert!(hits > 10 * misses, "hot loop should be cache-dominated: {hits} hits / {misses} misses");
+    for (ctx, code) in
+        [("hot loop", a.bytes()), ("ALU loop", timed_loop(false, 2_000)), ("mixed loop", timed_loop(true, 2_000))]
+    {
+        let (mut on, mut off) = build_pair(&code, &patch_area(4));
+        let (e_on, r_on) = run_to_completion(&mut on);
+        let (e_off, r_off) = run_to_completion(&mut off);
+        assert_identical(snapshot(&on, e_on, r_on), snapshot(&off, e_off, r_off), ctx);
+        assert_journals_identical(&on, &off, ctx);
+        let (hits, misses) = on.tlb.icache().stats();
+        assert!(hits > 10 * misses, "{ctx} should be cache-dominated: {hits} hits / {misses} misses");
+        let fast = on.tlb.fast_stats();
+        assert!(fast.jit_blocks > 0, "{ctx}: no compiled block ran");
+        assert_eq!(fast.dtlb_hits > 0, ctx == "mixed loop", "{ctx}: micro-DTLB use must match the body");
+    }
 }
 
 /// Break-before-make code remap: unmap, TLBI, write fresh frame, remap.

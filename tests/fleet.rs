@@ -9,6 +9,7 @@ use lightzone::{LightZone, SECURITY_KILL};
 use lz_arch::Platform;
 use lz_fleet::{run_fleet, FleetConfig};
 use lz_kernel::{Event, Pid, Sysno};
+use lz_machine::json::Json;
 use lz_machine::{EventKind, Exit, LzFault};
 
 const CODE: u64 = 0x40_0000;
@@ -439,7 +440,7 @@ fn smoke_fleet_run_is_deterministic_and_rolls_the_vmid_space() {
     let a = run_fleet(&cfg);
     let b = run_fleet(&cfg);
     assert_eq!(a, b, "fleet runs must be deterministic");
-    assert_eq!(a.json(), b.json());
+    assert_eq!(a.to_json(), b.to_json());
 
     assert_eq!(a.tenants, 6);
     assert_eq!(a.domains_live_peak, 6 * 5, "tenants x (domains + pgt0)");

@@ -622,8 +622,7 @@ impl Machine {
             return self.take_exception(target, ExceptionClass::PcAlignment, esr, pc, 0, pc);
         }
         let cfg = self.walk_config();
-        let fetch_ctx = AccessCtx { el: self.cpu.pstate.el, pan: false, unpriv: false };
-        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, &fetch_ctx) {
+        match walk::fetch(&self.mem, &mut self.tlb, &self.model, &cfg, pc, self.cpu.pstate.el) {
             Ok(f) => {
                 // Fetch charges only the translation cost: sequential
                 // i-fetch bandwidth is covered by `insn_base`.

@@ -5,8 +5,9 @@
 //! `Insn::decode`. This cache keys decoded words by
 //! `(VMID, ASID-or-global, VA page)` — the same tagging discipline as the
 //! TLB — and per page remembers the fill-time translation regime (stage-1
-//! enable, WXN, stage-1 root, VTTBR root) plus the *content version* of the
-//! physical frame the code came from (see `PhysMem::frame_version`).
+//! enable, WXN), the TLB entry the fill-time fetch translated through,
+//! and the *content version* of the physical frame the code came from
+//! (see `PhysMem::frame_version`).
 //!
 //! # Coherence contract
 //!
@@ -17,23 +18,23 @@
 //!   same scope semantics (global entries survive `invalidate_asid`, etc.).
 //! * **Physical writes** — each probe validates the code frame's version
 //!   against `PhysMem`; self-modifying stores, DMA-style `write_bytes`, and
-//!   frame recycling all bump it, evicting the stale block on next fetch.
-//! * **Root changes** — when the main TLB misses, the cache only skips the
-//!   walk if the fill-time `TTBR{0,1}`/`VTTBR` base for the page's VA half
-//!   still matches, covering root switches that ASID/VMID tags alone do not
-//!   disambiguate. When the main TLB *hits*, the cache defers to it: the
-//!   block is served only if the fill-time TLB snapshot is bit-identical to
-//!   the entry the TLB just returned.
+//!   frame recycling all bump it, so the stale block misses and the next
+//!   fill restarts its entry.
+//! * **Translation** — the TLB vouches for every served block: a block is
+//!   served only when the main TLB has just hit and the entry it returned
+//!   is bit-identical to the fill-time snapshot. A TLB miss always walks
+//!   (through the walk cache, which checks every table frame it read), so
+//!   a leaf rewritten without a TLBI is seen as soon as its TLB entry is
+//!   gone.
 //!
 //! Like the TLB itself (see `stale_tlb_entry_survives_table_edit`), the
 //! cache may keep translating from a stale view after page-table edits that
 //! violate break-before-make — that is the architectural hazard the TLBI
 //! contract exists to prevent, not a new one introduced here.
 //!
-//! Cycle accounting is unaffected by design: the fast path replays exactly
-//! the modelled costs (TLB-hit level cost or the deterministic walk cost for
-//! the active regime) and performs the same TLB state transitions the slow
-//! path would, so paper tables are bit-identical with the cache on or off.
+//! Cycle accounting is unaffected by design: a served block costs what the
+//! TLB hit costs, after the same single TLB lookup the slow path makes, so
+//! paper tables are bit-identical with the cache on or off.
 //!
 //! # JIT dispatch memo
 //!
@@ -53,6 +54,7 @@
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
+use crate::pte::S1Perms;
 use crate::tlb::TlbEntry;
 use crate::PhysMem;
 use lz_arch::insn::Insn;
@@ -139,28 +141,21 @@ struct PageKey {
 /// Fill-time facts that must still hold for a block to be served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillInfo {
-    /// `None` for global (`nG = 0`) pages and for the identity regime.
-    pub asid: Option<u16>,
     /// Exception level of the fill-time fetch (permission checks depend
     /// on it, so EL0 and EL1 blocks for one page are cached separately).
     pub el: ExceptionLevel,
     pub s1_enabled: bool,
     pub wxn: bool,
-    /// Stage-1 root (baddr) for this VA's half; 0 when stage 1 is off.
-    pub root: u64,
-    /// Stage-2 root (baddr) when stage 2 was on at fill time.
-    pub vttbr: Option<u64>,
-    /// The TLB entry the fill-time translation produced (`None` for the
-    /// identity regime, which bypasses the TLB entirely).
-    pub snapshot: Option<TlbEntry>,
-    /// Physical page the code words were read from.
-    pub pa_page: u64,
+    /// The TLB entry the fill-time fetch hit or inserted. Its ASID tags
+    /// the block (`None` for global pages, which serve every ASID), and
+    /// its `pa_page` is the frame the code words were read from.
+    pub snapshot: TlbEntry,
 }
 
 #[derive(Debug)]
 struct PageEntry {
     info: FillInfo,
-    /// `PhysMem::frame_version` of `pa_page` when last validated.
+    /// `PhysMem::frame_version` of the code frame when last validated.
     frame_version: u64,
     /// `PhysMem::write_gen` at last validation — if the global generation
     /// hasn't moved, no frame anywhere changed and the version compare can
@@ -184,9 +179,7 @@ struct PageEntry {
 /// What a probe found.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeHit {
-    pub snapshot: Option<TlbEntry>,
-    /// Fill-time stage-1/stage-2 roots still match the current regime.
-    pub roots_match: bool,
+    pub snapshot: TlbEntry,
     pub pa: u64,
     pub word: u32,
     pub insn: Insn,
@@ -201,7 +194,8 @@ pub struct ICache {
     capacity: usize,
     hits: u64,
     misses: u64,
-    /// Entries dropped for capacity (FIFO) or staleness (content/regime).
+    /// Entries dropped for capacity (FIFO) or restarted for staleness
+    /// (content/regime).
     evictions: u64,
     /// Entries dropped by TLBI-scope maintenance (`clear`/`invalidate_*`).
     invalidations: u64,
@@ -233,11 +227,10 @@ impl ICache {
         }
     }
 
-    /// Look for a decoded block for the fetch at `va`. Validates regime
-    /// flags, the ASID tag (global entries match any ASID), the fetch EL,
-    /// and the code frame's content version; stale entries are evicted on
-    /// the spot. Root mismatches are reported, not evicted — the caller
-    /// decides whether the main TLB vouches for the translation.
+    /// Look for a decoded block for the fetch at `va` (see
+    /// [`Self::fresh_entry`]). A stale entry is a miss and stays in place:
+    /// the [`Self::fill`] that follows the slow path restarts it. The
+    /// caller serves the hit only if the main TLB vouches for its snapshot.
     #[allow(clippy::too_many_arguments)]
     pub fn probe(
         &mut self,
@@ -248,83 +241,30 @@ impl ICache {
         va: u64,
         s1_enabled: bool,
         wxn: bool,
-        root: u64,
-        vttbr: Option<u64>,
     ) -> Option<ProbeHit> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = match self.pages.get_mut(&key) {
-            Some(v) => v,
-            None => {
-                self.misses += 1;
-                return None;
-            }
-        };
-        let idx = entries.iter().position(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el);
-        let Some(idx) = idx else {
+        let hit = self.fresh_entry(mem, vmid, asid, el, va, s1_enabled, wxn).and_then(|e| {
+            let (word, insn) = e.slots[slot_of(va)]?;
+            Some(ProbeHit { snapshot: e.info.snapshot, pa: e.info.snapshot.pa_page | (va & 0xfff), word, insn })
+        });
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
             self.misses += 1;
-            return None;
-        };
-
-        // Regime flags must match exactly; a flipped SCTLR bit changes
-        // permission-check outcomes, so the entry is dead.
-        let stale_flags = {
-            let e = &entries[idx];
-            e.info.s1_enabled != s1_enabled || e.info.wxn != wxn
-        };
-        // Content staleness: O(1) via the global write generation, falling
-        // back to the single frame-version compare.
-        let stale_content = {
-            let e = &mut entries[idx];
-            if e.checked_gen == mem.write_gen() {
-                false
-            } else if mem.frame_version(e.info.pa_page) == Some(e.frame_version) {
-                e.checked_gen = mem.write_gen();
-                false
-            } else {
-                true
-            }
-        };
-        if stale_flags || stale_content {
-            self.evictions += 1;
-            self.epoch += 1;
-            entries.remove(idx);
-            if entries.is_empty() {
-                self.pages.remove(&key);
-                self.order.retain(|k| *k != key);
-            }
-            self.misses += 1;
-            return None;
         }
-
-        let e = &entries[idx];
-        let slot = slot_of(va);
-        match e.slots[slot] {
-            Some((word, insn)) => {
-                self.hits += 1;
-                Some(ProbeHit {
-                    snapshot: e.info.snapshot,
-                    roots_match: e.info.root == root && e.info.vttbr == vttbr,
-                    pa: e.info.pa_page | (va & 0xfff),
-                    word,
-                    insn,
-                })
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        hit
     }
 
     /// Record a decoded word after a successful slow-path fetch.
     pub fn fill(&mut self, mem: &PhysMem, vmid: u16, va: u64, info: FillInfo, word: u32, insn: Insn) {
-        let Some(frame_version) = mem.frame_version(info.pa_page) else { return };
+        let Some(frame_version) = mem.frame_version(info.snapshot.pa_page) else { return };
         let key = PageKey { vmid, vpn: va >> 12 };
         let slot = slot_of(va);
         let checked_gen = mem.write_gen();
 
         if let Some(entries) = self.pages.get_mut(&key) {
-            if let Some(e) = entries.iter_mut().find(|e| e.info.asid == info.asid && e.info.el == info.el) {
+            if let Some(e) =
+                entries.iter_mut().find(|e| e.info.snapshot.asid == info.snapshot.asid && e.info.el == info.el)
+            {
                 if e.info == info && e.frame_version == frame_version {
                     e.checked_gen = checked_gen;
                     if e.slots[slot] != Some((word, insn)) {
@@ -384,7 +324,7 @@ impl ICache {
     /// lookup outcome is provably unchanged), the fetch ASID matches the
     /// arm-time ASID, the regime flags match, and the code frame is
     /// content-fresh. Returns `(pa, word, insn)`; any failed check falls
-    /// back to the slow path (which handles eviction).
+    /// back to the slow path.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn fast_probe(
@@ -400,15 +340,54 @@ impl ICache {
     ) -> Option<(u64, u32, Insn)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let (word, insn) = e.slots[slot_of(va)]?;
-        let pa = e.info.pa_page | (va & 0xfff);
+        let pa = e.info.snapshot.pa_page | (va & 0xfff);
         self.hits += 1;
         Some((pa, word, insn))
     }
 
-    /// The page entry for the fetch at `va` if it is armed at `tlb_gen`
-    /// for `asid` (see [`Self::arm_fast`]), its regime flags are unchanged,
-    /// and its code frame is content-fresh — the test every lookup-free
-    /// path ([`Self::fast_probe`], [`Self::jit_block`], [`Self::compile`])
+    /// The page entry that serves fetches at `va` by `(vmid, asid, el)`:
+    /// the first one filled at `el` whose snapshot is tagged with `asid`
+    /// or is global.
+    #[inline]
+    fn entry_mut(&mut self, vmid: u16, asid: u16, el: ExceptionLevel, va: u64) -> Option<&mut PageEntry> {
+        let entries = self.pages.get_mut(&PageKey { vmid, vpn: va >> 12 })?;
+        entries
+            .iter_mut()
+            .find(|e| (e.info.snapshot.asid.is_none() || e.info.snapshot.asid == Some(asid)) && e.info.el == el)
+    }
+
+    /// [`Self::entry_mut`], if its regime flags are unchanged (a flipped
+    /// SCTLR bit changes permission-check outcomes) and its code frame is
+    /// content-fresh: O(1) through the global write generation, falling
+    /// back to one frame-version compare.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn fresh_entry(
+        &mut self,
+        mem: &PhysMem,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        s1_enabled: bool,
+        wxn: bool,
+    ) -> Option<&mut PageEntry> {
+        let e = self.entry_mut(vmid, asid, el, va)?;
+        if e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
+            return None;
+        }
+        if e.checked_gen != mem.write_gen() {
+            if mem.frame_version(e.info.snapshot.pa_page) != Some(e.frame_version) {
+                return None;
+            }
+            e.checked_gen = mem.write_gen();
+        }
+        Some(e)
+    }
+
+    /// [`Self::fresh_entry`], if it is armed at `tlb_gen` for `asid` (see
+    /// [`Self::arm_fast`]) — the test every lookup-free path
+    /// ([`Self::fast_probe`], [`Self::jit_block`], [`Self::compile`])
     /// applies before serving anything from the entry.
     #[allow(clippy::too_many_arguments)]
     #[inline]
@@ -423,19 +402,8 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<&mut PageEntry> {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        let entries = self.pages.get_mut(&key)?;
-        let e = entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)?;
-        if e.fast_gen != tlb_gen || e.fast_asid != asid || e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
-        Some(e)
+        self.fresh_entry(mem, vmid, asid, el, va, s1_enabled, wxn)
+            .filter(|e| (e.fast_gen, e.fast_asid) == (tlb_gen, asid))
     }
 
     /// Serve the compiled block stored for the fetch at `va`, if its page
@@ -457,7 +425,7 @@ impl ICache {
     ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let block = e.blocks.get(&(slot_of(va) as u16))?;
-        Some((Arc::clone(block), e.info.pa_page, e.frame_version))
+        Some((Arc::clone(block), e.info.snapshot.pa_page, e.frame_version))
     }
 
     /// Lower the decoded run that starts at `va` (see
@@ -483,7 +451,7 @@ impl ICache {
         let first = slot_of(va);
         let block = Arc::new(crate::jit::lower(va, &e.slots[first..], insn_base)?);
         e.blocks.insert(first as u16, Arc::clone(&block));
-        let (pa_page, frame_version) = (e.info.pa_page, e.frame_version);
+        let (pa_page, frame_version) = (e.info.snapshot.pa_page, e.frame_version);
         self.epoch += 1;
         Some((block, pa_page, frame_version))
     }
@@ -582,17 +550,11 @@ impl ICache {
     /// Record that, at TLB generation `tlb_gen`, serving this page's block
     /// for `asid` is equivalent to a free L1 TLB hit.
     pub(crate) fn arm_fast(&mut self, vmid: u16, asid: u16, el: ExceptionLevel, va: u64, tlb_gen: u64) {
-        let key = PageKey { vmid, vpn: va >> 12 };
-        if let Some(entries) = self.pages.get_mut(&key) {
-            if let Some(e) =
-                entries.iter_mut().find(|e| (e.info.asid.is_none() || e.info.asid == Some(asid)) && e.info.el == el)
-            {
-                if (e.fast_gen, e.fast_asid) != (tlb_gen, asid) {
-                    e.fast_gen = tlb_gen;
-                    e.fast_asid = asid;
-                    self.epoch += 1;
-                }
-            }
+        let Some(e) = self.entry_mut(vmid, asid, el, va) else { return };
+        if (e.fast_gen, e.fast_asid) != (tlb_gen, asid) {
+            e.fast_gen = tlb_gen;
+            e.fast_asid = asid;
+            self.epoch += 1;
         }
     }
 
@@ -619,7 +581,7 @@ impl ICache {
         let before = self.len();
         for (k, v) in self.pages.iter_mut() {
             if k.vmid == vmid {
-                v.retain(|e| e.info.asid != Some(asid));
+                v.retain(|e| e.info.snapshot.asid != Some(asid));
             }
         }
         let pages = &mut self.pages;
@@ -642,7 +604,7 @@ impl ICache {
     /// (`None` = a global entry.) For tests and diagnostics.
     pub fn contains(&self, vmid: u16, asid: Option<u16>, va: u64) -> bool {
         let key = PageKey { vmid, vpn: va >> 12 };
-        self.pages.get(&key).is_some_and(|v| v.iter().any(|e| e.info.asid == asid))
+        self.pages.get(&key).is_some_and(|v| v.iter().any(|e| e.info.snapshot.asid == asid))
     }
 
     /// Number of cached page entries (per-ASID entries counted separately).
@@ -659,7 +621,8 @@ impl ICache {
         (self.hits, self.misses)
     }
 
-    /// Entries dropped for capacity or staleness since creation.
+    /// Entries dropped for capacity or restarted for staleness since
+    /// creation.
     pub fn eviction_count(&self) -> u64 {
         self.evictions
     }
@@ -672,19 +635,19 @@ impl ICache {
     /// Insert a minimal entry directly (test/diagnostic helper): tags a
     /// decoded `NOP` for `(vmid, asid, va)` against `pa_page` in `mem`.
     pub fn seed_entry(&mut self, mem: &PhysMem, vmid: u16, asid: Option<u16>, va: u64, pa_page: u64) {
-        let info = FillInfo {
-            asid,
-            el: ExceptionLevel::El0,
-            s1_enabled: true,
-            wxn: false,
-            root: 0,
-            vttbr: None,
-            snapshot: None,
-            pa_page,
-        };
-        const NOP: u32 = 0xD503_201F;
-        self.fill(mem, vmid, va, info, NOP, Insn::decode(NOP));
+        self.fill(mem, vmid, va, seed_info(asid, pa_page), NOP, Insn::decode(NOP));
     }
+}
+
+/// The word [`ICache::seed_entry`] caches.
+const NOP: u32 = 0xD503_201F;
+
+/// What [`ICache::seed_entry`] records: an EL0 fetch, stage 1 on and WXN
+/// off, through a user-executable page at `pa_page`.
+fn seed_info(asid: Option<u16>, pa_page: u64) -> FillInfo {
+    let s1 = S1Perms { read: true, write: false, user_exec: true, priv_exec: false, el0: true, global: asid.is_none() };
+    let snapshot = TlbEntry { asid, pa_page, s1, s2: None };
+    FillInfo { el: ExceptionLevel::El0, s1_enabled: true, wxn: false, snapshot }
 }
 
 /// The icache slot of the word at `va`.
@@ -740,13 +703,16 @@ mod tests {
         let mut mem = PhysMem::new();
         let pa = mem.alloc_frame();
         let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false, 0, None).is_some());
+        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
         mem.write(pa, 0xD503_201F, 4);
         assert!(
-            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false, 0, None).is_none(),
-            "write to the code frame must evict the block"
+            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_none(),
+            "write to the code frame must not serve the stale block"
         );
-        assert!(ic.is_empty());
+        // The next fill restarts the stale entry in place.
+        ic.seed_entry(&mem, 0, Some(1), 0x1000, pa);
+        assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
+        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
     }
 
     #[test]
@@ -756,7 +722,7 @@ mod tests {
         let other = mem.alloc_frame();
         let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
         mem.write(other, 0x1234_5678, 4);
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false, 0, None).is_some());
+        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
     }
 
     #[test]
@@ -765,7 +731,7 @@ mod tests {
         let pa = mem.alloc_frame();
         let mut ic = seeded(&mem, &[(0, None, 0x1000, pa)]);
         for asid in [1u16, 7, 999] {
-            assert!(ic.probe(&mem, 0, asid, ExceptionLevel::El0, 0x1000, true, false, 0, None).is_some());
+            assert!(ic.probe(&mem, 0, asid, ExceptionLevel::El0, 0x1000, true, false).is_some());
         }
     }
 
@@ -871,9 +837,12 @@ mod tests {
         let pa = mem.alloc_frame();
         let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
         assert!(
-            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, true, 0, None).is_none(),
+            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, true).is_none(),
             "WXN flip must not serve the old block"
         );
-        assert!(ic.is_empty());
+        // The next fill, under the new regime, restarts the entry in place.
+        ic.fill(&mem, 0, 0x1000, FillInfo { wxn: true, ..seed_info(Some(1), pa) }, NOP, Insn::decode(NOP));
+        assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
+        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, true).is_some());
     }
 }

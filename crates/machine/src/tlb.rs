@@ -665,18 +665,6 @@ impl Tlb {
         self.walk
     }
 
-    /// Count the walks a decoded-block replay skipped host-side but
-    /// modelled (see `walk::fetch`): the counters must be identical on
-    /// both engines.
-    pub(crate) fn count_replayed_walk(&mut self, s1: bool, s2: bool) {
-        if s1 {
-            self.walk.s1_walks += 1;
-        }
-        if s2 {
-            self.walk.s2_walks += 1;
-        }
-    }
-
     /// Zero the hit/miss counters.
     pub fn reset_stats(&mut self) {
         self.hits = 0;

@@ -341,7 +341,11 @@ fn translate_after_lookup(
             };
             let entry_asid = if !s1.global { Some(asid) } else { None };
             tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1, s2: s2_perms });
-            return Ok(Translation { pa: pa_page | (va & 0xfff), cost: fetch_walk_cost(model, cfg), tlb_hit: false });
+            // The descriptor-reading path's cost: a stage-1 walk, or a
+            // nested walk plus the leaf stage-2 walk.
+            let cost =
+                if cfg.vttbr.is_some() { model.nested_walk() + model.stage2_walk() } else { model.stage1_walk() };
+            return Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false });
         }
     }
 
@@ -414,20 +418,6 @@ fn fetch_bus_fault(va: u64) -> Fault {
     Fault { kind: FaultKind::Translation, stage: Stage::S1, level: 3, va, ipa: 0, wnr: false, s1ptw: false }
 }
 
-/// The walk cost [`translate`] charges for a fetch missing the TLB in the
-/// current regime. Deterministic given the regime flags: stage-1 walks cost
-/// `stage1_walk` (or `nested_walk` under stage 2, whose leaf stage-2
-/// lookup adds `stage2_walk`), identity-plus-stage-2 costs one stage-2
-/// walk, and the bare identity regime walks nothing.
-fn fetch_walk_cost(model: &CycleModel, cfg: &WalkConfig) -> u64 {
-    match (cfg.s1_enabled, cfg.vttbr.is_some()) {
-        (true, true) => model.nested_walk() + model.stage2_walk(),
-        (true, false) => model.stage1_walk(),
-        (false, true) => model.stage2_walk(),
-        (false, false) => 0,
-    }
-}
-
 /// Stage-1 root (baddr) governing `va`'s half, or `None` for non-canonical
 /// addresses — those always fault and are never cached.
 fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
@@ -438,7 +428,7 @@ fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
     }
 }
 
-/// Instruction fetch: translation + 32-bit read + decode, with an optional
+/// Instruction fetch at `el`: translation + 32-bit read + decode, with a
 /// decoded-block fast path (see the [`crate::icache`] module docs for the
 /// coherence rules).
 ///
@@ -449,114 +439,73 @@ fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
 ///
 /// On the reference engine (`tlb.accel()` off) this is exactly
 /// [`translate`] + `read_u32` + `Insn::decode`. On the accelerated engine
-/// the decoded-block cache may skip that host-side work, but every
-/// modelled side effect is replayed: the TLB sees the same single lookup,
-/// the same insert, and the same hit/miss statistics, and the returned
-/// `cost` is bit-identical.
+/// the decoded-block cache serves a word only where the main TLB vouches
+/// for it: the lookup hit, and the hit entry equals the block's fill-time
+/// snapshot. The host then skips the read and the decode, and the
+/// modelled outcome — one TLB lookup, the hit's cost — is the slow
+/// path's. Every TLB miss takes the slow path.
 pub fn fetch(
     mem: &PhysMem,
     tlb: &mut Tlb,
     model: &CycleModel,
     cfg: &WalkConfig,
     va: u64,
-    actx: &AccessCtx,
+    el: ExceptionLevel,
 ) -> Result<Fetched, (Fault, u64)> {
+    let actx = AccessCtx { el, pan: false, unpriv: false };
     if !tlb.accel() {
-        let t = translate(mem, tlb, model, cfg, va, Access::Fetch, actx).map_err(|f| (f, model.stage1_walk()))?;
+        let t = translate(mem, tlb, model, cfg, va, Access::Fetch, &actx).map_err(|f| (f, model.stage1_walk()))?;
         let word = mem.read_u32(t.pa).ok_or((fetch_bus_fault(va), t.cost))?;
         return Ok(Fetched { pa: t.pa, cost: t.cost, word, insn: Insn::decode(word) });
     }
 
     let vmid = cfg.vmid();
     let asid = cfg.asid();
+    // The bare identity regime bypasses the TLB, so nothing can vouch for
+    // a cached block there: it always takes the slow path.
     let has_tlb = cfg.s1_enabled || cfg.vttbr.is_some();
 
     // Memoised fast path: while the TLB generation is unchanged since this
     // block was last proven equivalent to a free L1 hit, skip the lookup
     // entirely and just replay its statistics (cost 0, one hit).
-    if has_tlb && !actx.unpriv {
-        if let Some((pa, word, insn)) = tlb.fetch_fast(mem, vmid, asid, actx.el, va, cfg.s1_enabled, cfg.wxn) {
+    if has_tlb {
+        if let Some((pa, word, insn)) = tlb.fetch_fast(mem, vmid, asid, el, va, cfg.s1_enabled, cfg.wxn) {
             return Ok(Fetched { pa, cost: 0, word, insn });
         }
     }
 
-    // Unprivileged (LDTR-style) fetches don't exist architecturally, but
-    // `fetch` is public: permission checks differ under `unpriv`, and the
-    // cache tags entries by EL only, so bypass it in that case.
-    let root = if actx.unpriv {
-        None
-    } else if cfg.s1_enabled {
-        s1_root_for(cfg, va)
-    } else {
-        Some(0)
-    };
-    let vttbr_base = cfg.vttbr.map(vttbr::baddr);
-
     let pre = if has_tlb { tlb.lookup_leveled(vmid, asid, va) } else { None };
 
-    if let Some(root) = root {
-        let hit = tlb.icache_mut().probe(mem, vmid, asid, actx.el, va, cfg.s1_enabled, cfg.wxn, root, vttbr_base);
-        if let Some(hit) = hit {
-            match (pre, hit.snapshot) {
-                // The main TLB hit and the block was decoded from that very
-                // entry: PA and permission outcomes are reproducible, so
-                // serve the block at the TLB-hit cost.
-                (Some((entry, level)), Some(snap)) if snap == entry => {
-                    let cost = match level {
-                        TlbHit::L1 => 0,
-                        TlbHit::L2 => model.l2_tlb_hit,
-                    };
-                    // From here on (until the next structural TLB change),
-                    // this block is a guaranteed free L1 hit: an L2 hit
-                    // was just promoted, an L1 hit stays put. Arm the
-                    // lookup-free memo.
-                    tlb.arm_fast(vmid, asid, actx.el, va);
-                    return Ok(Fetched { pa: hit.pa, cost, word: hit.word, insn: hit.insn });
-                }
-                // TLB miss, but the fill-time roots still govern the
-                // regime: replay the walk's outcome — re-insert the
-                // snapshot entry and charge the deterministic walk cost.
-                (None, Some(snap)) if has_tlb && hit.roots_match => {
-                    tlb.count_replayed_walk(cfg.s1_enabled, cfg.vttbr.is_some());
-                    tlb.insert(vmid, va, snap);
-                    return Ok(Fetched {
-                        pa: hit.pa,
-                        cost: fetch_walk_cost(model, cfg),
-                        word: hit.word,
-                        insn: hit.insn,
-                    });
-                }
-                // Bare identity regime: no TLB interaction, no walk cost.
-                (None, None) if !has_tlb && hit.roots_match => {
-                    return Ok(Fetched { pa: hit.pa, cost: 0, word: hit.word, insn: hit.insn });
-                }
-                _ => {}
-            }
+    // The main TLB hit and the block was decoded through that very entry:
+    // PA and permission outcomes are reproducible, so serve the block at
+    // the TLB-hit cost.
+    if let Some((entry, level)) = pre {
+        let hit = tlb.icache_mut().probe(mem, vmid, asid, el, va, cfg.s1_enabled, cfg.wxn);
+        if let Some(hit) = hit.filter(|hit| hit.snapshot == entry) {
+            let cost = match level {
+                TlbHit::L1 => 0,
+                TlbHit::L2 => model.l2_tlb_hit,
+            };
+            // From here on (until the next structural TLB change), this
+            // block is a guaranteed free L1 hit: an L2 hit was just
+            // promoted, an L1 hit stays put. Arm the lookup-free memo.
+            tlb.arm_fast(vmid, asid, el, va);
+            return Ok(Fetched { pa: hit.pa, cost, word: hit.word, insn: hit.insn });
         }
     }
 
     // Slow path. The TLB lookup above already counted, so continue from it.
-    let t = translate_after_lookup(mem, tlb, model, cfg, va, Access::Fetch, actx, pre).map_err(|f| {
+    let t = translate_after_lookup(mem, tlb, model, cfg, va, Access::Fetch, &actx, pre).map_err(|f| {
         tlb.walk.count_fault(&f);
         (f, model.stage1_walk())
     })?;
     let word = mem.read_u32(t.pa).ok_or((fetch_bus_fault(va), t.cost))?;
     let insn = Insn::decode(word);
-    if let Some(root) = root {
-        // Snapshot the entry this fetch hit or inserted; a later lookup of
-        // the same (vmid, asid, va) returns exactly this entry, which is
-        // what makes the fast path's equality check sound.
-        let snapshot = if has_tlb { tlb.peek(vmid, asid, va) } else { None };
-        let info = FillInfo {
-            asid: snapshot.and_then(|s| s.asid),
-            el: actx.el,
-            s1_enabled: cfg.s1_enabled,
-            wxn: cfg.wxn,
-            root,
-            vttbr: vttbr_base,
-            snapshot,
-            pa_page: t.pa & !0xfff,
-        };
+    // Snapshot the entry this fetch hit or inserted; a later lookup of the
+    // same (vmid, asid, va) returns exactly this entry, which is what makes
+    // the TLB-hit path's equality check sound.
+    if let Some(snapshot) = has_tlb.then(|| tlb.peek(vmid, asid, va)).flatten() {
+        let info = FillInfo { el, s1_enabled: cfg.s1_enabled, wxn: cfg.wxn, snapshot };
         tlb.icache_mut().fill(mem, vmid, va, info, word, insn);
     }
     Ok(Fetched { pa: t.pa, cost: t.cost, word, insn })

@@ -213,12 +213,12 @@ proptest! {
         tlb.icache_mut().seed_entry(&mem, 0, Some(1), va, pa);
         prop_assert!(tlb
             .icache_mut()
-            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false, 0, None)
+            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false)
             .is_some());
         mem.write(pa + (off & !7), 0xffff_ffff_ffff_ffff, 8);
         prop_assert!(tlb
             .icache_mut()
-            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false, 0, None)
+            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false)
             .is_none());
     }
 

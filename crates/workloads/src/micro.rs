@@ -91,6 +91,11 @@ pub fn vanilla_syscall_cycles(platform: Platform, deploy: Deployment) -> f64 {
 
 /// Empty-syscall round trip for a LightZone process (Table 4 rows 3–4).
 pub fn lz_syscall_cycles(platform: Platform, deploy: Deployment) -> f64 {
+    lz_syscall_cycles_with(platform, deploy, lightzone::AblationConfig::default())
+}
+
+/// Same, with ablation knobs (used by the ablation bench).
+pub fn lz_syscall_cycles_with(platform: Platform, deploy: Deployment, ablation: lightzone::AblationConfig) -> f64 {
     let run = |n: u64| {
         let mut b = LzProgramBuilder::new(CODE);
         b.asm.lz_enter(true, SAN_TTBR);
@@ -103,10 +108,7 @@ pub fn lz_syscall_cycles(platform: Platform, deploy: Deployment) -> f64 {
         b.asm.b_ne(top);
         b.asm.exit_imm(0);
         let prog = b.build();
-        let mut lz = match deploy {
-            Deployment::Host => LightZone::new_host(platform),
-            Deployment::Guest => LightZone::new_guest(platform),
-        };
+        let mut lz = LightZone::with_ablation(platform, deploy == Deployment::Guest, ablation);
         let pid = lz.spawn(&prog);
         lz.enter_process(pid);
         assert_eq!(lz.run(RUN_LIMIT), lz_kernel::Event::Exited(0));

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI for the LightZone reproduction.
 #
-# Runs the format gate, the tier-1 verify (ROADMAP.md), the full
+# Runs the format gate, the tier-1 verify (ROADMAP.md), and the full
 # workspace suite on the default engine, on the reference interpreter
 # (LZ_ACCEL=0), and with the metrics journal disabled (LZ_METRICS=0; the
 # journal is on by default, so the default leg covers it enabled) — the
 # accelerated engine and the journal must be zero-cost in the modelled
-# domain — the differential suite, a `repro all` smoke pass, a
+# domain. Every workspace leg runs the differential and parallel suites
+# (tests/differential.rs, tests/parallel.rs) with the rest, so neither
+# is re-run on its own in release. Then: a `repro all` smoke pass, a
 # `repro stats` JSON validation, the SMP scaling leg (schema check +
 # byte-for-byte determinism re-run, emitted as BENCH_smp_scaling.json),
 # the host-speed gate (one seed-1 benchmark/ run of alu_jit and nvm_scan:
@@ -57,18 +59,14 @@ LZ_METRICS=0 cargo test -q --release --workspace
 echo "== workspace tests, deterministic replay (LZ_PARALLEL=0) =="
 LZ_PARALLEL=0 cargo test -q --release --workspace
 
-echo "== differential suite (accelerated vs reference engine, explicit) =="
-cargo test -q --release --test differential
-
-echo "== parallel equivalence suite (release + debug-assertion smoke) =="
-# Release: the proptest sweep byte-compares parallel epochs against
-# sequential replay. Debug: the same suite with debug assertions on —
-# including the >=10k-epoch tiny-quantum stress, where the caller and a
-# waking helper race for a shell on nearly every epoch — is the
-# in-tree stand-in for a TSan leg: the shells share nothing mutable, so
-# a data race surfaces as divergence from replay or a debug assert,
-# not a silent corruption.
-cargo test -q --release --test parallel
+echo "== parallel equivalence suite (debug-assertion smoke) =="
+# The workspace legs above already run the release proptest sweep that
+# byte-compares parallel epochs against sequential replay. The same
+# suite with debug assertions on — including the >=10k-epoch
+# tiny-quantum stress, where the caller and a waking helper race for a
+# shell on nearly every epoch — is the in-tree stand-in for a TSan leg:
+# the shells share nothing mutable, so a data race surfaces as
+# divergence from replay or a debug assert, not a silent corruption.
 cargo test -q --test parallel
 
 echo "== examples (each must exit 0) =="

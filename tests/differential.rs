@@ -14,19 +14,21 @@
 //! Coverage: seeded random programs (ALU, loads/stores, forward branches,
 //! trap-and-resume via `svc`, self-modifying stores into an executed-twice
 //! patch area), plus deterministic scenarios for break-before-make code
-//! remapping, physical code patching without TLBI, TTBR/ASID domain
-//! switching over global and non-global pages, SMP quantum interleaving,
-//! compiled loads/stores and branch terminals, the JIT dispatch memo's
-//! epoch sources, and quantum edges at every offset inside a block.
+//! remapping, stage-1 and stage-2 code-leaf rewrites without TLBI whose
+//! TLB entry is then evicted by capacity, physical code patching without
+//! TLBI, TTBR/ASID domain switching over global and non-global pages, SMP
+//! quantum interleaving, compiled loads/stores and branch terminals, the
+//! JIT dispatch memo's epoch sources, and quantum edges at every offset
+//! inside a block.
 
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
 use lz_arch::insn::Insn;
 use lz_arch::pstate::PState;
-use lz_arch::sysreg::{hcr, sctlr, ttbr, SysReg};
+use lz_arch::sysreg::{hcr, sctlr, ttbr, vttbr, SysReg};
 use lz_arch::Platform;
-use lz_machine::pte::S1Perms;
-use lz_machine::walk::{alloc_table, s1_map_page, s1_unmap};
+use lz_machine::pte::{S1Perms, S2Perms};
+use lz_machine::walk::{alloc_table, s1_map_page, s1_unmap, s2_map_page, s2_unmap};
 use lz_machine::{Exit, Machine};
 
 // The generators and the bare-machine harness are shared with the
@@ -389,6 +391,104 @@ fn physical_code_patch_agrees() {
     let e_off = run_pair(&mut off);
     assert_eq!(on.cpu.reg(1), 9, "patched word must be fetched fresh (cache on)");
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "physical patch");
+}
+
+/// Cortex-A55's main TLB holds 512 entries: one load from each of more
+/// data pages than that evicts every older translation by capacity.
+const TOUCH_PAGES: u64 = 600;
+const TOUCH_BASE: u64 = 0x200_0000;
+
+/// `mov x0, #tag; svc 0`, at `CODE`.
+fn tag_body(tag: u16) -> Vec<u8> {
+    let mut a = Asm::new(CODE);
+    a.movz(0, tag, 0);
+    a.svc(0);
+    a.bytes()
+}
+
+/// A machine running `tag_body(1)` at `CODE`, with a toucher at
+/// `CODE + 0x1000` that loads once from each of the `TOUCH_PAGES` data
+/// pages (all aliasing one frame) and then branches to `CODE`.
+fn toucher_machine(accel: bool) -> Machine {
+    let mut code = tag_body(1);
+    code.resize(0x1000, 0);
+    let mut a = Asm::new(CODE + 0x1000);
+    a.mov_imm64(19, TOUCH_BASE);
+    a.mov_imm64(20, TOUCH_PAGES);
+    a.mov_imm64(21, 0x1000);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.add_reg(19, 19, 21);
+    a.subs_imm(20, 20, 1);
+    a.b_ne(top);
+    a.mov_imm64(9, CODE);
+    a.br(9);
+    code.extend(a.bytes());
+    let mut m = build_machine(&code, &patch_area(4), accel);
+    let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+    let data = m.mem.alloc_frame();
+    for page in 0..TOUCH_PAGES {
+        s1_map_page(&mut m.mem, root, TOUCH_BASE + page * 0x1000, data, user_rwx());
+    }
+    m
+}
+
+/// Run the code page once, let `rewrite` point its leaf at a new frame
+/// holding `tag_body(2)` with no TLBI, then re-enter through the toucher,
+/// whose loads evict the code page's TLB entry before it branches back.
+/// The code page's translation must then be walked afresh: the run ends
+/// with `x0 == 2` on both engines.
+fn leaf_rewrite_agrees(ctx: &str, build: impl Fn(bool) -> Machine, rewrite: impl Fn(&mut Machine, u64)) {
+    let run = |accel: bool| {
+        let mut m = build(accel);
+        run_to_completion(&mut m);
+        assert_eq!(m.cpu.reg(0), 1, "{ctx}: first run");
+        let fresh = m.mem.alloc_frame();
+        m.mem.write_bytes(fresh, &tag_body(2));
+        rewrite(&mut m, fresh);
+        m.enter(PState::user(), CODE + 0x1000);
+        let (exit, _) = run_to_completion(&mut m);
+        snapshot(&m, exit, 0)
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!((on.regs[0], off.regs[0]), (2, 2), "{ctx}: the rewritten leaf's frame must run");
+    assert_identical(on, off, ctx);
+}
+
+#[test]
+fn stage1_leaf_rewrite_then_tlb_eviction_agrees() {
+    leaf_rewrite_agrees("stage-1 leaf rewrite", toucher_machine, |m, fresh| {
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        s1_unmap(&mut m.mem, root, CODE);
+        s1_map_page(&mut m.mem, root, CODE, fresh, user_rwx());
+    });
+}
+
+#[test]
+fn stage2_leaf_rewrite_then_tlb_eviction_agrees() {
+    // The same machine under HCR.VM, with stage 2 identity-mapping every
+    // frame allocated so far; EL0's `svc` exits to modelled EL1.
+    let build = |accel: bool| {
+        let mut m = toucher_machine(accel);
+        let frames = m.mem.allocated_frames() as u64;
+        let s2_root = alloc_table(&mut m.mem);
+        for pa in (0..frames).map(|f| (1 << 20) + f * 0x1000) {
+            assert!(m.mem.is_mapped(pa), "frames are allocated contiguously from 1 MiB");
+            s2_map_page(&mut m.mem, s2_root, pa, pa, S2Perms::rwx());
+        }
+        m.set_sysreg(SysReg::VTTBR_EL2, vttbr::pack(1, s2_root));
+        m.set_sysreg(SysReg::HCR_EL2, hcr::VM);
+        m.set_el1_external(true);
+        m
+    };
+    leaf_rewrite_agrees("stage-2 leaf rewrite", build, |m, fresh| {
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        let s2_root = vttbr::baddr(m.sysreg(SysReg::VTTBR_EL2));
+        let (ipa, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, CODE).expect("code mapped");
+        s2_unmap(&mut m.mem, s2_root, ipa);
+        s2_map_page(&mut m.mem, s2_root, ipa, fresh, S2Perms::rwx());
+    });
 }
 
 /// TTBR/ASID domain switching: two address spaces with different code at

@@ -422,6 +422,7 @@ impl Machine {
             .with("superblock_exits", fast.superblock_exits)
             .with("walkcache_hits", fast.walkcache_hits)
             .with("jit_blocks", fast.jit_blocks)
+            .with("jit_stepped", fast.jit_stepped)
             .with("jit_compiled", fast.jit_compiled);
 
         let mut gate = Section::new("gate").with("switches", self.metrics.domain_switches);
@@ -657,7 +658,7 @@ impl Machine {
         let pc = self.cpu.pc;
         let cfg = self.walk_config();
         if pc & 3 != 0 || !(cfg.s1_enabled || cfg.vttbr.is_some()) {
-            return (1, self.step());
+            return self.single_step();
         }
         let el = self.cpu.pstate.el;
         let Some(lent) = self.tlb.jit_lend(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn) else {
@@ -665,7 +666,7 @@ impl Machine {
         };
         if u64::from(lent.block.total) > budget {
             self.tlb.jit_return(lent);
-            return (1, self.step());
+            return self.single_step();
         }
         let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version);
         self.tlb.jit_return(lent);
@@ -687,8 +688,15 @@ impl Machine {
             Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
                 self.step_jit(&block, pc, pa_page, frame_version)
             }
-            _ => (1, self.step()),
+            _ => self.single_step(),
         }
+    }
+
+    /// A dispatch the accelerated engine cannot serve with a compiled
+    /// block: one `step`, counted in `FastStats::jit_stepped`.
+    fn single_step(&mut self) -> (u64, Option<Exit>) {
+        self.tlb.count_jit_step();
+        (1, self.step())
     }
 
     /// Execute a compiled block (see [`crate::jit`]).

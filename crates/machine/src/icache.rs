@@ -36,6 +36,20 @@
 //! TLB hit costs, after the same single TLB lookup the slow path makes, so
 //! paper tables are bit-identical with the cache on or off.
 //!
+//! # Arming
+//!
+//! A page entry is *armed* at a TLB generation once a fetch has proven
+//! that serving it equals a free L1 TLB hit; until the generation moves,
+//! the lookup-free paths serve it without touching the TLB. An entry is
+//! armed for the fetch's ASID, or for **every** ASID when three facts
+//! hold: its snapshot is global, it is the first entry at its EL in the
+//! page's list, and that global entry heads the page's L1 TLB slot.
+//! While the TLB generation holds, L1 is frozen and an L1 slot holds at
+//! most one global entry, so every ASID's L1 lookup returns that head,
+//! and `entry_mut`'s find order picks this entry for every ASID. A gate
+//! switch that only changes the ASID therefore keeps global code (the
+//! gate page, unprotected memory) armed.
+//!
 //! # JIT dispatch memo
 //!
 //! Compiled blocks are found through [`ICache::jit_lend`]: a direct-mapped
@@ -45,12 +59,14 @@
 //! freshness — plus an unchanged *mutation epoch*: every fill, eviction,
 //! arm, block store and invalidation that can change what `jit_block`
 //! returns bumps the epoch, so a hit is always the block the page map
-//! would serve. A slot admits a block only when the same lookup reaches
-//! it twice in a row, so a dispatch stream that never repeats (gate
-//! switches that change the ASID between two visits to a PC) only
-//! rewrites slot keys and never drops a displaced block. An admitted
-//! block is moved out of its slot while it runs and moved back
-//! afterwards, so a hit neither hashes nor touches the `Arc` refcount.
+//! would serve. An answer from an entry armed for every ASID is keyed
+//! without its ASID, so it matches under any ASID. A slot admits a
+//! block only when the same lookup reaches it twice in a row (lookups
+//! under different ASIDs count as the same when the answer serves every
+//! ASID), so a dispatch stream that never repeats only rewrites slot
+//! keys and never drops a displaced block. An admitted block is moved
+//! out of its slot while it runs and moved back afterwards, so a hit
+//! neither hashes nor touches the `Arc` refcount.
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
@@ -69,10 +85,10 @@ const MEMO_SLOTS: usize = 64;
 
 /// The inputs of one [`ICache::jit_block`] lookup, plus the mutation
 /// epoch it was made in (the live epoch starts at 1, so the all-zero key
-/// of an empty slot never matches) and whether the slot has admitted the
-/// answer. A lookup builds its key with `admitted: true`, so it matches
-/// only an admitted slot; the same key with `admitted: false` matches a
-/// slot that has only recorded it.
+/// of an empty slot never matches) and what the slot holds for it. A
+/// lookup matches only an admitted slot; the same key held as recorded
+/// matches a slot that has seen the lookup once. A key held for every
+/// ASID has `asid` 0, whatever ASID the lookup ran under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MemoKey {
     epoch: u64,
@@ -83,7 +99,23 @@ struct MemoKey {
     el: ExceptionLevel,
     s1_enabled: bool,
     wxn: bool,
-    admitted: bool,
+    held: Held,
+}
+
+/// What a memo slot holds for its key (one byte, so that [`MemoSlot`]
+/// stays 64 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// The lookup was seen once; its answer is not kept.
+    Recorded,
+    /// The lookup was seen twice in a row; the slot keeps its answer.
+    Admitted,
+    /// [`Held::Recorded`], for an answer from an entry armed for every
+    /// ASID.
+    RecordedAnyAsid,
+    /// [`Held::Admitted`], for an answer from an entry armed for every
+    /// ASID: it is served under any ASID.
+    AdmittedAnyAsid,
 }
 
 /// One dispatch-memo slot: the key of the last lookup made through it
@@ -111,7 +143,7 @@ const EMPTY_MEMO_SLOT: MemoSlot = MemoSlot {
         el: ExceptionLevel::El0,
         s1_enabled: false,
         wxn: false,
-        admitted: false,
+        held: Held::Recorded,
     },
     pa_page: 0,
     frame_version: 0,
@@ -162,11 +194,13 @@ struct PageEntry {
     /// be skipped.
     checked_gen: u64,
     /// `Tlb::generation` when this entry was last proven equivalent to a
-    /// free L1 TLB hit (0 = never). While the TLB generation matches and
-    /// the fetch ASID equals `fast_asid`, the L1 lookup result is
-    /// guaranteed unchanged and the slow-path comparison can be skipped.
+    /// free L1 TLB hit (0 = never), and the ASID it was proven for
+    /// (`None`: every ASID; see [`ICache::arm_fast`]). While the TLB
+    /// generation matches and the fetch ASID is covered, the L1 lookup
+    /// result is guaranteed unchanged and the slow-path comparison can
+    /// be skipped.
     fast_gen: u64,
-    fast_asid: u16,
+    fast_asid: Option<u16>,
     slots: Vec<Option<(u32, Insn)>>,
     /// Compiled blocks keyed by start slot (see [`crate::jit`]). Sharing
     /// the page entry means every path that drops or restarts the decoded
@@ -312,7 +346,7 @@ impl ICache {
             frame_version,
             checked_gen,
             fast_gen: 0,
-            fast_asid: 0,
+            fast_asid: None,
             slots,
             blocks: FxHashMap::default(),
         });
@@ -321,10 +355,10 @@ impl ICache {
     /// The memoised fast path: serve a block with *no* TLB interaction
     /// beyond replaying the free L1 hit, valid only while the TLB
     /// generation recorded by [`Self::arm_fast`] is current (so the L1
-    /// lookup outcome is provably unchanged), the fetch ASID matches the
-    /// arm-time ASID, the regime flags match, and the code frame is
-    /// content-fresh. Returns `(pa, word, insn)`; any failed check falls
-    /// back to the slow path.
+    /// lookup outcome is provably unchanged), the arm covers the fetch
+    /// ASID, the regime flags match, and the code frame is content-fresh.
+    /// Returns `(pa, word, insn)`; any failed check falls back to the
+    /// slow path.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn fast_probe(
@@ -351,9 +385,7 @@ impl ICache {
     #[inline]
     fn entry_mut(&mut self, vmid: u16, asid: u16, el: ExceptionLevel, va: u64) -> Option<&mut PageEntry> {
         let entries = self.pages.get_mut(&PageKey { vmid, vpn: va >> 12 })?;
-        entries
-            .iter_mut()
-            .find(|e| (e.info.snapshot.asid.is_none() || e.info.snapshot.asid == Some(asid)) && e.info.el == el)
+        entries.iter_mut().find(|e| e.info.snapshot.asid.is_none_or(|a| a == asid) && e.info.el == el)
     }
 
     /// [`Self::entry_mut`], if its regime flags are unchanged (a flipped
@@ -385,10 +417,10 @@ impl ICache {
         Some(e)
     }
 
-    /// [`Self::fresh_entry`], if it is armed at `tlb_gen` for `asid` (see
-    /// [`Self::arm_fast`]) — the test every lookup-free path
-    /// ([`Self::fast_probe`], [`Self::jit_block`], [`Self::compile`])
-    /// applies before serving anything from the entry.
+    /// [`Self::fresh_entry`], if it is armed at `tlb_gen` for `asid` or
+    /// for every ASID (see [`Self::arm_fast`]) — the test every
+    /// lookup-free path ([`Self::fast_probe`], [`Self::jit_block`],
+    /// [`Self::compile`]) applies before serving anything from the entry.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn armed_entry(
@@ -403,13 +435,13 @@ impl ICache {
         tlb_gen: u64,
     ) -> Option<&mut PageEntry> {
         self.fresh_entry(mem, vmid, asid, el, va, s1_enabled, wxn)
-            .filter(|e| (e.fast_gen, e.fast_asid) == (tlb_gen, asid))
+            .filter(|e| e.fast_gen == tlb_gen && e.fast_asid.is_none_or(|a| a == asid))
     }
 
     /// Serve the compiled block stored for the fetch at `va`, if its page
-    /// entry passes [`Self::armed_entry`]'s test. Returns the block plus the
+    /// entry passes [`Self::armed_entry`]'s test. Returns the block, the
     /// backing `(pa_page, frame_version)` for per-segment content
-    /// revalidation.
+    /// revalidation, and whether the entry is armed for every ASID.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -422,10 +454,10 @@ impl ICache {
         s1_enabled: bool,
         wxn: bool,
         tlb_gen: u64,
-    ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
+    ) -> Option<(Arc<CompiledBlock>, u64, u64, bool)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
         let block = e.blocks.get(&(slot_of(va) as u16))?;
-        Some((Arc::clone(block), e.info.snapshot.pa_page, e.frame_version))
+        Some((Arc::clone(block), e.info.snapshot.pa_page, e.frame_version, e.fast_asid.is_none()))
     }
 
     /// Lower the decoded run that starts at `va` (see
@@ -433,7 +465,8 @@ impl ICache {
     /// slot, where [`Self::jit_block`] serves it from then on. Validation
     /// is `jit_block`'s, so a block is compiled only where it could be
     /// served; `None` means the entry fails that test or `va`'s slot is
-    /// not decoded. Returns what `jit_block` would.
+    /// not decoded. Returns the block and its `(pa_page, frame_version)`,
+    /// as `jit_block` would.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compile(
         &mut self,
@@ -460,8 +493,9 @@ impl ICache {
     /// fetch at `va`, through the dispatch memo (see the module docs). A
     /// hit costs no hashing and no refcount traffic; a miss asks
     /// `jit_block`, and admits a found block if the slot's last lookup was
-    /// this one. Return the block with [`Self::jit_return`] after running
-    /// it.
+    /// this one — under any ASID, when the block's entry is armed for
+    /// every ASID. Return the block with [`Self::jit_return`] after
+    /// running it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_lend(
@@ -476,11 +510,10 @@ impl ICache {
         tlb_gen: u64,
     ) -> Option<LentBlock> {
         let idx = (va >> 2) as usize & (MEMO_SLOTS - 1);
-        let key = MemoKey { epoch: self.epoch, tlb_gen, va, vmid, asid, el, s1_enabled, wxn, admitted: true };
-        let recorded = MemoKey { admitted: false, ..key };
-        let mut repeat = false;
+        let key = MemoKey { epoch: self.epoch, tlb_gen, va, vmid, asid, el, s1_enabled, wxn, held: Held::Admitted };
+        let any_key = MemoKey { asid: 0, held: Held::AdmittedAnyAsid, ..key };
         if let Some(s) = self.memo.as_deref_mut().map(|m| &mut m[idx]) {
-            if s.key == key && s.block.is_some() {
+            if (s.key == key || s.key == any_key) && s.block.is_some() {
                 // Code-frame freshness, exactly as `jit_block` checks it:
                 // the page entry's version equals this one until the next
                 // epoch bump.
@@ -491,30 +524,37 @@ impl ICache {
                     s.checked_gen = mem.write_gen();
                 }
                 let (pa_page, frame_version) = (s.pa_page, s.frame_version);
+                #[cfg(debug_assertions)]
+                let any_asid = s.key == any_key;
                 let block = s.block.take()?;
                 #[cfg(debug_assertions)]
                 {
                     let served = self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen);
                     assert!(
-                        served.as_ref().is_some_and(|(b, pa, fv)| {
-                            Arc::ptr_eq(b, &block) && (*pa, *fv) == (pa_page, frame_version)
+                        served.as_ref().is_some_and(|(b, pa, fv, any)| {
+                            Arc::ptr_eq(b, &block) && (*pa, *fv, *any) == (pa_page, frame_version, any_asid)
                         }),
-                        "JIT dispatch memo served a block the icache would not (va {va:#x})"
+                        "JIT dispatch memo served a block the icache would not (va {va:#x}, asid {asid})"
                     );
                 }
                 return Some(LentBlock { block, pa_page, frame_version, slot: Some(idx) });
             }
-            repeat = s.key == recorded;
         }
-        let (block, pa_page, frame_version) = self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let (block, pa_page, frame_version, any_asid) =
+            self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
+        let (admitted, recorded) = if any_asid {
+            (any_key, MemoKey { held: Held::RecordedAnyAsid, ..any_key })
+        } else {
+            (key, MemoKey { held: Held::Recorded, ..key })
+        };
         let s = &mut self.memo.get_or_insert_with(|| Box::new([EMPTY_MEMO_SLOT; MEMO_SLOTS]))[idx];
-        if !repeat {
+        if s.key != recorded {
             s.key = recorded;
             return Some(LentBlock { block, pa_page, frame_version, slot: None });
         }
         // The same lookup twice in a row, with no epoch bump or TLB
         // generation move between: admit its answer.
-        s.key = key;
+        s.key = admitted;
         s.pa_page = pa_page;
         s.frame_version = frame_version;
         s.checked_gen = mem.write_gen();
@@ -547,13 +587,30 @@ impl ICache {
         self.hits += n;
     }
 
-    /// Record that, at TLB generation `tlb_gen`, serving this page's block
-    /// for `asid` is equivalent to a free L1 TLB hit.
-    pub(crate) fn arm_fast(&mut self, vmid: u16, asid: u16, el: ExceptionLevel, va: u64, tlb_gen: u64) {
-        let Some(e) = self.entry_mut(vmid, asid, el, va) else { return };
-        if (e.fast_gen, e.fast_asid) != (tlb_gen, asid) {
-            e.fast_gen = tlb_gen;
-            e.fast_asid = asid;
+    /// Record that, at TLB generation `tlb_gen`, serving the page entry
+    /// [`Self::entry_mut`] finds for `asid` is equivalent to a free L1 TLB
+    /// hit. `l1_head` is the first entry of the page's L1 TLB slot. The
+    /// arm covers every ASID when the entry's snapshot is global, the
+    /// entry is the first at `el` in the page's list, and its snapshot
+    /// heads the L1 slot (see the module docs); otherwise it covers
+    /// `asid` only.
+    pub(crate) fn arm_fast(
+        &mut self,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        tlb_gen: u64,
+        l1_head: Option<TlbEntry>,
+    ) {
+        let Some(entries) = self.pages.get_mut(&PageKey { vmid, vpn: va >> 12 }) else { return };
+        // `entry_mut`'s find order, ranked among the entries at `el`.
+        let mut at_el = entries.iter_mut().filter(|e| e.info.el == el).enumerate();
+        let Some((rank, e)) = at_el.find(|(_, e)| e.info.snapshot.asid.is_none_or(|a| a == asid)) else { return };
+        let every_asid = rank == 0 && e.info.snapshot.asid.is_none() && l1_head == Some(e.info.snapshot);
+        let armed = (tlb_gen, if every_asid { None } else { Some(asid) });
+        if (e.fast_gen, e.fast_asid) != armed {
+            (e.fast_gen, e.fast_asid) = armed;
             self.epoch += 1;
         }
     }
@@ -748,12 +805,19 @@ mod tests {
     }
 
     /// An entry for `va` (code at `pa`; ASID 1, or global) armed for ASID
-    /// 1 at TLB generation 1 with a one-NOP compiled block.
+    /// 1 at TLB generation 1 with a one-NOP compiled block. Its L1 TLB
+    /// slot is empty, so even a global entry is armed for ASID 1 only.
     fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
         let mut ic = seeded(mem, &[(0, if global { None } else { Some(1) }, va, pa)]);
-        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1);
+        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, None);
         assert!(ic.compile(mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
         ic
+    }
+
+    /// The ASIDs among 1–3 that the lookup-free fetch path serves `va`
+    /// to at TLB generation 1.
+    fn served_asids(ic: &mut ICache, mem: &PhysMem, va: u64) -> Vec<u16> {
+        (1..=3).filter(|&asid| ic.fast_probe(mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).is_some()).collect()
     }
 
     fn lend(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<LentBlock> {
@@ -791,17 +855,69 @@ mod tests {
 
     #[test]
     fn memo_admits_only_repeated_lookups() {
-        // Alternating ASIDs on one global page: each lookup records its
-        // key over the other's, so neither is ever admitted.
+        // Alternating ASIDs on one global page that does not head its L1
+        // slot: each arm covers one ASID, each lookup records its key
+        // over the other's, so neither is ever admitted.
         let mut mem = PhysMem::new();
         let pa = mem.alloc_frame();
         let va = 0x1000;
         let mut ic = armed_with_block(&mem, va, pa, true);
         for asid in [1, 2, 1, 2] {
-            ic.arm_fast(0, asid, ExceptionLevel::El0, va, 1);
+            ic.arm_fast(0, asid, ExceptionLevel::El0, va, 1, None);
             let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
             assert_eq!(lent.slot, None, "ASID {asid}: alternating lookups must not be admitted");
             ic.jit_return(lent);
+        }
+    }
+
+    #[test]
+    fn memo_admits_every_asid_entry_under_alternating_asids() {
+        // A global entry that heads its L1 slot is armed once for every
+        // ASID: alternating lookups are repeats, the second one admits
+        // the block, and later ones hit it without re-arming.
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        let va = 0x1000;
+        let mut ic = seeded(&mem, &[(0, None, va, pa)]);
+        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, Some(seed_info(None, pa).snapshot));
+        assert!(ic.compile(&mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
+        let epoch = ic.epoch;
+        let mut block = None;
+        for (i, asid) in [1u16, 2, 1, 3, 2].into_iter().enumerate() {
+            let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
+            assert_eq!(lent.slot.is_some(), i > 0, "ASID {asid}: lookup {i} under another ASID is a repeat");
+            assert_eq!(*block.get_or_insert(Arc::as_ptr(&lent.block)), Arc::as_ptr(&lent.block));
+            ic.jit_return(lent);
+        }
+        assert_eq!(served_asids(&mut ic, &mem, va), [1, 2, 3]);
+        assert_eq!(ic.epoch, epoch, "serving other ASIDs re-armed nothing");
+    }
+
+    #[test]
+    fn global_entry_arms_every_asid_only_when_it_leads() {
+        let mut mem = PhysMem::new();
+        let pa = mem.alloc_frame();
+        let va = 0x1000;
+        let global = seed_info(None, pa).snapshot;
+        let own = seed_info(Some(2), pa).snapshot;
+        let el1 = FillInfo { el: ExceptionLevel::El1, ..seed_info(Some(2), pa) };
+        // (entries filled before the global one, L1 slot head, ASIDs served
+        // after arming under ASID 1)
+        let cases: [(&[FillInfo], Option<TlbEntry>, &[u16]); 5] = [
+            (&[], Some(global), &[1, 2, 3]),
+            (&[el1], Some(global), &[1, 2, 3]), // another EL's entry does not count
+            (&[], None, &[1]),
+            (&[], Some(own), &[1]), // ASID 2's L1 lookup returns its own entry
+            (&[seed_info(Some(2), pa)], Some(global), &[1]), // ASID 2's fetch finds its own entry first
+        ];
+        for (i, (before, l1_head, served)) in cases.into_iter().enumerate() {
+            let mut ic = ICache::new(16);
+            for info in before {
+                ic.fill(&mem, 0, va, *info, NOP, Insn::decode(NOP));
+            }
+            ic.seed_entry(&mem, 0, None, va, pa);
+            ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, l1_head);
+            assert_eq!(served_asids(&mut ic, &mem, va), served, "case {i}");
         }
     }
 
@@ -811,12 +927,13 @@ mod tests {
         let pa = mem.alloc_frame();
         let va = 0x1000;
         for (i, what) in ["invalidation", "re-arm for another ASID", "slot refill", "code write"].iter().enumerate() {
-            // A global entry, so that it can be re-armed for ASID 2.
+            // A global entry armed for one ASID, so that it can be
+            // re-armed for ASID 2.
             let mut ic = armed_with_block(&mem, va, pa, true);
             admit(&mut ic, &mem, va);
             match i {
                 0 => ic.invalidate_va(0, va),
-                1 => ic.arm_fast(0, 2, ExceptionLevel::El0, va, 1),
+                1 => ic.arm_fast(0, 2, ExceptionLevel::El0, va, 1, None),
                 2 => ic.seed_entry(&mem, 0, None, va + 4, pa),
                 _ => assert!(mem.write(pa, 0, 4)),
             }

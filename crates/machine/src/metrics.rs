@@ -136,6 +136,11 @@ pub struct FastStats {
     pub walkcache_hits: u64,
     /// Compiled blocks entered (zero on the reference engine).
     pub jit_blocks: u64,
+    /// Dispatches the accelerated engine single-stepped instead of
+    /// entering a compiled block: a misaligned PC, the bare identity
+    /// regime, a page entry not armed for the fetch, an undecoded slot,
+    /// or a block longer than the remaining budget.
+    pub jit_stepped: u64,
     /// Decoded runs lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,

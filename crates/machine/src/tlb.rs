@@ -65,6 +65,11 @@ impl TlbLevel {
         self.entries.get(&key).and_then(|v| v.iter().find(|e| e.asid.is_none() || e.asid == Some(asid)).copied())
     }
 
+    /// The first entry of `(vmid, va)`'s slot, whatever its ASID.
+    fn head(&self, vmid: u16, va: u64) -> Option<TlbEntry> {
+        self.entries.get(&TlbKey { vmid, vpn: va >> 12 }).and_then(|v| v.first().copied())
+    }
+
     fn insert(&mut self, vmid: u16, va: u64, entry: TlbEntry) {
         let key = TlbKey { vmid, vpn: va >> 12 };
         while self.order.len() >= self.capacity {
@@ -392,10 +397,12 @@ impl Tlb {
 
     /// Arm the decoded-block memo for `(vmid, asid, el, va)` at the
     /// current generation: the caller just proved that serving the block
-    /// equals a free L1 hit.
+    /// equals a free L1 hit. A global block that heads its L1 slot is
+    /// armed for every ASID (see `ICache::arm_fast`).
     pub fn arm_fast(&mut self, vmid: u16, asid: u16, el: lz_arch::pstate::ExceptionLevel, va: u64) {
         let gen = self.gen;
-        self.icache.arm_fast(vmid, asid, el, va, gen);
+        let l1_head = self.l1.head(vmid, va);
+        self.icache.arm_fast(vmid, asid, el, va, gen, l1_head);
     }
 
     /// Micro-DTLB probe for a data access. A hit means the slow path
@@ -620,6 +627,12 @@ impl Tlb {
     #[inline]
     pub(crate) fn count_jit_block(&mut self) {
         self.fast.jit_blocks += 1;
+    }
+
+    /// Count one single-stepped dispatch (host-side observability only).
+    #[inline]
+    pub(crate) fn count_jit_step(&mut self) {
+        self.fast.jit_stepped += 1;
     }
 
     /// Replay the per-instruction bookkeeping a compiled-block instruction

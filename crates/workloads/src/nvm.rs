@@ -142,6 +142,19 @@ pub fn nvm_cycles_per_op(platform: Platform, deploy: Deployment, mechanism: Mech
 /// Overhead of `mechanism` over vanilla for one cell.
 pub fn nvm_overhead(platform: Platform, deploy: Deployment, mechanism: Mechanism, buffers: usize) -> NvmResult {
     let base = nvm_cycles_per_op(platform, deploy, Mechanism::Vanilla, buffers);
+    nvm_overhead_over(base, platform, deploy, mechanism, buffers)
+}
+
+/// Overhead of `mechanism` for one cell over `base`, the vanilla cycles
+/// per op of the same platform, deployment and buffer count: callers
+/// that compare several mechanisms compute the baseline once.
+pub fn nvm_overhead_over(
+    base: f64,
+    platform: Platform,
+    deploy: Deployment,
+    mechanism: Mechanism,
+    buffers: usize,
+) -> NvmResult {
     let prot = nvm_cycles_per_op(platform, deploy, mechanism, buffers);
     NvmResult { cycles_per_op: prot, overhead: (prot - base) / base }
 }

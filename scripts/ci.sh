@@ -11,9 +11,11 @@
 # is re-run on its own in release. Then: a `repro all` smoke pass, a
 # `repro stats` JSON validation, the SMP scaling leg (schema check +
 # byte-for-byte determinism re-run, emitted as BENCH_smp_scaling.json),
-# the host-speed gate (one seed-1 benchmark/ run of alu_jit and nvm_scan:
-# golden modelled outputs plus a scaled-MIPS floor per workload, so
-# engine regressions fail loudly) and the benchmark crate's own tests,
+# the host-speed gate (one seed-1 benchmark/ run of alu_jit, nvm_scan and
+# fleet_serve: golden modelled outputs plus a scaled-MIPS floor per
+# workload, so engine regressions fail loudly — fleet_serve's floor
+# guards the gate-switch fetch path, where global code stays armed for
+# every ASID) and the benchmark crate's own tests,
 # the chaos soak (BENCH_chaos_soak.json: >=10k
 # injected faults, zero invariant or containment violations,
 # byte-reproducible, and byte-identical under LZ_ACCEL=0), the
@@ -157,21 +159,21 @@ print(f"smp scaling JSON ok: {cores} cores, {speedup:.2f}x modelled at 4 cores, 
 '
 cat BENCH_smp_scaling.json
 
-echo "== host speed: benchmark/ alu_jit + nvm_scan at seed 1 (golden outputs + MIPS floors) =="
-# Three rounds of each workload, about 10 s. Any failed output check
+echo "== host speed: benchmark/ alu_jit + nvm_scan + fleet_serve at seed 1 (golden outputs + MIPS floors) =="
+# Three rounds of each workload, about 17 s. Any failed output check
 # (seed 1 includes every modelled output against benchmark/golden.json)
 # makes the run exit 1 and report "correct": false. The floors are about
 # half the median scaled sim_mips of five runs on a 2-vCPU x86-64 KVM
-# guest (alu_jit 322, nvm_scan 85 MIPS).
+# guest (alu_jit 322, nvm_scan 85, fleet_serve 37 MIPS).
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload alu_jit --workload nvm_scan --seed 1 > /tmp/host_speed.out
+    --workload alu_jit --workload nvm_scan --workload fleet_serve --seed 1 > /tmp/host_speed.out
 tail -n 1 /tmp/host_speed.out | python3 -c '
 import json, sys
 report = json.load(sys.stdin)
 failed = report["failed"]
 assert report["correct"] is True, "benchmark output checks failed (golden modelled outputs)"
 assert failed == 0, f"{failed} failed ops"
-for workload, floor in (("alu_jit", 150), ("nvm_scan", 42)):
+for workload, floor in (("alu_jit", 150), ("nvm_scan", 42), ("fleet_serve", 18)):
     mips = report["metrics"][f"{workload}.sim_mips"]["value"]
     assert mips >= floor, f"{workload}: host speed regressed: {mips:.1f} MIPS < {floor}"
     print(f"  {workload}: {mips:.1f} MIPS, floor {floor}")

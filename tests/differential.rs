@@ -18,8 +18,9 @@
 //! TLB entry is then evicted by capacity, physical code patching without
 //! TLBI, TTBR/ASID domain switching over global and non-global pages, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
-//! JIT dispatch memo's epoch sources, and quantum edges at every offset
-//! inside a block.
+//! JIT dispatch memo's epoch sources, one code VA mapped global for one
+//! ASID and non-global for another in both fill orders, and quantum
+//! edges at every offset inside a block.
 
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
@@ -1505,7 +1506,12 @@ fn run_routine(m: &mut Machine, pc: u64) {
 /// second round filled. On the accelerated engine compiled blocks must run
 /// in every round; `x3` is the loop's expected final sum (200 × its
 /// immediate, per round).
-fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: impl Fn(&mut Machine)) {
+fn memo_scenario(
+    ctx: &str,
+    x3: u64,
+    build: impl Fn(&[u8]) -> Machine,
+    host: impl Fn(&mut Machine),
+) -> lz_machine::metrics::FastStats {
     let code = memo_program();
     both_engines(
         ctx,
@@ -1533,7 +1539,7 @@ fn memo_scenario(ctx: &str, x3: u64, build: impl Fn(&[u8]) -> Machine, host: imp
             assert_eq!(m.cpu.reg(3), x3, "{ctx}: hot loop result");
             (exit, guest_bytes(m, DATA, 16))
         },
-    );
+    )
 }
 
 fn plain_build(code: &[u8]) -> Machine {
@@ -1615,11 +1621,10 @@ fn jit_memo_tlb_generation_agrees() {
 #[test]
 fn jit_memo_rearm_under_new_asid_agrees() {
     // Global pages: one icache entry serves both ASIDs, and every lookup
-    // is a global L1 hit, so the TLB generation never moves. One step of
-    // the hot loop under ASID 2 re-arms the entry for ASID 2 (and misses
-    // the micro-DTLB's ASID tag); back under ASID 1, only the arm's epoch
-    // bump keeps the memo from serving the slots the first phase filled.
-    let build = |code: &[u8]| {
+    // is a global L1 hit, so the TLB generation never moves. The host
+    // steps the hot loop once under ASID 2 (missing the micro-DTLB's
+    // ASID tag), then returns to ASID 1.
+    let global_build = |code: &[u8]| {
         let mut m = plain_build(code);
         let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
         for (base, pages) in [(CODE, 4u64), (DATA, 2)] {
@@ -1631,13 +1636,212 @@ fn jit_memo_rearm_under_new_asid_agrees() {
         }
         m
     };
-    memo_scenario("memo: re-arm under a new ASID", 4200, build, |m| {
+    let step_under_asid_2 = |m: &mut Machine| {
         let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
         m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(2, root));
         m.enter(PState::user(), HOT_TOP);
         assert_eq!(m.step(), None);
         m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, root));
+    };
+    // The global code entry heads its L1 TLB slot, so it is armed once
+    // for every ASID: the step under ASID 2 re-arms nothing, and the
+    // memo keeps serving ASID 1 the slots the first phase filled.
+    let every = memo_scenario("memo: ASID switch over an every-ASID arm", 4200, global_build, step_under_asid_2);
+    // A host-inserted non-global TLB entry of ASID 3 heads the code
+    // page's L1 slot, so ASID 1's global entry lands behind it and the
+    // icache entry is armed for one ASID at a time. The step under ASID
+    // 2 re-arms it for ASID 2; back under ASID 1, only the arm's epoch
+    // bump keeps the memo from serving the slots the first phase filled.
+    let shadowed_build = |code: &[u8]| {
+        let mut m = global_build(code);
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        let (pa, perms, _) = lz_machine::walk::s1_lookup(&m.mem, root, HOT).expect("mapped");
+        let entry = lz_machine::tlb::TlbEntry { asid: Some(3), pa_page: pa & !0xfff, s1: perms, s2: None };
+        m.tlb.insert(0, HOT, lz_machine::tlb::TlbEntry { s1: S1Perms { global: false, ..perms }, ..entry });
+        m
+    };
+    let rearm = memo_scenario("memo: re-arm under a new ASID", 4200, shadowed_build, step_under_asid_2);
+    assert!(
+        rearm.jit_stepped > every.jit_stepped,
+        "only the shadowed page re-arms, and single-steps the first dispatch after: {} vs {}",
+        rearm.jit_stepped,
+        every.jit_stepped
+    );
+}
+
+/// One step of a shadowed-code scenario (see [`shadowed_code_agrees`]).
+#[derive(Debug, Clone, Copy)]
+enum Shadow {
+    /// Run the loop at `CODE` under this ASID.
+    Run(u16),
+    /// Evict every TLB entry by capacity: host-side TLB fills of 600
+    /// other pages, which leave the icache alone.
+    EvictTlb,
+}
+
+/// One code VA mapped two ways: non-global for ASID 2 (its loop adds 2
+/// per iteration) and global for ASID 1 (adds 1), over a global data
+/// page, so that a run under one ASID after the other inserts no TLB
+/// entry once the code is resident. Runs `steps` on both engines, which
+/// must agree, and checks the loop sums of the runs. The third run in a
+/// row under ASID 1 is the first that changes nothing in the icache, so
+/// the hot loop it admits into the dispatch memo is still there when
+/// the next run starts.
+fn shadowed_code_agrees(steps: &[Shadow], sums: &[u64]) {
+    let bodies = [1u16, 2].map(|tag| {
+        let mut a = Asm::new(CODE);
+        a.mov_imm64(19, DATA);
+        a.movz(0, tag, 0);
+        a.movz(4, 200, 0);
+        let top = a.label();
+        a.bind(top);
+        a.ldr(1, 19, 0);
+        a.add_reg(2, 2, 0);
+        a.subs_imm(4, 4, 1);
+        a.b_ne(top);
+        a.svc(0);
+        a.bytes()
     });
+    let build = || {
+        let mut m = Machine::new(Platform::CortexA55);
+        let data = m.mem.alloc_frame();
+        let mut ttbrs = [0u64; 2];
+        for (i, body) in bodies.iter().enumerate() {
+            let root = alloc_table(&mut m.mem);
+            let code = m.mem.alloc_frame();
+            m.mem.write_bytes(code, body);
+            s1_map_page(&mut m.mem, root, CODE, code, S1Perms { global: i == 0, ..user_rwx() });
+            s1_map_page(&mut m.mem, root, DATA, data, S1Perms { global: true, ..lz_chaos::programs::user_rw() });
+            ttbrs[i] = ttbr::pack(i as u16 + 1, root);
+        }
+        m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+        m.set_sysreg(SysReg::HCR_EL2, hcr::TGE | hcr::E2H);
+        (m, ttbrs)
+    };
+    // Frame allocation is deterministic, so every engine's machine gets
+    // these same two roots.
+    let ttbrs = build().1;
+    let ctx = format!("shadowed code, {steps:?}");
+    both_engines(
+        &ctx,
+        || build().0,
+        |m| {
+            let mut exit = Exit::Limit;
+            let mut out = Vec::new();
+            for step in steps {
+                match *step {
+                    Shadow::Run(asid) => {
+                        m.set_sysreg(SysReg::TTBR0_EL1, ttbrs[asid as usize - 1]);
+                        m.cpu.x[2] = 0;
+                        m.enter(PState::user(), CODE);
+                        exit = m.run(100_000);
+                        assert_eq!(exit, Exit::El2(ExceptionClass::Svc), "{ctx}");
+                        out.push(m.cpu.reg(2));
+                    }
+                    Shadow::EvictTlb => {
+                        let filler = lz_machine::tlb::TlbEntry { asid: Some(9), pa_page: 0, s1: user_rwx(), s2: None };
+                        for i in 0..600 {
+                            m.tlb.insert(0, TOUCH_BASE + i * 0x1000, filler);
+                        }
+                    }
+                }
+            }
+            assert_eq!(out, sums, "{ctx}: loop sums");
+            (exit, out)
+        },
+    );
+}
+
+#[test]
+fn jit_memo_non_global_entry_ahead_of_global_agrees() {
+    use Shadow::*;
+    // ASID 2 runs first, so its icache entry and its L1 TLB entry both
+    // come before the global ones ASID 1 adds. ASID 1's hot loop is
+    // admitted into the dispatch memo for ASID 1 alone; back under ASID
+    // 2, the fetch finds ASID 2's own entry and runs its own frame.
+    shadowed_code_agrees(&[Run(2), Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 400]);
+    // ASID 2's icache entry behind the global one, its L1 TLB entry
+    // ahead: the TLB lookup decides, so ASID 2 still runs its own frame,
+    // and the global entry, which does not head its L1 slot, is armed
+    // for one ASID at a time.
+    shadowed_code_agrees(&[Run(1), EvictTlb, Run(2), Run(1), Run(1), Run(1), Run(2)], &[200, 400, 200, 200, 200, 400]);
+}
+
+#[test]
+fn jit_memo_global_entry_ahead_of_non_global_agrees() {
+    use Shadow::*;
+    // The reverse fill order: ASID 1's global entry heads the L1 slot
+    // and its icache page, is armed for every ASID, and its hot loop is
+    // admitted for every ASID. ASID 2's TLB lookup then hits that global
+    // entry, so both engines run the global frame under ASID 2 too — the
+    // architectural outcome of a global mapping shadowing a non-global
+    // one, until a TLBI drops it.
+    shadowed_code_agrees(&[Run(1), Run(1), Run(1), Run(2)], &[200, 200, 200, 200]);
+    // The global L1 entry ahead, ASID 2's icache entry ahead of the
+    // global one: ASID 2's fetch finds its own entry, whose snapshot the
+    // TLB no longer returns, and walks to the global frame. The global
+    // entry is armed for one ASID at a time, so the memo never serves it
+    // under ASID 2 where `jit_block` would not (debug builds assert this
+    // on every memo hit).
+    shadowed_code_agrees(&[Run(2), EvictTlb, Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 200]);
+}
+
+/// Run a LightZone process that alternates between two TTBR domains
+/// `rounds` times — two gate switches per round, each changing the ASID
+/// — with the whole loop and the gate page in global mappings. Returns
+/// the modelled outcome (cycles, instructions, journal), the gate
+/// switches, and the dispatches the accelerated engine single-stepped.
+fn gate_switch_loop(accel: bool, rounds: u64) -> ((u64, u64, String), u64, u64) {
+    use lightzone::api::{LzAsm, LzProgramBuilder, RW, SAN_TTBR};
+    const DOMAINS: u64 = 0x5000_0000;
+    let mut b = LzProgramBuilder::new(CODE);
+    b.with_segment(DOMAINS, vec![0u8; 0x2000], lz_kernel::VmProt::RW);
+    b.asm.lz_enter(true, SAN_TTBR);
+    for d in 0..2u64 {
+        b.asm.lz_alloc();
+        b.asm.lz_map_gate_pgt_imm(d + 1, d);
+        b.asm.lz_prot_imm(DOMAINS + d * 0x1000, 0x1000, d + 1, RW);
+    }
+    b.asm.mov_imm64(23, rounds);
+    let top = b.asm.label();
+    b.asm.bind(top);
+    for d in 0..2u16 {
+        b.lz_switch_to_ttbr_gate(d);
+        b.asm.mov_imm64(19, DOMAINS + u64::from(d) * 0x1000);
+        b.asm.ldr(1, 19, 0);
+        b.asm.add_imm(1, 1, 1);
+        b.asm.str(1, 19, 0);
+    }
+    b.asm.subs_imm(23, 23, 1);
+    b.asm.b_ne(top);
+    b.asm.exit_imm(0);
+    let prog = b.build();
+    let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
+    lz.kernel.machine.set_accel(accel);
+    lz.kernel.machine.set_metrics(true);
+    let pid = lz.spawn(&prog);
+    lz.enter_process(pid);
+    assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
+    let m = &lz.kernel.machine;
+    ((m.cpu.cycles, m.cpu.insns, m.journal.dump_json()), m.metrics.domain_switches, m.tlb.fast_stats().jit_stepped)
+}
+
+/// Gate switches between two domains over global code: both engines
+/// agree, and once the loop is warm the accelerated engine runs it from
+/// compiled blocks. Global code (the gate page, the loop) is armed for
+/// every ASID, so a switch neither single-steps nor re-arms it; an arm
+/// that covers one ASID at a time single-steps two dispatches per
+/// switch here.
+#[test]
+fn gate_switch_loop_over_global_code_stays_compiled() {
+    let [short, long] = [50, 250].map(|rounds| {
+        let (outcome, switches, stepped) = gate_switch_loop(true, rounds);
+        assert_eq!(outcome, gate_switch_loop(false, rounds).0, "{rounds} rounds");
+        (switches, stepped)
+    });
+    let (switches, stepped) = (long.0 - short.0, long.1 - short.1);
+    assert_eq!(switches, 400, "two gate switches per round");
+    assert!(stepped * 10 < switches, "{stepped} single steps over {switches} warm gate switches");
 }
 
 #[test]

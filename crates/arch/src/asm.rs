@@ -380,13 +380,6 @@ impl Asm {
         self.emit(Insn::Ret { rn })
     }
 
-    /// Branch to an absolute address through a scratch register:
-    /// `mov_imm64 scratch, target; br scratch`.
-    pub fn b_abs(&mut self, scratch: u8, target: u64) -> &mut Self {
-        self.mov_imm64(scratch, target);
-        self.br(scratch)
-    }
-
     // ---- system ------------------------------------------------------------
 
     /// `svc #imm`.

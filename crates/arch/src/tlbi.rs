@@ -111,12 +111,6 @@ impl TlbiOp {
         let (op1, crm, op2) = self.encode();
         crate::insn::Insn::Sys { l: false, op1, crn: 8, crm, op2, rt: xt }.encode()
     }
-
-    /// True for operations that carry a VA in Xt bits `[43:0]`
-    /// (VA forms) and, for `Va`, an ASID in bits `[63:48]`.
-    pub fn has_va(&self) -> bool {
-        matches!(self.scope, TlbiScope::Va | TlbiScope::VaAllAsid | TlbiScope::Ipa)
-    }
 }
 
 /// Extract the page-aligned VA from a TLBI Xt operand (bits `[43:0]`

@@ -2,7 +2,7 @@
 //!
 //! The `repro` binary prints these; the determinism regression tests
 //! compare them byte-for-byte across back-to-back runs and across
-//! fetch-cache settings (the decoded-block cache must never change a
+//! engines (the compiled-block fetch cache must never change a
 //! modelled cycle count).
 
 use crate::paper;

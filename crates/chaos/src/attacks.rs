@@ -50,14 +50,6 @@ pub fn run(prog: &LzProgram, platform: Platform, guest: bool) -> i64 {
     lz.run_to_exit()
 }
 
-/// Spawn `prog` under an explicit ablation config and run it to exit.
-pub fn run_with(prog: &LzProgram, platform: Platform, guest: bool, ablation: AblationConfig) -> i64 {
-    let mut lz = LightZone::with_ablation(platform, guest, ablation);
-    let pid = lz.spawn(prog);
-    lz.enter_process(pid);
-    lz.run_to_exit()
-}
-
 // ---------------------------------------------------------------------
 // Base environments (the §7.2 "128 protected memory domains" setups)
 // ---------------------------------------------------------------------

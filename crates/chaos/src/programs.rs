@@ -159,7 +159,7 @@ fn plantable(rng: &mut StdRng) -> u32 {
 ///
 /// * prologue: base registers x19/x20 (data pages), x21 (patch area),
 ///   seed immediates in x0..x7;
-/// * `blr` into the patch area (populates the decoded-block cache);
+/// * `blr` into the patch area (populates the fetch cache);
 /// * `len` random body instructions: ALU, loads/stores, compares,
 ///   forward conditional branches, resumable traps, and stores of
 ///   instruction words into patch slots;
@@ -177,7 +177,7 @@ pub fn random_program(seed: u64, len: usize, slots: usize) -> (Vec<u8>, Vec<u8>)
     a.mov_imm64(10, PATCH);
     a.blr(10);
     // A short counted loop so even store-heavy programs re-fetch some
-    // code and give the decoded-block cache something to hit.
+    // code and give the fetch cache something to hit.
     a.mov_imm64(11, 64);
     let warm = a.label();
     a.bind(warm);

@@ -227,20 +227,6 @@ pub fn shrink_plan(scenario: Scenario, seed: u64, plan: &FaultPlan) -> Option<(B
     ddmin_set(&schedule, fails) // replay of the full schedule must still fail
 }
 
-/// Human-readable description of a shrunk schedule: which sites fired
-/// at which consultation numbers (resolved by re-running the replay).
-pub fn describe_schedule(scenario: Scenario, seed: u64, plan: &FaultPlan, schedule: &BTreeSet<u64>) -> String {
-    let replay = plan.clone().replay(schedule.clone());
-    let run = run_scenario(scenario, seed, Some(&replay));
-    let steps: Vec<String> = run.fired.iter().map(|&(seq, site)| format!("seq {seq}: {}", site.name())).collect();
-    format!("{} seed={seed:#x} [{}]", scenario.name(), steps.join(", "))
-}
-
-#[allow(dead_code)]
-fn site_names() -> Vec<&'static str> {
-    lz_machine::ALL_SITES.iter().map(|s| s.name()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,7 @@ use lz_arch::sensitive::SanitizeMode;
 use lz_arch::sysreg::{hcr, sctlr, vttbr, SysReg};
 use lz_arch::{page_align_down, Platform, PAGE_SIZE};
 use lz_kernel::syscall::{custom, CUSTOM_BASE};
+use lz_kernel::vma::user_range;
 use lz_kernel::{Event, Kernel, KernelMode, Pid, SysOutcome};
 use lz_machine::pte::{S1Perms, S2Perms};
 use lz_machine::walk::{alloc_table, free_table_tree, s2_map_block, s2_map_page, s2_unmap};
@@ -677,9 +678,7 @@ impl LzModule {
     }
 
     fn lz_prot(&mut self, k: &mut Kernel, pid: Pid, addr: u64, len: u64, pgt: u64, perm: u64) -> u64 {
-        if addr & (PAGE_SIZE - 1) != 0 || len == 0 {
-            return u64::MAX;
-        }
+        let Some(range) = user_range(addr, len) else { return u64::MAX };
         let skip_remote = self.ablation.skip_remote_shootdown;
         let Some(proc) = self.procs.get_mut(&pid) else { return u64::MAX };
         let overlay = Overlay::from_bits(perm);
@@ -687,7 +686,7 @@ impl LzModule {
         if !pan_all && (pgt as usize >= proc.tables.len() || proc.tables[pgt as usize].is_none()) {
             return u64::MAX;
         }
-        let end = lz_arch::page_align_up(addr + len);
+        let end = lz_arch::page_align_up(range.end);
         let mut page = addr;
         while page < end {
             let prot = proc.protections.entry(page).or_default();
@@ -1570,12 +1569,10 @@ impl LzModule {
     /// on unmap — retire its fake-phys and stage-2 mappings while the
     /// frame is still resident to look up.
     fn ve_mm_fixup(&mut self, k: &mut Kernel, pid: Pid, addr: u64, len: u64, unmap: bool) {
-        if len == 0 || addr.checked_add(len).is_none() {
-            return;
-        }
+        // The kernel refuses the same ranges, changing nothing.
+        let Some(range) = user_range(addr, len) else { return };
         let Some(mut proc) = self.procs.remove(&pid) else { return };
-        let start = page_align_down(addr);
-        let end = lz_arch::page_align_up(addr + len);
+        let (start, end) = (range.start, lz_arch::page_align_up(range.end));
         let mut huge_touched = false;
         let mut page = start;
         while page < end {
@@ -1833,33 +1830,21 @@ impl LightZone {
         }
     }
 
-    /// Run until an event the caller must see.
+    /// Run until an event the caller must see: machine entries of at
+    /// most `insn_limit` instructions, each exit dispatched through
+    /// [`Self::dispatch_exit`].
     pub fn run(&mut self, insn_limit: u64) -> Event {
         loop {
-            match self.kernel.run(insn_limit) {
-                Event::Custom { nr, args } => {
-                    if let Some(ev) = self.module.handle_custom(&mut self.kernel, nr, args) {
-                        return ev;
-                    }
-                }
-                Event::Raw(exit) => {
-                    let in_lz = self.kernel.current().is_some_and(|pid| self.kernel.process(pid).in_lightzone);
-                    if in_lz {
-                        if let Some(ev) = self.module.handle_ve_exit(&mut self.kernel, exit) {
-                            return ev;
-                        }
-                    } else {
-                        return Event::Raw(exit);
-                    }
-                }
-                other => return other,
+            let exit = self.kernel.machine.run(insn_limit);
+            if let Some(event) = self.dispatch_exit(exit) {
+                return event;
             }
         }
     }
 
-    /// Dispatch one machine exit for the current process exactly as
-    /// [`Self::run`] would between machine entries, without re-entering
-    /// the machine. `None` means handled — the process keeps running.
+    /// Dispatch one machine exit for the current process, as [`Self::run`]
+    /// does between machine entries, without re-entering the machine.
+    /// `None` means handled — the process keeps running.
     ///
     /// Epoch-style drivers (the fleet wave drain) run many VEs
     /// concurrently via [`lz_machine::Machine::run_epoch`] and commit

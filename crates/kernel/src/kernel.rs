@@ -12,7 +12,7 @@ use crate::idalloc::IdAlloc;
 use crate::kvm::VmidAllocator;
 use crate::process::{Pid, Process, Program, UserContext};
 use crate::syscall::{self, Sysno, CUSTOM_BASE};
-use crate::vma::{VmProt, Vma, VmaSource};
+use crate::vma::{user_range, VmProt, Vma, VmaSource};
 use lz_arch::esr::{self, ExceptionClass};
 use lz_arch::pstate::{ExceptionLevel, PState};
 use lz_arch::sysreg::{hcr, sctlr, ttbr, vttbr, SysReg};
@@ -230,6 +230,14 @@ impl Kernel {
         self.cur
     }
 
+    /// The current process, split-borrowed with the machine, or `None`
+    /// when no process is current or its pid is gone. Callers fail
+    /// closed on `None`.
+    fn current_mut(&mut self) -> Option<(&mut Process, &mut Machine)> {
+        let p = self.procs.get_mut(&self.cur?)?;
+        Some((p, &mut self.machine))
+    }
+
     /// Make `pid` the running process: program the translation regime and
     /// load its user context into the CPU. Charges nothing (initial
     /// setup); use [`Self::schedule_to`] for a costed context switch.
@@ -265,22 +273,11 @@ impl Kernel {
     /// Save the machine's user-visible state into the current process's
     /// context.
     pub fn save_current(&mut self) {
-        if let Some(pid) = self.cur {
-            let ttbr0 = self.machine.sysreg(SysReg::TTBR0_EL1);
+        if let Some((p, m)) = self.current_mut() {
             // LightZone processes run at EL1 and use SP_EL1.
-            let sp = if self.machine.cpu.pstate.el == ExceptionLevel::El0 {
-                self.machine.cpu.sp_el0
-            } else {
-                self.machine.cpu.sp_el1
-            };
-            let p = self.procs.get_mut(&pid).expect("current pid exists");
-            *p.ctx_mut() = UserContext {
-                x: self.machine.cpu.x,
-                sp,
-                pc: self.machine.cpu.pc,
-                pstate: self.machine.cpu.pstate,
-                ttbr0,
-            };
+            let sp = if m.cpu.pstate.el == ExceptionLevel::El0 { m.cpu.sp_el0 } else { m.cpu.sp_el1 };
+            *p.ctx_mut() =
+                UserContext { x: m.cpu.x, sp, pc: m.cpu.pc, pstate: m.cpu.pstate, ttbr0: m.sysreg(SysReg::TTBR0_EL1) };
         }
     }
 
@@ -382,8 +379,8 @@ impl Kernel {
                     // Save context at the post-syscall pc so the upper
                     // layer can resume with `resume_syscall`.
                     self.save_current();
-                    if let Some(pid) = self.cur {
-                        self.procs.get_mut(&pid).expect("pid exists").ctx_mut().pc = elr;
+                    if let Some((p, _)) = self.current_mut() {
+                        p.ctx_mut().pc = elr;
                     }
                     return Some(Event::Custom { nr, args });
                 }
@@ -431,10 +428,7 @@ impl Kernel {
                     SysOutcome::Exit(code) => {
                         // `exit` ends the calling thread; the process ends
                         // with the last thread's code.
-                        let last = self
-                            .cur
-                            .map(|pid| self.procs.get_mut(&pid).expect("pid exists").exit_current_thread())
-                            .unwrap_or(true);
+                        let last = self.current_mut().map(|(p, _)| p.exit_current_thread()).unwrap_or(true);
                         if last {
                             self.finish_process(code);
                             Some(Event::Exited(code))
@@ -492,18 +486,18 @@ impl Kernel {
     /// Demand-page the current process at `far` (huge regions fault in
     /// whole 2 MiB blocks).
     fn fault_in_current(&mut self, far: u64, is_write: bool, is_fetch: bool) -> bool {
-        let Some(pid) = self.cur else { return false };
-        let p = self.procs.get_mut(&pid).expect("pid exists");
+        let Some((p, m)) = self.current_mut() else { return false };
         if p.mm.is_huge(far) {
-            return !is_fetch && p.mm.fault_in_block(&mut self.machine.mem, far, is_write).is_some();
+            return !is_fetch && p.mm.fault_in_block(&mut m.mem, far, is_write).is_some();
         }
-        p.mm.fault_in(&mut self.machine.mem, far, is_write, is_fetch).is_some()
+        p.mm.fault_in(&mut m.mem, far, is_write, is_fetch).is_some()
     }
 
     fn finish_process(&mut self, code: i64) {
-        if let Some(pid) = self.cur.take() {
-            self.procs.get_mut(&pid).expect("pid exists").exit_code = Some(code);
+        if let Some((p, _)) = self.current_mut() {
+            p.exit_code = Some(code);
         }
+        self.cur = None;
     }
 
     /// Resume the current process after an upper layer handled a custom
@@ -522,20 +516,14 @@ impl Kernel {
 
     /// Save the current thread's context as interrupted at `(pc, spsr)`.
     fn save_thread_at(&mut self, pc: u64, spsr: u64) {
-        let Some(pid) = self.cur else { return };
-        let ttbr0 = self.machine.sysreg(SysReg::TTBR0_EL1);
-        let sp = if self.machine.cpu.pstate.el == ExceptionLevel::El0 {
-            self.machine.cpu.sp_el0
-        } else {
-            self.machine.cpu.sp_el1
-        };
-        let p = self.procs.get_mut(&pid).expect("pid exists");
+        let Some((p, m)) = self.current_mut() else { return };
+        let sp = if m.cpu.pstate.el == ExceptionLevel::El0 { m.cpu.sp_el0 } else { m.cpu.sp_el1 };
         *p.ctx_mut() = UserContext {
-            x: self.machine.cpu.x,
+            x: m.cpu.x,
             sp,
             pc,
             pstate: PState::from_spsr(spsr).unwrap_or(PState::user()),
-            ttbr0,
+            ttbr0: m.sysreg(SysReg::TTBR0_EL1),
         };
     }
 
@@ -552,8 +540,8 @@ impl Kernel {
     /// Load the next runnable thread (after the current one) onto the
     /// CPU. Charges the in-process thread-switch path.
     fn switch_to_next_thread(&mut self, host: bool) {
-        let Some(pid) = self.cur else { return };
-        let Some(next) = self.procs[&pid].next_runnable() else {
+        let Some((p, _)) = self.current_mut() else { return };
+        let Some(next) = p.next_runnable() else {
             // Every surviving thread is parked or exited — a
             // guest-driven deadlock the park precondition should rule
             // out. Fail closed: end the process (the run loop then
@@ -561,11 +549,8 @@ impl Kernel {
             self.finish_process(-11);
             return;
         };
-        let ctx = {
-            let p = self.procs.get_mut(&pid).expect("pid exists");
-            p.cur_thread = next;
-            p.ctx().clone()
-        };
+        p.cur_thread = next;
+        let ctx = p.ctx().clone();
         let m = &self.machine.model;
         let cost = m.path_cost(300) + m.gpregs_roundtrip(31);
         self.machine.charge(cost);
@@ -590,31 +575,25 @@ impl Kernel {
     /// §6 extension) and enter the handler. Returns whether a handler
     /// was entered.
     fn deliver_signal(&mut self, host: bool, pc: u64, spsr: u64) -> bool {
-        let Some(pid) = self.cur else { return false };
-        let ttbr0 = self.machine.sysreg(SysReg::TTBR0_EL1);
-        let (sig, handler, frame) = {
-            let p = self.procs.get_mut(&pid).expect("pid exists");
-            if p.sig_frame.is_some() {
-                return false; // no nesting
-            }
-            let Some(&sig) = p.sig_pending.front() else { return false };
-            let Some(&handler) = p.sig_handlers.get(&sig) else {
-                // No handler: default action terminates (SIGKILL-style)
-                // would be handled by the caller; drop silently here.
-                p.sig_pending.pop_front();
-                return false;
-            };
+        let Some((p, m)) = self.current_mut() else { return false };
+        if p.sig_frame.is_some() {
+            return false; // no nesting
+        }
+        let Some(&sig) = p.sig_pending.front() else { return false };
+        let Some(&handler) = p.sig_handlers.get(&sig) else {
+            // No handler: default action terminates (SIGKILL-style)
+            // would be handled by the caller; drop silently here.
             p.sig_pending.pop_front();
-            let frame = UserContext {
-                x: self.machine.cpu.x,
-                sp: self.machine.cpu.sp_el0,
-                pc,
-                pstate: PState::from_spsr(spsr).unwrap_or(PState::user()),
-                ttbr0,
-            };
-            (sig, handler, frame)
+            return false;
         };
-        self.procs.get_mut(&pid).expect("pid exists").sig_frame = Some(frame);
+        p.sig_pending.pop_front();
+        p.sig_frame = Some(UserContext {
+            x: m.cpu.x,
+            sp: m.cpu.sp_el0,
+            pc,
+            pstate: PState::from_spsr(spsr).unwrap_or(PState::user()),
+            ttbr0: m.sysreg(SysReg::TTBR0_EL1),
+        });
         // Signal-delivery path cost: frame setup + ucontext writes.
         let m = &self.machine.model;
         let cost = m.path_cost(500) + 40 * m.mem_access;
@@ -627,10 +606,7 @@ impl Kernel {
     /// Restore the signal frame on `rt_sigreturn`. Returns false if no
     /// frame is active (a stray sigreturn — fatal to the caller).
     fn sigreturn(&mut self, host: bool) -> bool {
-        let Some(pid) = self.cur else { return false };
-        let Some(frame) = self.procs.get_mut(&pid).expect("pid exists").sig_frame.take() else {
-            return false;
-        };
+        let Some(frame) = self.current_mut().and_then(|(p, _)| p.sig_frame.take()) else { return false };
         let m = &self.machine.model;
         let cost = m.path_cost(400) + 40 * m.mem_access;
         self.machine.charge(cost);
@@ -690,12 +666,10 @@ impl Kernel {
             }
             Sysno::Clone => {
                 let (entry, stack, arg) = (args[0], args[1], args[2]);
-                let Some(pid) = self.cur else { return SysOutcome::Ret(u64::MAX) };
-                let m = &self.machine.model;
-                let cost = m.path_cost(1200) + 20 * m.mem_access; // task_struct setup
-                self.machine.charge(cost);
-                let tid = self.procs.get_mut(&pid).expect("pid exists").spawn_thread(entry, stack, arg);
-                SysOutcome::Ret(tid as u64)
+                let Some((p, m)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
+                let cost = m.model.path_cost(1200) + 20 * m.model.mem_access; // task_struct setup
+                m.charge(cost);
+                SysOutcome::Ret(p.spawn_thread(entry, stack, arg) as u64)
             }
             Sysno::Futex => self.do_futex(args),
             Sysno::Kill => {
@@ -714,8 +688,7 @@ impl Kernel {
             }
             Sysno::Sigaction => {
                 let (sig, handler) = (args[0], args[1]);
-                let Some(pid) = self.cur else { return SysOutcome::Ret(u64::MAX) };
-                let p = self.procs.get_mut(&pid).expect("pid exists");
+                let Some((p, _)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
                 if handler == 0 {
                     p.sig_handlers.remove(&sig);
                 } else {
@@ -725,55 +698,50 @@ impl Kernel {
             }
             Sysno::Sigreturn => SysOutcome::Sigreturn,
             Sysno::Mmap => {
-                let (addr, len) = (args[0], args[1]);
+                let Some(range) = user_range(args[0], args[1]) else { return SysOutcome::Ret(u64::MAX) };
                 let prot = VmProt {
                     read: args[2] & syscall::prot::READ != 0,
                     write: args[2] & syscall::prot::WRITE != 0,
                     exec: args[2] & syscall::prot::EXEC != 0,
                 };
-                let Some(pid) = self.cur else { return SysOutcome::Ret(u64::MAX) };
-                let p = self.procs.get_mut(&pid).expect("pid exists");
-                p.mm.add_vma(Vma {
-                    start: addr,
-                    end: addr + lz_arch::page_align_up(len),
-                    prot,
-                    source: VmaSource::Anon,
-                });
-                SysOutcome::Ret(addr)
+                let Some((p, _)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
+                let end = lz_arch::page_align_up(range.end);
+                match p.mm.add_vma(Vma { start: range.start, end, prot, source: VmaSource::Anon }) {
+                    Ok(()) => SysOutcome::Ret(range.start),
+                    Err(_) => SysOutcome::Ret(u64::MAX),
+                }
             }
             Sysno::Munmap => {
-                let (addr, len) = (args[0], args[1]);
-                let Some(pid) = self.cur else { return SysOutcome::Ret(u64::MAX) };
-                let vmid = self.machine.walk_config().vmid();
-                let p = self.procs.get_mut(&pid).expect("pid exists");
-                let freed = p.mm.unmap(&mut self.machine.mem, addr, len);
+                let Some(range) = user_range(args[0], args[1]) else { return SysOutcome::Ret(u64::MAX) };
+                let Some((p, m)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
+                let vmid = m.walk_config().vmid();
+                let freed = p.mm.unmap(&mut m.mem, range);
                 // Cross-core shootdown: a stale entry on a remote core
                 // would keep the freed frame reachable.
                 for va in &freed {
-                    self.machine.shootdown_va(vmid, *va);
+                    m.shootdown_va(vmid, *va);
                 }
-                let c = self.machine.model.dsb + freed.len() as u64 * self.machine.model.insn_base * 2;
-                self.machine.charge(c);
+                let c = m.model.dsb + freed.len() as u64 * m.model.insn_base * 2;
+                m.charge(c);
                 SysOutcome::Ret(0)
             }
             Sysno::Mprotect => {
-                let (addr, len) = (args[0], args[1]);
+                let Some(range) = user_range(args[0], args[1]) else { return SysOutcome::Ret(u64::MAX) };
                 let prot = VmProt {
                     read: args[2] & syscall::prot::READ != 0,
                     write: args[2] & syscall::prot::WRITE != 0,
                     exec: args[2] & syscall::prot::EXEC != 0,
                 };
-                let Some(pid) = self.cur else { return SysOutcome::Ret(u64::MAX) };
-                let vmid = self.machine.walk_config().vmid();
-                let p = self.procs.get_mut(&pid).expect("pid exists");
-                let touched = p.mm.protect(&mut self.machine.mem, addr, len, prot);
+                let Some((p, m)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
+                let vmid = m.walk_config().vmid();
+                let touched = p.mm.protect(&mut m.mem, range, prot);
                 // Cross-core shootdown: permissions must tighten on
                 // every core, not just the calling one.
                 for va in &touched {
-                    self.machine.shootdown_va(vmid, *va);
+                    m.shootdown_va(vmid, *va);
                 }
-                let c = self.machine.model.dsb + touched.len() as u64 * self.machine.model.insn_base * 2;
-                self.machine.charge(c);
+                let c = m.model.dsb + touched.len() as u64 * m.model.insn_base * 2;
+                m.charge(c);
                 SysOutcome::Ret(0)
             }
         }
@@ -803,7 +771,7 @@ impl Kernel {
                 if cur_val != val {
                     return SysOutcome::Ret(EAGAIN);
                 }
-                let p = self.procs.get_mut(&pid).expect("pid exists");
+                let Some((p, _)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
                 if p.runnable_threads() <= 1 {
                     return SysOutcome::Ret(0); // spurious wakeup, see above
                 }
@@ -816,7 +784,7 @@ impl Kernel {
             syscall::futex::WAKE => {
                 // Wake-path cost: walk the hash bucket, mark wakeups.
                 self.machine.charge(self.machine.model.path_cost(80));
-                let p = self.procs.get_mut(&pid).expect("pid exists");
+                let Some((p, _)) = self.current_mut() else { return SysOutcome::Ret(u64::MAX) };
                 let mut woken = 0u64;
                 while woken < val as u64 {
                     let Some(tid) = p.futex_waiters.get_mut(&uaddr).and_then(|q| q.pop_front()) else {

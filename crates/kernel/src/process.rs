@@ -130,35 +130,35 @@ pub struct Process {
 impl Process {
     /// Create a process from a program image: registers VMAs (including
     /// the stack) and prepares the entry context. Pages fault in lazily.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an image whose segments are empty, unaligned or overlap
+    /// — a bug in the host code that built it; no guest input reaches
+    /// here.
     pub fn load(pid: Pid, asid: u16, mem: &mut PhysMem, program: &Program) -> Self {
+        fn add(mm: &mut Mm, vma: Vma) {
+            let (start, end) = (vma.start, vma.end);
+            if let Err(e) = mm.add_vma(vma) {
+                panic!("program image segment {start:#x}..{end:#x}: {e:?}");
+            }
+        }
         let mut mm = Mm::new(mem, asid);
         for seg in &program.segments {
+            let start = lz_arch::page_align_down(seg.va);
             let end = lz_arch::page_align_up(seg.va + seg.data.len().max(1) as u64);
-            mm.add_vma(Vma {
-                start: lz_arch::page_align_down(seg.va),
-                end,
-                prot: seg.prot,
-                source: VmaSource::Bytes(Arc::new(seg.data.clone())),
-            });
+            add(&mut mm, Vma { start, end, prot: seg.prot, source: VmaSource::Bytes(Arc::new(seg.data.clone())) });
         }
         for &(va, len, prot) in &program.anon_segments {
-            mm.add_vma(Vma {
-                start: lz_arch::page_align_down(va),
-                end: lz_arch::page_align_up(va + len),
-                prot,
-                source: VmaSource::Anon,
-            });
+            let (start, end) = (lz_arch::page_align_down(va), lz_arch::page_align_up(va + len));
+            add(&mut mm, Vma { start, end, prot, source: VmaSource::Anon });
         }
         for &(va, len, prot) in &program.huge_segments {
-            mm.add_vma(Vma { start: va, end: va + len, prot, source: VmaSource::Anon });
+            add(&mut mm, Vma { start: va, end: va + len, prot, source: VmaSource::Anon });
             mm.mark_huge(va, va + len);
         }
-        mm.add_vma(Vma {
-            start: program.stack_top - program.stack_size,
-            end: program.stack_top,
-            prot: VmProt::RW,
-            source: VmaSource::Anon,
-        });
+        let stack = program.stack_top - program.stack_size;
+        add(&mut mm, Vma { start: stack, end: program.stack_top, prot: VmProt::RW, source: VmaSource::Anon });
         let ctx = UserContext::user_at(program.entry, program.stack_top - 16);
         Process {
             pid,

@@ -5,7 +5,31 @@ use lz_machine::pte::S1Perms;
 use lz_machine::walk::{s1_map_page, s1_unmap};
 use lz_machine::PhysMem;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// The end of the TTBR0 half of the VA space: user mappings live below
+/// it.
+pub const USER_VA_END: u64 = 1 << 48;
+
+/// The range `[addr, addr + len)` of a memory syscall (`mmap`, `munmap`,
+/// `mprotect`, `lz_prot`), or `None` unless `addr` is page-aligned,
+/// `len` is nonzero, and the range neither wraps nor ends above
+/// [`USER_VA_END`]. Each of those calls fails a refused range closed,
+/// returning `u64::MAX` before it touches any state.
+pub fn user_range(addr: u64, len: u64) -> Option<Range<u64>> {
+    let end = addr.checked_add(len).filter(|&end| end <= USER_VA_END)?;
+    (is_page_aligned(addr) && len != 0).then_some(addr..end)
+}
+
+/// Why [`Mm::add_vma`] refused a mapping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VmaError {
+    /// A bound is not page-aligned, or the range is empty.
+    BadRange,
+    /// The range overlaps an existing VMA.
+    Overlap,
+}
 
 /// Access protection of a VMA (the `PROT_*` triple).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,17 +167,18 @@ impl Mm {
         Some(pa)
     }
 
-    /// Register a mapping (mmap). Pages fault in on first touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned bounds or overlap with an existing VMA.
-    pub fn add_vma(&mut self, vma: Vma) {
-        assert!(is_page_aligned(vma.start) && is_page_aligned(vma.end) && vma.start < vma.end, "unaligned VMA");
-        if let Some((_, prev)) = self.vmas.range(..vma.end).next_back() {
-            assert!(prev.end <= vma.start, "VMA overlap: {:#x?} vs new {:#x}..{:#x}", prev, vma.start, vma.end);
+    /// Register a mapping (mmap). Pages fault in on first touch. Refuses,
+    /// changing nothing, unaligned or empty bounds and an overlap with an
+    /// existing VMA.
+    pub fn add_vma(&mut self, vma: Vma) -> Result<(), VmaError> {
+        if !(is_page_aligned(vma.start) && is_page_aligned(vma.end) && vma.start < vma.end) {
+            return Err(VmaError::BadRange);
+        }
+        if self.vmas.range(..vma.end).next_back().is_some_and(|(_, prev)| prev.end > vma.start) {
+            return Err(VmaError::Overlap);
         }
         self.vmas.insert(vma.start, vma);
+        Ok(())
     }
 
     /// The VMA containing `va`, if any.
@@ -212,11 +237,11 @@ impl Mm {
         Some(pa)
     }
 
-    /// Unmap `[start, start+len)`: zero PTEs, free frames, forget VMAs
-    /// fully inside the range (partial unmaps split nothing — the range
-    /// must cover whole VMAs, as all our callers do).
-    pub fn unmap(&mut self, mem: &mut PhysMem, start: u64, len: u64) -> Vec<u64> {
-        let end = start + len;
+    /// Unmap `range`: zero PTEs, free frames, forget VMAs fully inside
+    /// the range (partial unmaps split nothing — the range must cover
+    /// whole VMAs, as all our callers do).
+    pub fn unmap(&mut self, mem: &mut PhysMem, range: Range<u64>) -> Vec<u64> {
+        let Range { start, end } = range;
         let mut freed = Vec::new();
         let pages: Vec<u64> = self.resident.range(start..end).map(|(&va, _)| va).collect();
         for va in pages {
@@ -230,10 +255,10 @@ impl Mm {
         freed
     }
 
-    /// Change protection on `[start, start+len)` (must cover whole VMAs).
-    /// Updates resident PTEs in place and returns the affected pages.
-    pub fn protect(&mut self, mem: &mut PhysMem, start: u64, len: u64, prot: VmProt) -> Vec<u64> {
-        let end = start + len;
+    /// Change protection on `range` (must cover whole VMAs). Updates
+    /// resident PTEs in place and returns the affected pages.
+    pub fn protect(&mut self, mem: &mut PhysMem, range: Range<u64>, prot: VmProt) -> Vec<u64> {
+        let Range { start, end } = range;
         for (_, v) in self.vmas.range_mut(..end) {
             if v.start >= start && v.end <= end {
                 v.prot = prot;
@@ -307,7 +332,7 @@ mod tests {
     #[test]
     fn vma_lookup() {
         let (_, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x3000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x3000, VmProt::RW)).unwrap();
         assert!(m.vma_at(0x1000).is_some());
         assert!(m.vma_at(0x2fff).is_some());
         assert!(m.vma_at(0x3000).is_none());
@@ -315,17 +340,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "VMA overlap")]
     fn overlap_rejected() {
         let (_, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x3000, VmProt::RW));
-        m.add_vma(anon(0x2000, 0x4000, VmProt::RW));
+        assert_eq!(m.add_vma(anon(0x1000, 0x3000, VmProt::RW)), Ok(()));
+        assert_eq!(m.add_vma(anon(0x2000, 0x4000, VmProt::RW)), Err(VmaError::Overlap));
+        assert_eq!(m.add_vma(anon(0x0000, 0x2000, VmProt::RW)), Err(VmaError::Overlap));
+        assert_eq!(m.vmas().count(), 1, "a refused mapping changes nothing");
+        assert!(m.vma_at(0x3000).is_none());
+    }
+
+    #[test]
+    fn bad_bounds_rejected() {
+        let (_, mut m) = mm();
+        for (start, end) in [(0x1800, 0x3000), (0x1000, 0x2800), (0x2000, 0x2000), (0x3000, 0x2000)] {
+            assert_eq!(m.add_vma(anon(start, end, VmProt::RW)), Err(VmaError::BadRange), "{start:#x}..{end:#x}");
+        }
+        assert_eq!(m.vmas().count(), 0);
+    }
+
+    #[test]
+    fn user_ranges_are_checked() {
+        assert_eq!(user_range(0x1000, 0x1800), Some(0x1000..0x2800));
+        assert_eq!(user_range(USER_VA_END - 0x1000, 0x1000), Some(USER_VA_END - 0x1000..USER_VA_END));
+        for (addr, len) in [
+            (0x1001, 0x1000),                // unaligned start
+            (0x1000, 0),                     // empty
+            (0x1000, u64::MAX),              // wraps
+            (USER_VA_END - 0x1000, 0x2000),  // ends in the TTBR1 half
+            (0xffff_0000_0000_0000, 0x1000), // starts there
+        ] {
+            assert_eq!(user_range(addr, len), None, "{addr:#x} + {len:#x}");
+        }
     }
 
     #[test]
     fn fault_in_and_permissions() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x2000, VmProt::R));
+        m.add_vma(anon(0x1000, 0x2000, VmProt::R)).unwrap();
         assert!(m.fault_in(&mut mem, 0x1234, false, false).is_some());
         assert!(m.fault_in(&mut mem, 0x1234, true, false).is_none(), "write to RO VMA is SIGSEGV");
         assert!(m.fault_in(&mut mem, 0x5000, false, false).is_none(), "outside any VMA");
@@ -335,7 +386,7 @@ mod tests {
     fn fault_in_copies_backing_bytes() {
         let (mut mem, mut m) = mm();
         let data = Arc::new(vec![0xaa; 100]);
-        m.add_vma(Vma { start: 0x1000, end: 0x2000, prot: VmProt::R, source: VmaSource::Bytes(data) });
+        m.add_vma(Vma { start: 0x1000, end: 0x2000, prot: VmProt::R, source: VmaSource::Bytes(data) }).unwrap();
         let pa = m.fault_in(&mut mem, 0x1000, false, false).unwrap();
         assert_eq!(mem.read(pa + 50, 1), Some(0xaa));
         assert_eq!(mem.read(pa + 100, 1), Some(0), "zero padded past content");
@@ -344,7 +395,7 @@ mod tests {
     #[test]
     fn second_fault_reuses_frame() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x2000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x2000, VmProt::RW)).unwrap();
         let pa1 = m.fault_in(&mut mem, 0x1000, true, false).unwrap();
         let pa2 = m.fault_in(&mut mem, 0x1008, false, false).unwrap();
         assert_eq!(pa1, pa2);
@@ -353,10 +404,10 @@ mod tests {
     #[test]
     fn unmap_frees_and_forgets() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x3000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x3000, VmProt::RW)).unwrap();
         m.fault_in(&mut mem, 0x1000, false, false).unwrap();
         m.fault_in(&mut mem, 0x2000, false, false).unwrap();
-        let freed = m.unmap(&mut mem, 0x1000, 0x2000);
+        let freed = m.unmap(&mut mem, 0x1000..0x3000);
         assert_eq!(freed.len(), 2);
         assert!(m.vma_at(0x1000).is_none());
         assert_eq!(m.resident_bytes(), 0);
@@ -365,9 +416,9 @@ mod tests {
     #[test]
     fn protect_updates_ptes() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x2000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x2000, VmProt::RW)).unwrap();
         m.fault_in(&mut mem, 0x1000, true, false).unwrap();
-        m.protect(&mut mem, 0x1000, 0x1000, VmProt::R);
+        m.protect(&mut mem, 0x1000..0x2000, VmProt::R);
         let (_, perms, _) = lz_machine::walk::s1_lookup(&mem, m.root, 0x1000).unwrap();
         assert!(!perms.write);
         assert!(m.fault_in(&mut mem, 0x1000, true, false).is_none(), "VMA prot also updated");
@@ -376,7 +427,7 @@ mod tests {
     #[test]
     fn zap_pte_then_refault_same_frame() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x2000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x2000, VmProt::RW)).unwrap();
         let pa = m.fault_in(&mut mem, 0x1000, true, false).unwrap();
         assert!(m.zap_pte(&mut mem, 0x1000));
         assert!(lz_machine::walk::s1_lookup(&mem, m.root, 0x1000).is_none());
@@ -387,7 +438,7 @@ mod tests {
     #[test]
     fn exec_fault_requires_exec_prot() {
         let (mut mem, mut m) = mm();
-        m.add_vma(anon(0x1000, 0x2000, VmProt::RW));
+        m.add_vma(anon(0x1000, 0x2000, VmProt::RW)).unwrap();
         assert!(m.fault_in(&mut mem, 0x1000, false, true).is_none());
     }
 }

@@ -47,12 +47,14 @@ proptest! {
                         continue;
                     }
                     let start = slot_base(slot);
-                    mm.add_vma(Vma {
-                        start,
-                        end: start + pages as u64 * PAGE_SIZE,
-                        prot: if prot_w { VmProt::RW } else { VmProt::R },
-                        source: VmaSource::Anon,
-                    });
+                    prop_assert!(mm
+                        .add_vma(Vma {
+                            start,
+                            end: start + pages as u64 * PAGE_SIZE,
+                            prot: if prot_w { VmProt::RW } else { VmProt::R },
+                            source: VmaSource::Anon,
+                        })
+                        .is_ok());
                     shadow.insert(slot, (pages, prot_w, Default::default()));
                 }
                 Op::Touch { slot, write } => {
@@ -72,16 +74,12 @@ proptest! {
                 }
                 Op::Unmap { slot } => {
                     let Some((pages, _, _)) = shadow.remove(&slot) else { continue };
-                    mm.unmap(&mut mem, slot_base(slot), pages as u64 * PAGE_SIZE);
+                    mm.unmap(&mut mem, slot_base(slot)..slot_base(slot) + pages as u64 * PAGE_SIZE);
                 }
                 Op::Protect { slot, prot_w } => {
                     let Some(&mut (pages, ref mut writable, _)) = shadow.get_mut(&slot) else { continue };
-                    mm.protect(
-                        &mut mem,
-                        slot_base(slot),
-                        pages as u64 * PAGE_SIZE,
-                        if prot_w { VmProt::RW } else { VmProt::R },
-                    );
+                    let range = slot_base(slot)..slot_base(slot) + pages as u64 * PAGE_SIZE;
+                    mm.protect(&mut mem, range, if prot_w { VmProt::RW } else { VmProt::R });
                     *writable = prot_w;
                 }
             }
@@ -107,12 +105,9 @@ proptest! {
     fn frames_never_aliased(pages in proptest::collection::vec(0u64..64, 1..40)) {
         let mut mem = PhysMem::new();
         let mut mm = Mm::new(&mut mem, 1);
-        mm.add_vma(Vma {
-            start: 0x2000_0000,
-            end: 0x2000_0000 + 64 * PAGE_SIZE,
-            prot: VmProt::RW,
-            source: VmaSource::Anon,
-        });
+        prop_assert!(mm
+            .add_vma(Vma { start: 0x2000_0000, end: 0x2000_0000 + 64 * PAGE_SIZE, prot: VmProt::RW, source: VmaSource::Anon })
+            .is_ok());
         for p in pages {
             mm.fault_in(&mut mem, 0x2000_0000 + p * PAGE_SIZE, true, false);
         }

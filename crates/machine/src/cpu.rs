@@ -385,7 +385,7 @@ impl Machine {
     }
 
     /// Snapshot the machine-owned metrics as report sections: TLB,
-    /// decoded-block icache, walk/fault counters, gate switches, traps.
+    /// compiled-block icache, walk/fault counters, gate switches, traps.
     pub fn metrics_sections(&self) -> Vec<Section> {
         let (hits, misses) = self.tlb.stats();
         let inval = self.tlb.inval_stats();
@@ -516,12 +516,6 @@ impl Machine {
         self.set_sysreg(reg, value);
     }
 
-    /// Read a system register as software would (charges the `MRS` cost).
-    pub fn read_sysreg_charged(&mut self, reg: SysReg) -> u64 {
-        self.charge(self.model.sysreg_read);
-        self.sysreg(reg)
-    }
-
     /// Enter interpreted code at `pc` with the given PSTATE, as an `ERET`
     /// from modelled EL2 software (host kernel / hypervisor / Lowvisor)
     /// would: charges the EL2 return cost.
@@ -650,9 +644,10 @@ impl Machine {
     /// A block whose `total` exceeds `budget` is not entered: the core
     /// single-steps to the quantum edge instead, so no block overruns its
     /// quantum and a block's shape never depends on the budget. A
-    /// misaligned PC always single-steps (the icache indexes words by
-    /// `va >> 2`, and `step` raises the alignment fault), and so does the
-    /// bare identity regime, which has no TLB to arm the icache against.
+    /// misaligned PC always single-steps (the icache keys blocks by word
+    /// slot `va >> 2`, and `step` raises the alignment fault), and so does
+    /// the bare identity regime, which has no TLB to arm the icache
+    /// against.
     fn step_block(&mut self, budget: u64) -> (u64, Option<Exit>) {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
@@ -674,11 +669,14 @@ impl Machine {
         (used, exit)
     }
 
-    /// No compiled block starts at `pc`: lower the decoded run there once,
-    /// store it for later entries, and run it — or single-step when the
-    /// icache cannot serve the run (its page entry is not armed for this
-    /// TLB generation, say) or the block is longer than `budget`. Kept cold
-    /// and out of line so that `step_block`'s hit path stays small.
+    /// No compiled block starts at `pc`: lower the code there once from
+    /// the page's code frame, store the block for later entries, and run
+    /// it — or single-step when the icache cannot serve the page (no
+    /// entry armed for this TLB generation and ASID, or a stale code
+    /// frame) or the block is longer than `budget`. The single step is
+    /// the reference fetch, which records the page and arms it, so the
+    /// next dispatch on the page compiles. Kept cold and out of line so
+    /// that `step_block`'s hit path stays small.
     #[cold]
     #[inline(never)]
     fn jit_miss(&mut self, budget: u64, pc: u64, cfg: &WalkConfig) -> (u64, Option<Exit>) {
@@ -702,7 +700,7 @@ impl Machine {
     /// Execute a compiled block (see [`crate::jit`]).
     ///
     /// Equivalence to stepping: between segments the block revalidates
-    /// everything the per-step fetch probe checks — the TLB generation (a
+    /// everything its dispatch checked — the TLB generation (a
     /// load/store may have inserted or promoted an entry, an interpreted
     /// TLBI may have invalidated), the code frame's content version via
     /// the `write_gen` shortcut (a self-modifying store ends the block

@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher for the simulator's hot maps.
 //!
 //! The interpreter performs several hash-map lookups per simulated
-//! instruction (TLB level, decoded-block cache, physical frames, system
+//! instruction (TLB level, fetch cache, physical frames, system
 //! registers). `SipHash` — the std default — is DoS-resistant but costs
 //! more than the lookups themselves for these small fixed-width keys.
 //! None of these maps are attacker-keyed (keys come from the simulation,

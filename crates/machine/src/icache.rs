@@ -1,54 +1,67 @@
-//! Decoded-block fetch cache: skips the host-side translation walk and
-//! instruction decode on the interpreter's hot path.
+//! Compiled-block fetch cache: lets the accelerated engine run code as
+//! compiled blocks instead of fetching, translating and decoding every
+//! instruction.
 //!
-//! Every `Cpu::step()` used to pay a full `walk::translate` plus a fresh
-//! `Insn::decode`. This cache keys decoded words by
-//! `(VMID, ASID-or-global, VA page)` — the same tagging discipline as the
-//! TLB — and per page remembers the fill-time translation regime (stage-1
-//! enable, WXN), the TLB entry the fill-time fetch translated through,
-//! and the *content version* of the physical frame the code came from
-//! (see `PhysMem::frame_version`).
+//! The cache holds no instruction words. It keys page entries by
+//! `(VMID, ASID-or-global, VA page)` — the same tagging discipline as
+//! the TLB — and per page remembers the translation regime of the fetch
+//! that recorded it (EL, stage-1 enable, WXN), the TLB entry that fetch
+//! translated through, and the *content version* of the physical frame
+//! the code lives in (see `PhysMem::frame_version`). Compiled blocks
+//! (see [`crate::jit`]) are lowered straight from that frame and stored
+//! in the page entry, keyed by start slot.
 //!
 //! # Coherence contract
 //!
-//! A cached block is only served when it is provably equivalent to what the
-//! slow path would produce:
+//! The cache serves only compiled blocks. A single step is the
+//! reference fetch — `walk::translate`, `read_u32`, `Insn::decode` —
+//! and records the page it fetched from (see [`ICache::record`]). A
+//! block is served only when it is provably equivalent to stepping
+//! through it:
 //!
 //! * **TLBI variants** — every `Tlb::invalidate_*` forwards here with the
 //!   same scope semantics (global entries survive `invalidate_asid`, etc.).
-//! * **Physical writes** — each probe validates the code frame's version
-//!   against `PhysMem`; self-modifying stores, DMA-style `write_bytes`, and
-//!   frame recycling all bump it, so the stale block misses and the next
-//!   fill restarts its entry.
-//! * **Translation** — the TLB vouches for every served block: a block is
-//!   served only when the main TLB has just hit and the entry it returned
-//!   is bit-identical to the fill-time snapshot. A TLB miss always walks
-//!   (through the walk cache, which checks every table frame it read), so
-//!   a leaf rewritten without a TLBI is seen as soon as its TLB entry is
-//!   gone.
+//! * **Physical writes** — every lookup validates the code frame's
+//!   version against `PhysMem`; self-modifying stores, DMA-style
+//!   `write_bytes`, and frame recycling all bump it, so the stale block
+//!   is refused and the next recorded fetch restarts its entry.
+//! * **Translation** — the TLB vouches for every served block: its page
+//!   entry must be *armed* (below) at the current TLB generation, which
+//!   a recorded fetch proves only when the entry's snapshot is the live
+//!   L1 TLB entry. A TLB miss always walks (through the walk cache,
+//!   which checks every table frame it read), so a leaf rewritten
+//!   without a TLBI is seen as soon as its TLB entry is gone.
 //!
 //! Like the TLB itself (see `stale_tlb_entry_survives_table_edit`), the
 //! cache may keep translating from a stale view after page-table edits that
 //! violate break-before-make — that is the architectural hazard the TLBI
 //! contract exists to prevent, not a new one introduced here.
 //!
-//! Cycle accounting is unaffected by design: a served block costs what the
-//! TLB hit costs, after the same single TLB lookup the slow path makes, so
-//! paper tables are bit-identical with the cache on or off.
+//! Cycle accounting is unaffected by design: a compiled instruction
+//! costs what the free L1 TLB hit its fetch would score costs, so paper
+//! tables are bit-identical on both engines.
 //!
 //! # Arming
 //!
-//! A page entry is *armed* at a TLB generation once a fetch has proven
-//! that serving it equals a free L1 TLB hit; until the generation moves,
-//! the lookup-free paths serve it without touching the TLB. An entry is
-//! armed for the fetch's ASID, or for **every** ASID when three facts
-//! hold: its snapshot is global, it is the first entry at its EL in the
-//! page's list, and that global entry heads the page's L1 TLB slot.
-//! While the TLB generation holds, L1 is frozen and an L1 slot holds at
-//! most one global entry, so every ASID's L1 lookup returns that head,
-//! and `entry_mut`'s find order picks this entry for every ASID. A gate
-//! switch that only changes the ASID therefore keeps global code (the
-//! gate page, unprotected memory) armed.
+//! A page entry is *armed* at a TLB generation once a recorded fetch has
+//! proven that fetching any word of the page equals a free L1 TLB hit on
+//! the entry's snapshot; until the generation moves, compiled blocks are
+//! served from it without touching the TLB. The proof is made right
+//! after the fetch: the fetch left the entry it used in L1 (an L1 hit
+//! stays, an L2 hit was promoted, a walk inserted), and the entry
+//! `entry_mut` finds for the fetch's ASID must carry that live entry —
+//! an older entry that shadows it under `entry_mut`'s find order is not
+//! armed. Every word of the page shares that TLB entry and its fetch
+//! permission, so a block may cover words no step has fetched.
+//!
+//! An entry is armed for the fetch's ASID, or for **every** ASID when
+//! three facts hold: its snapshot is global, it is the first entry at
+//! its EL in the page's list, and that global entry heads the page's L1
+//! TLB slot. While the TLB generation holds, L1 is frozen and an L1 slot
+//! holds at most one global entry, so every ASID's L1 lookup returns
+//! that head, and `entry_mut`'s find order picks this entry for every
+//! ASID. A gate switch that only changes the ASID therefore keeps
+//! global code (the gate page, unprotected memory) armed.
 //!
 //! # JIT dispatch memo
 //!
@@ -56,24 +69,23 @@
 //! memo of [`MEMO_SLOTS`] recent `jit_block` answers, allocated on first
 //! use. A slot hits only under `jit_block`'s own test — the same
 //! `(vmid, asid, el, s1_enabled, wxn)` tags, TLB generation and code-frame
-//! freshness — plus an unchanged *mutation epoch*: every fill, eviction,
-//! arm, block store and invalidation that can change what `jit_block`
-//! returns bumps the epoch, so a hit is always the block the page map
-//! would serve. An answer from an entry armed for every ASID is keyed
-//! without its ASID, so it matches under any ASID. A slot admits a
-//! block only when the same lookup reaches it twice in a row (lookups
-//! under different ASIDs count as the same when the answer serves every
-//! ASID), so a dispatch stream that never repeats only rewrites slot
-//! keys and never drops a displaced block. An admitted block is moved
-//! out of its slot while it runs and moved back afterwards, so a hit
-//! neither hashes nor touches the `Arc` refcount.
+//! freshness — plus an unchanged *mutation epoch*: every new entry,
+//! restart, eviction, arm, block store and invalidation that can change
+//! what `jit_block` returns bumps the epoch, so a hit is always the
+//! block the page map would serve. An answer from an entry armed for
+//! every ASID is keyed without its ASID, so it matches under any ASID. A
+//! slot admits a block only when the same lookup reaches it twice in a
+//! row (lookups under different ASIDs count as the same when the answer
+//! serves every ASID), so a dispatch stream that never repeats only
+//! rewrites slot keys and never drops a displaced block. An admitted
+//! block is moved out of its slot while it runs and moved back
+//! afterwards, so a hit neither hashes nor touches the `Arc` refcount.
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
 use crate::pte::S1Perms;
 use crate::tlb::TlbEntry;
 use crate::PhysMem;
-use lz_arch::insn::Insn;
 use lz_arch::pstate::ExceptionLevel;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -170,17 +182,19 @@ struct PageKey {
     vpn: u64,
 }
 
-/// Fill-time facts that must still hold for a block to be served.
+/// The facts of a recorded fetch that must still hold for a block to be
+/// served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillInfo {
-    /// Exception level of the fill-time fetch (permission checks depend
+    /// Exception level of the recorded fetch (permission checks depend
     /// on it, so EL0 and EL1 blocks for one page are cached separately).
     pub el: ExceptionLevel,
     pub s1_enabled: bool,
     pub wxn: bool,
-    /// The TLB entry the fill-time fetch hit or inserted. Its ASID tags
-    /// the block (`None` for global pages, which serve every ASID), and
-    /// its `pa_page` is the frame the code words were read from.
+    /// The TLB entry the recorded fetch translated through. Its ASID
+    /// tags the page entry (`None` for global pages, which serve every
+    /// ASID), and its `pa_page` is the code frame blocks are lowered
+    /// from.
     pub snapshot: TlbEntry,
 }
 
@@ -193,40 +207,38 @@ struct PageEntry {
     /// hasn't moved, no frame anywhere changed and the version compare can
     /// be skipped.
     checked_gen: u64,
-    /// `Tlb::generation` when this entry was last proven equivalent to a
-    /// free L1 TLB hit (0 = never), and the ASID it was proven for
-    /// (`None`: every ASID; see [`ICache::arm_fast`]). While the TLB
-    /// generation matches and the fetch ASID is covered, the L1 lookup
-    /// result is guaranteed unchanged and the slow-path comparison can
-    /// be skipped.
+    /// `Tlb::generation` when a recorded fetch last proved this entry
+    /// equivalent to a free L1 TLB hit (0 = never), and the ASID it was
+    /// proven for (`None`: every ASID; see [`ICache::record`]). While
+    /// the TLB generation matches and the fetch ASID is covered, the L1
+    /// lookup result is guaranteed unchanged.
     fast_gen: u64,
     fast_asid: Option<u16>,
-    slots: Vec<Option<(u32, Insn)>>,
     /// Compiled blocks keyed by start slot (see [`crate::jit`]). Sharing
-    /// the page entry means every path that drops or restarts the decoded
-    /// page — TLBI scopes, content staleness, capacity eviction — drops its
+    /// the page entry means every path that drops or restarts the page —
+    /// TLBI scopes, content staleness, capacity eviction — drops its
     /// compiled blocks for the same reason at the same moment; serve-time
     /// validation is then [`ICache::armed_entry`]'s test.
     blocks: FxHashMap<u16, Arc<CompiledBlock>>,
 }
 
-/// What a probe found.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeHit {
-    pub snapshot: TlbEntry,
-    pub pa: u64,
-    pub word: u32,
-    pub insn: Insn,
+impl PageEntry {
+    /// A fresh, unarmed entry with no blocks.
+    fn new(info: FillInfo, frame_version: u64, checked_gen: u64) -> Self {
+        PageEntry { info, frame_version, checked_gen, fast_gen: 0, fast_asid: None, blocks: FxHashMap::default() }
+    }
 }
 
-/// The decoded-block cache. Lives inside [`crate::Tlb`] so every TLB
-/// maintenance operation reaches it without new call sites.
+/// The compiled-block fetch cache. Lives inside [`crate::Tlb`] so every
+/// TLB maintenance operation reaches it without new call sites.
 #[derive(Debug)]
 pub struct ICache {
     pages: FxHashMap<PageKey, Vec<PageEntry>>,
     order: VecDeque<PageKey>,
     capacity: usize,
+    /// Compiled-block instructions retired.
     hits: u64,
+    /// Single steps recorded.
     misses: u64,
     /// Entries dropped for capacity (FIFO) or restarted for staleness
     /// (content/regime).
@@ -261,67 +273,72 @@ impl ICache {
         }
     }
 
-    /// Look for a decoded block for the fetch at `va` (see
-    /// [`Self::fresh_entry`]). A stale entry is a miss and stays in place:
-    /// the [`Self::fill`] that follows the slow path restarts it. The
-    /// caller serves the hit only if the main TLB vouches for its snapshot.
+    /// Record a fetch at `va` that the reference path just completed for
+    /// `asid` through `info.snapshot`, the L1 TLB entry it hit, promoted
+    /// or inserted (see [`crate::walk::fetch`]): create or restart its
+    /// page entry ([`Self::fill`]), then arm the entry at TLB generation
+    /// `tlb_gen` if it is the one [`Self::entry_mut`] finds for `asid` —
+    /// the entry that carries the live TLB entry (see the module docs).
+    /// `l1_head` is the first entry of the page's L1 TLB slot. The arm
+    /// covers every ASID when the entry's snapshot is global, the entry
+    /// is the first at its EL in the page's list, and its snapshot heads
+    /// the L1 slot; otherwise it covers `asid` only.
     #[allow(clippy::too_many_arguments)]
-    pub fn probe(
+    pub(crate) fn record(
         &mut self,
         mem: &PhysMem,
         vmid: u16,
         asid: u16,
-        el: ExceptionLevel,
         va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-    ) -> Option<ProbeHit> {
-        let hit = self.fresh_entry(mem, vmid, asid, el, va, s1_enabled, wxn).and_then(|e| {
-            let (word, insn) = e.slots[slot_of(va)]?;
-            Some(ProbeHit { snapshot: e.info.snapshot, pa: e.info.snapshot.pa_page | (va & 0xfff), word, insn })
-        });
-        if hit.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        info: FillInfo,
+        tlb_gen: u64,
+        l1_head: Option<TlbEntry>,
+    ) {
+        self.misses += 1;
+        let Some(i) = self.fill(mem, vmid, va, info) else { return };
+        let Some(entries) = self.pages.get_mut(&PageKey { vmid, vpn: va >> 12 }) else { return };
+        // `entry_mut`'s find order. Entries are unique per (ASID tag, EL),
+        // so the entry it finds carries the live TLB entry exactly when it
+        // is the one just filled.
+        let at_el = |e: &PageEntry| e.info.el == info.el;
+        if entries.iter().position(|e| at_el(e) && e.info.snapshot.asid.is_none_or(|a| a == asid)) != Some(i) {
+            return;
         }
-        hit
+        let every_asid =
+            info.snapshot.asid.is_none() && entries.iter().position(at_el) == Some(i) && l1_head == Some(info.snapshot);
+        let e = &mut entries[i];
+        let armed = (tlb_gen, if every_asid { None } else { Some(asid) });
+        if (e.fast_gen, e.fast_asid) != armed {
+            (e.fast_gen, e.fast_asid) = armed;
+            self.epoch += 1;
+        }
     }
 
-    /// Record a decoded word after a successful slow-path fetch.
-    pub fn fill(&mut self, mem: &PhysMem, vmid: u16, va: u64, info: FillInfo, word: u32, insn: Insn) {
-        let Some(frame_version) = mem.frame_version(info.snapshot.pa_page) else { return };
+    /// Create or restart the page entry of a fetch at `va` through
+    /// `info.snapshot`: the entry with the snapshot's ASID tag at
+    /// `info.el`. An entry whose regime and code-frame content are
+    /// unchanged keeps its arm and its compiled blocks, which were
+    /// lowered from the same bytes under the same translation; any other
+    /// restarts, unarmed and without blocks. Returns the entry's index
+    /// in the page's list, or `None` when the code frame is unbacked.
+    fn fill(&mut self, mem: &PhysMem, vmid: u16, va: u64, info: FillInfo) -> Option<usize> {
+        let frame_version = mem.frame_version(info.snapshot.pa_page)?;
         let key = PageKey { vmid, vpn: va >> 12 };
-        let slot = slot_of(va);
         let checked_gen = mem.write_gen();
 
         if let Some(entries) = self.pages.get_mut(&key) {
-            if let Some(e) =
-                entries.iter_mut().find(|e| e.info.snapshot.asid == info.snapshot.asid && e.info.el == info.el)
-            {
+            let same_tag = |e: &PageEntry| e.info.snapshot.asid == info.snapshot.asid && e.info.el == info.el;
+            if let Some(i) = entries.iter().position(same_tag) {
+                let e = &mut entries[i];
                 if e.info == info && e.frame_version == frame_version {
                     e.checked_gen = checked_gen;
-                    if e.slots[slot] != Some((word, insn)) {
-                        // A newly decoded slot can lengthen a run that
-                        // previously ended at an empty slot: drop compiled
-                        // blocks so they re-lower against the full run.
-                        e.blocks.clear();
-                        e.slots[slot] = Some((word, insn));
-                        self.epoch += 1;
-                    }
                 } else {
                     // Regime or content moved on: restart the entry.
                     self.evictions += 1;
                     self.epoch += 1;
-                    e.info = info;
-                    e.frame_version = frame_version;
-                    e.checked_gen = checked_gen;
-                    e.fast_gen = 0;
-                    e.slots.iter_mut().for_each(|s| *s = None);
-                    e.blocks.clear();
-                    e.slots[slot] = Some((word, insn));
+                    *e = PageEntry::new(info, frame_version, checked_gen);
                 }
-                return;
+                return Some(i);
             }
         }
 
@@ -339,44 +356,8 @@ impl ICache {
         if entries.is_empty() {
             self.order.push_back(key);
         }
-        let mut slots = vec![None; WORDS_PER_PAGE];
-        slots[slot] = Some((word, insn));
-        entries.push(PageEntry {
-            info,
-            frame_version,
-            checked_gen,
-            fast_gen: 0,
-            fast_asid: None,
-            slots,
-            blocks: FxHashMap::default(),
-        });
-    }
-
-    /// The memoised fast path: serve a block with *no* TLB interaction
-    /// beyond replaying the free L1 hit, valid only while the TLB
-    /// generation recorded by [`Self::arm_fast`] is current (so the L1
-    /// lookup outcome is provably unchanged), the arm covers the fetch
-    /// ASID, the regime flags match, and the code frame is content-fresh.
-    /// Returns `(pa, word, insn)`; any failed check falls back to the
-    /// slow path.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn fast_probe(
-        &mut self,
-        mem: &PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-        tlb_gen: u64,
-    ) -> Option<(u64, u32, Insn)> {
-        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let (word, insn) = e.slots[slot_of(va)]?;
-        let pa = e.info.snapshot.pa_page | (va & 0xfff);
-        self.hits += 1;
-        Some((pa, word, insn))
+        entries.push(PageEntry::new(info, frame_version, checked_gen));
+        Some(entries.len() - 1)
     }
 
     /// The page entry that serves fetches at `va` by `(vmid, asid, el)`:
@@ -418,9 +399,9 @@ impl ICache {
     }
 
     /// [`Self::fresh_entry`], if it is armed at `tlb_gen` for `asid` or
-    /// for every ASID (see [`Self::arm_fast`]) — the test every
-    /// lookup-free path ([`Self::fast_probe`], [`Self::jit_block`],
-    /// [`Self::compile`]) applies before serving anything from the entry.
+    /// for every ASID (see [`Self::record`]) — the test
+    /// [`Self::jit_block`] and [`Self::compile`] apply before serving or
+    /// lowering anything from the entry.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn armed_entry(
@@ -460,13 +441,13 @@ impl ICache {
         Some((Arc::clone(block), e.info.snapshot.pa_page, e.frame_version, e.fast_asid.is_none()))
     }
 
-    /// Lower the decoded run that starts at `va` (see
-    /// [`crate::jit::lower`]) and store it as the compiled block for that
-    /// slot, where [`Self::jit_block`] serves it from then on. Validation
-    /// is `jit_block`'s, so a block is compiled only where it could be
-    /// served; `None` means the entry fails that test or `va`'s slot is
-    /// not decoded. Returns the block and its `(pa_page, frame_version)`,
-    /// as `jit_block` would.
+    /// Lower the code that starts at `va` from the page entry's code
+    /// frame (see [`crate::jit::lower`]) and store it as the compiled
+    /// block for that slot, where [`Self::jit_block`] serves it from then
+    /// on. Validation is `jit_block`'s, so a block is compiled only where
+    /// it could be served — from a frame whose content is the entry's
+    /// version; `None` means the entry fails that test. Returns the block
+    /// and its `(pa_page, frame_version)`, as `jit_block` would.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compile(
         &mut self,
@@ -481,9 +462,9 @@ impl ICache {
         insn_base: u64,
     ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let first = slot_of(va);
-        let block = Arc::new(crate::jit::lower(va, &e.slots[first..], insn_base)?);
-        e.blocks.insert(first as u16, Arc::clone(&block));
+        let frame = mem.frame(e.info.snapshot.pa_page)?;
+        let block = Arc::new(crate::jit::lower(va, &frame[(va & 0xfff) as usize..], insn_base));
+        e.blocks.insert(slot_of(va) as u16, Arc::clone(&block));
         let (pa_page, frame_version) = (e.info.snapshot.pa_page, e.frame_version);
         self.epoch += 1;
         Some((block, pa_page, frame_version))
@@ -574,45 +555,16 @@ impl ICache {
         }
     }
 
-    /// Replay one decoded-block hit (compiled-block per-instruction
-    /// bookkeeping).
+    /// Count one compiled-block instruction.
     #[inline]
     pub(crate) fn count_hit(&mut self) {
         self.hits += 1;
     }
 
-    /// Replay `n` decoded-block hits at once (JIT ALU-run bookkeeping).
+    /// Count `n` compiled-block instructions at once (a JIT ALU run).
     #[inline]
     pub(crate) fn count_hits(&mut self, n: u64) {
         self.hits += n;
-    }
-
-    /// Record that, at TLB generation `tlb_gen`, serving the page entry
-    /// [`Self::entry_mut`] finds for `asid` is equivalent to a free L1 TLB
-    /// hit. `l1_head` is the first entry of the page's L1 TLB slot. The
-    /// arm covers every ASID when the entry's snapshot is global, the
-    /// entry is the first at `el` in the page's list, and its snapshot
-    /// heads the L1 slot (see the module docs); otherwise it covers
-    /// `asid` only.
-    pub(crate) fn arm_fast(
-        &mut self,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        tlb_gen: u64,
-        l1_head: Option<TlbEntry>,
-    ) {
-        let Some(entries) = self.pages.get_mut(&PageKey { vmid, vpn: va >> 12 }) else { return };
-        // `entry_mut`'s find order, ranked among the entries at `el`.
-        let mut at_el = entries.iter_mut().filter(|e| e.info.el == el).enumerate();
-        let Some((rank, e)) = at_el.find(|(_, e)| e.info.snapshot.asid.is_none_or(|a| a == asid)) else { return };
-        let every_asid = rank == 0 && e.info.snapshot.asid.is_none() && l1_head == Some(e.info.snapshot);
-        let armed = (tlb_gen, if every_asid { None } else { Some(asid) });
-        if (e.fast_gen, e.fast_asid) != armed {
-            (e.fast_gen, e.fast_asid) = armed;
-            self.epoch += 1;
-        }
     }
 
     /// `TLBI ALLE1` scope: drop everything.
@@ -673,7 +625,8 @@ impl ICache {
         self.pages.is_empty()
     }
 
-    /// `(hits, misses)` counters for probes since creation.
+    /// `(hits, misses)` since creation: compiled-block instructions
+    /// retired, and single steps recorded.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -689,15 +642,30 @@ impl ICache {
         self.invalidations
     }
 
-    /// Insert a minimal entry directly (test/diagnostic helper): tags a
-    /// decoded `NOP` for `(vmid, asid, va)` against `pa_page` in `mem`.
+    /// Would a compiled block for the fetch at `va` be served from this
+    /// page at TLB generation `tlb_gen`? [`Self::armed_entry`]'s test,
+    /// for tests and diagnostics.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serves(
+        &mut self,
+        mem: &PhysMem,
+        vmid: u16,
+        asid: u16,
+        el: ExceptionLevel,
+        va: u64,
+        s1_enabled: bool,
+        wxn: bool,
+        tlb_gen: u64,
+    ) -> bool {
+        self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen).is_some()
+    }
+
+    /// Insert a minimal entry directly (test/diagnostic helper): an
+    /// unarmed entry for `(vmid, asid, va)` against `pa_page` in `mem`.
     pub fn seed_entry(&mut self, mem: &PhysMem, vmid: u16, asid: Option<u16>, va: u64, pa_page: u64) {
-        self.fill(mem, vmid, va, seed_info(asid, pa_page), NOP, Insn::decode(NOP));
+        self.fill(mem, vmid, va, seed_info(asid, pa_page));
     }
 }
-
-/// The word [`ICache::seed_entry`] caches.
-const NOP: u32 = 0xD503_201F;
 
 /// What [`ICache::seed_entry`] records: an EL0 fetch, stage 1 on and WXN
 /// off, through a user-executable page at `pa_page`.
@@ -717,12 +685,37 @@ fn slot_of(va: u64) -> usize {
 mod tests {
     use super::*;
 
+    /// The word the tests' code frames hold.
+    const NOP: u64 = 0xD503_201F;
+
     fn seeded(mem: &PhysMem, pairs: &[(u16, Option<u16>, u64, u64)]) -> ICache {
         let mut ic = ICache::new(16);
         for &(vmid, asid, va, pa) in pairs {
             ic.seed_entry(mem, vmid, asid, va, pa);
         }
         ic
+    }
+
+    /// A NOP-filled code frame.
+    fn nop_frame(mem: &mut PhysMem) -> u64 {
+        let pa = mem.alloc_frame();
+        assert!(mem.write_bytes(pa, &[NOP as u32; 1024].map(u32::to_le_bytes).concat()));
+        pa
+    }
+
+    /// Record an EL0 fetch at `va` under ASID 1 at TLB generation 1, with
+    /// an empty L1 TLB slot: the entry for `va` (code at `pa`; ASID 1, or
+    /// global) is armed for ASID 1 only.
+    fn recorded(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
+        let mut ic = ICache::new(16);
+        ic.record(mem, 0, 1, va, seed_info(if global { None } else { Some(1) }, pa), 1, None);
+        ic
+    }
+
+    /// Does the entry test compiled blocks use pass for an EL0 fetch at
+    /// `va` under `asid`, stage 1 on and WXN `wxn`, at TLB generation 1?
+    fn serves(ic: &mut ICache, mem: &PhysMem, asid: u16, va: u64, wxn: bool) -> bool {
+        ic.serves(mem, 0, asid, ExceptionLevel::El0, va, true, wxn, 1)
     }
 
     #[test]
@@ -756,39 +749,38 @@ mod tests {
     }
 
     #[test]
-    fn frame_write_invalidates_on_probe() {
+    fn frame_write_invalidates_entry() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
-        let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
-        mem.write(pa, 0xD503_201F, 4);
-        assert!(
-            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_none(),
-            "write to the code frame must not serve the stale block"
-        );
-        // The next fill restarts the stale entry in place.
-        ic.seed_entry(&mem, 0, Some(1), 0x1000, pa);
+        let pa = nop_frame(&mut mem);
+        let mut ic = recorded(&mem, 0x1000, pa, false);
+        assert!(serves(&mut ic, &mem, 1, 0x1000, false));
+        mem.write(pa, NOP, 4);
+        assert!(!serves(&mut ic, &mem, 1, 0x1000, false), "write to the code frame must not serve the stale page");
+        // The next recorded fetch restarts the stale entry in place.
+        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 1, None);
         assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
+        assert!(serves(&mut ic, &mem, 1, 0x1000, false));
     }
 
     #[test]
     fn unrelated_write_keeps_entry() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let other = mem.alloc_frame();
-        let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
+        let mut ic = recorded(&mem, 0x1000, pa, false);
         mem.write(other, 0x1234_5678, 4);
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false).is_some());
+        assert!(serves(&mut ic, &mem, 1, 0x1000, false));
     }
 
     #[test]
     fn global_entry_matches_any_asid() {
+        // A global entry that heads its L1 slot is armed for every ASID.
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
-        let mut ic = seeded(&mem, &[(0, None, 0x1000, pa)]);
+        let pa = nop_frame(&mut mem);
+        let mut ic = ICache::new(16);
+        ic.record(&mem, 0, 1, 0x1000, seed_info(None, pa), 1, Some(seed_info(None, pa).snapshot));
         for asid in [1u16, 7, 999] {
-            assert!(ic.probe(&mem, 0, asid, ExceptionLevel::El0, 0x1000, true, false).is_some());
+            assert!(serves(&mut ic, &mem, asid, 0x1000, false), "ASID {asid}");
         }
     }
 
@@ -804,20 +796,31 @@ mod tests {
         assert!(ic.contains(0, Some(1), 0x3000));
     }
 
-    /// An entry for `va` (code at `pa`; ASID 1, or global) armed for ASID
-    /// 1 at TLB generation 1 with a one-NOP compiled block. Its L1 TLB
-    /// slot is empty, so even a global entry is armed for ASID 1 only.
+    #[test]
+    fn recording_counts_a_miss_and_arms_only_a_live_entry() {
+        // ASID 1's global entry, then ASID 1's own entry for the same
+        // page: `entry_mut` still finds the global one for ASID 1, so the
+        // fetch through the own entry fills it but arms nothing.
+        let mut mem = PhysMem::new();
+        let pa = nop_frame(&mut mem);
+        let mut ic = recorded(&mem, 0x1000, pa, true);
+        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 2, None);
+        assert_eq!((ic.len(), ic.stats()), (2, (0, 2)));
+        assert!(!ic.serves(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false, 2), "the shadowed entry is not armed");
+        assert!(serves(&mut ic, &mem, 1, 0x1000, false), "the global entry keeps its arm");
+    }
+
+    /// [`recorded`] with a compiled block at `va`.
     fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
-        let mut ic = seeded(mem, &[(0, if global { None } else { Some(1) }, va, pa)]);
-        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, None);
+        let mut ic = recorded(mem, va, pa, global);
         assert!(ic.compile(mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
         ic
     }
 
-    /// The ASIDs among 1–3 that the lookup-free fetch path serves `va`
-    /// to at TLB generation 1.
+    /// The ASIDs among 1–3 that compiled blocks at `va` are served to at
+    /// TLB generation 1.
     fn served_asids(ic: &mut ICache, mem: &PhysMem, va: u64) -> Vec<u16> {
-        (1..=3).filter(|&asid| ic.fast_probe(mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).is_some()).collect()
+        (1..=3).filter(|&asid| serves(ic, mem, asid, va, false)).collect()
     }
 
     fn lend(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<LentBlock> {
@@ -840,7 +843,7 @@ mod tests {
     #[test]
     fn memo_hits_serve_the_page_entrys_block() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let mut ic = armed_with_block(&mem, 0x1000, pa, false);
         let ptr = admit(&mut ic, &mem, 0x1000);
         // A hit (debug builds cross-check it against `jit_block`) lends
@@ -854,16 +857,29 @@ mod tests {
     }
 
     #[test]
+    fn compiled_blocks_cover_words_no_step_fetched() {
+        // One recorded fetch at the page's first word arms the page; a
+        // block then lowers at any word, from the frame, up to the page
+        // end.
+        let mut mem = PhysMem::new();
+        let pa = nop_frame(&mut mem);
+        let mut ic = recorded(&mem, 0x1000, pa, false);
+        let (block, block_pa, _) =
+            ic.compile(&mem, 0, 1, ExceptionLevel::El0, 0x1ff8, true, false, 1, 1).expect("lowers");
+        assert_eq!((block.total, block_pa), (2, pa), "two words left in the page");
+    }
+
+    #[test]
     fn memo_admits_only_repeated_lookups() {
         // Alternating ASIDs on one global page that does not head its L1
         // slot: each arm covers one ASID, each lookup records its key
         // over the other's, so neither is ever admitted.
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let va = 0x1000;
         let mut ic = armed_with_block(&mem, va, pa, true);
         for asid in [1, 2, 1, 2] {
-            ic.arm_fast(0, asid, ExceptionLevel::El0, va, 1, None);
+            ic.record(&mem, 0, asid, va, seed_info(None, pa), 1, None);
             let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
             assert_eq!(lent.slot, None, "ASID {asid}: alternating lookups must not be admitted");
             ic.jit_return(lent);
@@ -876,10 +892,10 @@ mod tests {
         // ASID: alternating lookups are repeats, the second one admits
         // the block, and later ones hit it without re-arming.
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let va = 0x1000;
-        let mut ic = seeded(&mem, &[(0, None, va, pa)]);
-        ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, Some(seed_info(None, pa).snapshot));
+        let mut ic = ICache::new(16);
+        ic.record(&mem, 0, 1, va, seed_info(None, pa), 1, Some(seed_info(None, pa).snapshot));
         assert!(ic.compile(&mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
         let epoch = ic.epoch;
         let mut block = None;
@@ -896,13 +912,13 @@ mod tests {
     #[test]
     fn global_entry_arms_every_asid_only_when_it_leads() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let va = 0x1000;
         let global = seed_info(None, pa).snapshot;
         let own = seed_info(Some(2), pa).snapshot;
         let el1 = FillInfo { el: ExceptionLevel::El1, ..seed_info(Some(2), pa) };
         // (entries filled before the global one, L1 slot head, ASIDs served
-        // after arming under ASID 1)
+        // after recording a fetch under ASID 1)
         let cases: [(&[FillInfo], Option<TlbEntry>, &[u16]); 5] = [
             (&[], Some(global), &[1, 2, 3]),
             (&[el1], Some(global), &[1, 2, 3]), // another EL's entry does not count
@@ -913,10 +929,9 @@ mod tests {
         for (i, (before, l1_head, served)) in cases.into_iter().enumerate() {
             let mut ic = ICache::new(16);
             for info in before {
-                ic.fill(&mem, 0, va, *info, NOP, Insn::decode(NOP));
+                ic.fill(&mem, 0, va, *info);
             }
-            ic.seed_entry(&mem, 0, None, va, pa);
-            ic.arm_fast(0, 1, ExceptionLevel::El0, va, 1, l1_head);
+            ic.record(&mem, 0, 1, va, seed_info(None, pa), 1, l1_head);
             assert_eq!(served_asids(&mut ic, &mem, va), served, "case {i}");
         }
     }
@@ -924,18 +939,17 @@ mod tests {
     #[test]
     fn memo_misses_after_mutations() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
+        let pa = nop_frame(&mut mem);
         let va = 0x1000;
-        for (i, what) in ["invalidation", "re-arm for another ASID", "slot refill", "code write"].iter().enumerate() {
+        for (i, what) in ["invalidation", "re-arm for another ASID", "code write"].iter().enumerate() {
             // A global entry armed for one ASID, so that it can be
             // re-armed for ASID 2.
             let mut ic = armed_with_block(&mem, va, pa, true);
             admit(&mut ic, &mem, va);
             match i {
                 0 => ic.invalidate_va(0, va),
-                1 => ic.arm_fast(0, 2, ExceptionLevel::El0, va, 1, None),
-                2 => ic.seed_entry(&mem, 0, None, va + 4, pa),
-                _ => assert!(mem.write(pa, 0, 4)),
+                1 => ic.record(&mem, 0, 2, va, seed_info(None, pa), 1, None),
+                _ => assert!(mem.write(pa, NOP, 4)),
             }
             assert!(lend(&mut ic, &mem, va, 1).is_none(), "{what} must retire the memo slot");
         }
@@ -951,15 +965,13 @@ mod tests {
     #[test]
     fn regime_flag_change_evicts() {
         let mut mem = PhysMem::new();
-        let pa = mem.alloc_frame();
-        let mut ic = seeded(&mem, &[(0, Some(1), 0x1000, pa)]);
-        assert!(
-            ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, true).is_none(),
-            "WXN flip must not serve the old block"
-        );
-        // The next fill, under the new regime, restarts the entry in place.
-        ic.fill(&mem, 0, 0x1000, FillInfo { wxn: true, ..seed_info(Some(1), pa) }, NOP, Insn::decode(NOP));
+        let pa = nop_frame(&mut mem);
+        let mut ic = recorded(&mem, 0x1000, pa, false);
+        assert!(!serves(&mut ic, &mem, 1, 0x1000, true), "WXN flip must not serve the old page");
+        // The next recorded fetch, under the new regime, restarts the
+        // entry in place.
+        ic.record(&mem, 0, 1, 0x1000, FillInfo { wxn: true, ..seed_info(Some(1), pa) }, 1, None);
         assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
-        assert!(ic.probe(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, true).is_some());
+        assert!(serves(&mut ic, &mem, 1, 0x1000, true));
     }
 }

@@ -3,8 +3,9 @@
 //! loads/stores, and the direct branches that end a block.
 //!
 //! Every block the accelerated engine runs is a [`CompiledBlock`],
-//! lowered once from a straight-line decoded run of the fetch cache (see
-//! [`lower`]) and stored in the icache page entry it came from: runs of
+//! lowered once from the straight-line code at its start address in the
+//! code frame of an armed fetch-cache page entry (see [`lower`]) and
+//! stored in that page entry: runs of
 //! pure-ALU *templates* — function pointers selected at lowering time
 //! with register slots resolved, immediates constant-folded (including
 //! fully PC-folded `ADR`/`ADRP`, since a block's virtual address is fixed
@@ -19,18 +20,20 @@
 //!
 //! # Why per-segment revalidation is exact
 //!
-//! Stepping revalidates `Tlb::generation` and
-//! `PhysMem::write_gen`/`frame_version` before every fetch. An ALU
-//! template touches only `Cpu` registers, NZCV, and the
-//! cycle/instruction counters: it cannot insert or promote a TLB entry,
-//! write memory, fault, or move the PC off the fall-through path (a
-//! branch template moves it, but only as the block's last instruction).
-//! Both checks are therefore provably no-ops *inside* an ALU run, and
-//! checking once per segment boundary observes exactly the states
-//! stepping would. `Mem` and `Slow` segments are segment boundaries: a
-//! store that bumps `write_gen` (self-modifying code) or a load that
-//! promotes a TLB entry ends the compiled block at the same boundary at
-//! which the next fetch would have noticed it.
+//! A block is entered only while its page entry is armed at the current
+//! `Tlb::generation` and its code frame still holds the content version
+//! the block was lowered from (`PhysMem::write_gen`/`frame_version`):
+//! then every word of the block is what stepping would fetch, through a
+//! free L1 TLB hit on the same entry. An ALU template touches only `Cpu`
+//! registers, NZCV, and the cycle/instruction counters: it cannot insert
+//! or promote a TLB entry, write memory, fault, or move the PC off the
+//! fall-through path (a branch template moves it, but only as the
+//! block's last instruction). Both facts therefore hold throughout an
+//! ALU run, and checking them once per segment boundary observes
+//! exactly the states stepping would. `Mem` and `Slow` segments are
+//! segment boundaries: a store that bumps `write_gen` (self-modifying
+//! code) or a load that promotes a TLB entry ends the compiled block at
+//! the same boundary at which the next fetch would have noticed it.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -106,17 +109,17 @@ pub(crate) enum Segment {
     Slow { word: u32, insn: Insn },
 }
 
-/// A decoded run lowered to ALU-template runs and `Mem`/`Slow`
-/// segments. Stored in the icache page entry that produced it and
-/// therefore dropped by exactly the invalidation scopes (TLBI, ASID/VMID
-/// maintenance, content staleness, capacity) that drop the decoded words;
-/// serve-time and per-segment revalidation mirror the per-step fetch
-/// probe's checks.
+/// A straight-line run of code lowered to ALU-template runs and
+/// `Mem`/`Slow` segments. Stored in the icache page entry whose code
+/// frame it was lowered from, and therefore dropped by exactly the
+/// invalidation scopes (TLBI, ASID/VMID maintenance, content staleness,
+/// capacity) that drop the entry; serve-time and per-segment
+/// revalidation check what the entry's arm proved.
 #[derive(Debug)]
 pub struct CompiledBlock {
     pub(crate) segs: Box<[Segment]>,
-    /// Total instruction count across all segments — equals the decoded
-    /// run length, and bounds what one entry can retire (the dispatcher
+    /// Total instruction count across all segments — equals the lowered
+    /// run's length, and bounds what one entry can retire (the dispatcher
     /// refuses entry when this exceeds the remaining quantum budget).
     pub(crate) total: u32,
 }
@@ -325,20 +328,23 @@ fn lower_mem(word: u32, insn: Insn) -> Option<Segment> {
     }
 }
 
-/// Lower the straight-line decoded run at the start of `slots` (an
-/// icache page's word slots from the one at virtual address `va` on)
-/// into a [`CompiledBlock`]. The run extends while each slot is decoded
-/// and [`chainable`], up to [`SUPERBLOCK_MAX`] instructions and the end
-/// of the page, and includes one trailing non-chainable instruction,
-/// since nothing executes after it inside the block — so a branch can
-/// only ever be a block's last instruction. Every run lowers, an
-/// all-`Slow` one included; `None` means the first slot is not decoded.
-pub(crate) fn lower(va: u64, slots: &[Option<(u32, Insn)>], insn_base: u64) -> Option<CompiledBlock> {
+/// Lower the straight-line run at the start of `code` (the bytes of a
+/// code frame from the word at virtual address `va` to the end of its
+/// page, at least one word) into a [`CompiledBlock`], decoding each word
+/// as it goes. The run extends while each instruction is [`chainable`],
+/// up to [`SUPERBLOCK_MAX`] instructions and the end of `code`, and
+/// includes one trailing non-chainable instruction, since nothing
+/// executes after it inside the block — so a branch can only ever be a
+/// block's last instruction. Every run lowers, an all-`Slow` one
+/// included.
+pub(crate) fn lower(va: u64, code: &[u8], insn_base: u64) -> CompiledBlock {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
     let mut total = 0u32;
-    for (k, &(word, insn)) in slots.iter().take(SUPERBLOCK_MAX).map_while(|s| s.as_ref()).enumerate() {
+    let words = code.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
+    for (k, word) in words.take(SUPERBLOCK_MAX).enumerate() {
+        let insn = Insn::decode(word);
         let pc_k = va + 4 * k as u64;
         let last = !chainable(&insn);
         total += 1;
@@ -363,13 +369,11 @@ pub(crate) fn lower(va: u64, slots: &[Option<(u32, Insn)>], insn_base: u64) -> O
             break;
         }
     }
-    if total == 0 {
-        return None;
-    }
+    debug_assert!(total > 0, "lowered an empty run");
     if !run.is_empty() {
         segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
     }
-    Some(CompiledBlock { segs: segs.into_boxed_slice(), total })
+    CompiledBlock { segs: segs.into_boxed_slice(), total }
 }
 
 /// Can a block continue past this instruction?
@@ -413,15 +417,15 @@ mod tests {
     use super::*;
     use lz_arch::asm::Asm;
 
-    fn block(words: &[u32]) -> Vec<Option<(u32, Insn)>> {
-        words.iter().map(|&w| Some((w, Insn::decode(w)))).collect()
+    fn code(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
     }
 
     #[test]
     fn pure_alu_block_lowers_to_one_run() {
         // movz x0, #7 ; add x0, x0, #1 ; nop
-        let buf = block(&[0xD280_00E0, 0x9100_0400, 0xD503_201F]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let buf = code(&[0xD280_00E0, 0x9100_0400, 0xD503_201F]);
+        let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.total, 3);
         assert_eq!(b.segs.len(), 1);
         match &b.segs[0] {
@@ -436,8 +440,8 @@ mod tests {
     #[test]
     fn memory_ops_split_runs() {
         // movz x0, #7 ; ldr x1, [x2] ; movz x3, #9
-        let buf = block(&[0xD280_00E0, 0xF940_0041, 0xD280_0123]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let buf = code(&[0xD280_00E0, 0xF940_0041, 0xD280_0123]);
+        let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.segs.len(), 3);
         assert!(matches!(b.segs[0], Segment::Alu { .. }));
         assert!(matches!(b.segs[1], Segment::Mem { rt: 1, rn: 2, offset: 0, size: MemSize::X, write: false, .. }));
@@ -452,8 +456,8 @@ mod tests {
             a.emit(Insn::LdrImm { rt: 3, rn: 4, offset: off, size });
             a.emit(Insn::StrImm { rt: 5, rn: 31, offset: off, size });
         }
-        let buf = block(&a.words());
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let buf = code(&a.words());
+        let b = lower(0x40_0000, &buf, 1);
         assert_eq!(b.total, 8);
         assert_eq!(b.segs.len(), 8, "each access is its own segment");
         for (i, size) in [MemSize::B, MemSize::H, MemSize::W, MemSize::X].into_iter().enumerate() {
@@ -474,7 +478,7 @@ mod tests {
     fn pair_and_unprivileged_accesses_stay_slow() {
         let mut a = Asm::new(0x40_0000);
         a.ldp(1, 2, 3, 16).ldtr(4, 5, 0).movz(0, 1, 0);
-        let b = lower(0x40_0000, &block(&a.words()), 1).expect("lowers");
+        let b = lower(0x40_0000, &code(&a.words()), 1);
         assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::Ldp { .. }, .. }));
         assert!(matches!(b.segs[1], Segment::Slow { insn: Insn::Ldtr { .. }, .. }));
         assert!(matches!(b.segs[2], Segment::Alu { .. }));
@@ -485,7 +489,7 @@ mod tests {
         // ldp x1, x2, [x3] ; svc #0 — nothing to template, still a block.
         let mut a = Asm::new(0x40_0000);
         a.ldp(1, 2, 3, 0).svc(0);
-        let b = lower(0x40_0000, &block(&a.words()), 1).expect("every run lowers");
+        let b = lower(0x40_0000, &code(&a.words()), 1);
         assert_eq!(b.total, 2);
         assert_eq!(b.segs.len(), 2);
         assert!(matches!(b.segs[0], Segment::Slow { insn: Insn::Ldp { .. }, .. }));
@@ -493,12 +497,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_end_at_an_empty_slot_and_at_the_length_bound() {
-        let nop = Some((0xD503_201F, Insn::decode(0xD503_201F)));
-        assert_eq!(lower(0x40_0000, &[nop, None, nop], 1).expect("lowers").total, 1);
-        assert!(lower(0x40_0000, &[None, nop], 1).is_none(), "nothing decoded at the block's start");
-        let long = vec![nop; 2 * SUPERBLOCK_MAX];
-        assert_eq!(lower(0x40_0000, &long, 1).expect("lowers").total as usize, SUPERBLOCK_MAX);
+    fn runs_end_at_the_code_end_and_at_the_length_bound() {
+        const NOP: u32 = 0xD503_201F;
+        assert_eq!(lower(0x40_0000, &code(&[NOP]), 1).total, 1);
+        assert_eq!(lower(0x40_0000, &code(&[NOP, NOP, NOP]), 1).total, 3);
+        // A trailing partial word is not code.
+        assert_eq!(lower(0x40_0000, &code(&[NOP, NOP])[..7], 1).total, 1);
+        let long = code(&vec![NOP; 2 * SUPERBLOCK_MAX]);
+        assert_eq!(lower(0x40_0000, &long, 1).total as usize, SUPERBLOCK_MAX);
     }
 
     #[test]
@@ -511,15 +517,15 @@ mod tests {
         a.ldrb(26, 25, 0).add_imm(25, 25, 1).cmp_imm(26, 0xff).b_eq(found);
         a.subs_imm(24, 24, 1).b_ne(top);
         a.bind(found);
-        let buf = block(&a.words());
-        let first = lower(0x40_0000, &buf[..4], 1).expect("lowers");
+        let words = a.words();
+        let first = lower(0x40_0000, &code(&words[..4]), 1);
         assert!(matches!(first.segs[0], Segment::Mem { size: MemSize::B, write: false, .. }));
         match &first.segs[1] {
             Segment::Alu { ops, cycles } => assert_eq!((ops.len(), *cycles), (3, 3), "b.eq joins the run's charge"),
             s => panic!("expected ALU run, got {s:?}"),
         }
         assert_eq!(first.segs.len(), 2);
-        let second = lower(0x40_0010, &buf[4..], 1).expect("lowers");
+        let second = lower(0x40_0010, &code(&words[4..]), 1);
         assert_eq!(second.segs.len(), 1);
         assert!(matches!(&second.segs[0], Segment::Alu { ops, cycles: 2 } if ops.len() == 2));
     }
@@ -549,7 +555,7 @@ mod tests {
             };
             a.nop().nop();
             a.bind(target);
-            let b = lower(va, &block(&a.words()[..2]), 1).expect("lowers");
+            let b = lower(va, &code(&a.words()[..2]), 1);
             assert_eq!(b.segs.len(), 1, "{name}: branch joins the ALU run");
             assert!(matches!(&b.segs[0], Segment::Alu { ops, cycles: 2 } if ops.len() == 2), "{name}");
             for x1 in [0u64, 5] {
@@ -574,7 +580,7 @@ mod tests {
         let l = a.label();
         a.b_ne(l).nop();
         a.bind(l);
-        let b = lower(0x40_0000, &block(&a.words()), 1).expect("lowers");
+        let b = lower(0x40_0000, &code(&a.words()), 1);
         assert_eq!(b.total, 1);
         assert!(matches!(&b.segs[..], [Segment::Alu { ops, cycles: 1 }] if ops.len() == 1));
     }
@@ -585,7 +591,7 @@ mod tests {
         let l = a.label();
         a.bind(l);
         a.b(l);
-        let b = lower(0x40_0000, &block(&a.words()), 1).expect("a branch-only block lowers");
+        let b = lower(0x40_0000, &code(&a.words()), 1);
         let mut cpu = Cpu::new();
         run_alu(&b, &mut cpu, 0x40_0004);
         assert_eq!(cpu.pc, 0x40_0000);
@@ -594,8 +600,8 @@ mod tests {
     #[test]
     fn madd_and_udiv_latencies_are_batched() {
         // mul x0, x1, x2 ; udiv x3, x4, x5
-        let buf = block(&[0x9B02_7C20, 0x9AC5_0883]);
-        let b = lower(0x40_0000, &buf, 1).expect("lowers");
+        let buf = code(&[0x9B02_7C20, 0x9AC5_0883]);
+        let b = lower(0x40_0000, &buf, 1);
         match &b.segs[0] {
             Segment::Alu { cycles, .. } => {
                 assert_eq!(*cycles, 2 + MADD_EXTRA_CYCLES + UDIV_EXTRA_CYCLES);
@@ -607,9 +613,9 @@ mod tests {
     #[test]
     fn adr_folds_to_block_va() {
         // adr x0, #+16 at va 0x40_0100
-        let buf = block(&[0x1000_0080]);
+        let buf = code(&[0x1000_0080]);
         // Single ADR is still an ALU run.
-        let b = lower(0x40_0100, &buf, 1).expect("lowers");
+        let b = lower(0x40_0100, &buf, 1);
         let Segment::Alu { ops, .. } = &b.segs[0] else { panic!("expected ALU run") };
         let mut cpu = Cpu::new();
         ops[0].exec(&mut cpu);

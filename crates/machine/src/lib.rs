@@ -8,9 +8,9 @@
 //!   bit layouts, hierarchical permission intersection, and `PSTATE.PAN`
 //!   enforcement ([`pte`], [`walk`]),
 //! * a TLB tagged by `(VMID, ASID, page)` with global entries and
-//!   capacity-bounded eviction ([`tlb`]), carrying a decoded-block fetch
-//!   cache that skips host-side walk + decode work on the interpreter hot
-//!   path without changing modelled cycles ([`icache`]),
+//!   capacity-bounded eviction ([`tlb`]), carrying a compiled-block fetch
+//!   cache that lets the accelerated engine skip host-side walk + decode
+//!   work without changing modelled cycles ([`icache`]),
 //! * a CPU interpreter over the `lz-arch` instruction subset with
 //!   exception levels, vectored exception entry, `HCR_EL2` trap controls,
 //!   hardware watchpoints, and cycle accounting ([`cpu`]),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 struct Frame {
     data: Box<[u8; PAGE_SIZE as usize]>,
     /// `PhysMem::write_gen` at the time of the last write/alloc/zero.
-    /// Consumers (the decoded-block cache) snapshot this to detect stale
+    /// Consumers (the compiled-block fetch cache) snapshot this to detect stale
     /// cached views of frame *contents* without scanning the frame.
     version: u64,
 }
@@ -368,13 +368,6 @@ impl PhysMem {
             src = &src[take..];
         }
         true
-    }
-
-    /// Zero an entire frame (used by break-before-make unmap).
-    pub fn zero_frame(&mut self, pa: u64) {
-        if let Some(frame) = self.frame_mut(pa) {
-            frame.fill(0);
-        }
     }
 }
 

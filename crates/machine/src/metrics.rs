@@ -8,7 +8,7 @@
 //!
 //! * **Counters** — plain `u64` fields embedded in the subsystem that owns
 //!   them ([`WalkStats`] and [`InvalStats`] in the TLB, eviction and
-//!   invalidation counts in the decoded-block cache, switch and trap maps
+//!   invalidation counts in the compiled-block fetch cache, switch and trap maps
 //!   in [`MachineMetrics`]). Counters are always on: they are host-side
 //!   bookkeeping and never feed back into the modelled domain.
 //! * **Journal** — a bounded ring of cycle-stamped [`Event`]s
@@ -73,9 +73,9 @@ impl InvalStats {
 /// Walk counters: how many stage-1/stage-2 table walks ran and which
 /// fault kinds they produced.
 ///
-/// Walk counts are *modelled* walks: the decoded-block fetch cache
-/// replays the walk it skips, so the counts are identical with the cache
-/// on or off. Stage-2 walks performed internally by a nested stage-1 walk
+/// Walk counts are *modelled* walks: compiled blocks run only on pages
+/// whose TLB entry is live, and every TLB miss walks, so the counts are
+/// identical on both engines. Stage-2 walks performed internally by a nested stage-1 walk
 /// (`s1ptw`) are folded into the stage-1 walk that triggered them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalkStats {
@@ -129,7 +129,7 @@ pub struct FastStats {
     /// Data accesses served by the micro-DTLB (replayed as free L1 hits).
     pub dtlb_hits: u64,
     /// Compiled blocks completed (each exit covers one straight-line run
-    /// of decoded instructions executed without per-instruction probes).
+    /// of instructions executed without per-instruction fetches).
     pub superblock_exits: u64,
     /// Stage-1(+stage-2) walks replayed from the walk cache instead of
     /// touching up to 7 table descriptors.
@@ -138,10 +138,10 @@ pub struct FastStats {
     pub jit_blocks: u64,
     /// Dispatches the accelerated engine single-stepped instead of
     /// entering a compiled block: a misaligned PC, the bare identity
-    /// regime, a page entry not armed for the fetch, an undecoded slot,
-    /// or a block longer than the remaining budget.
+    /// regime, a page entry not armed for the fetch (a stale code frame
+    /// included), or a block longer than the remaining budget.
     pub jit_stepped: u64,
-    /// Decoded runs lowered to compiled blocks (each counts once, at
+    /// Runs of code lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,
 }

@@ -1,7 +1,7 @@
 //! SMP: an N-core machine with TLBI broadcast and IPI shootdown.
 //!
 //! Each core owns its architectural CPU state ([`Cpu`]) and its private
-//! translation caches ([`Tlb`], which embeds the decoded-block icache);
+//! translation caches ([`Tlb`], which embeds the compiled-block icache);
 //! all cores share one [`PhysMem`](crate::PhysMem). Execution is
 //! *interleaved*, never truly concurrent: exactly one core — the
 //! **active** core, whose state lives directly in
@@ -30,10 +30,10 @@
 //!   On a single-core machine there are no remote cores, so these calls
 //!   degenerate to exactly the pre-SMP local invalidate — cycle counts
 //!   of existing single-core workloads are unchanged.
-//! * **Physical-write icache invalidation** — the decoded-block icache
+//! * **Physical-write icache invalidation** — the compiled-block icache
 //!   validates entries against the shared `PhysMem` write generation
-//!   and per-frame versions on every probe, so a store on core A
-//!   invalidates (by content check) stale decoded blocks on core B
+//!   and per-frame versions on every block lookup, so a store on core A
+//!   retires (by content check) stale compiled blocks on core B
 //!   without any explicit message. This holds by construction; see
 //!   `icache::PageEntry` and the `smp` integration tests.
 //!

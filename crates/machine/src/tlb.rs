@@ -11,7 +11,7 @@
 //!   switch.
 
 use crate::fxhash::FxHashMap;
-use crate::icache::ICache;
+use crate::icache::{FillInfo, ICache};
 use crate::metrics::{FastStats, InvalStats, WalkStats};
 use crate::pte::{S1Perms, S2Perms};
 use lz_arch::pstate::ExceptionLevel;
@@ -184,10 +184,10 @@ pub struct Tlb {
     l2_hits: u64,
     /// Bumped on every structural mutation (insert, promotion, any
     /// invalidate). While unchanged, a repeated lookup with the same tags
-    /// is guaranteed to return the same result — the fact the decoded-block
-    /// fast path's memo relies on.
+    /// is guaranteed to return the same result — the fact the fetch
+    /// cache's arms rely on.
     gen: u64,
-    /// Decoded-block fetch cache. Embedded here so that every TLB
+    /// Compiled-block fetch cache. Embedded here so that every TLB
     /// maintenance operation (the architectural coherence points) reaches
     /// it without new call sites; see the `icache` module docs.
     icache: ICache,
@@ -259,7 +259,7 @@ impl Tlb {
         self.fast
     }
 
-    /// The decoded-block cache riding along with this TLB.
+    /// The compiled-block fetch cache riding along with this TLB.
     pub fn icache(&self) -> &ICache {
         &self.icache
     }
@@ -291,9 +291,8 @@ impl Tlb {
         self.lookup_leveled(vmid, asid, va).map(|(e, _)| e)
     }
 
-    /// Side-effect-free lookup: no stats, no L1 promotion. Used by the
-    /// fetch-cache fill path to snapshot the entry the walk just inserted
-    /// without perturbing the modelled TLB state.
+    /// Side-effect-free lookup: no stats, no L1 promotion. For tests and
+    /// diagnostics that must not perturb the modelled TLB state.
     pub fn peek(&self, vmid: u16, asid: u16, va: u64) -> Option<TlbEntry> {
         self.l1.lookup(vmid, asid, va).or_else(|| self.l2.lookup(vmid, asid, va))
     }
@@ -318,7 +317,7 @@ impl Tlb {
         self.l2.insert(vmid, va, entry);
     }
 
-    /// `TLBI ALLE1` equivalent — drop everything, decoded blocks included.
+    /// `TLBI ALLE1` equivalent — drop everything, compiled blocks included.
     pub fn invalidate_all(&mut self) {
         self.inval.all += 1;
         self.gen += 1;
@@ -339,7 +338,7 @@ impl Tlb {
     }
 
     /// Drop entries for one `(vmid, asid)` (`TLBI ASIDE1`); global entries
-    /// survive — in the decoded-block cache too.
+    /// survive — in the fetch cache too.
     pub fn invalidate_asid(&mut self, vmid: u16, asid: u16) {
         self.inval.asid += 1;
         self.gen += 1;
@@ -374,35 +373,27 @@ impl Tlb {
         self.gen
     }
 
-    /// Decoded-block memo fast path: serve `(pa, word, insn)` and replay
-    /// the free L1 hit the uncached fetch would have scored, with no
-    /// other TLB interaction. Sound only because the icache entry was
-    /// armed at the current generation (see `ICache::fast_probe`).
+    /// Record a successful reference fetch at `va` in the fetch cache
+    /// (see `ICache::record`). The fetch left the TLB entry it used in L1
+    /// — an L1 hit stays, an L2 hit was promoted, a walk inserted — so
+    /// the L1 lookup returns that entry, and `record` arms the page
+    /// against it at the current generation. A global entry that heads
+    /// its L1 slot is armed for every ASID.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn fetch_fast(
+    pub(crate) fn record_fetch(
         &mut self,
         mem: &crate::PhysMem,
         vmid: u16,
         asid: u16,
-        el: lz_arch::pstate::ExceptionLevel,
+        el: ExceptionLevel,
         va: u64,
         s1_enabled: bool,
         wxn: bool,
-    ) -> Option<(u64, u32, lz_arch::insn::Insn)> {
-        let got = self.icache.fast_probe(mem, vmid, asid, el, va, s1_enabled, wxn, self.gen)?;
-        self.hits += 1;
-        Some(got)
-    }
-
-    /// Arm the decoded-block memo for `(vmid, asid, el, va)` at the
-    /// current generation: the caller just proved that serving the block
-    /// equals a free L1 hit. A global block that heads its L1 slot is
-    /// armed for every ASID (see `ICache::arm_fast`).
-    pub fn arm_fast(&mut self, vmid: u16, asid: u16, el: lz_arch::pstate::ExceptionLevel, va: u64) {
-        let gen = self.gen;
+    ) {
+        let Some(snapshot) = self.l1.lookup(vmid, asid, va) else { return };
+        let info = FillInfo { el, s1_enabled, wxn, snapshot };
         let l1_head = self.l1.head(vmid, va);
-        self.icache.arm_fast(vmid, asid, el, va, gen, l1_head);
+        self.icache.record(mem, vmid, asid, va, info, self.gen, l1_head);
     }
 
     /// Micro-DTLB probe for a data access. A hit means the slow path
@@ -579,7 +570,7 @@ impl Tlb {
     /// Lend out the compiled block for the fetch at `va` (see
     /// [`crate::jit`] and `ICache::jit_lend`). Served only when armed at
     /// the *current* generation, so any TLBI, insert, or promotion since
-    /// arming refuses service exactly as it would refuse a fetch-cache hit.
+    /// arming refuses service until a recorded fetch re-arms the page.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_lend(
@@ -602,8 +593,8 @@ impl Tlb {
         self.icache.jit_return(lent);
     }
 
-    /// Lower the decoded run at `va` and store it in its icache page entry
-    /// (see `ICache::compile`), validated at the current generation.
+    /// Lower the code at `va` and store it in its icache page entry (see
+    /// `ICache::compile`), validated at the current generation.
     /// Returns the block and its backing `(pa_page, frame_version)`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn jit_compile(
@@ -635,9 +626,9 @@ impl Tlb {
         self.fast.jit_stepped += 1;
     }
 
-    /// Replay the per-instruction bookkeeping a compiled-block instruction
-    /// would have generated on the step path: one free L1 TLB hit and one
-    /// decoded-block cache hit.
+    /// Replay the per-instruction bookkeeping of a compiled-block
+    /// instruction: the free L1 TLB hit its fetch would score, and one
+    /// fetch-cache hit.
     #[inline]
     pub(crate) fn count_superblock_insn(&mut self) {
         self.hits += 1;

@@ -11,7 +11,6 @@
 //!   regardless of what it writes into its stage-1 tables.
 
 use crate::chaos::LzFault;
-use crate::icache::FillInfo;
 use crate::mem::PhysMem;
 use crate::pte::{self, S1Perms, S2Perms};
 use crate::tlb::{Tlb, TlbEntry, TlbHit, WALK_FRAMES_MAX};
@@ -229,9 +228,151 @@ pub(crate) fn translate_dtlb_missed(
     access: Access,
     actx: &AccessCtx,
 ) -> Result<Translation, Fault> {
+    /// One TLB lookup, then the permission checks on a hit or the walk
+    /// (through the walk cache) and the TLB insert on a miss.
+    fn lookup_or_walk(
+        mem: &PhysMem,
+        tlb: &mut Tlb,
+        model: &CycleModel,
+        cfg: &WalkConfig,
+        va: u64,
+        access: Access,
+        actx: &AccessCtx,
+    ) -> Result<Translation, Fault> {
+        let wnr = access == Access::Write;
+        let vmid = cfg.vmid();
+        let asid = cfg.asid();
+        let has_tlb = cfg.s1_enabled || cfg.vttbr.is_some();
+
+        if let Some((entry, level)) = has_tlb.then(|| tlb.lookup_leveled(vmid, asid, va)).flatten() {
+            check_s1(&entry.s1, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
+                kind,
+                stage: Stage::S1,
+                level: 3,
+                va,
+                ipa: 0,
+                wnr,
+                s1ptw: false,
+            })?;
+            if let Some(s2p) = entry.s2 {
+                check_s2(&s2p, access).map_err(|kind| Fault {
+                    kind,
+                    stage: Stage::S2,
+                    level: 3,
+                    va,
+                    ipa: entry.pa_page | (va & 0xfff),
+                    wnr,
+                    s1ptw: false,
+                })?;
+            }
+            let cost = match level {
+                TlbHit::L1 => 0,
+                TlbHit::L2 => model.l2_tlb_hit,
+            };
+            return Ok(Translation { pa: entry.pa_page | (va & 0xfff), cost, tlb_hit: true });
+        }
+
+        // Full walk. The walk cache may replay a memoised walk whose table
+        // frames are provably untouched since fill time; everything modelled
+        // (counters, checks, fault values, the TLB insert, the cost) is
+        // identical to the descriptor-reading path below.
+        let vttbr_key = wcache_vttbr_key(cfg);
+        let wroot = if cfg.s1_enabled { s1_root_for(cfg, va) } else { None };
+        if let Some(root) = wroot {
+            if let Some((ipa_page, pa_page, s1, s2)) = tlb.wcache_lookup(mem, root, vttbr_key, va) {
+                tlb.walk.s1_walks += 1;
+                check_s1(&s1, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
+                    kind,
+                    stage: Stage::S1,
+                    level: 3,
+                    va,
+                    ipa: 0,
+                    wnr,
+                    s1ptw: false,
+                })?;
+                let s2_perms = match cfg.vttbr {
+                    Some(_) => {
+                        tlb.walk.s2_walks += 1;
+                        let perms = s2.expect("nested walk-cache entry carries stage-2 perms");
+                        check_s2(&perms, access).map_err(|kind| Fault {
+                            kind,
+                            stage: Stage::S2,
+                            level: 3,
+                            va,
+                            ipa: ipa_page | (va & 0xfff),
+                            wnr,
+                            s1ptw: false,
+                        })?;
+                        Some(perms)
+                    }
+                    None => None,
+                };
+                let entry_asid = if !s1.global { Some(asid) } else { None };
+                tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1, s2: s2_perms });
+                // The descriptor-reading path's cost: a stage-1 walk, or a
+                // nested walk plus the leaf stage-2 walk.
+                let cost =
+                    if cfg.vttbr.is_some() { model.nested_walk() + model.stage2_walk() } else { model.stage1_walk() };
+                return Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false });
+            }
+        }
+
+        let mut rec = FrameRec::new(tlb.accel() && cfg.s1_enabled);
+        let (ipa_page, s1_perms, mut cost) = if cfg.s1_enabled {
+            tlb.walk.s1_walks += 1;
+            walk_stage1(mem, model, cfg, va, access, actx, &mut rec)?
+        } else {
+            // Stage-1 off: identity, full permissions, global.
+            (
+                va & 0x0000_ffff_ffff_f000,
+                S1Perms { read: true, write: true, user_exec: true, priv_exec: true, el0: true, global: false },
+                0,
+            )
+        };
+
+        check_s1(&s1_perms, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
+            kind,
+            stage: Stage::S1,
+            level: 3,
+            va,
+            ipa: 0,
+            wnr,
+            s1ptw: false,
+        })?;
+
+        let (pa_page, s2_perms) = match cfg.vttbr {
+            Some(vt) => {
+                tlb.walk.s2_walks += 1;
+                let (pa, perms, c) =
+                    walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, access, wnr, false, &mut rec)?;
+                cost += c;
+                check_s2(&perms, access).map_err(|kind| Fault {
+                    kind,
+                    stage: Stage::S2,
+                    level: 3,
+                    va,
+                    ipa: ipa_page | (va & 0xfff),
+                    wnr,
+                    s1ptw: false,
+                })?;
+                (pa, Some(perms))
+            }
+            None => (ipa_page, None),
+        };
+
+        if has_tlb {
+            let entry_asid = if cfg.s1_enabled && !s1_perms.global { Some(asid) } else { None };
+            tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1: s1_perms, s2: s2_perms });
+            if let (Some(root), Some(frames)) = (wroot, rec.frames()) {
+                tlb.wcache_fill(mem, root, vttbr_key, va, ipa_page, pa_page, s1_perms, s2_perms, frames);
+            }
+        }
+
+        Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false })
+    }
+
     let has_tlb = cfg.s1_enabled || cfg.vttbr.is_some();
-    let pre = if has_tlb { tlb.lookup_leveled(cfg.vmid(), cfg.asid(), va) } else { None };
-    let r = translate_after_lookup(mem, tlb, model, cfg, va, access, actx, pre);
+    let r = lookup_or_walk(mem, tlb, model, cfg, va, access, actx);
     match &r {
         Ok(t) => {
             // The slow path just proved this (tags, access kind) pair
@@ -256,159 +397,12 @@ pub(crate) fn translate_dtlb_missed(
     r
 }
 
-/// The body of [`translate`] after the TLB has already been consulted.
-///
-/// Split out so the fetch fast path can perform exactly one
-/// `lookup_leveled` (which mutates hit/miss counters and promotes L2 hits)
-/// and still fall back to the slow path without double-counting.
-#[allow(clippy::too_many_arguments)]
-fn translate_after_lookup(
-    mem: &PhysMem,
-    tlb: &mut Tlb,
-    model: &CycleModel,
-    cfg: &WalkConfig,
-    va: u64,
-    access: Access,
-    actx: &AccessCtx,
-    pre: Option<(TlbEntry, TlbHit)>,
-) -> Result<Translation, Fault> {
-    let wnr = access == Access::Write;
-    let vmid = cfg.vmid();
-    let asid = cfg.asid();
-
-    if let Some((entry, level)) = pre {
-        check_s1(&entry.s1, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
-            kind,
-            stage: Stage::S1,
-            level: 3,
-            va,
-            ipa: 0,
-            wnr,
-            s1ptw: false,
-        })?;
-        if let Some(s2p) = entry.s2 {
-            check_s2(&s2p, access).map_err(|kind| Fault {
-                kind,
-                stage: Stage::S2,
-                level: 3,
-                va,
-                ipa: entry.pa_page | (va & 0xfff),
-                wnr,
-                s1ptw: false,
-            })?;
-        }
-        let cost = match level {
-            TlbHit::L1 => 0,
-            TlbHit::L2 => model.l2_tlb_hit,
-        };
-        return Ok(Translation { pa: entry.pa_page | (va & 0xfff), cost, tlb_hit: true });
-    }
-
-    // Full walk. The walk cache may replay a memoised walk whose table
-    // frames are provably untouched since fill time; everything modelled
-    // (counters, checks, fault values, the TLB insert, the cost) is
-    // identical to the descriptor-reading path below.
-    let vttbr_key = wcache_vttbr_key(cfg);
-    let wroot = if cfg.s1_enabled { s1_root_for(cfg, va) } else { None };
-    if let Some(root) = wroot {
-        if let Some((ipa_page, pa_page, s1, s2)) = tlb.wcache_lookup(mem, root, vttbr_key, va) {
-            tlb.walk.s1_walks += 1;
-            check_s1(&s1, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
-                kind,
-                stage: Stage::S1,
-                level: 3,
-                va,
-                ipa: 0,
-                wnr,
-                s1ptw: false,
-            })?;
-            let s2_perms = match cfg.vttbr {
-                Some(_) => {
-                    tlb.walk.s2_walks += 1;
-                    let perms = s2.expect("nested walk-cache entry carries stage-2 perms");
-                    check_s2(&perms, access).map_err(|kind| Fault {
-                        kind,
-                        stage: Stage::S2,
-                        level: 3,
-                        va,
-                        ipa: ipa_page | (va & 0xfff),
-                        wnr,
-                        s1ptw: false,
-                    })?;
-                    Some(perms)
-                }
-                None => None,
-            };
-            let entry_asid = if !s1.global { Some(asid) } else { None };
-            tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1, s2: s2_perms });
-            // The descriptor-reading path's cost: a stage-1 walk, or a
-            // nested walk plus the leaf stage-2 walk.
-            let cost =
-                if cfg.vttbr.is_some() { model.nested_walk() + model.stage2_walk() } else { model.stage1_walk() };
-            return Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false });
-        }
-    }
-
-    let mut rec = FrameRec::new(tlb.accel() && cfg.s1_enabled);
-    let (ipa_page, s1_perms, mut cost) = if cfg.s1_enabled {
-        tlb.walk.s1_walks += 1;
-        walk_stage1(mem, model, cfg, va, access, actx, &mut rec)?
-    } else {
-        // Stage-1 off: identity, full permissions, global.
-        (
-            va & 0x0000_ffff_ffff_f000,
-            S1Perms { read: true, write: true, user_exec: true, priv_exec: true, el0: true, global: false },
-            0,
-        )
-    };
-
-    check_s1(&s1_perms, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
-        kind,
-        stage: Stage::S1,
-        level: 3,
-        va,
-        ipa: 0,
-        wnr,
-        s1ptw: false,
-    })?;
-
-    let (pa_page, s2_perms) = match cfg.vttbr {
-        Some(vt) => {
-            tlb.walk.s2_walks += 1;
-            let (pa, perms, c) = walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, access, wnr, false, &mut rec)?;
-            cost += c;
-            check_s2(&perms, access).map_err(|kind| Fault {
-                kind,
-                stage: Stage::S2,
-                level: 3,
-                va,
-                ipa: ipa_page | (va & 0xfff),
-                wnr,
-                s1ptw: false,
-            })?;
-            (pa, Some(perms))
-        }
-        None => (ipa_page, None),
-    };
-
-    if cfg.s1_enabled || cfg.vttbr.is_some() {
-        let entry_asid = if cfg.s1_enabled && !s1_perms.global { Some(asid) } else { None };
-        tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1: s1_perms, s2: s2_perms });
-        if let (Some(root), Some(frames)) = (wroot, rec.frames()) {
-            tlb.wcache_fill(mem, root, vttbr_key, va, ipa_page, pa_page, s1_perms, s2_perms, frames);
-        }
-    }
-
-    Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false })
-}
-
 /// Result of a successful instruction fetch via [`fetch`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fetched {
     /// Final physical address of the fetched word.
     pub pa: u64,
-    /// Modelled translation cost — bit-identical to what [`translate`]
-    /// would have returned for this fetch.
+    /// Modelled translation cost, as [`translate`] returned it.
     pub cost: u64,
     pub word: u32,
     pub insn: Insn,
@@ -428,22 +422,20 @@ fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
     }
 }
 
-/// Instruction fetch at `el`: translation + 32-bit read + decode, with a
-/// decoded-block fast path (see the [`crate::icache`] module docs for the
-/// coherence rules).
+/// Instruction fetch at `el`: [`translate`] + `read_u32` +
+/// `Insn::decode`, the reference fetch, on both engines.
 ///
 /// Errors carry the cycle cost the caller must charge before taking the
 /// fault: `stage1_walk` for translation faults (the interpreter's
 /// historical accounting) or the translation cost for a bus error on a
 /// successfully translated PC.
 ///
-/// On the reference engine (`tlb.accel()` off) this is exactly
-/// [`translate`] + `read_u32` + `Insn::decode`. On the accelerated engine
-/// the decoded-block cache serves a word only where the main TLB vouches
-/// for it: the lookup hit, and the hit entry equals the block's fill-time
-/// snapshot. The host then skips the read and the decode, and the
-/// modelled outcome — one TLB lookup, the hit's cost — is the slow
-/// path's. Every TLB miss takes the slow path.
+/// On the accelerated engine a successful fetch in a TLB-backed regime
+/// is then recorded in the compiled-block fetch cache (`Tlb::record_fetch`),
+/// which arms the page against the TLB entry the fetch used; the bare
+/// identity regime has no TLB entry to arm against. The cache serves
+/// only compiled blocks, never a single step (see the [`crate::icache`]
+/// module docs for the coherence rules).
 pub fn fetch(
     mem: &PhysMem,
     tlb: &mut Tlb,
@@ -453,62 +445,12 @@ pub fn fetch(
     el: ExceptionLevel,
 ) -> Result<Fetched, (Fault, u64)> {
     let actx = AccessCtx { el, pan: false, unpriv: false };
-    if !tlb.accel() {
-        let t = translate(mem, tlb, model, cfg, va, Access::Fetch, &actx).map_err(|f| (f, model.stage1_walk()))?;
-        let word = mem.read_u32(t.pa).ok_or((fetch_bus_fault(va), t.cost))?;
-        return Ok(Fetched { pa: t.pa, cost: t.cost, word, insn: Insn::decode(word) });
-    }
-
-    let vmid = cfg.vmid();
-    let asid = cfg.asid();
-    // The bare identity regime bypasses the TLB, so nothing can vouch for
-    // a cached block there: it always takes the slow path.
-    let has_tlb = cfg.s1_enabled || cfg.vttbr.is_some();
-
-    // Memoised fast path: while the TLB generation is unchanged since this
-    // block was last proven equivalent to a free L1 hit, skip the lookup
-    // entirely and just replay its statistics (cost 0, one hit).
-    if has_tlb {
-        if let Some((pa, word, insn)) = tlb.fetch_fast(mem, vmid, asid, el, va, cfg.s1_enabled, cfg.wxn) {
-            return Ok(Fetched { pa, cost: 0, word, insn });
-        }
-    }
-
-    let pre = if has_tlb { tlb.lookup_leveled(vmid, asid, va) } else { None };
-
-    // The main TLB hit and the block was decoded through that very entry:
-    // PA and permission outcomes are reproducible, so serve the block at
-    // the TLB-hit cost.
-    if let Some((entry, level)) = pre {
-        let hit = tlb.icache_mut().probe(mem, vmid, asid, el, va, cfg.s1_enabled, cfg.wxn);
-        if let Some(hit) = hit.filter(|hit| hit.snapshot == entry) {
-            let cost = match level {
-                TlbHit::L1 => 0,
-                TlbHit::L2 => model.l2_tlb_hit,
-            };
-            // From here on (until the next structural TLB change), this
-            // block is a guaranteed free L1 hit: an L2 hit was just
-            // promoted, an L1 hit stays put. Arm the lookup-free memo.
-            tlb.arm_fast(vmid, asid, el, va);
-            return Ok(Fetched { pa: hit.pa, cost, word: hit.word, insn: hit.insn });
-        }
-    }
-
-    // Slow path. The TLB lookup above already counted, so continue from it.
-    let t = translate_after_lookup(mem, tlb, model, cfg, va, Access::Fetch, &actx, pre).map_err(|f| {
-        tlb.walk.count_fault(&f);
-        (f, model.stage1_walk())
-    })?;
+    let t = translate(mem, tlb, model, cfg, va, Access::Fetch, &actx).map_err(|f| (f, model.stage1_walk()))?;
     let word = mem.read_u32(t.pa).ok_or((fetch_bus_fault(va), t.cost))?;
-    let insn = Insn::decode(word);
-    // Snapshot the entry this fetch hit or inserted; a later lookup of the
-    // same (vmid, asid, va) returns exactly this entry, which is what makes
-    // the TLB-hit path's equality check sound.
-    if let Some(snapshot) = has_tlb.then(|| tlb.peek(vmid, asid, va)).flatten() {
-        let info = FillInfo { el, s1_enabled: cfg.s1_enabled, wxn: cfg.wxn, snapshot };
-        tlb.icache_mut().fill(mem, vmid, va, info, word, insn);
+    if tlb.accel() && (cfg.s1_enabled || cfg.vttbr.is_some()) {
+        tlb.record_fetch(mem, cfg.vmid(), cfg.asid(), el, va, cfg.s1_enabled, cfg.wxn);
     }
-    Ok(Fetched { pa: t.pa, cost: t.cost, word, insn })
+    Ok(Fetched { pa: t.pa, cost: t.cost, word, insn: Insn::decode(word) })
 }
 
 /// Walk the stage-1 tree. Returns the IPA *page* of `va`, the leaf

@@ -6,7 +6,7 @@ use lz_arch::Platform;
 use lz_machine::pte::S1Perms;
 use lz_machine::tlb::TlbEntry;
 use lz_machine::walk::{
-    alloc_table, s1_lookup, s1_map_page, s1_unmap, translate, Access, AccessCtx, FaultKind, WalkConfig,
+    alloc_table, fetch, s1_lookup, s1_map_page, s1_unmap, translate, Access, AccessCtx, FaultKind, WalkConfig,
 };
 use lz_machine::{PhysMem, Tlb};
 use proptest::prelude::*;
@@ -120,7 +120,7 @@ proptest! {
     }
 
     /// Every TLB invalidation variant also evicts the matching
-    /// decoded-block cache entries: the icache must never outlive the
+    /// fetch-cache entries: the icache must never outlive the
     /// TLBI that software issued for the page.
     #[test]
     fn tlbi_variants_evict_decoded_blocks(
@@ -142,12 +142,12 @@ proptest! {
         }
         prop_assert!(
             !tlb.icache().contains(vmid, Some(asid), va),
-            "variant {} left a decoded block behind", variant
+            "variant {} left a page entry behind", variant
         );
     }
 
     /// Invalidations scoped to *other* tags leave the entry alone, in the
-    /// TLB and the decoded-block cache alike.
+    /// TLB and the fetch cache alike.
     #[test]
     fn scoped_tlbi_spares_unrelated_blocks(
         vmid in 0u16..4,
@@ -168,7 +168,7 @@ proptest! {
         }
         prop_assert!(
             tlb.icache().contains(vmid, Some(asid), va),
-            "variant {} evicted an unrelated decoded block", variant
+            "variant {} evicted an unrelated page entry", variant
         );
     }
 
@@ -202,24 +202,25 @@ proptest! {
         prop_assert!(!tlb.icache().contains(vmid, Some(asid), va_ng));
     }
 
-    /// A write into a cached code frame makes the next probe miss, no
-    /// matter which of the frame's bytes was touched.
+    /// A recorded fetch arms its page for compiled blocks, and a write
+    /// into the code frame retires the arm, no matter which of the
+    /// frame's bytes was touched.
     #[test]
     fn frame_write_invalidates_decoded_block(va in any_page_va(), off in 0u64..4096) {
-        use lz_arch::pstate::ExceptionLevel;
         let mut mem = PhysMem::new();
         let mut tlb = Tlb::new(64);
+        tlb.set_accel(true);
+        let model = Platform::CortexA55.model();
+        let root = alloc_table(&mut mem);
         let pa = mem.alloc_frame();
-        tlb.icache_mut().seed_entry(&mem, 0, Some(1), va, pa);
-        prop_assert!(tlb
-            .icache_mut()
-            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false)
-            .is_some());
+        let code = S1Perms { read: true, write: false, user_exec: true, priv_exec: false, el0: true, global: false };
+        s1_map_page(&mut mem, root, va, pa, code);
+        let cfg = WalkConfig { ttbr0: ttbr::pack(1, root), ttbr1: 0, s1_enabled: true, wxn: false, vttbr: None };
+        prop_assert!(fetch(&mem, &mut tlb, &model, &cfg, va, ExceptionLevel::El0).is_ok());
+        let gen = tlb.generation();
+        prop_assert!(tlb.icache_mut().serves(&mem, 0, 1, ExceptionLevel::El0, va, true, false, gen));
         mem.write(pa + (off & !7), 0xffff_ffff_ffff_ffff, 8);
-        prop_assert!(tlb
-            .icache_mut()
-            .probe(&mem, 0, 1, ExceptionLevel::El0, va, true, false)
-            .is_none());
+        prop_assert!(!tlb.icache_mut().serves(&mem, 0, 1, ExceptionLevel::El0, va, true, false, gen));
     }
 
     /// Different ASIDs never observe each other's non-global mappings.
@@ -285,7 +286,7 @@ proptest! {
     }
 
     /// Metrics invariant: TLBI scope counters record exactly one tick per
-    /// maintenance operation, and every decoded block dropped from the
+    /// maintenance operation, and every page entry dropped from the
     /// icache by an invalidation shows up in `invalidation_count()`.
     #[test]
     fn icache_invalidations_track_tlbi(

@@ -388,7 +388,10 @@ ratchet crates/core/src/fakephys.rs 0
 ratchet crates/core/src/sanitizer.rs 0
 ratchet crates/arch/src/sensitive.rs 0
 ratchet crates/kernel/src/vma.rs 0
-ratchet crates/kernel/src/kernel.rs 21
+# kernel.rs: 4 = the three host-facing `no such pid` accessors and
+# `resume_syscall`'s current process; guest paths reach the current
+# process through `current_mut` and fail closed.
+ratchet crates/kernel/src/kernel.rs 4
 # attacks.rs: 4 = restore_attack's setup steps (the victim and restored
 # VEs are live, the donor snapshots, the snapshot restores). They are
 # pen-test harness setup on images the harness itself just built, beside

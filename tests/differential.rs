@@ -1,8 +1,8 @@
 //! Differential testing of the two execution engines.
 //!
 //! Every test here builds identical machines, runs one on the
-//! accelerated engine — compiled blocks over the decoded-block fetch
-//! cache, the micro-DTLB and the walk cache (DESIGN.md §7, §10, §13) —
+//! accelerated engine — compiled blocks from the fetch cache, the
+//! micro-DTLB and the walk cache (DESIGN.md §7, §10, §13) —
 //! and one on the per-step reference interpreter (`LZ_ACCEL=0`), drives
 //! both through the same program and the same host-side operations, and
 //! asserts the complete observable state is identical: exit reason,
@@ -16,7 +16,9 @@
 //! patch area), plus deterministic scenarios for break-before-make code
 //! remapping, stage-1 and stage-2 code-leaf rewrites without TLBI whose
 //! TLB entry is then evicted by capacity, physical code patching without
-//! TLBI, TTBR/ASID domain switching over global and non-global pages, SMP
+//! TLBI, a store into a later word of the running block, cold
+//! straight-line code, TTBR/ASID domain switching over global and
+//! non-global pages, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
 //! JIT dispatch memo's epoch sources, one code VA mapped global for one
 //! ASID and non-global for another in both fill orders, and quantum
@@ -365,7 +367,7 @@ fn break_before_make_remap_agrees() {
 }
 
 /// Physical patch of the live code frame with no TLBI at all: the frame
-/// version check must evict the stale decoded block.
+/// version check must retire the stale compiled blocks.
 #[test]
 fn physical_code_patch_agrees() {
     let mut a = Asm::new(CODE);
@@ -494,7 +496,7 @@ fn stage2_leaf_rewrite_then_tlb_eviction_agrees() {
 
 /// TTBR/ASID domain switching: two address spaces with different code at
 /// the same VA plus a shared global data page; the host switches TTBR0
-/// back and forth. ASID tagging must keep the decoded blocks separate
+/// back and forth. ASID tagging must keep the compiled blocks separate
 /// while global data entries persist.
 #[test]
 fn ttbr_domain_switch_agrees() {
@@ -1176,6 +1178,83 @@ fn jit_store_into_own_code_page_agrees() {
     );
 }
 
+/// A loop that, each iteration, computes `movz x0, #k` and stores it
+/// into a later word of the block it is running, before reaching that
+/// word. The block was lowered from the code frame before the store, so
+/// it must end at the store, and the patched word must run: x0 ends at
+/// the last k. The loop runs from compiled blocks nonetheless — every
+/// iteration single-steps once after the store, which records the
+/// rewritten page and re-arms it.
+#[test]
+fn jit_store_into_a_later_word_of_the_running_block_agrees() {
+    use lz_arch::insn::MemSize;
+    const ROUNDS: u64 = 300;
+    const TOP: u64 = CODE + 0x40;
+    const SITE: u64 = TOP + 0x1c;
+    let mut a = Asm::new(CODE);
+    // The second data page: its micro-DTLB slot is not the code page's.
+    a.mov_imm64(19, DATA + 0x1000);
+    a.mov_imm64(21, SITE);
+    a.mov_imm64(5, Insn::Movz { rd: 0, imm16: 0, hw: 0 }.encode() as u64);
+    a.movz(6, 0, 0);
+    a.mov_imm64(7, ROUNDS);
+    while a.here() < TOP {
+        a.nop();
+    }
+    let top = a.label();
+    a.bind(top);
+    a.add_imm(6, 6, 1); // k
+    a.lsl_imm(8, 6, 5);
+    a.orr_reg(8, 8, 5); // movz x0, #k
+    a.ldr(1, 19, 0);
+    a.emit(Insn::StrImm { rt: 8, rn: 21, offset: 0, size: MemSize::W });
+    a.nop().nop();
+    assert_eq!(a.here(), SITE);
+    a.movz(0, 0xffff, 0); // patched by the store above
+    a.add_reg(2, 2, 0);
+    a.subs_imm(7, 7, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let fast = both_engines(
+        "store into a later word of the running block",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!(m.cpu.reg(0), ROUNDS, "x0 holds the last k");
+            assert_eq!(m.cpu.reg(2), ROUNDS * (ROUNDS + 1) / 2, "every patched word ran");
+            (exit, data)
+        },
+    );
+    assert!(fast.jit_blocks >= ROUNDS, "the loop must run from compiled blocks: {fast:?}");
+}
+
+/// Cold straight-line code, run once: the first fetch records the page
+/// and arms it, and every later dispatch compiles from the code frame,
+/// so the accelerated engine single-steps at most once per page.
+#[test]
+fn cold_straight_line_code_compiles_after_one_step() {
+    let mut a = Asm::new(CODE);
+    for i in 0..200u16 {
+        a.movz(1, i, 0);
+        a.add_reg(2, 2, 1);
+    }
+    a.svc(0);
+    let code = a.bytes();
+    let run = |accel: bool| {
+        let mut m = build_machine(&code, &patch_area(4), accel);
+        m.trace.set_enabled(true);
+        let (exit, resumes) = run_to_completion(&mut m);
+        assert_eq!(m.cpu.reg(2), 199 * 200 / 2);
+        (snapshot(&m, exit, resumes), m.tlb.fast_stats())
+    };
+    let (on, fast) = run(true);
+    let (off, _) = run(false);
+    assert_identical(on, off, "cold straight-line code");
+    assert!(fast.jit_stepped <= 2, "cold code single-stepped {} times", fast.jit_stepped);
+    assert!(fast.jit_blocks > 0, "no compiled block ran");
+}
+
 /// EL0 watchpoints armed: every `Mem` access takes the interpreter path
 /// (which still probes the micro-DTLB). The compiled loop walks a load
 /// and a store through the data page; unwatched accesses retire, and the
@@ -1434,8 +1513,9 @@ const HOT: u64 = CODE + 0x800;
 const HOT_TOP: u64 = HOT + 4;
 /// Guest routines the host runs between the phases, each ending in
 /// `svc #2`: `FRESH` is a never-executed `nop` in the hot page (its
-/// fetch fills a new slot), `EVICT` calls a `ret` stub in each of
-/// `STUB_PAGES` pages at `STUBS`, overflowing the 64-page icache.
+/// first dispatch compiles a new block there), `EVICT` calls a `ret`
+/// stub in each of `STUB_PAGES` pages at `STUBS`, overflowing the
+/// 64-page icache.
 const FRESH: u64 = CODE + 0x600;
 const EVICT: u64 = CODE + 0x400;
 const STUBS: u64 = 0x100_0000;
@@ -1443,9 +1523,9 @@ const STUB_PAGES: u64 = 72;
 
 /// Main routine at `CODE`: two rounds of (call the hot loop, `svc #1`), then
 /// `svc #0`; plus the `FRESH` and `EVICT` routines and the hot loop. The
-/// first round decodes every instruction the second one runs, so nothing
-/// is fetched for the first time between the second round's last hot
-/// dispatch and the host's mutation at its `svc #1`.
+/// first round compiles every block the second one runs, so no block is
+/// compiled between the second round's last hot dispatch and the host's
+/// mutation at its `svc #1`.
 fn memo_program() -> Vec<u8> {
     let mut a = Asm::new(CODE);
     a.mov_imm64(19, DATA);
@@ -1547,9 +1627,14 @@ fn plain_build(code: &[u8]) -> Machine {
 }
 
 #[test]
-fn jit_memo_refill_agrees() {
-    // Decoding a new slot of the hot page drops its compiled blocks.
-    memo_scenario("memo: refill", 4200, plain_build, |m| run_routine(m, FRESH));
+fn jit_memo_block_store_agrees() {
+    // Compiling a new block in the hot page stores it there and bumps the
+    // epoch, so the memo refills its slots.
+    memo_scenario("memo: block store", 4200, plain_build, |m| {
+        let compiled = m.tlb.fast_stats().jit_compiled;
+        run_routine(m, FRESH);
+        assert!(!m.accel() || m.tlb.fast_stats().jit_compiled > compiled, "FRESH compiled no block");
+    });
 }
 
 #[test]

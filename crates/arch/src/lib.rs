@@ -43,7 +43,6 @@
 pub mod asm;
 pub mod bits;
 pub mod cycles;
-pub mod disasm;
 pub mod esr;
 pub mod insn;
 pub mod pstate;

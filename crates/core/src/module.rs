@@ -1315,16 +1315,26 @@ impl LzModule {
         };
         let result = self.ve_fault_inner(k, pid, &mut proc, is_fetch);
         self.procs.insert(pid, proc);
-        result
+        result.unwrap_or_else(|reason| self.violation(k, pid, reason))
     }
 
-    fn ve_fault_inner(&mut self, k: &mut Kernel, pid: Pid, proc: &mut LzProc, is_fetch: bool) -> Option<Event> {
+    /// The body of [`Self::ve_fault`], run with the proc taken out of
+    /// `self.procs`. A violation comes back as `Err(reason)`, and
+    /// `ve_fault` kills through [`Self::violation`] once the proc is back,
+    /// so every kill is counted where it is journaled.
+    fn ve_fault_inner(
+        &mut self,
+        k: &mut Kernel,
+        pid: Pid,
+        proc: &mut LzProc,
+        is_fetch: bool,
+    ) -> Result<Option<Event>, &'static str> {
         proc.stats.ve_faults += 1;
         let esr1 = k.machine.sysreg(SysReg::ESR_EL1);
         let far = k.machine.sysreg(SysReg::FAR_EL1);
         let elr1 = k.machine.sysreg(SysReg::ELR_EL1);
         let Some((fault, wnr, _)) = esr::esr_abort_info(esr1) else {
-            return self.violation(k, pid, "malformed abort syndrome");
+            return Err("malformed abort syndrome");
         };
         let page = page_align_down(far);
 
@@ -1333,7 +1343,7 @@ impl LzModule {
         if proc.fault_guard.0 == far {
             proc.fault_guard.1 += 1;
             if proc.fault_guard.1 > 8 {
-                return self.violation(k, pid, "fault loop");
+                return Err("fault loop");
             }
         } else {
             proc.fault_guard = (far, 1);
@@ -1342,14 +1352,14 @@ impl LzModule {
         // Faults in the TTBR1 half are always violations: the region is
         // fully populated by the module (e.g. writes to gate pages).
         if far >= 0xffff_0000_0000_0000 {
-            return self.violation(k, pid, "access fault in gate region");
+            return Err("access fault in gate region");
         }
 
         // Which domain is the thread in? Recover from the live TTBR0.
         let ttbr0 = k.machine.sysreg(SysReg::TTBR0_EL1);
         let root_fake = lz_arch::sysreg::ttbr::baddr(ttbr0);
         let Some(&cur_pgt) = proc.by_root.get(&root_fake) else {
-            return self.violation(k, pid, "TTBR0 points outside TTBRTab");
+            return Err("TTBR0 points outside TTBRTab");
         };
         // Chaos injection: a transient failure in the gate's TTBRTab
         // validation. Fail closed — the thread is killed exactly as a
@@ -1357,7 +1367,7 @@ impl LzModule {
         // falls back to "assume valid".
         if k.machine.chaos_fire(lz_machine::FaultSite::GateTransient).is_some() {
             k.machine.chaos.contained();
-            return self.violation(k, pid, "chaos: transient gate validation failure");
+            return Err("chaos: transient gate validation failure");
         }
 
         // Protection policy for this page.
@@ -1371,9 +1381,7 @@ impl LzModule {
                     Some(*o)
                 } else {
                     // Protected page not attached to the current domain.
-                    proc.stats.violations += 1;
-                    proc.stats.last_violation = Some("domain access violation");
-                    return self.violation(k, pid, "domain access violation");
+                    return Err("domain access violation");
                 }
             }
         };
@@ -1382,9 +1390,7 @@ impl LzModule {
         // PAN-guarded page + permission fault = access with PAN set: the
         // thread never opened the domain. Kill (pen-test behaviour).
         if matches!(fault, esr::FaultStatus::Permission(_)) && pan_page {
-            proc.stats.violations += 1;
-            proc.stats.last_violation = Some("PAN violation");
-            return self.violation(k, pid, "PAN violation");
+            return Err("PAN violation");
         }
 
         // Linux-side residency through the kernel-managed tables.
@@ -1392,7 +1398,7 @@ impl LzModule {
             let p = k.process(pid);
             match p.mm.vma_at(far) {
                 Some(v) => (v.prot, v.start),
-                None => return Some(k.kill_current(-11)),
+                None => return Ok(Some(k.kill_current(-11))),
             }
         };
         let (vma_prot, _) = vma;
@@ -1404,9 +1410,7 @@ impl LzModule {
             if matches!(fault, esr::FaultStatus::Permission(_)) && vma_prot.write && vma_prot.exec {
                 // fallthrough: W^X toggles below handle W+X VMAs.
             } else {
-                proc.stats.violations += 1;
-                proc.stats.last_violation = Some("permission violation");
-                return self.violation(k, pid, "permission violation");
+                return Err("permission violation");
             }
         }
 
@@ -1415,9 +1419,7 @@ impl LzModule {
         // lower table overhead the paper reports.
         if k.process(pid).mm.is_huge(far) {
             if is_fetch {
-                proc.stats.violations += 1;
-                proc.stats.last_violation = Some("execute from huge data buffer");
-                return self.violation(k, pid, "execute from huge data buffer");
+                return Err("execute from huge data buffer");
             }
             let block_va = far & !(lz_kernel::vma::BLOCK_SIZE - 1);
             let pa_block = {
@@ -1425,7 +1427,7 @@ impl LzModule {
                 mm.fault_in_block(&mut machine.mem, far, wnr && eff_write)
             };
             let Some(pa_block) = pa_block else {
-                return Some(k.kill_current(-11));
+                return Ok(Some(k.kill_current(-11)));
             };
             let fake_block = proc.fake.assign_block(pa_block);
             let s2p = S2Perms { read: true, write: eff_write, exec: false };
@@ -1440,13 +1442,13 @@ impl LzModule {
                 global: !is_protected || pan_page,
             };
             let Some(table) = proc.tables[cur_pgt].as_mut() else {
-                return self.violation(k, pid, "fault in a freed domain");
+                return Err("fault in a freed domain");
             };
             if table
                 .try_map_block(&mut k.machine.mem, &mut proc.fake, proc.s2_root, block_va, fake_block, perms)
                 .is_err()
             {
-                return self.violation(k, pid, "unmappable block in VE fault");
+                return Err("unmappable block in VE fault");
             }
             proc.residence.entry(block_va).or_default().retain(|&t| t != cur_pgt);
             proc.residence.entry(block_va).or_default().push(cur_pgt);
@@ -1454,7 +1456,7 @@ impl LzModule {
             let cost = m.path_cost(420) + 12 * m.mem_access + m.trap_cache_pollution;
             k.machine.charge(cost);
             self.resume_ve(k, elr1);
-            return None;
+            return Ok(None);
         }
 
         let pa = {
@@ -1463,7 +1465,7 @@ impl LzModule {
                 Some(pa) => pa,
                 None => match mm.fault_in(&mut machine.mem, far, wnr && eff_write, is_fetch && eff_exec) {
                     Some(pa) => pa,
-                    None => return Some(k.kill_current(-11)),
+                    None => return Ok(Some(k.kill_current(-11))),
                 },
             }
         };
@@ -1513,10 +1515,8 @@ impl LzModule {
                     }
                     Err(_) => {
                         proc.stats.sanitizer_rejects += 1;
-                        proc.stats.violations += 1;
-                        proc.stats.last_violation = Some("sensitive instruction in executable page");
                         k.machine.record_event(EventKind::SanitizerReject { page });
-                        return self.violation(k, pid, "sensitive instruction in executable page");
+                        return Err("sensitive instruction in executable page");
                     }
                 }
             }
@@ -1545,10 +1545,10 @@ impl LzModule {
         }
 
         let Some(table) = proc.tables[cur_pgt].as_mut() else {
-            return self.violation(k, pid, "fault in a freed domain");
+            return Err("fault in a freed domain");
         };
         if table.try_map_page(&mut k.machine.mem, &mut proc.fake, proc.s2_root, page, leaf_fake, perms).is_err() {
-            return self.violation(k, pid, "unmappable page in VE fault");
+            return Err("unmappable page in VE fault");
         }
         proc.residence.entry(page).or_default().retain(|&t| t != cur_pgt);
         proc.residence.entry(page).or_default().push(cur_pgt);
@@ -1559,7 +1559,7 @@ impl LzModule {
         k.machine.charge(cost);
 
         self.resume_ve(k, elr1);
-        None
+        Ok(None)
     }
 
     /// Drop LZ-owned state for `[addr, addr+len)` ahead of a kernel-side
@@ -1675,10 +1675,9 @@ impl LzModule {
     }
 
     fn violation(&mut self, k: &mut Kernel, pid: Pid, reason: &'static str) -> Option<Event> {
-        // Callers inside `ve_fault` have temporarily removed the proc from
-        // the map (and bumped the counters themselves); every kill path
-        // funnels through here exactly once, so the journal event is
-        // recorded unconditionally.
+        // Every kill path funnels through here exactly once, with the proc
+        // in the map (`ve_fault` re-inserts it first), so the journal
+        // event and the proc's counters move together.
         k.machine.record_event(EventKind::Violation { reason });
         k.machine.chaos.ve_kills += 1;
         if let Some(p) = self.procs.get_mut(&pid) {

@@ -4,7 +4,7 @@ use lz_arch::{is_page_aligned, PAGE_SIZE};
 use lz_machine::pte::S1Perms;
 use lz_machine::walk::{s1_map_page, s1_unmap};
 use lz_machine::PhysMem;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -105,9 +105,6 @@ pub struct Mm {
     vmas: BTreeMap<u64, Vma>,
     /// Pages currently faulted in: `va -> pa`.
     resident: BTreeMap<u64, u64>,
-    /// Pages whose PTE the kernel has zeroed pending re-fault (used by
-    /// break-before-make flows).
-    unmapped_hint: BTreeSet<u64>,
     /// Ranges backed by 2 MiB huge pages (the paper's §9.3 NVM buffers).
     huge_ranges: Vec<(u64, u64)>,
     /// Resident huge blocks: 2 MiB-aligned VA → 2 MiB-aligned PA.
@@ -125,7 +122,6 @@ impl Mm {
             asid,
             vmas: BTreeMap::new(),
             resident: BTreeMap::new(),
-            unmapped_hint: BTreeSet::new(),
             huge_ranges: Vec::new(),
             resident_blocks: BTreeMap::new(),
         }
@@ -225,7 +221,6 @@ impl Mm {
             // Already resident (e.g. PTE was zeroed for break-before-make):
             // re-map with the VMA permissions.
             s1_map_page(mem, self.root, page, pa, vma.prot.to_user_s1());
-            self.unmapped_hint.remove(&page);
             return Some(pa);
         }
         let pa = mem.alloc_frame();
@@ -272,19 +267,6 @@ impl Mm {
         touched
     }
 
-    /// Zero the PTE for one resident page without freeing the frame
-    /// (break-before-make step 1). The page re-faults on next touch.
-    pub fn zap_pte(&mut self, mem: &mut PhysMem, va: u64) -> bool {
-        let page = va & !(PAGE_SIZE - 1);
-        if self.resident.contains_key(&page) {
-            s1_unmap(mem, self.root, page);
-            self.unmapped_hint.insert(page);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Total resident memory in bytes (for the paper's memory-overhead
     /// numbers).
     pub fn resident_bytes(&self) -> u64 {
@@ -309,7 +291,6 @@ impl Mm {
             }
         }
         self.vmas.clear();
-        self.unmapped_hint.clear();
         self.huge_ranges.clear();
         lz_machine::walk::free_table_tree(mem, self.root, 0);
     }
@@ -429,7 +410,7 @@ mod tests {
         let (mut mem, mut m) = mm();
         m.add_vma(anon(0x1000, 0x2000, VmProt::RW)).unwrap();
         let pa = m.fault_in(&mut mem, 0x1000, true, false).unwrap();
-        assert!(m.zap_pte(&mut mem, 0x1000));
+        assert!(lz_machine::walk::s1_unmap(&mut mem, m.root, 0x1000).is_some());
         assert!(lz_machine::walk::s1_lookup(&mem, m.root, 0x1000).is_none());
         let pa2 = m.fault_in(&mut mem, 0x1000, true, false).unwrap();
         assert_eq!(pa, pa2, "frame preserved across break-before-make");

@@ -308,14 +308,8 @@ impl ChaosState {
         self.plan = Some(plan);
     }
 
-    /// Remove the plan (counters and schedule are kept for reporting).
-    pub fn uninstall(&mut self) {
-        self.installs += 1;
-        self.plan = None;
-    }
-
-    /// Plan-installation generation: bumped on every install/uninstall
-    /// so cached per-core forks know when to re-fork.
+    /// Plan-installation generation: bumped on every install so cached
+    /// per-core forks know when to re-fork.
     pub fn install_gen(&self) -> u64 {
         self.installs
     }

@@ -37,9 +37,9 @@ pub(crate) fn env_switch(var: &str) -> AtomicBool {
 
 /// Process-wide default for [`Machine::set_accel`], initialised from the
 /// `LZ_ACCEL` environment variable. Selects between the two execution
-/// engines: compiled blocks over the fetch cache, the micro-DTLB and the
-/// walk cache (on), or the per-step reference interpreter with all of
-/// those off (`LZ_ACCEL=0`).
+/// engines: compiled blocks over the fetch cache plus the micro-DTLB
+/// (on), or the per-step reference interpreter with both off
+/// (`LZ_ACCEL=0`).
 fn accel_flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| env_switch("LZ_ACCEL"))
@@ -303,10 +303,10 @@ impl Machine {
     }
 
     /// Choose the execution engine on every core: `true` runs compiled
-    /// blocks over the fetch cache, the micro-DTLB and the walk cache;
-    /// `false` runs the per-step reference interpreter with all of those
-    /// off. Host-side only: the differential suite proves cycles, exits
-    /// and journals identical on both engines.
+    /// blocks over the fetch cache plus the micro-DTLB; `false` runs the
+    /// per-step reference interpreter with both off. Every TLB miss walks
+    /// on either. Host-side only: the differential suite proves cycles,
+    /// exits and journals identical on both engines.
     pub fn set_accel(&mut self, on: bool) {
         self.tlb.set_accel(on);
         for core in self.smp.cores.iter_mut().flatten() {
@@ -420,7 +420,6 @@ impl Machine {
             .with("s2_access_flag_faults", w.s2_access_flag_faults)
             .with("dtlb_hits", fast.dtlb_hits)
             .with("superblock_exits", fast.superblock_exits)
-            .with("walkcache_hits", fast.walkcache_hits)
             .with("jit_blocks", fast.jit_blocks)
             .with("jit_stepped", fast.jit_stepped)
             .with("jit_compiled", fast.jit_compiled);

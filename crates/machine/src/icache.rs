@@ -28,9 +28,9 @@
 //! * **Translation** — the TLB vouches for every served block: its page
 //!   entry must be *armed* (below) at the current TLB generation, which
 //!   a recorded fetch proves only when the entry's snapshot is the live
-//!   L1 TLB entry. A TLB miss always walks (through the walk cache,
-//!   which checks every table frame it read), so a leaf rewritten
-//!   without a TLBI is seen as soon as its TLB entry is gone.
+//!   L1 TLB entry. A TLB miss always reads the live descriptors, so a
+//!   leaf rewritten without a TLBI is seen as soon as its TLB entry is
+//!   gone.
 //!
 //! Like the TLB itself (see `stale_tlb_entry_survives_table_edit`), the
 //! cache may keep translating from a stale view after page-table edits that

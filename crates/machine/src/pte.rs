@@ -103,21 +103,6 @@ impl S1Perms {
             global: d & NG == 0,
         }
     }
-
-    /// Intersect with another permission set (least privilege, paper
-    /// §6.1: "protected pages are assigned the least permissions by
-    /// intersecting the access permissions from the corresponding domains
-    /// with those defined in the kernel-managed virtual memory areas").
-    pub fn intersect(self, other: S1Perms) -> S1Perms {
-        S1Perms {
-            read: self.read && other.read,
-            write: self.write && other.write,
-            user_exec: self.user_exec && other.user_exec,
-            priv_exec: self.priv_exec && other.priv_exec,
-            el0: self.el0 && other.el0,
-            global: self.global && other.global,
-        }
-    }
 }
 
 /// Stage-2 software permissions.
@@ -236,14 +221,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn intersect_takes_least_privilege() {
-        let rw = S1Perms { read: true, write: true, user_exec: true, priv_exec: true, el0: true, global: true };
-        let ro = S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: true, global: false };
-        let i = rw.intersect(ro);
-        assert!(!i.write && !i.user_exec && i.priv_exec && i.el0 && !i.global);
     }
 
     #[test]

@@ -611,7 +611,6 @@ impl Machine {
                     .with("icache_hits", ihits)
                     .with("icache_misses", imisses)
                     .with("dtlb_hits", fast.dtlb_hits)
-                    .with("walkcache_hits", fast.walkcache_hits)
             })
             .collect()
     }

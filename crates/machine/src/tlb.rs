@@ -132,45 +132,6 @@ const EMPTY_DTLB_SLOT: DtlbSlot = DtlbSlot {
     write: false,
 };
 
-/// Max table frames one cached walk may pin (a nested stage-1 walk reads
-/// up to 4 stage-1 descriptors, each behind a 3-level stage-2 walk, plus
-/// the final stage-2 walk: 4 * (3 + 1) + 3 = 19; 24 leaves headroom).
-pub(crate) const WALK_FRAMES_MAX: usize = 24;
-
-// The walk-cache's `nframes` field must fit in a `u8` (`wcache_fill`
-// converts with `u8::try_from`); widening the constant past 255 requires
-// widening that field first.
-const _: () = assert!(WALK_FRAMES_MAX <= u8::MAX as usize);
-
-/// Walk-cache capacity (FIFO replacement, like the TLB levels).
-const WCACHE_CAP: usize = 128;
-
-/// One memoised full walk: the leaf result plus the identity (base
-/// address, version) of every physical table frame the walk read. The
-/// entry is valid only while every pinned frame still holds the bytes it
-/// held at fill time — `PhysMem::write_gen` gives an O(1) "nothing in RAM
-/// changed" shortcut, and per-frame versions catch writes elsewhere.
-#[derive(Debug, Clone, Copy)]
-struct WalkCacheEntry {
-    ipa_page: u64,
-    pa_page: u64,
-    s1: S1Perms,
-    s2: Option<S2Perms>,
-    frames: [(u64, u64); WALK_FRAMES_MAX],
-    nframes: u8,
-    checked_gen: u64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct WalkCacheKey {
-    /// Stage-1 root table base (physical or IPA, as programmed).
-    root: u64,
-    /// Stage-2 root base `| 1`, or 0 when stage 2 is off — the low bit
-    /// keeps a zero base address distinct from "no stage 2".
-    vttbr_key: u64,
-    vpn: u64,
-}
-
 /// A two-level TLB: a small micro-TLB in front of the main TLB, the
 /// usual ARM arrangement. Hitting only the main TLB costs a few cycles —
 /// which is what makes Table 5's switch cost creep upward with the
@@ -197,15 +158,12 @@ pub struct Tlb {
     /// `walk::translate`/`walk::fetch` with `&mut Tlb` in hand.
     pub(crate) walk: WalkStats,
     /// The engine switch for this core: compiled blocks over the fetch
-    /// cache, the micro-DTLB and the walk cache (on), or the per-step
-    /// reference interpreter with all of those off. Host-side only; every
-    /// modelled quantity is identical either way.
+    /// cache plus the micro-DTLB (on), or the per-step reference
+    /// interpreter with both off. Every TLB miss walks on either engine.
+    /// Host-side only; every modelled quantity is identical either way.
     accel: bool,
     /// Micro-DTLB: direct-mapped by VPN, guarded by `gen`.
     dtlb: [DtlbSlot; DTLB_SLOTS],
-    /// Stage-1/stage-2 walk cache, FIFO-replaced at `WCACHE_CAP`.
-    wcache: FxHashMap<WalkCacheKey, WalkCacheEntry>,
-    wcache_order: VecDeque<WalkCacheKey>,
     /// Host-side fast-path savings counters.
     pub(crate) fast: FastStats,
 }
@@ -230,22 +188,17 @@ impl Tlb {
             walk: WalkStats::default(),
             accel: false,
             dtlb: [EMPTY_DTLB_SLOT; DTLB_SLOTS],
-            wcache: FxHashMap::default(),
-            wcache_order: VecDeque::new(),
             fast: FastStats::default(),
         }
     }
 
     /// Select the engine (see the `accel` field). Selecting the reference
-    /// engine drops every armed micro-DTLB slot and cached walk so a later
-    /// re-enable cannot resurrect state from a different configuration
-    /// epoch.
+    /// engine drops every armed micro-DTLB slot so a later re-enable
+    /// cannot resurrect state from a different configuration epoch.
     pub fn set_accel(&mut self, on: bool) {
         self.accel = on;
         if !on {
             self.dtlb = [EMPTY_DTLB_SLOT; DTLB_SLOTS];
-            self.wcache.clear();
-            self.wcache_order.clear();
         }
     }
 
@@ -490,81 +443,6 @@ impl Tlb {
             return;
         }
         *slot = DtlbSlot { gen, vpn, pa_page, vmid, asid, el, pan, unpriv, s1_enabled, read: !write, write };
-    }
-
-    /// Walk-cache probe: return the memoised leaf result of a full
-    /// stage-1(+stage-2) walk for `(root, vttbr, page)`, valid only if
-    /// every table frame the original walk read is byte-identical to
-    /// fill time (checked via `PhysMem::write_gen` / per-frame versions —
-    /// map/unmap/break-before-make all write descriptors and therefore
-    /// miss). Permission checks are *not* cached: the caller replays
-    /// `check_s1`/`check_s2` against the live access context, so a hit is
-    /// exactly "skip re-reading descriptors that cannot have changed".
-    pub(crate) fn wcache_lookup(
-        &mut self,
-        mem: &crate::PhysMem,
-        root: u64,
-        vttbr_key: u64,
-        va: u64,
-    ) -> Option<(u64, u64, S1Perms, Option<S2Perms>)> {
-        if !self.accel {
-            return None;
-        }
-        let key = WalkCacheKey { root, vttbr_key, vpn: va >> 12 };
-        let wg = mem.write_gen();
-        let valid = {
-            let e = self.wcache.get(&key)?;
-            e.checked_gen == wg
-                || e.frames[..e.nframes as usize].iter().all(|&(pa, ver)| mem.frame_version(pa) == Some(ver))
-        };
-        if !valid {
-            self.wcache.remove(&key);
-            self.wcache_order.retain(|k| *k != key);
-            return None;
-        }
-        let e = self.wcache.get_mut(&key).expect("validated walk-cache entry present");
-        e.checked_gen = wg;
-        self.fast.walkcache_hits += 1;
-        Some((e.ipa_page, e.pa_page, e.s1, e.s2))
-    }
-
-    /// Memoise a completed full walk together with the identity of every
-    /// table frame it read. Overflowing `WALK_FRAMES_MAX` (impossible for
-    /// well-formed 4-level + 3-level walks) simply skips the fill.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn wcache_fill(
-        &mut self,
-        mem: &crate::PhysMem,
-        root: u64,
-        vttbr_key: u64,
-        va: u64,
-        ipa_page: u64,
-        pa_page: u64,
-        s1: S1Perms,
-        s2: Option<S2Perms>,
-        frames: &[(u64, u64)],
-    ) {
-        if !self.accel || frames.len() > WALK_FRAMES_MAX {
-            return;
-        }
-        // `nframes` is a u8: a checked conversion (rather than `as u8`)
-        // keeps a future widening of WALK_FRAMES_MAX from silently
-        // truncating the validation set — a truncated entry would skip
-        // frame-version checks and serve stale walks.
-        let Ok(nframes) = u8::try_from(frames.len()) else { return };
-        debug_assert!((nframes as usize) <= WALK_FRAMES_MAX, "walk-frame set exceeds the cacheable bound");
-        let key = WalkCacheKey { root, vttbr_key, vpn: va >> 12 };
-        let mut arr = [(0u64, 0u64); WALK_FRAMES_MAX];
-        arr[..frames.len()].copy_from_slice(frames);
-        let entry = WalkCacheEntry { ipa_page, pa_page, s1, s2, frames: arr, nframes, checked_gen: mem.write_gen() };
-        if self.wcache.insert(key, entry).is_none() {
-            self.wcache_order.push_back(key);
-            while self.wcache_order.len() > WCACHE_CAP {
-                if let Some(old) = self.wcache_order.pop_front() {
-                    self.wcache.remove(&old);
-                }
-            }
-        }
     }
 
     /// Lend out the compiled block for the fetch at `va` (see

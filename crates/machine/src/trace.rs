@@ -1,11 +1,10 @@
 //! Execution tracing: a bounded ring buffer of retired instructions.
 //!
 //! Disabled by default (zero overhead beyond a branch); when enabled the
-//! machine records `(pc, word, EL)` per retired instruction and can
-//! render the tail as a disassembly listing — the first tool to reach
-//! for when a guest program or an attack payload misbehaves.
+//! machine records `(pc, word, EL)` per retired instruction — the first
+//! tool to reach for when a guest program or an attack payload
+//! misbehaves.
 
-use lz_arch::insn::Insn;
 use lz_arch::pstate::ExceptionLevel;
 use std::collections::VecDeque;
 
@@ -93,16 +92,6 @@ impl Trace {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// Render the last `n` entries as a disassembly listing.
-    pub fn dump_tail(&self, n: usize) -> String {
-        let mut out = String::new();
-        let skip = self.entries.len().saturating_sub(n);
-        for e in self.entries.iter().skip(skip) {
-            out.push_str(&format!("[{}] {:#010x}: {:08x}  {}\n", e.el, e.pc, e.word, Insn::decode(e.word)));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -125,16 +114,6 @@ mod tests {
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.entries().next().unwrap().pc, 0x1008);
-    }
-
-    #[test]
-    fn dump_disassembles() {
-        let mut t = Trace::new(8);
-        t.set_enabled(true);
-        t.record(0x1000, 0xD400_0001, ExceptionLevel::El0);
-        let s = t.dump_tail(10);
-        assert!(s.contains("svc"));
-        assert!(s.contains("[EL0]"));
     }
 
     #[test]

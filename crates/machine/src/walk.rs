@@ -9,11 +9,14 @@
 //!   pages raise stage-1 permission faults;
 //! * stage-2 tables bound everything a virtual environment can reach,
 //!   regardless of what it writes into its stage-1 tables.
+//!
+//! Every TLB miss runs the walker, on both engines: no host-side cache
+//! replays a walk (DESIGN.md §10.3 records why).
 
 use crate::chaos::LzFault;
 use crate::mem::PhysMem;
 use crate::pte::{self, S1Perms, S2Perms};
-use crate::tlb::{Tlb, TlbEntry, TlbHit, WALK_FRAMES_MAX};
+use crate::tlb::{Tlb, TlbEntry, TlbHit};
 use lz_arch::insn::Insn;
 use lz_arch::pstate::ExceptionLevel;
 use lz_arch::sysreg::{ttbr, vttbr};
@@ -114,61 +117,6 @@ pub struct Translation {
 const LOW_HALF: u64 = 0;
 const HIGH_HALF: u64 = 0xffff;
 
-/// Records the physical table frames a walk reads (base + version at
-/// read time), so a successful walk can be memoised in the walk cache.
-/// Inactive recorders cost one branch per descriptor.
-struct FrameRec {
-    active: bool,
-    overflow: bool,
-    n: usize,
-    frames: [(u64, u64); WALK_FRAMES_MAX],
-}
-
-impl FrameRec {
-    fn new(active: bool) -> Self {
-        FrameRec { active, overflow: false, n: 0, frames: [(0, 0); WALK_FRAMES_MAX] }
-    }
-
-    #[inline]
-    fn record(&mut self, mem: &PhysMem, desc_pa: u64) {
-        if !self.active || self.overflow {
-            return;
-        }
-        let frame = desc_pa & !0xfff;
-        if self.frames[..self.n].iter().any(|&(pa, _)| pa == frame) {
-            return;
-        }
-        if self.n == WALK_FRAMES_MAX {
-            self.overflow = true;
-            return;
-        }
-        match mem.frame_version(frame) {
-            Some(ver) => {
-                self.frames[self.n] = (frame, ver);
-                self.n += 1;
-            }
-            // Unbacked frame: the read will fault and nothing is cached,
-            // but never let such a walk fill the cache.
-            None => self.overflow = true,
-        }
-    }
-
-    /// The recorded frames, or `None` when the walk must not be cached.
-    fn frames(&self) -> Option<&[(u64, u64)]> {
-        if self.active && !self.overflow {
-            Some(&self.frames[..self.n])
-        } else {
-            None
-        }
-    }
-}
-
-/// Walk-cache key component for the stage-2 root: base `| 1`, or 0 when
-/// stage 2 is off (the low bit keeps a zero base distinct from "none").
-fn wcache_vttbr_key(cfg: &WalkConfig) -> u64 {
-    cfg.vttbr.map(|vt| vttbr::baddr(vt) | 1).unwrap_or(0)
-}
-
 fn s1_idx(va: u64, level: u8) -> u64 {
     (va >> (39 - 9 * level as u64)) & 0x1ff
 }
@@ -229,7 +177,7 @@ pub(crate) fn translate_dtlb_missed(
     actx: &AccessCtx,
 ) -> Result<Translation, Fault> {
     /// One TLB lookup, then the permission checks on a hit or the walk
-    /// (through the walk cache) and the TLB insert on a miss.
+    /// and the TLB insert on a miss.
     fn lookup_or_walk(
         mem: &PhysMem,
         tlb: &mut Tlb,
@@ -272,55 +220,9 @@ pub(crate) fn translate_dtlb_missed(
             return Ok(Translation { pa: entry.pa_page | (va & 0xfff), cost, tlb_hit: true });
         }
 
-        // Full walk. The walk cache may replay a memoised walk whose table
-        // frames are provably untouched since fill time; everything modelled
-        // (counters, checks, fault values, the TLB insert, the cost) is
-        // identical to the descriptor-reading path below.
-        let vttbr_key = wcache_vttbr_key(cfg);
-        let wroot = if cfg.s1_enabled { s1_root_for(cfg, va) } else { None };
-        if let Some(root) = wroot {
-            if let Some((ipa_page, pa_page, s1, s2)) = tlb.wcache_lookup(mem, root, vttbr_key, va) {
-                tlb.walk.s1_walks += 1;
-                check_s1(&s1, access, actx, cfg.wxn, cfg.s1_enabled).map_err(|kind| Fault {
-                    kind,
-                    stage: Stage::S1,
-                    level: 3,
-                    va,
-                    ipa: 0,
-                    wnr,
-                    s1ptw: false,
-                })?;
-                let s2_perms = match cfg.vttbr {
-                    Some(_) => {
-                        tlb.walk.s2_walks += 1;
-                        let perms = s2.expect("nested walk-cache entry carries stage-2 perms");
-                        check_s2(&perms, access).map_err(|kind| Fault {
-                            kind,
-                            stage: Stage::S2,
-                            level: 3,
-                            va,
-                            ipa: ipa_page | (va & 0xfff),
-                            wnr,
-                            s1ptw: false,
-                        })?;
-                        Some(perms)
-                    }
-                    None => None,
-                };
-                let entry_asid = if !s1.global { Some(asid) } else { None };
-                tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1, s2: s2_perms });
-                // The descriptor-reading path's cost: a stage-1 walk, or a
-                // nested walk plus the leaf stage-2 walk.
-                let cost =
-                    if cfg.vttbr.is_some() { model.nested_walk() + model.stage2_walk() } else { model.stage1_walk() };
-                return Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false });
-            }
-        }
-
-        let mut rec = FrameRec::new(tlb.accel() && cfg.s1_enabled);
         let (ipa_page, s1_perms, mut cost) = if cfg.s1_enabled {
             tlb.walk.s1_walks += 1;
-            walk_stage1(mem, model, cfg, va, access, actx, &mut rec)?
+            walk_stage1(mem, model, cfg, va, access, actx)?
         } else {
             // Stage-1 off: identity, full permissions, global.
             (
@@ -343,8 +245,7 @@ pub(crate) fn translate_dtlb_missed(
         let (pa_page, s2_perms) = match cfg.vttbr {
             Some(vt) => {
                 tlb.walk.s2_walks += 1;
-                let (pa, perms, c) =
-                    walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, access, wnr, false, &mut rec)?;
+                let (pa, perms, c) = walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, access, wnr, false)?;
                 cost += c;
                 check_s2(&perms, access).map_err(|kind| Fault {
                     kind,
@@ -363,9 +264,6 @@ pub(crate) fn translate_dtlb_missed(
         if has_tlb {
             let entry_asid = if cfg.s1_enabled && !s1_perms.global { Some(asid) } else { None };
             tlb.insert(vmid, va, TlbEntry { asid: entry_asid, pa_page, s1: s1_perms, s2: s2_perms });
-            if let (Some(root), Some(frames)) = (wroot, rec.frames()) {
-                tlb.wcache_fill(mem, root, vttbr_key, va, ipa_page, pa_page, s1_perms, s2_perms, frames);
-            }
         }
 
         Ok(Translation { pa: pa_page | (va & 0xfff), cost, tlb_hit: false })
@@ -412,16 +310,6 @@ fn fetch_bus_fault(va: u64) -> Fault {
     Fault { kind: FaultKind::Translation, stage: Stage::S1, level: 3, va, ipa: 0, wnr: false, s1ptw: false }
 }
 
-/// Stage-1 root (baddr) governing `va`'s half, or `None` for non-canonical
-/// addresses — those always fault and are never cached.
-fn s1_root_for(cfg: &WalkConfig, va: u64) -> Option<u64> {
-    match va >> 48 {
-        LOW_HALF => Some(ttbr::baddr(cfg.ttbr0)),
-        HIGH_HALF => Some(ttbr::baddr(cfg.ttbr1)),
-        _ => None,
-    }
-}
-
 /// Instruction fetch at `el`: [`translate`] + `read_u32` +
 /// `Insn::decode`, the reference fetch, on both engines.
 ///
@@ -454,9 +342,7 @@ pub fn fetch(
 }
 
 /// Walk the stage-1 tree. Returns the IPA *page* of `va`, the leaf
-/// permissions, and the walk cost. Every table frame read is reported to
-/// `rec` for walk-cache fills.
-#[allow(clippy::too_many_arguments)]
+/// permissions, and the walk cost.
 fn walk_stage1(
     mem: &PhysMem,
     model: &CycleModel,
@@ -464,7 +350,6 @@ fn walk_stage1(
     va: u64,
     access: Access,
     _actx: &AccessCtx,
-    rec: &mut FrameRec,
 ) -> Result<(u64, S1Perms, u64), Fault> {
     let wnr = access == Access::Write;
     let top = va >> 48;
@@ -485,7 +370,7 @@ fn walk_stage1(
         let desc_pa = match cfg.vttbr {
             Some(vt) => {
                 let (pa, perms, _) =
-                    walk_stage2(mem, model, vttbr::baddr(vt), desc_ipa & !0xfff, va, Access::Read, wnr, true, rec)?;
+                    walk_stage2(mem, model, vttbr::baddr(vt), desc_ipa & !0xfff, va, Access::Read, wnr, true)?;
                 check_s2(&perms, Access::Read).map_err(|kind| Fault {
                     kind,
                     stage: Stage::S2,
@@ -499,7 +384,6 @@ fn walk_stage1(
             }
             None => desc_ipa,
         };
-        rec.record(mem, desc_pa);
         let desc = mem.read_u64(desc_pa).ok_or(Fault {
             kind: FaultKind::Translation,
             stage: Stage::S1,
@@ -546,13 +430,11 @@ fn walk_stage2(
     _access: Access,
     wnr: bool,
     s1ptw: bool,
-    rec: &mut FrameRec,
 ) -> Result<(u64, S2Perms, u64), Fault> {
     let mut table = root;
     let cost = if s1ptw { 0 } else { model.stage2_walk() };
     for level in 1..=3u8 {
         let desc_pa = table + s2_idx(ipa_page, level) * 8;
-        rec.record(mem, desc_pa);
         let desc = mem.read_u64(desc_pa).ok_or(Fault {
             kind: FaultKind::Translation,
             stage: Stage::S2,

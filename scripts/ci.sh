@@ -364,14 +364,12 @@ ratchet() {
     fi
     echo "  $file: $count/$baseline"
 }
-ratchet crates/machine/src/walk.rs 1
+ratchet crates/machine/src/walk.rs 0
 ratchet crates/machine/src/mem.rs 0
 ratchet crates/machine/src/cpu.rs 0
 ratchet crates/machine/src/jit.rs 0
-# icache.rs/tlb.rs hold the JIT dispatch memo and its callers; tlb.rs: 1 =
-# the walk-cache entry re-borrowed right after its validation.
 ratchet crates/machine/src/icache.rs 0
-ratchet crates/machine/src/tlb.rs 1
+ratchet crates/machine/src/tlb.rs 0
 # smp.rs: 5 = parked-core slot lookups ("inactive core is parked"),
 # which hold because only the active core's slot is ever empty outside
 # an epoch; helpers.rs: 0 = the epoch helper pool recovers a poisoned

@@ -1,8 +1,8 @@
 //! Differential testing of the two execution engines.
 //!
 //! Every test here builds identical machines, runs one on the
-//! accelerated engine — compiled blocks from the fetch cache, the
-//! micro-DTLB and the walk cache (DESIGN.md §7, §10, §13) —
+//! accelerated engine — compiled blocks from the fetch cache plus the
+//! micro-DTLB (DESIGN.md §7, §10, §13) —
 //! and one on the per-step reference interpreter (`LZ_ACCEL=0`), drives
 //! both through the same program and the same host-side operations, and
 //! asserts the complete observable state is identical: exit reason,
@@ -16,14 +16,16 @@
 //! patch area), plus deterministic scenarios for break-before-make code
 //! remapping, stage-1 and stage-2 code-leaf rewrites without TLBI whose
 //! TLB entry is then evicted by capacity, physical code patching without
-//! TLBI, a store into a later word of the running block, cold
-//! straight-line code, TTBR/ASID domain switching over global and
-//! non-global pages, SMP
+//! TLBI, spurious TLBIs that force re-walks of unedited tables, a store
+//! into a later word of the running block, cold straight-line code,
+//! TTBR/ASID domain switching over global and non-global pages, gate
+//! switches with and without a TLBI per switch, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
 //! JIT dispatch memo's epoch sources, one code VA mapped global for one
 //! ASID and non-global for another in both fill orders, and quantum
 //! edges at every offset inside a block.
 
+use lightzone::gate::GateFlavor;
 use lz_arch::asm::Asm;
 use lz_arch::esr::ExceptionClass;
 use lz_arch::insn::Insn;
@@ -175,11 +177,11 @@ fn fastpath_domain_switch_agrees() {
     assert!(fast.dtlb_hits > 0, "domain-switch loads never hit the micro-DTLB");
 }
 
-/// Spurious TLBI (no page-table change) differential: the walk cache may
-/// keep serving descriptors after a TLBI because a fresh walk would read
-/// the very same (version-pinned) table bytes — DESIGN.md §10.3.
+/// Spurious TLBI (no page-table change) differential: each round's two
+/// TLBIs drop the code and data pages' TLB entries, so the next round
+/// walks both again over tables nothing edited, on either engine.
 #[test]
-fn fastpath_walk_cache_survives_spurious_tlbi() {
+fn spurious_tlbi_rewalks_agree() {
     let mut a = Asm::new(CODE);
     a.mov_imm64(19, DATA);
     a.ldr(1, 19, 0);
@@ -190,12 +192,15 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
     let patch = patch_area(4);
     let drive = |m: &mut Machine| {
         let mut last = Exit::Limit;
-        for _ in 0..6 {
+        for round in 0..6 {
+            let walks = m.tlb.walk_stats().s1_walks;
             m.enter(PState::user(), CODE);
             let (exit, _) = run_to_completion(m);
             assert_eq!(exit, Exit::El2(ExceptionClass::Svc));
-            // TLBI with no page-table write: the next data access misses
-            // the TLB but the walk frames are unchanged.
+            let walked = m.tlb.walk_stats().s1_walks - walks;
+            assert!(walked >= 2, "round {round} walked {walked} times, not the code and data pages");
+            // TLBI with no page-table write: the next round's code fetch
+            // and data access both miss the TLB and walk.
             m.tlb.invalidate_va(0, DATA);
             m.tlb.invalidate_va(0, CODE);
             last = exit;
@@ -206,7 +211,7 @@ fn fastpath_walk_cache_survives_spurious_tlbi() {
     let e_on = drive(&mut on);
     let e_off = drive(&mut off);
     assert_identical(snapshot(&on, e_on, 0), snapshot(&off, e_off, 0), "spurious TLBI");
-    assert!(on.tlb.fast_stats().walkcache_hits > 0, "walk cache never served a spurious-TLBI refill");
+    assert_eq!(on.tlb.walk_stats(), off.tlb.walk_stats(), "walk counters diverged after spurious TLBIs");
 }
 
 /// Single-core penetration test (mirrors the cross-core one in
@@ -697,28 +702,37 @@ fn metrics_on_off_agree() {
 
 /// Same property through the full LightZone stack: enabling the journal
 /// must not change a single modelled cycle, and the `Violation` events it
-/// records must agree exactly with the module's violation counter.
+/// records must agree exactly with the module's violation counter. Each
+/// program ends in one violation: a PAN-protected load with PAN set, or a
+/// store into the VE's own TTBR1 stub page (a VE-fault kill the module
+/// once journaled without counting).
 #[test]
 fn lightzone_metrics_on_off_agree_and_violations_match() {
     use lightzone::api::{LzAsm, LzProgramBuilder, RW, SAN_PAN, USER};
+    use lightzone::gate::layout;
     use lightzone::pgt::PGT_ALL;
     const ARENA: u64 = 0x5000_0000;
-    let build = || {
+    let build = |stub_store: bool| {
         let mut b = LzProgramBuilder::new(CODE);
         b.with_anon_segment(ARENA, 0x1000, lz_kernel::VmProt::RW);
         b.asm.lz_enter(false, SAN_PAN);
         b.asm.lz_prot_imm(ARENA, 0x1000, PGT_ALL, RW | USER);
-        // A few legal rounds, then an illegal PAN-protected access.
+        // A legal round, then the illegal access.
         b.asm.set_pan(0);
         b.asm.mov_imm64(1, ARENA);
         b.asm.ldr(2, 1, 0);
-        b.asm.set_pan(1);
-        b.asm.ldr(2, 1, 0); // PAN set: violation
+        if stub_store {
+            b.asm.mov_imm64(1, layout::STUB_VA);
+            b.asm.str(2, 1, 0); // store into the TTBR1 stub: violation
+        } else {
+            b.asm.set_pan(1);
+            b.asm.ldr(2, 1, 0); // PAN set: violation
+        }
         b.asm.exit_imm(0);
         b.build()
     };
-    let run = |metrics_on: bool| {
-        let prog = build();
+    let run = |stub_store: bool, metrics_on: bool| {
+        let prog = build(stub_store);
         let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
         lz.kernel.machine.set_metrics(metrics_on);
         let pid = lz.spawn(&prog);
@@ -729,12 +743,16 @@ fn lightzone_metrics_on_off_agree_and_violations_match() {
         let journaled = lz.kernel.machine.journal.count(|e| matches!(e, lz_machine::EventKind::Violation { .. }));
         (lz.kernel.machine.cpu.cycles, lz.kernel.machine.cpu.insns, violations, journaled)
     };
-    let (cy_on, in_on, viol_on, j_on) = run(true);
-    let (cy_off, in_off, viol_off, j_off) = run(false);
-    assert_eq!((cy_on, in_on), (cy_off, in_off), "journal changed modelled state");
-    assert_eq!(viol_on, viol_off, "violation counter must not depend on the journal");
-    assert_eq!(j_on, viol_on, "journaled Violation events must match the counter");
-    assert_eq!(j_off, 0, "disabled journal recorded events");
+    for stub_store in [false, true] {
+        let (cy_on, in_on, viol_on, j_on) = run(stub_store, true);
+        let (cy_off, in_off, viol_off, j_off) = run(stub_store, false);
+        let ctx = if stub_store { "stub-page store" } else { "PAN-protected load" };
+        assert_eq!((cy_on, in_on), (cy_off, in_off), "journal changed modelled state ({ctx})");
+        assert_eq!(viol_on, viol_off, "violation counter must not depend on the journal ({ctx})");
+        assert_eq!(j_on, viol_on, "journaled Violation events must match the counter ({ctx})");
+        assert_eq!(viol_on, 1, "one violation kills the VE ({ctx})");
+        assert_eq!(j_off, 0, "disabled journal recorded events ({ctx})");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1871,12 +1889,22 @@ fn jit_memo_global_entry_ahead_of_non_global_agrees() {
     shadowed_code_agrees(&[Run(2), EvictTlb, Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 200]);
 }
 
+/// What a gate-switch loop leaves that both engines must agree on.
+#[derive(Debug, PartialEq)]
+struct GateLoopOutcome {
+    cycles: u64,
+    insns: u64,
+    tlb: (u64, u64),
+    walk: lz_machine::metrics::WalkStats,
+    journal: String,
+}
+
 /// Run a LightZone process that alternates between two TTBR domains
 /// `rounds` times — two gate switches per round, each changing the ASID
-/// — with the whole loop and the gate page in global mappings. Returns
-/// the modelled outcome (cycles, instructions, journal), the gate
+/// — with the whole loop and the gate page in global mappings, through
+/// gates of the given flavor. Returns the modelled outcome, the gate
 /// switches, and the dispatches the accelerated engine single-stepped.
-fn gate_switch_loop(accel: bool, rounds: u64) -> ((u64, u64, String), u64, u64) {
+fn gate_switch_loop(accel: bool, rounds: u64, flavor: GateFlavor) -> (GateLoopOutcome, u64, u64) {
     use lightzone::api::{LzAsm, LzProgramBuilder, RW, SAN_TTBR};
     const DOMAINS: u64 = 0x5000_0000;
     let mut b = LzProgramBuilder::new(CODE);
@@ -1901,14 +1929,22 @@ fn gate_switch_loop(accel: bool, rounds: u64) -> ((u64, u64, String), u64, u64) 
     b.asm.b_ne(top);
     b.asm.exit_imm(0);
     let prog = b.build();
-    let mut lz = lightzone::LightZone::new_host(Platform::CortexA55);
+    let ablation = lightzone::AblationConfig { gate_flavor: flavor, ..Default::default() };
+    let mut lz = lightzone::LightZone::with_ablation(Platform::CortexA55, false, ablation);
     lz.kernel.machine.set_accel(accel);
     lz.kernel.machine.set_metrics(true);
     let pid = lz.spawn(&prog);
     lz.enter_process(pid);
     assert_eq!(lz.run(400_000_000), lz_kernel::Event::Exited(0));
     let m = &lz.kernel.machine;
-    ((m.cpu.cycles, m.cpu.insns, m.journal.dump_json()), m.metrics.domain_switches, m.tlb.fast_stats().jit_stepped)
+    let outcome = GateLoopOutcome {
+        cycles: m.cpu.cycles,
+        insns: m.cpu.insns,
+        tlb: m.tlb.stats(),
+        walk: m.tlb.walk_stats(),
+        journal: m.journal.dump_json(),
+    };
+    (outcome, m.metrics.domain_switches, m.tlb.fast_stats().jit_stepped)
 }
 
 /// Gate switches between two domains over global code: both engines
@@ -1919,14 +1955,30 @@ fn gate_switch_loop(accel: bool, rounds: u64) -> ((u64, u64, String), u64, u64) 
 /// switch here.
 #[test]
 fn gate_switch_loop_over_global_code_stays_compiled() {
+    let flavor = GateFlavor::default();
     let [short, long] = [50, 250].map(|rounds| {
-        let (outcome, switches, stepped) = gate_switch_loop(true, rounds);
-        assert_eq!(outcome, gate_switch_loop(false, rounds).0, "{rounds} rounds");
+        let (outcome, switches, stepped) = gate_switch_loop(true, rounds, flavor);
+        assert_eq!(outcome, gate_switch_loop(false, rounds, flavor).0, "{rounds} rounds");
         (switches, stepped)
     });
     let (switches, stepped) = (long.0 - short.0, long.1 - short.1);
     assert_eq!(switches, 400, "two gate switches per round");
     assert!(stepped * 10 < switches, "{stepped} single steps over {switches} warm gate switches");
+}
+
+/// The same loop through the TLBI-per-switch gates of the ASID ablation
+/// (paper §4.1.2, `repro ablation`): each switch runs `tlbi vmalle1`, so
+/// the code and domain pages walk again after every switch over tables
+/// nothing edited. Both engines agree on every modelled counter.
+#[test]
+fn tlbi_per_switch_gate_loop_agrees() {
+    let flavor = GateFlavor { check_phase: true, tlbi_after_switch: true };
+    let rounds = 50;
+    let (on, switches, _) = gate_switch_loop(true, rounds, flavor);
+    let (off, _, _) = gate_switch_loop(false, rounds, flavor);
+    assert_eq!(on, off, "TLBI-per-switch gate loop diverged");
+    assert_eq!(switches, 2 * rounds, "two gate switches per round");
+    assert!(on.walk.s1_walks > switches, "{} walks over {switches} flushing switches", on.walk.s1_walks);
 }
 
 #[test]

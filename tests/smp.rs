@@ -113,10 +113,10 @@ fn run_cross_core_attack(cores: usize, skip_remote_shootdown: bool) -> (u64, u64
 }
 
 /// Same attack pinned to one engine: on the accelerated one, core 1's
-/// warm-up leaves a hot compiled block (and its TLB/walk-cache state)
-/// over the JIT page, which must behave exactly like the reference
-/// interpreter's TLB under the flip — in both ablation polarities. (The
-/// single-core armed-DTLB variant lives in `tests/differential.rs`.)
+/// warm-up leaves a hot compiled block over the JIT page, which must
+/// behave exactly like the reference interpreter's TLB under the flip —
+/// in both ablation polarities. (The single-core armed-DTLB variant
+/// lives in `tests/differential.rs`.)
 fn run_cross_core_attack_on(cores: usize, skip_remote_shootdown: bool, accel: bool) -> (u64, u64, u64) {
     let ablation = AblationConfig { skip_remote_shootdown, ..AblationConfig::default() };
     let mut lz = LightZone::with_ablation(Platform::CortexA55, false, ablation);

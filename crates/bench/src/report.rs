@@ -75,12 +75,16 @@ pub fn table4_report() -> String {
     out
 }
 
+/// One Table 5 cell: name, platform, deployment, and the paper's
+/// LightZone and watchpoint rows.
+type Table5Cell = (&'static str, Platform, Deployment, &'static [f64; 6], &'static [f64; 3]);
+
 /// Table 5: average cycles per domain switch, reproduced vs paper.
 pub fn table5_report(full: bool) -> String {
     let mut out = String::from("\n== Table 5: average cycles per domain switch (with secure call gate) ==\n\n");
     let domains: &[usize] = if full { &[2, 3, 32, 64, 128] } else { &[2, 32, 128] };
     let mut t = Table::new(&["cell", "mechanism", "1 (PAN)", "2", "32", "128"]);
-    let cells: [(&str, Platform, Deployment, &[f64; 6], &[f64; 3]); 3] = [
+    let cells: [Table5Cell; 3] = [
         (
             "Carmel Host",
             Platform::Carmel,

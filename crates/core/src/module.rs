@@ -167,6 +167,11 @@ pub struct PageProt {
 /// [`LightZone::restore_ve`] refuses every other version fail-closed.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
+/// One page's protection policy in a [`VeSnapshot`]: `(page, pan_all
+/// bits or [`PAN_ABSENT`], per-domain attachments)`, overlays encoded
+/// via [`Overlay::to_bits`].
+pub type PageProtRecord = (u64, u64, Vec<(usize, u64)>);
+
 /// Sentinel for "no PAN-all overlay" in [`VeSnapshot::protections`]
 /// (overlay bit patterns only use the low four bits, so `u64::MAX` can
 /// never collide with a real [`Overlay::to_bits`] encoding).
@@ -205,10 +210,8 @@ pub struct VeSnapshot {
     pub domain_slots: Vec<bool>,
     /// GateTab rows with a designated table: `(gate id, pgt id)`.
     pub gate_pgts: Vec<(u16, u64)>,
-    /// Protection policy, ascending page VA: `(page, pan_all bits or
-    /// [`PAN_ABSENT`], per-domain attachments)`, overlays encoded via
-    /// [`Overlay::to_bits`].
-    pub protections: Vec<(u64, u64, Vec<(usize, u64)>)>,
+    /// Protection policy, ascending page VA.
+    pub protections: Vec<PageProtRecord>,
     /// Resident data pages, ascending VA, page-sized byte images.
     pub pages: Vec<(u64, Vec<u8>)>,
     /// FNV-1a digest over the canonical field encoding. Restore
@@ -1532,7 +1535,7 @@ impl LzModule {
             user_exec: false,
             priv_exec: map_exec && eff_exec,
             el0: pan_page,
-            global: !is_protected || (is_protected && pan_page),
+            global: !is_protected || pan_page,
         };
 
         // Stage-2 mapping for the data page (eager by default, §5.2).

@@ -90,11 +90,7 @@ impl Log2Hist {
 
     /// Integer mean (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.sum / self.total
-        }
+        self.sum.checked_div(self.total).unwrap_or(0)
     }
 
     /// The `num/den` quantile as the floor of the first bucket whose

@@ -545,7 +545,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
             }
         }
 
-        if epoch % PROBE_EVERY == 0 {
+        if epoch.is_multiple_of(PROBE_EVERY) {
             probe(&lz, &mut last_sample, warm_restarts, sup.stats.snapshot_corruptions, &mut violations);
         }
     }
@@ -553,8 +553,8 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
     // Drain: kill and reap every live VE, then check exact frame
     // accounting — after 10k faults' worth of kill/reap/restore churn
     // the allocator must be byte-for-byte back at its baseline.
-    for s in 0..cfg.tenants {
-        let Some(pid) = slots[s].pid.take() else { continue };
+    for (s, slot) in slots.iter_mut().enumerate().take(cfg.tenants) {
+        let Some(pid) = slot.pid.take() else { continue };
         lz.kernel.machine.switch_core(s % cfg.cores);
         lz.kernel.set_current(pid);
         lz.kernel.kill_current(SECURITY_KILL);

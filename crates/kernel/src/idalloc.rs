@@ -96,7 +96,7 @@ impl IdAlloc {
         // Generation bumps on the first recycled grant (fresh space
         // exhausted) and again on every full recycled pass over the
         // space — each bump is one rollover.
-        if self.recycles % self.space as u64 == 0 {
+        if self.recycles.is_multiple_of(self.space as u64) {
             self.generation += 1;
             self.rollovers += 1;
         }

@@ -384,7 +384,7 @@ impl ChaosState {
         let draw = *s >> 11;
         let fires = match &plan.only {
             Some(set) => set.contains(&self.seq),
-            None => self.faults_injected < plan.max_faults && draw % plan.rate == 0,
+            None => self.faults_injected < plan.max_faults && draw.is_multiple_of(plan.rate),
         };
         if !fires {
             return None;

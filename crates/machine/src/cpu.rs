@@ -422,6 +422,7 @@ impl Machine {
             .with("superblock_exits", fast.superblock_exits)
             .with("jit_blocks", fast.jit_blocks)
             .with("jit_stepped", fast.jit_stepped)
+            .with("jit_loops", fast.jit_loops)
             .with("jit_compiled", fast.jit_compiled);
 
         let mut gate = Section::new("gate").with("switches", self.metrics.domain_switches);
@@ -662,7 +663,7 @@ impl Machine {
             self.tlb.jit_return(lent);
             return self.single_step();
         }
-        let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version);
+        let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version, budget);
         self.tlb.jit_return(lent);
         debug_assert!(used <= budget, "compiled block overran its quantum budget");
         (used, exit)
@@ -683,7 +684,7 @@ impl Machine {
         let insn_base = self.model.insn_base;
         match self.tlb.jit_compile(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
             Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
-                self.step_jit(&block, pc, pa_page, frame_version)
+                self.step_jit(&block, pc, pa_page, frame_version, budget)
             }
             _ => self.single_step(),
         }
@@ -696,7 +697,8 @@ impl Machine {
         (1, self.step())
     }
 
-    /// Execute a compiled block (see [`crate::jit`]).
+    /// Execute a compiled block (see [`crate::jit`]), re-entering it in
+    /// place while it loops and `budget` covers another whole entry.
     ///
     /// Equivalence to stepping: between segments the block revalidates
     /// everything its dispatch checked — the TLB generation (a
@@ -704,26 +706,37 @@ impl Machine {
     /// TLBI may have invalidated), the code frame's content version via
     /// the `write_gen` shortcut (a self-modifying store ends the block
     /// before the next fetch), and the PC (a data fault vectored to
-    /// interpreted EL1, or any control transfer, ends the block). ALU
-    /// runs cannot touch the TLB, memory, or the journal, and move the PC
-    /// only in a branch terminal that ends the block, so checking once
-    /// per segment boundary observes exactly the states stepping would:
-    /// only `Mem` and `Slow` segments can perturb them. Only chainable
-    /// instructions (see [`crate::jit::lower`]) appear mid-block, so EL,
-    /// PSTATE.PAN and the regime registers cannot change under a running
-    /// block. Cycle,
+    /// interpreted EL1, a taken branch, or any other control transfer
+    /// ends the block). ALU runs cannot touch the TLB, memory, or the
+    /// journal, and move the PC only in a branch that ends the run, so
+    /// checking once per segment boundary observes exactly the states
+    /// stepping would: only `Mem` and `Slow` segments can perturb them.
+    /// Only chainable instructions (see [`crate::jit::lower`]) appear
+    /// mid-block, so EL, PSTATE.PAN and the regime registers cannot
+    /// change under a running block. Cycle,
     /// instruction, and hit counters are charged in per-run batches that
     /// sum to the per-instruction totals, and no cycle-stamped event can
-    /// be emitted between the instructions of a run (a branch terminal
-    /// included). `Mem` and `Slow` segments run the interpreter's own
+    /// be emitted between the instructions of a run (a branch included).
+    /// `Mem` and `Slow` segments run the interpreter's own
     /// per-instruction bookkeeping; a `Mem` access is `data_access`
     /// itself or its armed micro-DTLB hit (`jit_mem`).
+    ///
+    /// Re-entry is the dispatch `run` would make next. A taken branch
+    /// back to `pc` at the end of an ALU run leaves the regime, EL, PAN
+    /// and ASID as they were at entry, so `jit_lend` would serve this
+    /// same block from the same page entry under the same arm. What it
+    /// would check anew is re-checked here: the panic hook, the remaining
+    /// budget against `total`, and the TLB generation and code frame at
+    /// the boundary before segment 0. Nothing modelled is counted for it;
+    /// it counts as a block execution in `FastStats::jit_blocks` and
+    /// `FastStats::jit_loops`.
     fn step_jit(
         &mut self,
         block: &crate::jit::CompiledBlock,
         pc: u64,
         pa_page: u64,
         frame_version: u64,
+        budget: u64,
     ) -> (u64, Option<Exit>) {
         use crate::jit::Segment;
         self.tlb.count_jit_block();
@@ -733,20 +746,9 @@ impl Machine {
         let mut used = 0u64;
         let mut exit = None;
         let mut pc_k = pc;
-        for (si, seg) in block.segs.iter().enumerate() {
-            if si > 0 {
-                if self.tlb.generation() != gen0 {
-                    break;
-                }
-                let wg = self.mem.write_gen();
-                if wg != checked_wg {
-                    if self.mem.frame_version(pa_page) != Some(frame_version) {
-                        break;
-                    }
-                    checked_wg = wg;
-                }
-            }
-            match seg {
+        let mut si = 0;
+        loop {
+            match &block.segs[si] {
                 Segment::Alu { ops, cycles } => {
                     let n = ops.len() as u64;
                     self.tlb.count_superblock_insns(n);
@@ -762,11 +764,21 @@ impl Machine {
                         pc_k += 4 * n;
                     }
                     // Fall-through PC first: templates never read it, and
-                    // a branch terminal (always the last op) overwrites it.
+                    // a branch (always the last op) overwrites it.
                     let cpu = &mut self.cpu;
                     cpu.pc = pc_k;
                     for op in ops.iter() {
                         op.exec(cpu);
+                    }
+                    si += 1;
+                    if self.cpu.pc != pc_k {
+                        if !block.loops || self.cpu.pc != pc || used + u64::from(block.total) > budget {
+                            break;
+                        }
+                        self.check_panic_hook();
+                        self.tlb.count_jit_loop();
+                        pc_k = pc;
+                        si = 0;
                     }
                 }
                 &Segment::Mem { word, rt, rn, offset, size, write } => {
@@ -781,6 +793,7 @@ impl Machine {
                     if exit.is_some() || self.cpu.pc != pc_k {
                         break;
                     }
+                    si += 1;
                 }
                 Segment::Slow { word, insn } => {
                     self.tlb.count_superblock_insn();
@@ -796,7 +809,18 @@ impl Machine {
                     if self.cpu.pc != pc_k {
                         break;
                     }
+                    si += 1;
                 }
+            }
+            if si == block.segs.len() || self.tlb.generation() != gen0 {
+                break;
+            }
+            let wg = self.mem.write_gen();
+            if wg != checked_wg {
+                if self.mem.frame_version(pa_page) != Some(frame_version) {
+                    break;
+                }
+                checked_wg = wg;
             }
         }
         self.tlb.count_superblock_exit();
@@ -1012,7 +1036,7 @@ impl Machine {
                 return self.msr_mrs(enc, rt, true, word, next_pc);
             }
             Insn::Sys { op1, crn, crm, op2, rt, .. } => {
-                return self.sys_op(op1, crn, crm, op2, rt, word, next_pc);
+                return self.sys_op(op1, crn, crm, op2, rt, word);
             }
             Insn::Unallocated { .. } => {
                 return self.undefined(word, next_pc);
@@ -1148,7 +1172,8 @@ impl Machine {
         None
     }
 
-    fn sys_op(&mut self, op1: u8, crn: u8, crm: u8, op2: u8, rt: u8, word: u32, next_pc: u64) -> Option<Exit> {
+    fn sys_op(&mut self, op1: u8, crn: u8, crm: u8, op2: u8, rt: u8, word: u32) -> Option<Exit> {
+        let next_pc = self.cpu.pc + 4;
         if self.cpu.pstate.el == ExceptionLevel::El0 {
             return self.undefined(word, next_pc);
         }

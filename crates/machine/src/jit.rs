@@ -1,6 +1,6 @@
 //! Template-JIT block engine: a lowered IR of pre-specialized host
 //! closures for the chainable ALU subset, the immediate-offset
-//! loads/stores, and the direct branches that end a block.
+//! loads/stores, and the direct branches.
 //!
 //! Every block the accelerated engine runs is a [`CompiledBlock`],
 //! lowered once from the straight-line code at its start address in the
@@ -13,10 +13,14 @@
 //! entry points — separated by `Mem` segments for `LDR`/`STR` (immediate
 //! offset, every size) and `Slow` segments for anything else that needs
 //! full interpreter bookkeeping (pair and unprivileged accesses, and
-//! non-branch terminals). A block ending in `B`, `B.cond`, `CBZ` or
-//! `CBNZ` lowers that terminal to a PC-writing template at the end of the
-//! last ALU run. A run with nothing to template lowers to all-`Slow`
-//! segments, which execute exactly as stepping would.
+//! non-branch terminals). `B.cond`, `CBZ` and `CBNZ` lower to PC-writing
+//! templates that end their ALU run: a *side exit*, after which lowering
+//! continues at the fall-through word. A block ending in `B` lowers it
+//! to a PC-writing template at the end of the last ALU run. A block with
+//! a branch back to its own first instruction [`loops`](CompiledBlock::loops),
+//! and `Machine::step_jit` re-enters it in place when that branch is
+//! taken. A run with nothing to template lowers to all-`Slow` segments,
+//! which execute exactly as stepping would.
 //!
 //! # Why per-segment revalidation is exact
 //!
@@ -26,14 +30,17 @@
 //! then every word of the block is what stepping would fetch, through a
 //! free L1 TLB hit on the same entry. An ALU template touches only `Cpu`
 //! registers, NZCV, and the cycle/instruction counters: it cannot insert
-//! or promote a TLB entry, write memory, fault, or move the PC off the
-//! fall-through path (a branch template moves it, but only as the
-//! block's last instruction). Both facts therefore hold throughout an
-//! ALU run, and checking them once per segment boundary observes
-//! exactly the states stepping would. `Mem` and `Slow` segments are
-//! segment boundaries: a store that bumps `write_gen` (self-modifying
-//! code) or a load that promotes a TLB entry ends the compiled block at
-//! the same boundary at which the next fetch would have noticed it.
+//! or promote a TLB entry, write memory, or fault, and it moves the PC
+//! off the fall-through path only as a branch, which is always the last
+//! op of its run. Both facts therefore hold throughout an ALU run, and
+//! checking them once per segment boundary observes exactly the states
+//! stepping would. A taken branch leaves the block, unless it lands on
+//! the block's own start with the budget for a whole block left, where
+//! the block is exactly what the next dispatch would serve: it re-enters
+//! past the same boundary check. `Mem` and `Slow` segments are segment
+//! boundaries: a store that bumps `write_gen` (self-modifying code) or a
+//! load that promotes a TLB entry ends the compiled block at the same
+//! boundary at which the next fetch would have noticed it.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -95,9 +102,10 @@ impl Tmpl {
 /// A compiled block segment.
 #[derive(Debug)]
 pub(crate) enum Segment {
-    /// A run of pure-ALU templates, possibly ending in the block's branch
-    /// terminal; `cycles` is the run's total modelled cost
-    /// (`ops.len() × insn_base` plus fixed latencies), charged once.
+    /// A run of pure-ALU templates, possibly ending in a branch (a side
+    /// exit or the block's trailing `B`); `cycles` is the run's total
+    /// modelled cost (`ops.len() × insn_base` plus fixed latencies),
+    /// charged once.
     Alu { ops: Box<[Tmpl]>, cycles: u64 },
     /// `LDR`/`STR` (immediate offset) of `size` at `base_reg(rn) +
     /// offset`. Executed by `Machine::jit_mem`: inline on an armed
@@ -120,8 +128,11 @@ pub struct CompiledBlock {
     pub(crate) segs: Box<[Segment]>,
     /// Total instruction count across all segments — equals the lowered
     /// run's length, and bounds what one entry can retire (the dispatcher
-    /// refuses entry when this exceeds the remaining quantum budget).
+    /// refuses entry, and `Machine::step_jit` re-entry, when this exceeds
+    /// the remaining quantum budget).
     pub(crate) total: u32,
+    /// Some branch's taken target is the block's own first instruction.
+    pub(crate) loops: bool,
 }
 
 // --- template library ---------------------------------------------------
@@ -300,9 +311,9 @@ fn lower_alu(pc: u64, word: u32, insn: Insn) -> Option<(Tmpl, u64)> {
     Some((t, 0))
 }
 
-/// Lower a block-ending direct branch to a PC-writing template. `B`,
-/// `B.cond` and `CBZ`/`CBNZ` emit no events and charge only
-/// `insn_base`, so they join the preceding ALU run's batched charge.
+/// Lower a direct branch to a PC-writing template. `B`, `B.cond` and
+/// `CBZ`/`CBNZ` emit no events and charge only `insn_base`, so they
+/// join the preceding ALU run's batched charge, and end it.
 fn lower_branch(pc: u64, word: u32, insn: Insn) -> Option<Tmpl> {
     let next = pc.wrapping_add(4);
     let t = match insn {
@@ -334,56 +345,60 @@ fn lower_mem(word: u32, insn: Insn) -> Option<Segment> {
 /// as it goes. The run extends while each instruction is [`chainable`],
 /// up to [`SUPERBLOCK_MAX`] instructions and the end of `code`, and
 /// includes one trailing non-chainable instruction, since nothing
-/// executes after it inside the block — so a branch can only ever be a
-/// block's last instruction. Every run lowers, an all-`Slow` one
-/// included.
+/// executes after it inside the block. A conditional branch is
+/// chainable: it ends its ALU run as a side exit, and the run continues
+/// at its fall-through word. `B` is not, so an unconditional branch is
+/// always a block's last instruction. Every run lowers, an all-`Slow`
+/// one included.
 pub(crate) fn lower(va: u64, code: &[u8], insn_base: u64) -> CompiledBlock {
     let mut segs: Vec<Segment> = Vec::new();
     let mut run: Vec<Tmpl> = Vec::new();
     let mut run_cycles = 0u64;
     let mut total = 0u32;
+    let mut loops = false;
     let words = code.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]));
     for (k, word) in words.take(SUPERBLOCK_MAX).enumerate() {
         let insn = Insn::decode(word);
         let pc_k = va + 4 * k as u64;
-        let last = !chainable(&insn);
         total += 1;
-        let tmpl = match lower_alu(pc_k, word, insn) {
-            None if last => lower_branch(pc_k, word, insn).map(|t| (t, 0)),
-            alu => alu,
-        };
-        match tmpl {
-            Some((t, extra)) => {
-                run.push(t);
-                run_cycles += insn_base + extra;
-            }
-            None => {
-                if !run.is_empty() {
-                    segs.push(Segment::Alu { ops: std::mem::take(&mut run).into_boxed_slice(), cycles: run_cycles });
-                    run_cycles = 0;
-                }
-                segs.push(lower_mem(word, insn).unwrap_or(Segment::Slow { word, insn }));
-            }
+        if let Some((t, extra)) = lower_alu(pc_k, word, insn) {
+            run.push(t);
+            run_cycles += insn_base + extra;
+        } else if let Some(t) = lower_branch(pc_k, word, insn) {
+            loops |= t.a == va;
+            run.push(t);
+            run_cycles += insn_base;
+            close_run(&mut segs, &mut run, &mut run_cycles);
+        } else {
+            close_run(&mut segs, &mut run, &mut run_cycles);
+            segs.push(lower_mem(word, insn).unwrap_or(Segment::Slow { word, insn }));
         }
-        if last {
+        if !chainable(&insn) {
             break;
         }
     }
     debug_assert!(total > 0, "lowered an empty run");
+    close_run(&mut segs, &mut run, &mut run_cycles);
+    CompiledBlock { segs: segs.into_boxed_slice(), total, loops }
+}
+
+/// Close the open ALU run, if any, as a segment.
+fn close_run(segs: &mut Vec<Segment>, run: &mut Vec<Tmpl>, cycles: &mut u64) {
     if !run.is_empty() {
-        segs.push(Segment::Alu { ops: run.into_boxed_slice(), cycles: run_cycles });
+        segs.push(Segment::Alu { ops: std::mem::take(run).into_boxed_slice(), cycles: std::mem::take(cycles) });
     }
-    CompiledBlock { segs: segs.into_boxed_slice(), total }
 }
 
 /// Can a block continue past this instruction?
 ///
 /// Chainable instructions fall through to `pc + 4` when they do not fault
-/// and cannot by themselves change the exception level, PSTATE, a system
-/// register, or TLB *structure beyond ordinary inserts* — loads and
-/// stores may still fault or self-modify code, which `Machine::step_jit`
-/// catches by revalidating the TLB generation, the code frame version,
-/// and the PC after every `Mem` and `Slow` segment. Branches, exception
+/// or branch, and cannot by themselves change the exception level,
+/// PSTATE, a system register, or TLB *structure beyond ordinary inserts*
+/// — loads and stores may still fault or self-modify code, which
+/// `Machine::step_jit` catches by revalidating the TLB generation, the
+/// code frame version, and the PC after every `Mem` and `Slow` segment,
+/// and a taken conditional branch leaves the block through the PC check
+/// after its ALU run. Unconditional and indirect branches, exception
 /// generators, barriers, and system-register traffic all end the block.
 fn chainable(insn: &Insn) -> bool {
     matches!(
@@ -408,6 +423,8 @@ fn chainable(insn: &Insn) -> bool {
             | Insn::StrImm { .. }
             | Insn::Ldtr { .. }
             | Insn::Sttr { .. }
+            | Insn::BCond { .. }
+            | Insn::Cbz { .. }
             | Insn::Nop
     )
 }
@@ -509,7 +526,8 @@ mod tests {
 
     #[test]
     fn scan_loop_blocks_lower_without_slow_segments() {
-        // The NVM search loop: ldrb ; add ; cmp ; b.eq | subs ; b.ne.
+        // The NVM search loop: ldrb ; add ; cmp ; b.eq | subs ; b.ne,
+        // then the tail the `b.eq` exits to.
         let mut a = Asm::new(0x40_0000);
         let top = a.label();
         let found = a.label();
@@ -517,17 +535,25 @@ mod tests {
         a.ldrb(26, 25, 0).add_imm(25, 25, 1).cmp_imm(26, 0xff).b_eq(found);
         a.subs_imm(24, 24, 1).b_ne(top);
         a.bind(found);
+        a.movz(0, 1, 0).svc(0);
         let words = a.words();
-        let first = lower(0x40_0000, &code(&words[..4]), 1);
-        assert!(matches!(first.segs[0], Segment::Mem { size: MemSize::B, write: false, .. }));
-        match &first.segs[1] {
-            Segment::Alu { ops, cycles } => assert_eq!((ops.len(), *cycles), (3, 3), "b.eq joins the run's charge"),
-            s => panic!("expected ALU run, got {s:?}"),
-        }
-        assert_eq!(first.segs.len(), 2);
-        let second = lower(0x40_0010, &code(&words[4..]), 1);
-        assert_eq!(second.segs.len(), 1);
-        assert!(matches!(&second.segs[0], Segment::Alu { ops, cycles: 2 } if ops.len() == 2));
+        let b = lower(0x40_0000, &code(&words), 1);
+        assert_eq!(b.total, 8);
+        assert!(b.loops, "b.ne lands on the block's first instruction");
+        assert_eq!(b.segs.len(), 5);
+        assert!(matches!(b.segs[0], Segment::Mem { size: MemSize::B, write: false, .. }));
+        let runs: Vec<(usize, u64)> = b.segs[1..4]
+            .iter()
+            .map(|s| match s {
+                Segment::Alu { ops, cycles } => (ops.len(), *cycles),
+                s => panic!("expected ALU run, got {s:?}"),
+            })
+            .collect();
+        assert_eq!(runs, [(3, 3), (2, 2), (1, 1)], "each side exit ends its run");
+        assert!(matches!(b.segs[4], Segment::Slow { insn: Insn::Svc { .. }, .. }));
+        // Lowered from the b.eq's fall-through, the block does not loop:
+        // its b.ne lands before it.
+        assert!(!lower(0x40_0010, &code(&words[4..]), 1).loops);
     }
 
     /// Run a one-segment lowered block's ALU ops on `cpu` the way
@@ -574,11 +600,22 @@ mod tests {
     }
 
     #[test]
-    fn a_branch_ends_the_block() {
-        // b.ne ; nop — the nop is the next block's.
+    fn only_an_unconditional_branch_ends_the_block() {
+        // b.ne ; nop — a side exit, so the nop is the same block's.
         let mut a = Asm::new(0x40_0000);
         let l = a.label();
         a.b_ne(l).nop();
+        a.bind(l);
+        let b = lower(0x40_0000, &code(&a.words()), 1);
+        assert_eq!(b.total, 2);
+        assert!(
+            matches!(&b.segs[..], [Segment::Alu { ops: x, cycles: 1 }, Segment::Alu { ops: y, cycles: 1 }] if x.len() == 1 && y.len() == 1)
+        );
+        assert!(!b.loops);
+        // b ; nop — the nop is the next block's.
+        let mut a = Asm::new(0x40_0000);
+        let l = a.label();
+        a.b(l).nop();
         a.bind(l);
         let b = lower(0x40_0000, &code(&a.words()), 1);
         assert_eq!(b.total, 1);
@@ -592,6 +629,7 @@ mod tests {
         a.bind(l);
         a.b(l);
         let b = lower(0x40_0000, &code(&a.words()), 1);
+        assert!(b.loops);
         let mut cpu = Cpu::new();
         run_alu(&b, &mut cpu, 0x40_0004);
         assert_eq!(cpu.pc, 0x40_0000);

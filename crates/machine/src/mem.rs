@@ -2,6 +2,7 @@
 
 use crate::fxhash::FxHashMap;
 use lz_arch::{page_align_down, PAGE_SHIFT, PAGE_SIZE};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// One physical frame plus the generation of its last mutation.
@@ -290,11 +291,10 @@ impl PhysMem {
         let key = pa >> PAGE_SHIFT;
         let gen = self.write_gen + 1;
         if let Some(overlay) = self.overlay.as_mut() {
-            if !overlay.contains_key(&key) {
-                let copied = self.frames.get(&key)?.clone();
-                overlay.insert(key, copied);
-            }
-            let frame = overlay.get_mut(&key)?;
+            let frame = match overlay.entry(key) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(self.frames.get(&key)?.clone()),
+            };
             self.write_gen = gen;
             frame.version = gen;
             return Some(&mut *frame.data);

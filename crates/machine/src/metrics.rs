@@ -122,13 +122,18 @@ pub struct FastStats {
     /// Always 0: every TLB miss walks, and no report prints this. The
     /// field stays because the `benchmark/` harness still reads it.
     pub walkcache_hits: u64,
-    /// Compiled blocks entered (zero on the reference engine).
+    /// Compiled-block executions (zero on the reference engine): each
+    /// dispatch into a block, plus each in-place re-entry (`jit_loops`).
     pub jit_blocks: u64,
     /// Dispatches the accelerated engine single-stepped instead of
     /// entering a compiled block: a misaligned PC, the bare identity
     /// regime, a page entry not armed for the fetch (a stale code frame
     /// included), or a block longer than the remaining budget.
     pub jit_stepped: u64,
+    /// In-place re-entries: a looping block's branch back to its own
+    /// start, taken with the budget for another whole block left, runs
+    /// the block again without a dispatch (see `Machine::step_jit`).
+    pub jit_loops: u64,
     /// Runs of code lowered to compiled blocks (each counts once, at
     /// compile time).
     pub jit_compiled: u64,

@@ -82,6 +82,9 @@ pub struct CoreCtx {
     pub tlb: Tlb,
 }
 
+/// An Inner-Shareable TLBI issued in a shell: `(op, vmid, xt)`.
+pub(crate) type DeferredTlbi = (TlbiOp, u16, u64);
+
 /// Per-shell epoch context: the cross-core effects one shell deferred
 /// to the barrier.
 #[derive(Debug, Default)]
@@ -89,7 +92,7 @@ pub(crate) struct EpochCtx {
     /// Inner-Shareable TLBIs issued in-shell. The issuing core's local
     /// invalidate already happened inside the shell; the DVM half
     /// (remote cores) commits at the barrier.
-    pub(crate) deferred_tlbi: Vec<(TlbiOp, u16, u64)>,
+    pub(crate) deferred_tlbi: Vec<DeferredTlbi>,
 }
 
 /// SMP bookkeeping embedded in [`Machine`]: the parked cores plus the
@@ -487,7 +490,7 @@ impl Machine {
         // deferred TLBI broadcasts, chaos deltas, and the
         // journal/trace/metric streams.
         let mut overlays = Vec::with_capacity(done.len());
-        let mut deferred: Vec<(usize, Vec<(TlbiOp, u16, u64)>)> = Vec::new();
+        let mut deferred: Vec<(usize, Vec<DeferredTlbi>)> = Vec::new();
         for (ShellTask { core: c, mut shell, .. }, exit, used) in done {
             results[c] = (exit, used);
             if exit != Exit::Limit {

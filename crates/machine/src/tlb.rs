@@ -498,6 +498,14 @@ impl Tlb {
         self.fast.jit_blocks += 1;
     }
 
+    /// Count one in-place re-entry of a looping block, which is also a
+    /// block execution (host-side observability only).
+    #[inline]
+    pub(crate) fn count_jit_loop(&mut self) {
+        self.fast.jit_blocks += 1;
+        self.fast.jit_loops += 1;
+    }
+
     /// Count one single-stepped dispatch (host-side observability only).
     #[inline]
     pub(crate) fn count_jit_step(&mut self) {

@@ -222,7 +222,7 @@ pub(crate) fn translate_dtlb_missed(
 
         let (ipa_page, s1_perms, mut cost) = if cfg.s1_enabled {
             tlb.walk.s1_walks += 1;
-            walk_stage1(mem, model, cfg, va, access, actx)?
+            walk_stage1(mem, model, cfg, va, access)?
         } else {
             // Stage-1 off: identity, full permissions, global.
             (
@@ -245,7 +245,7 @@ pub(crate) fn translate_dtlb_missed(
         let (pa_page, s2_perms) = match cfg.vttbr {
             Some(vt) => {
                 tlb.walk.s2_walks += 1;
-                let (pa, perms, c) = walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, access, wnr, false)?;
+                let (pa, perms, c) = walk_stage2(mem, model, vttbr::baddr(vt), ipa_page, va, wnr, false)?;
                 cost += c;
                 check_s2(&perms, access).map_err(|kind| Fault {
                     kind,
@@ -349,7 +349,6 @@ fn walk_stage1(
     cfg: &WalkConfig,
     va: u64,
     access: Access,
-    _actx: &AccessCtx,
 ) -> Result<(u64, S1Perms, u64), Fault> {
     let wnr = access == Access::Write;
     let top = va >> 48;
@@ -369,8 +368,7 @@ fn walk_stage1(
         let desc_ipa = table + s1_idx(va, level) * 8;
         let desc_pa = match cfg.vttbr {
             Some(vt) => {
-                let (pa, perms, _) =
-                    walk_stage2(mem, model, vttbr::baddr(vt), desc_ipa & !0xfff, va, Access::Read, wnr, true)?;
+                let (pa, perms, _) = walk_stage2(mem, model, vttbr::baddr(vt), desc_ipa & !0xfff, va, wnr, true)?;
                 check_s2(&perms, Access::Read).map_err(|kind| Fault {
                     kind,
                     stage: Stage::S2,
@@ -420,14 +418,12 @@ fn walk_stage1(
 /// Walk a stage-2 tree for an IPA page. Returns the PA page, leaf
 /// permissions, and extra cost (0 — stage-2 cost is folded into the
 /// caller's nested-walk estimate; standalone stage-2 walks charge here).
-#[allow(clippy::too_many_arguments)]
 fn walk_stage2(
     mem: &PhysMem,
     model: &CycleModel,
     root: u64,
     ipa_page: u64,
     va: u64,
-    _access: Access,
     wnr: bool,
     s1ptw: bool,
 ) -> Result<(u64, S2Perms, u64), Fault> {

@@ -240,7 +240,7 @@ pub fn ttbr_switch_cycles_with(
             b.register_gate_entry(g, entry);
         }
         let prog = b.build();
-        let mut lz = lightzone::LightZone::with_ablation(platform, deploy == Deployment::Guest, ablation.clone());
+        let mut lz = lightzone::LightZone::with_ablation(platform, deploy == Deployment::Guest, ablation);
         let pid = lz.spawn(&prog);
         lz.enter_process(pid);
         assert_eq!(lz.run(RUN_LIMIT), lz_kernel::Event::Exited(0));
@@ -268,9 +268,8 @@ pub fn wp_switch_cycles(platform: Platform, deploy: Deployment, domains: usize) 
         assert!(n <= N_MAX);
         let seq = seq.clone();
         let mut a = Asm::new(CODE);
-        let mut prog_data: Vec<(u64, Vec<u8>)> = Vec::new();
-        prog_data.push((SEQ_BASE, seq));
-        prog_data.push((DOM_BASE, vec![0u8; (domains as u64 * PAGE_SIZE) as usize]));
+        let prog_data: Vec<(u64, Vec<u8>)> =
+            vec![(SEQ_BASE, seq), (DOM_BASE, vec![0u8; (domains as u64 * PAGE_SIZE) as usize])];
         a.mov_imm64(8, custom::WP_ENTER);
         a.svc(0);
         for d in 0..domains as u64 {

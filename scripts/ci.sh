@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI for the LightZone reproduction.
 #
-# Runs the format gate, the tier-1 verify (ROADMAP.md), and the full
+# Runs the format gate, the clippy gate (every warning is an error), the
+# tier-1 verify (ROADMAP.md), and the full
 # workspace suite on the default engine, on the reference interpreter
 # (LZ_ACCEL=0), and with the metrics journal disabled (LZ_METRICS=0; the
 # journal is on by default, so the default leg covers it enabled) — the
@@ -42,6 +43,9 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== cargo clippy (workspace, all targets, warnings denied) =="
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== build (workspace, all targets) =="
 cargo build --release --workspace --all-targets
@@ -164,7 +168,9 @@ echo "== host speed: benchmark/ alu_jit + nvm_scan + fleet_serve at seed 1 (gold
 # (seed 1 includes every modelled output against benchmark/golden.json)
 # makes the run exit 1 and report "correct": false. The floors are about
 # half the median scaled sim_mips of five runs on a 2-vCPU x86-64 KVM
-# guest (alu_jit 322, nvm_scan 85, fleet_serve 37 MIPS).
+# guest (alu_jit 421, nvm_scan 149 MIPS, with hot loops re-entering
+# their compiled block in place; fleet_serve's floor of 18 dates from a
+# median of 37, and it read 40).
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload alu_jit --workload nvm_scan --workload fleet_serve --seed 1 > /tmp/host_speed.out
 tail -n 1 /tmp/host_speed.out | python3 -c '
@@ -173,7 +179,7 @@ report = json.load(sys.stdin)
 failed = report["failed"]
 assert report["correct"] is True, "benchmark output checks failed (golden modelled outputs)"
 assert failed == 0, f"{failed} failed ops"
-for workload, floor in (("alu_jit", 150), ("nvm_scan", 42), ("fleet_serve", 18)):
+for workload, floor in (("alu_jit", 210), ("nvm_scan", 74), ("fleet_serve", 18)):
     mips = report["metrics"][f"{workload}.sim_mips"]["value"]
     assert mips >= floor, f"{workload}: host speed regressed: {mips:.1f} MIPS < {floor}"
     print(f"  {workload}: {mips:.1f} MIPS, floor {floor}")

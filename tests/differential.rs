@@ -22,8 +22,10 @@
 //! switches with and without a TLBI per switch, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
 //! JIT dispatch memo's epoch sources, one code VA mapped global for one
-//! ASID and non-global for another in both fill orders, and quantum
-//! edges at every offset inside a block.
+//! ASID and non-global for another in both fill orders, quantum
+//! edges at every offset inside a block, and hot loops that stay in one
+//! block: side exits, in-place re-entry, and the self-patching and
+//! page-walking loops that must refuse it.
 
 use lightzone::gate::GateFlavor;
 use lz_arch::asm::Asm;
@@ -172,7 +174,7 @@ fn fastpath_domain_switch_agrees() {
     let (snap_off, counter_off, _) = run(false);
     assert_identical(snap_on, snap_off, "micro-DTLB domain switch");
     // 9 rounds alternating: 5 × tag 1, 4 × tag 1000.
-    assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
+    assert_eq!(counter_on, 5 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
     assert!(fast.dtlb_hits > 0, "domain-switch loads never hit the micro-DTLB");
 }
@@ -551,7 +553,7 @@ fn ttbr_domain_switch_agrees() {
     let e_on = drive(&mut on, roots_on);
     let e_off = drive(&mut off, roots_off);
     // 7 rounds alternating: 4 × tag 1, 3 × tag 1000.
-    let expect = 4 * 1 + 3 * 1000;
+    let expect = 4 + 3 * 1000;
     assert_eq!(
         on.mem
             .read_u32({
@@ -812,7 +814,7 @@ fn jit_domain_switch_agrees() {
     let (snap_on, counter_on, fast) = run(true);
     let (snap_off, counter_off, _) = run(false);
     assert_identical(snap_on, snap_off, "compiled-block domain switch");
-    assert_eq!(counter_on, 5 * 1 + 4 * 1000, "shared counter must accumulate across domains");
+    assert_eq!(counter_on, 5 + 4 * 1000, "shared counter must accumulate across domains");
     assert_eq!(counter_on, counter_off);
     assert!(fast.jit_blocks > 0, "domain-switch rounds never executed a compiled block");
 }
@@ -1464,19 +1466,26 @@ fn jit_branch_terminals_taken_and_not_taken_agree() {
 }
 
 /// Quantum edges at every offset: a loop whose hot path holds an ALU
-/// run, `Mem` segments, an all-`Slow` block (a pair load and a trap the
-/// host resumes from), a one-instruction `Slow` block and a branch
-/// terminal, driven by `run(limit)` for every limit from 1 to 70 — past
-/// the whole program's length. A block longer than the remaining budget
-/// is never entered; the accelerated engine single-steps to the edge
+/// run, `Mem` segments, an inner looping block with a side exit (four
+/// iterations per round, the side exit taken on every eighth), an
+/// all-`Slow` block (a pair load and a trap the host resumes from), a
+/// one-instruction `Slow` block and a branch terminal, driven by
+/// `run(limit)` for every limit from 1 to 70 — past the whole program's
+/// length. A block longer than the remaining budget is never entered,
+/// nor re-entered; the accelerated engine single-steps to the edge
 /// instead, and that fallback is the only code that places a quantum
-/// edge inside a block. Both engines are compared after every call.
+/// edge inside a block, a re-entered iteration included. Both engines
+/// are compared after every call.
 #[test]
 fn quantum_edges_inside_blocks_agree() {
     let mut a = Asm::new(CODE);
     a.mov_imm64(19, DATA);
     a.movz(0, 6, 0);
+    a.movz(11, 7, 0);
     let top = a.label();
+    let inner = a.label();
+    let rejoin = a.label();
+    let spill = a.label();
     let slow = a.label();
     a.bind(top);
     a.add_imm(1, 1, 3); // ALU run
@@ -1484,15 +1493,27 @@ fn quantum_edges_inside_blocks_agree() {
     a.ldr(3, 19, 0); // Mem
     a.add_reg(4, 4, 1);
     a.str(4, 19, 8); // Mem
+    a.movz(7, 4, 0);
+    a.bind(inner); // the looping block
+    a.add_imm(9, 9, 1);
+    a.and_reg(10, 9, 11);
+    a.cbz(10, spill); // side exit
+    a.bind(rejoin);
+    a.subs_imm(7, 7, 1);
+    a.b_ne(inner); // back edge: re-entry
     a.bl(slow); // Slow terminal
     a.subs_imm(0, 0, 1);
     a.b_ne(top); // branch terminal
     a.svc(0);
+    a.bind(spill);
+    a.add_imm(12, 12, 1);
+    a.b(rejoin);
     a.bind(slow);
     a.ldp(5, 6, 19, 0); // the all-Slow block: pair load, trap
     a.svc(1);
     a.ret(); // a one-instruction block
     let code = a.bytes();
+    let mut loops = 0;
     for limit in 1..=70u64 {
         let mut ms = [true, false].map(|accel| {
             let mut m = build_machine(&code, &patch_area(4), accel);
@@ -1518,8 +1539,171 @@ fn quantum_edges_inside_blocks_agree() {
             }
         }
         assert_eq!(ms[0].cpu.reg(4), 3 + 6 + 9 + 12 + 15 + 18, "limit {limit}: the loop ran to completion");
-        assert!(ms[0].tlb.fast_stats().jit_blocks > 0, "limit {limit}: no compiled block ran");
+        assert_eq!((ms[0].cpu.reg(9), ms[0].cpu.reg(12)), (24, 3), "limit {limit}: the inner loop ran to completion");
+        let fast = ms[0].tlb.fast_stats();
+        assert!(fast.jit_blocks > 0, "limit {limit}: no compiled block ran");
+        loops += fast.jit_loops;
     }
+    assert!(loops > 0, "no block was re-entered in place at any limit");
+}
+
+// --- hot loops in one block: side exits and in-place re-entry ----------
+
+/// The Figure 5 search loop over 1,000 bytes without a needle: the block
+/// at its top holds the load, the `b.eq` side exit and the `b.ne` back
+/// edge, and re-enters in place on all but the first few iterations, so
+/// the whole search costs a handful of dispatches.
+#[test]
+fn search_loop_reenters_its_block_in_place() {
+    const WINDOW: u64 = 1_000;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    emit_scan(&mut a, 0, WINDOW);
+    a.svc(0);
+    let code = a.bytes();
+    let fast = both_engines(
+        "1,000-iteration search",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!(m.cpu.reg(25), DATA + WINDOW, "no needle: the scan ends at its window");
+            (exit, data)
+        },
+    );
+    assert!(fast.jit_loops >= 990, "the search must re-enter its block in place: {fast:?}");
+    assert!(fast.jit_blocks - fast.jit_loops < 10, "the search must not dispatch per iteration: {fast:?}");
+}
+
+/// A looping block whose store rewrites the block's own first word on
+/// one iteration: the store ends the block at the boundary after it, so
+/// the stale lowering is never re-entered, and every later iteration
+/// runs the new word — from a block lowered anew, re-entered in place.
+#[test]
+fn loop_patching_its_own_first_word_stops_reentering() {
+    use lz_arch::insn::{Cond, MemSize};
+    const TOP: u64 = CODE + 0x40;
+    const ROUNDS: u16 = 40;
+    const PATCHED: u16 = 25;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(21, TOP);
+    // The second data page: its micro-DTLB slot is not the code page's.
+    a.mov_imm64(22, DATA + 0x1000);
+    a.mov_imm64(5, Insn::Movz { rd: 17, imm16: 0x2222, hw: 0 }.encode() as u64);
+    a.movz(0, ROUNDS, 0);
+    while a.here() < TOP {
+        a.nop();
+    }
+    let top = a.label();
+    a.bind(top);
+    a.movz(17, 0x1111, 0); // patched on the round x0 == PATCHED
+    a.add_reg(16, 16, 17);
+    a.cmp_imm(0, PATCHED);
+    a.csel(20, 21, 22, Cond::Eq);
+    a.emit(Insn::StrImm { rt: 5, rn: 20, offset: 0, size: MemSize::W });
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let fast = both_engines(
+        "loop patching its own first word",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            let (old, new) = (u64::from(ROUNDS - PATCHED + 1), u64::from(PATCHED - 1));
+            assert_eq!(m.cpu.reg(16), old * 0x1111 + new * 0x2222, "the patched word runs from the next round on");
+            (exit, data)
+        },
+    );
+    assert!(fast.jit_loops >= u64::from(ROUNDS) - 8, "both lowerings must re-enter in place: {fast:?}");
+}
+
+/// A loop whose first load reaches a new page every iteration, 64 pages
+/// in all: each walk inserts a TLB entry and moves the generation, so the
+/// block ends at the boundary after that load and never reaches its back
+/// edge — and past the L1 TLB's capacity the code page's own entry is
+/// evicted, so a block run on a stale generation would miscount the
+/// fetches that follow.
+#[test]
+fn loop_walking_a_new_page_each_iteration_never_reenters() {
+    const FRESH: u64 = 0x100_0000;
+    const PAGES: u16 = 64;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, FRESH);
+    a.mov_imm64(22, DATA + 0x1000);
+    a.mov_imm64(23, 0x1000);
+    a.movz(0, PAGES, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0); // a new page: TLB miss, walk, insert
+    a.ldr(3, 22, 0);
+    a.ldr(4, 22, 8); // a micro-DTLB hit on the page the load above armed
+    a.add_reg(2, 2, 1);
+    a.add_reg(19, 19, 23);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let build = || {
+        let mut m = build_machine(&code, &patch_area(4), true);
+        let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+        for page in 0..u64::from(PAGES) {
+            let pa = m.mem.alloc_frame();
+            m.mem.write_bytes(pa, &(page + 1).to_le_bytes());
+            s1_map_page(&mut m.mem, root, FRESH + page * 0x1000, pa, lz_chaos::programs::user_rw());
+        }
+        m
+    };
+    let fast = both_engines("a new page each iteration", build, |m| {
+        let (exit, data) = run_and_read_data(m);
+        let n = u64::from(PAGES);
+        assert_eq!(m.cpu.reg(2), n * (n + 1) / 2, "every page was read");
+        (exit, data)
+    });
+    assert_eq!(fast.jit_loops, 0, "a walk in every iteration must refuse re-entry: {fast:?}");
+}
+
+/// Two side exits in one looping block, each taken on its own phase of
+/// a four-iteration cycle (`b.eq` on phase 1, `cbz` on phase 0), and the
+/// back edge re-entering in place on the other two.
+#[test]
+fn two_side_exits_in_one_looping_block_agree() {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(11, 3, 0);
+    a.movz(0, 40, 0);
+    let top = a.label();
+    let one = a.label();
+    let zero = a.label();
+    let rejoin = a.label();
+    a.bind(top);
+    a.ldr(13, 19, 0);
+    a.add_imm(9, 9, 1);
+    a.and_reg(10, 9, 11); // the phase, x9 % 4
+    a.cmp_imm(10, 1);
+    a.b_eq(one); // side exit on phase 1
+    a.cbz(10, zero); // side exit on phase 0
+    a.add_imm(4, 4, 1);
+    a.bind(rejoin);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    a.bind(one);
+    a.add_imm(5, 5, 1);
+    a.b(rejoin);
+    a.bind(zero);
+    a.add_imm(6, 6, 1);
+    a.b(rejoin);
+    let code = a.bytes();
+    let fast = both_engines(
+        "two side exits",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!([m.cpu.reg(4), m.cpu.reg(5), m.cpu.reg(6)], [20, 10, 10], "each exit takes its phase");
+            (exit, data)
+        },
+    );
+    assert!(fast.jit_loops >= 15, "phases 2 and 3 re-enter in place: {fast:?}");
 }
 
 // --- dispatch-memo epoch sources ---------------------------------------

@@ -641,13 +641,19 @@ impl Machine {
     /// faulting fetch attempt on the single-step path — exactly matching
     /// what `budget` iterations of `step()` would consume.
     ///
-    /// A block whose `total` exceeds `budget` is not entered: the core
-    /// single-steps to the quantum edge instead, so no block overruns its
-    /// quantum and a block's shape never depends on the budget. A
-    /// misaligned PC always single-steps (the icache keys blocks by word
-    /// slot `va >> 2`, and `step` raises the alignment fault), and so does
-    /// the bare identity regime, which has no TLB to arm the icache
-    /// against.
+    /// One `Tlb::jit_block` lookup finds the block: it serves the block
+    /// stored for the PC's page entry, or lowers one from the code frame
+    /// and stores it for later entries. Where the icache cannot serve the
+    /// page (no entry armed for this TLB generation and ASID, or a stale
+    /// code frame) the core single-steps; the step is the reference
+    /// fetch, which records the page and arms it, so the next dispatch
+    /// on the page finds a block. A block whose `total` exceeds `budget`
+    /// is not entered: the core single-steps to the quantum edge instead,
+    /// so no block overruns its quantum and a block's shape never depends
+    /// on the budget. A misaligned PC always single-steps (the icache
+    /// keys blocks by word slot `va >> 2`, and `step` raises the
+    /// alignment fault), and so does the bare identity regime, which has
+    /// no TLB to arm the icache against.
     fn step_block(&mut self, budget: u64) -> (u64, Option<Exit>) {
         debug_assert!(self.cpu.pstate.el != ExceptionLevel::El2, "EL2 code is modelled, not interpreted");
         let pc = self.cpu.pc;
@@ -655,36 +661,12 @@ impl Machine {
         if pc & 3 != 0 || !(cfg.s1_enabled || cfg.vttbr.is_some()) {
             return self.single_step();
         }
-        let el = self.cpu.pstate.el;
-        let Some(lent) = self.tlb.jit_lend(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn) else {
-            return self.jit_miss(budget, pc, &cfg);
-        };
-        if u64::from(lent.block.total) > budget {
-            self.tlb.jit_return(lent);
-            return self.single_step();
-        }
-        let (used, exit) = self.step_jit(&lent.block, pc, lent.pa_page, lent.frame_version, budget);
-        self.tlb.jit_return(lent);
-        debug_assert!(used <= budget, "compiled block overran its quantum budget");
-        (used, exit)
-    }
-
-    /// No compiled block starts at `pc`: lower the code there once from
-    /// the page's code frame, store the block for later entries, and run
-    /// it — or single-step when the icache cannot serve the page (no
-    /// entry armed for this TLB generation and ASID, or a stale code
-    /// frame) or the block is longer than `budget`. The single step is
-    /// the reference fetch, which records the page and arms it, so the
-    /// next dispatch on the page compiles. Kept cold and out of line so
-    /// that `step_block`'s hit path stays small.
-    #[cold]
-    #[inline(never)]
-    fn jit_miss(&mut self, budget: u64, pc: u64, cfg: &WalkConfig) -> (u64, Option<Exit>) {
-        let el = self.cpu.pstate.el;
-        let insn_base = self.model.insn_base;
-        match self.tlb.jit_compile(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
+        let (el, insn_base) = (self.cpu.pstate.el, self.model.insn_base);
+        match self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
             Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
-                self.step_jit(&block, pc, pa_page, frame_version, budget)
+                let (used, exit) = self.step_jit(&block, pc, pa_page, frame_version, budget);
+                debug_assert!(used <= budget, "compiled block overran its quantum budget");
+                (used, exit)
             }
             _ => self.single_step(),
         }
@@ -723,7 +705,7 @@ impl Machine {
     ///
     /// Re-entry is the dispatch `run` would make next. A taken branch
     /// back to `pc` at the end of an ALU run leaves the regime, EL, PAN
-    /// and ASID as they were at entry, so `jit_lend` would serve this
+    /// and ASID as they were at entry, so `jit_block` would serve this
     /// same block from the same page entry under the same arm. What it
     /// would check anew is re-checked here: the panic hook, the remaining
     /// budget against `total`, and the TLB generation and code frame at

@@ -9,7 +9,9 @@
 //! translated through, and the *content version* of the physical frame
 //! the code lives in (see `PhysMem::frame_version`). Compiled blocks
 //! (see [`crate::jit`]) are lowered straight from that frame and stored
-//! in the page entry, keyed by start slot.
+//! in the page entry, keyed by start slot. [`ICache::jit_block`] is the
+//! one lookup: it validates the page entry, then serves the stored block
+//! or lowers and stores one.
 //!
 //! # Coherence contract
 //!
@@ -62,24 +64,6 @@
 //! that head, and `entry_mut`'s find order picks this entry for every
 //! ASID. A gate switch that only changes the ASID therefore keeps
 //! global code (the gate page, unprotected memory) armed.
-//!
-//! # JIT dispatch memo
-//!
-//! Compiled blocks are found through [`ICache::jit_lend`]: a direct-mapped
-//! memo of [`MEMO_SLOTS`] recent `jit_block` answers, allocated on first
-//! use. A slot hits only under `jit_block`'s own test — the same
-//! `(vmid, asid, el, s1_enabled, wxn)` tags, TLB generation and code-frame
-//! freshness — plus an unchanged *mutation epoch*: every new entry,
-//! restart, eviction, arm, block store and invalidation that can change
-//! what `jit_block` returns bumps the epoch, so a hit is always the
-//! block the page map would serve. An answer from an entry armed for
-//! every ASID is keyed without its ASID, so it matches under any ASID. A
-//! slot admits a block only when the same lookup reaches it twice in a
-//! row (lookups under different ASIDs count as the same when the answer
-//! serves every ASID), so a dispatch stream that never repeats only
-//! rewrites slot keys and never drops a displaced block. An admitted
-//! block is moved out of its slot while it runs and moved back
-//! afterwards, so a hit neither hashes nor touches the `Arc` refcount.
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
@@ -87,94 +71,11 @@ use crate::pte::S1Perms;
 use crate::tlb::TlbEntry;
 use crate::PhysMem;
 use lz_arch::pstate::ExceptionLevel;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 const WORDS_PER_PAGE: usize = 1024;
-
-/// Slots in the JIT dispatch memo (direct-mapped by `va >> 2`).
-const MEMO_SLOTS: usize = 64;
-
-/// The inputs of one [`ICache::jit_block`] lookup, plus the mutation
-/// epoch it was made in (the live epoch starts at 1, so the all-zero key
-/// of an empty slot never matches) and what the slot holds for it. A
-/// lookup matches only an admitted slot; the same key held as recorded
-/// matches a slot that has seen the lookup once. A key held for every
-/// ASID has `asid` 0, whatever ASID the lookup ran under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemoKey {
-    epoch: u64,
-    tlb_gen: u64,
-    va: u64,
-    vmid: u16,
-    asid: u16,
-    el: ExceptionLevel,
-    s1_enabled: bool,
-    wxn: bool,
-    held: Held,
-}
-
-/// What a memo slot holds for its key (one byte, so that [`MemoSlot`]
-/// stays 64 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Held {
-    /// The lookup was seen once; its answer is not kept.
-    Recorded,
-    /// The lookup was seen twice in a row; the slot keeps its answer.
-    Admitted,
-    /// [`Held::Recorded`], for an answer from an entry armed for every
-    /// ASID.
-    RecordedAnyAsid,
-    /// [`Held::Admitted`], for an answer from an entry armed for every
-    /// ASID: it is served under any ASID.
-    AdmittedAnyAsid,
-}
-
-/// One dispatch-memo slot: the key of the last lookup made through it
-/// and, once that lookup has repeated, its answer.
-#[derive(Debug)]
-struct MemoSlot {
-    key: MemoKey,
-    /// The admitted answer's code frame and content version.
-    pa_page: u64,
-    frame_version: u64,
-    /// `PhysMem::write_gen` when the frame was last proven fresh.
-    checked_gen: u64,
-    /// The admitted block, `None` while it is lent out. Recording a new
-    /// key leaves an older block here, so that a miss never drops one.
-    block: Option<Arc<CompiledBlock>>,
-}
-
-const EMPTY_MEMO_SLOT: MemoSlot = MemoSlot {
-    key: MemoKey {
-        epoch: 0,
-        tlb_gen: 0,
-        va: 0,
-        vmid: 0,
-        asid: 0,
-        el: ExceptionLevel::El0,
-        s1_enabled: false,
-        wxn: false,
-        held: Held::Recorded,
-    },
-    pa_page: 0,
-    frame_version: 0,
-    checked_gen: 0,
-    block: None,
-};
-
-/// A compiled block lent out of the dispatch memo by [`ICache::jit_lend`];
-/// hand it back with [`ICache::jit_return`] once it has run.
-#[derive(Debug)]
-pub(crate) struct LentBlock {
-    pub(crate) block: Arc<CompiledBlock>,
-    /// The code frame and its content version, for per-segment
-    /// revalidation.
-    pub(crate) pa_page: u64,
-    pub(crate) frame_version: u64,
-    /// The memo slot the block goes back to, if it is admitted there.
-    slot: Option<usize>,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PageKey {
@@ -245,10 +146,6 @@ pub struct ICache {
     evictions: u64,
     /// Entries dropped by TLBI-scope maintenance (`clear`/`invalidate_*`).
     invalidations: u64,
-    /// Mutation epoch guarding the dispatch memo (see the module docs).
-    epoch: u64,
-    /// JIT dispatch memo, allocated on the first compiled-block dispatch.
-    memo: Option<Box<[MemoSlot; MEMO_SLOTS]>>,
 }
 
 impl Default for ICache {
@@ -268,8 +165,6 @@ impl ICache {
             misses: 0,
             evictions: 0,
             invalidations: 0,
-            epoch: 1,
-            memo: None,
         }
     }
 
@@ -307,11 +202,7 @@ impl ICache {
         let every_asid =
             info.snapshot.asid.is_none() && entries.iter().position(at_el) == Some(i) && l1_head == Some(info.snapshot);
         let e = &mut entries[i];
-        let armed = (tlb_gen, if every_asid { None } else { Some(asid) });
-        if (e.fast_gen, e.fast_asid) != armed {
-            (e.fast_gen, e.fast_asid) = armed;
-            self.epoch += 1;
-        }
+        (e.fast_gen, e.fast_asid) = (tlb_gen, if every_asid { None } else { Some(asid) });
     }
 
     /// Create or restart the page entry of a fetch at `va` through
@@ -335,16 +226,12 @@ impl ICache {
                 } else {
                     // Regime or content moved on: restart the entry.
                     self.evictions += 1;
-                    self.epoch += 1;
                     *e = PageEntry::new(info, frame_version, checked_gen);
                 }
                 return Some(i);
             }
         }
 
-        // Capacity eviction, or a new entry that can shadow an older one
-        // for the same page.
-        self.epoch += 1;
         while self.order.len() >= self.capacity {
             if let Some(old) = self.order.pop_front() {
                 if let Some(dropped) = self.pages.remove(&old) {
@@ -369,39 +256,12 @@ impl ICache {
         entries.iter_mut().find(|e| e.info.snapshot.asid.is_none_or(|a| a == asid) && e.info.el == el)
     }
 
-    /// [`Self::entry_mut`], if its regime flags are unchanged (a flipped
-    /// SCTLR bit changes permission-check outcomes) and its code frame is
-    /// content-fresh: O(1) through the global write generation, falling
-    /// back to one frame-version compare.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn fresh_entry(
-        &mut self,
-        mem: &PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-    ) -> Option<&mut PageEntry> {
-        let e = self.entry_mut(vmid, asid, el, va)?;
-        if e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
-            return None;
-        }
-        if e.checked_gen != mem.write_gen() {
-            if mem.frame_version(e.info.snapshot.pa_page) != Some(e.frame_version) {
-                return None;
-            }
-            e.checked_gen = mem.write_gen();
-        }
-        Some(e)
-    }
-
-    /// [`Self::fresh_entry`], if it is armed at `tlb_gen` for `asid` or
-    /// for every ASID (see [`Self::record`]) — the test
-    /// [`Self::jit_block`] and [`Self::compile`] apply before serving or
-    /// lowering anything from the entry.
+    /// The page entry a compiled block for the fetch at `va` comes from:
+    /// [`Self::entry_mut`]'s, if its regime flags are unchanged (a flipped
+    /// SCTLR bit changes permission-check outcomes), its code frame is
+    /// content-fresh (O(1) through the global write generation, falling
+    /// back to one frame-version compare), and it is armed at `tlb_gen`
+    /// for `asid` or for every ASID (see [`Self::record`]).
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn armed_entry(
@@ -415,14 +275,27 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
     ) -> Option<&mut PageEntry> {
-        self.fresh_entry(mem, vmid, asid, el, va, s1_enabled, wxn)
-            .filter(|e| e.fast_gen == tlb_gen && e.fast_asid.is_none_or(|a| a == asid))
+        let e = self.entry_mut(vmid, asid, el, va)?;
+        if e.info.s1_enabled != s1_enabled || e.info.wxn != wxn {
+            return None;
+        }
+        if e.checked_gen != mem.write_gen() {
+            if mem.frame_version(e.info.snapshot.pa_page) != Some(e.frame_version) {
+                return None;
+            }
+            e.checked_gen = mem.write_gen();
+        }
+        (e.fast_gen == tlb_gen && e.fast_asid.is_none_or(|a| a == asid)).then_some(e)
     }
 
-    /// Serve the compiled block stored for the fetch at `va`, if its page
-    /// entry passes [`Self::armed_entry`]'s test. Returns the block, the
-    /// backing `(pa_page, frame_version)` for per-segment content
-    /// revalidation, and whether the entry is armed for every ASID.
+    /// The compiled block for the fetch at `va`, if its page entry passes
+    /// [`Self::armed_entry`]'s test: the block stored at `va`'s slot, or
+    /// one lowered now from the entry's code frame (see
+    /// [`crate::jit::lower`]) and stored there for later lookups. A block
+    /// is thus lowered only where it could be served, from a frame whose
+    /// content is the entry's version. Returns the block, its backing
+    /// `(pa_page, frame_version)` for per-segment content revalidation,
+    /// and whether this call lowered it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -435,124 +308,20 @@ impl ICache {
         s1_enabled: bool,
         wxn: bool,
         tlb_gen: u64,
+        insn_base: u64,
     ) -> Option<(Arc<CompiledBlock>, u64, u64, bool)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let block = e.blocks.get(&(slot_of(va) as u16))?;
-        Some((Arc::clone(block), e.info.snapshot.pa_page, e.frame_version, e.fast_asid.is_none()))
-    }
-
-    /// Lower the code that starts at `va` from the page entry's code
-    /// frame (see [`crate::jit::lower`]) and store it as the compiled
-    /// block for that slot, where [`Self::jit_block`] serves it from then
-    /// on. Validation is `jit_block`'s, so a block is compiled only where
-    /// it could be served — from a frame whose content is the entry's
-    /// version; `None` means the entry fails that test. Returns the block
-    /// and its `(pa_page, frame_version)`, as `jit_block` would.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compile(
-        &mut self,
-        mem: &PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-        tlb_gen: u64,
-        insn_base: u64,
-    ) -> Option<(Arc<CompiledBlock>, u64, u64)> {
-        let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let frame = mem.frame(e.info.snapshot.pa_page)?;
-        let block = Arc::new(crate::jit::lower(va, &frame[(va & 0xfff) as usize..], insn_base));
-        e.blocks.insert(slot_of(va) as u16, Arc::clone(&block));
         let (pa_page, frame_version) = (e.info.snapshot.pa_page, e.frame_version);
-        self.epoch += 1;
-        Some((block, pa_page, frame_version))
-    }
-
-    /// Lend out the compiled block [`Self::jit_block`] would serve for the
-    /// fetch at `va`, through the dispatch memo (see the module docs). A
-    /// hit costs no hashing and no refcount traffic; a miss asks
-    /// `jit_block`, and admits a found block if the slot's last lookup was
-    /// this one — under any ASID, when the block's entry is armed for
-    /// every ASID. Return the block with [`Self::jit_return`] after
-    /// running it.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn jit_lend(
-        &mut self,
-        mem: &PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-        tlb_gen: u64,
-    ) -> Option<LentBlock> {
-        let idx = (va >> 2) as usize & (MEMO_SLOTS - 1);
-        let key = MemoKey { epoch: self.epoch, tlb_gen, va, vmid, asid, el, s1_enabled, wxn, held: Held::Admitted };
-        let any_key = MemoKey { asid: 0, held: Held::AdmittedAnyAsid, ..key };
-        if let Some(s) = self.memo.as_deref_mut().map(|m| &mut m[idx]) {
-            if (s.key == key || s.key == any_key) && s.block.is_some() {
-                // Code-frame freshness, exactly as `jit_block` checks it:
-                // the page entry's version equals this one until the next
-                // epoch bump.
-                if s.checked_gen != mem.write_gen() {
-                    if mem.frame_version(s.pa_page) != Some(s.frame_version) {
-                        return None;
-                    }
-                    s.checked_gen = mem.write_gen();
-                }
-                let (pa_page, frame_version) = (s.pa_page, s.frame_version);
-                #[cfg(debug_assertions)]
-                let any_asid = s.key == any_key;
-                let block = s.block.take()?;
-                #[cfg(debug_assertions)]
-                {
-                    let served = self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen);
-                    assert!(
-                        served.as_ref().is_some_and(|(b, pa, fv, any)| {
-                            Arc::ptr_eq(b, &block) && (*pa, *fv, *any) == (pa_page, frame_version, any_asid)
-                        }),
-                        "JIT dispatch memo served a block the icache would not (va {va:#x}, asid {asid})"
-                    );
-                }
-                return Some(LentBlock { block, pa_page, frame_version, slot: Some(idx) });
+        let mut lowered = false;
+        let block = match e.blocks.entry(slot_of(va) as u16) {
+            Entry::Occupied(stored) => stored.into_mut(),
+            Entry::Vacant(slot) => {
+                let frame = mem.frame(pa_page)?;
+                lowered = true;
+                slot.insert(Arc::new(crate::jit::lower(va, &frame[(va & 0xfff) as usize..], insn_base)))
             }
-        }
-        let (block, pa_page, frame_version, any_asid) =
-            self.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let (admitted, recorded) = if any_asid {
-            (any_key, MemoKey { held: Held::RecordedAnyAsid, ..any_key })
-        } else {
-            (key, MemoKey { held: Held::Recorded, ..key })
         };
-        let s = &mut self.memo.get_or_insert_with(|| Box::new([EMPTY_MEMO_SLOT; MEMO_SLOTS]))[idx];
-        if s.key != recorded {
-            s.key = recorded;
-            return Some(LentBlock { block, pa_page, frame_version, slot: None });
-        }
-        // The same lookup twice in a row, with no epoch bump or TLB
-        // generation move between: admit its answer.
-        s.key = admitted;
-        s.pa_page = pa_page;
-        s.frame_version = frame_version;
-        s.checked_gen = mem.write_gen();
-        s.block = None;
-        Some(LentBlock { block, pa_page, frame_version, slot: Some(idx) })
-    }
-
-    /// Put a block lent by [`Self::jit_lend`] back into its memo slot, or
-    /// drop it if the slot has not admitted it. The slot's key is
-    /// untouched while the block is out, so a mutation during the run (an
-    /// interpreted TLBI, say) has already made the slot stale through the
-    /// epoch or the TLB generation.
-    #[inline]
-    pub(crate) fn jit_return(&mut self, lent: LentBlock) {
-        if let (Some(memo), Some(slot)) = (self.memo.as_deref_mut(), lent.slot) {
-            memo[slot].block = Some(lent.block);
-        }
+        Some((Arc::clone(block), pa_page, frame_version, lowered))
     }
 
     /// Count one compiled-block instruction.
@@ -569,7 +338,6 @@ impl ICache {
 
     /// `TLBI ALLE1` scope: drop everything.
     pub fn clear(&mut self) {
-        self.epoch += 1;
         self.invalidations += self.len() as u64;
         self.pages.clear();
         self.order.clear();
@@ -577,7 +345,6 @@ impl ICache {
 
     /// `TLBI VMALLS12E1` scope: drop one VMID.
     pub fn invalidate_vmid(&mut self, vmid: u16) {
-        self.epoch += 1;
         let before = self.len();
         self.pages.retain(|k, _| k.vmid != vmid);
         self.order.retain(|k| k.vmid != vmid);
@@ -586,7 +353,6 @@ impl ICache {
 
     /// `TLBI ASIDE1` scope: drop one `(vmid, asid)`; global entries survive.
     pub fn invalidate_asid(&mut self, vmid: u16, asid: u16) {
-        self.epoch += 1;
         let before = self.len();
         for (k, v) in self.pages.iter_mut() {
             if k.vmid == vmid {
@@ -601,7 +367,6 @@ impl ICache {
 
     /// `TLBI VAAE1` scope: drop one page in a VMID, any ASID.
     pub fn invalidate_va(&mut self, vmid: u16, va: u64) {
-        self.epoch += 1;
         let key = PageKey { vmid, vpn: va >> 12 };
         if let Some(dropped) = self.pages.remove(&key) {
             self.invalidations += dropped.len() as u64;
@@ -810,11 +575,21 @@ mod tests {
         assert!(serves(&mut ic, &mem, 1, 0x1000, false), "the global entry keeps its arm");
     }
 
-    /// [`recorded`] with a compiled block at `va`.
-    fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
+    /// [`ICache::jit_block`] for an EL0 fetch at `va` under ASID 1, stage
+    /// 1 on and WXN off, at TLB generation `tlb_gen`: the block, and
+    /// whether this lookup lowered it.
+    fn lookup(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<(Arc<CompiledBlock>, bool)> {
+        let (block, _, _, lowered) = ic.jit_block(mem, 0, 1, ExceptionLevel::El0, va, true, false, tlb_gen, 1)?;
+        Some((block, lowered))
+    }
+
+    /// [`recorded`], with the compiled block at `va` lowered by its first
+    /// lookup.
+    fn armed_with_block(mem: &PhysMem, va: u64, pa: u64, global: bool) -> (ICache, Arc<CompiledBlock>) {
         let mut ic = recorded(mem, va, pa, global);
-        assert!(ic.compile(mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
-        ic
+        let (block, lowered) = lookup(&mut ic, mem, va, 1).expect("a NOP lowers");
+        assert!(lowered, "the first lookup lowers the block");
+        (ic, block)
     }
 
     /// The ASIDs among 1–3 that compiled blocks at `va` are served to at
@@ -823,37 +598,16 @@ mod tests {
         (1..=3).filter(|&asid| serves(ic, mem, asid, va, false)).collect()
     }
 
-    fn lend(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<LentBlock> {
-        ic.jit_lend(mem, 0, 1, ExceptionLevel::El0, va, true, false, tlb_gen)
-    }
-
-    /// Lend and return the block at `va` until its memo slot admits it;
-    /// returns the block's address.
-    fn admit(ic: &mut ICache, mem: &PhysMem, va: u64) -> *const CompiledBlock {
-        let first = lend(ic, mem, va, 1).expect("served");
-        assert!(first.slot.is_none(), "a first lookup only records its key");
-        let ptr = Arc::as_ptr(&first.block);
-        ic.jit_return(first);
-        let second = lend(ic, mem, va, 1).expect("served");
-        assert_eq!(second.slot, Some((va >> 2) as usize & (MEMO_SLOTS - 1)), "a repeated lookup is admitted");
-        ic.jit_return(second);
-        ptr
-    }
-
     #[test]
-    fn memo_hits_serve_the_page_entrys_block() {
+    fn jit_block_serves_the_stored_block() {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
-        let mut ic = armed_with_block(&mem, 0x1000, pa, false);
-        let ptr = admit(&mut ic, &mem, 0x1000);
-        // A hit (debug builds cross-check it against `jit_block`) lends
-        // the very same block out of the slot.
-        let hit = lend(&mut ic, &mem, 0x1000, 1).expect("memo hit");
-        assert_eq!(Arc::as_ptr(&hit.block), ptr);
-        assert!(ic.memo.as_deref().is_some_and(|m| m[hit.slot.expect("admitted")].block.is_none()), "lent out");
-        ic.jit_return(hit);
-        assert!(lend(&mut ic, &mem, 0x1000, 2).is_none(), "another TLB generation must miss");
-        assert!(lend(&mut ic, &mem, 0x1004, 1).is_none(), "no block starts at the next slot");
+        let (mut ic, block) = armed_with_block(&mem, 0x1000, pa, false);
+        let (again, lowered) = lookup(&mut ic, &mem, 0x1000, 1).expect("served");
+        assert!(Arc::ptr_eq(&again, &block) && !lowered, "a second lookup serves the stored block");
+        assert!(lookup(&mut ic, &mem, 0x1000, 2).is_none(), "another TLB generation must miss");
+        let (next, lowered) = lookup(&mut ic, &mem, 0x1004, 1).expect("the page is armed");
+        assert!(lowered && !Arc::ptr_eq(&next, &block), "the next slot lowers its own block");
     }
 
     #[test]
@@ -864,49 +618,9 @@ mod tests {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let mut ic = recorded(&mem, 0x1000, pa, false);
-        let (block, block_pa, _) =
-            ic.compile(&mem, 0, 1, ExceptionLevel::El0, 0x1ff8, true, false, 1, 1).expect("lowers");
-        assert_eq!((block.total, block_pa), (2, pa), "two words left in the page");
-    }
-
-    #[test]
-    fn memo_admits_only_repeated_lookups() {
-        // Alternating ASIDs on one global page that does not head its L1
-        // slot: each arm covers one ASID, each lookup records its key
-        // over the other's, so neither is ever admitted.
-        let mut mem = PhysMem::new();
-        let pa = nop_frame(&mut mem);
-        let va = 0x1000;
-        let mut ic = armed_with_block(&mem, va, pa, true);
-        for asid in [1, 2, 1, 2] {
-            ic.record(&mem, 0, asid, va, seed_info(None, pa), 1, None);
-            let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
-            assert_eq!(lent.slot, None, "ASID {asid}: alternating lookups must not be admitted");
-            ic.jit_return(lent);
-        }
-    }
-
-    #[test]
-    fn memo_admits_every_asid_entry_under_alternating_asids() {
-        // A global entry that heads its L1 slot is armed once for every
-        // ASID: alternating lookups are repeats, the second one admits
-        // the block, and later ones hit it without re-arming.
-        let mut mem = PhysMem::new();
-        let pa = nop_frame(&mut mem);
-        let va = 0x1000;
-        let mut ic = ICache::new(16);
-        ic.record(&mem, 0, 1, va, seed_info(None, pa), 1, Some(seed_info(None, pa).snapshot));
-        assert!(ic.compile(&mem, 0, 1, ExceptionLevel::El0, va, true, false, 1, 1).is_some(), "a NOP lowers");
-        let epoch = ic.epoch;
-        let mut block = None;
-        for (i, asid) in [1u16, 2, 1, 3, 2].into_iter().enumerate() {
-            let lent = ic.jit_lend(&mem, 0, asid, ExceptionLevel::El0, va, true, false, 1).expect("served");
-            assert_eq!(lent.slot.is_some(), i > 0, "ASID {asid}: lookup {i} under another ASID is a repeat");
-            assert_eq!(*block.get_or_insert(Arc::as_ptr(&lent.block)), Arc::as_ptr(&lent.block));
-            ic.jit_return(lent);
-        }
-        assert_eq!(served_asids(&mut ic, &mem, va), [1, 2, 3]);
-        assert_eq!(ic.epoch, epoch, "serving other ASIDs re-armed nothing");
+        let (block, block_pa, _, lowered) =
+            ic.jit_block(&mem, 0, 1, ExceptionLevel::El0, 0x1ff8, true, false, 1, 1).expect("lowers");
+        assert_eq!((block.total, block_pa, lowered), (2, pa, true), "two words left in the page");
     }
 
     #[test]
@@ -937,29 +651,21 @@ mod tests {
     }
 
     #[test]
-    fn memo_misses_after_mutations() {
+    fn jit_block_misses_after_mutations() {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let va = 0x1000;
         for (i, what) in ["invalidation", "re-arm for another ASID", "code write"].iter().enumerate() {
             // A global entry armed for one ASID, so that it can be
             // re-armed for ASID 2.
-            let mut ic = armed_with_block(&mem, va, pa, true);
-            admit(&mut ic, &mem, va);
+            let (mut ic, _) = armed_with_block(&mem, va, pa, true);
             match i {
                 0 => ic.invalidate_va(0, va),
                 1 => ic.record(&mem, 0, 2, va, seed_info(None, pa), 1, None),
                 _ => assert!(mem.write(pa, NOP, 4)),
             }
-            assert!(lend(&mut ic, &mem, va, 1).is_none(), "{what} must retire the memo slot");
+            assert!(lookup(&mut ic, &mem, va, 1).is_none(), "{what} must refuse the stored block");
         }
-    }
-
-    #[test]
-    fn memo_stays_small() {
-        // The memo is allocated per core on first dispatch; keep it within
-        // one page of host memory.
-        assert!(std::mem::size_of::<[MemoSlot; MEMO_SLOTS]>() <= 4096);
     }
 
     #[test]

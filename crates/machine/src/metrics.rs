@@ -116,8 +116,11 @@ impl WalkStats {
 pub struct FastStats {
     /// Data accesses served by the micro-DTLB (replayed as free L1 hits).
     pub dtlb_hits: u64,
-    /// Compiled blocks completed (each exit covers one straight-line run
-    /// of instructions executed without per-instruction fetches).
+    /// Compiled dispatches completed: one per return from
+    /// `Machine::step_jit`, however often its block re-entered in place,
+    /// so `jit_blocks - jit_loops` unless a host panic cut a block short.
+    /// The `repro stats` report and the `benchmark/` harness read it
+    /// under this name.
     pub superblock_exits: u64,
     /// Always 0: every TLB miss walks, and no report prints this. The
     /// field stays because the `benchmark/` harness still reads it.
@@ -134,8 +137,8 @@ pub struct FastStats {
     /// start, taken with the budget for another whole block left, runs
     /// the block again without a dispatch (see `Machine::step_jit`).
     pub jit_loops: u64,
-    /// Runs of code lowered to compiled blocks (each counts once, at
-    /// compile time).
+    /// Runs of code lowered to compiled blocks (each counts once, when
+    /// `ICache::jit_block` lowers it).
     pub jit_compiled: u64,
 }
 

@@ -445,37 +445,15 @@ impl Tlb {
         *slot = DtlbSlot { gen, vpn, pa_page, vmid, asid, el, pan, unpriv, s1_enabled, read: !write, write };
     }
 
-    /// Lend out the compiled block for the fetch at `va` (see
-    /// [`crate::jit`] and `ICache::jit_lend`). Served only when armed at
+    /// The compiled block for the fetch at `va`, served or lowered by
+    /// `ICache::jit_block` (see [`crate::jit`]) and counted in
+    /// `FastStats::jit_compiled` when lowered. Served only when armed at
     /// the *current* generation, so any TLBI, insert, or promotion since
     /// arming refuses service until a recorded fetch re-arms the page.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub(crate) fn jit_lend(
-        &mut self,
-        mem: &crate::PhysMem,
-        vmid: u16,
-        asid: u16,
-        el: ExceptionLevel,
-        va: u64,
-        s1_enabled: bool,
-        wxn: bool,
-    ) -> Option<crate::icache::LentBlock> {
-        let gen = self.gen;
-        self.icache.jit_lend(mem, vmid, asid, el, va, s1_enabled, wxn, gen)
-    }
-
-    /// Hand a block from [`Self::jit_lend`] back to the dispatch memo.
-    #[inline]
-    pub(crate) fn jit_return(&mut self, lent: crate::icache::LentBlock) {
-        self.icache.jit_return(lent);
-    }
-
-    /// Lower the code at `va` and store it in its icache page entry (see
-    /// `ICache::compile`), validated at the current generation.
     /// Returns the block and its backing `(pa_page, frame_version)`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn jit_compile(
+    #[inline]
+    pub(crate) fn jit_block(
         &mut self,
         mem: &crate::PhysMem,
         vmid: u16,
@@ -486,10 +464,10 @@ impl Tlb {
         wxn: bool,
         insn_base: u64,
     ) -> Option<(std::sync::Arc<crate::jit::CompiledBlock>, u64, u64)> {
-        let gen = self.gen;
-        let compiled = self.icache.compile(mem, vmid, asid, el, va, s1_enabled, wxn, gen, insn_base)?;
-        self.fast.jit_compiled += 1;
-        Some(compiled)
+        let (block, pa_page, frame_version, lowered) =
+            self.icache.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, self.gen, insn_base)?;
+        self.fast.jit_compiled += u64::from(lowered);
+        Some((block, pa_page, frame_version))
     }
 
     /// Count one compiled-block execution (host-side observability only).
@@ -529,7 +507,8 @@ impl Tlb {
         self.icache.count_hits(n);
     }
 
-    /// Count one completed compiled block (host-side observability only).
+    /// Count one completed compiled dispatch (host-side observability
+    /// only).
     #[inline]
     pub(crate) fn count_superblock_exit(&mut self) {
         self.fast.superblock_exits += 1;

@@ -41,6 +41,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Reruns and comparison copies go in one private directory, removed on
+# exit, so that two checkouts can run this script side by side.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -100,8 +105,8 @@ print(f"stats JSON ok: {len(report)} sections")
 
 echo "== repro smp -> BENCH_smp_scaling.json (schema + determinism + replay) =="
 ./target/release/repro smp --json > BENCH_smp_scaling.json
-./target/release/repro smp --json > /tmp/smp_rerun.json
-LZ_PARALLEL=0 ./target/release/repro smp --json > /tmp/smp_replay.json
+./target/release/repro smp --json > "$scratch/smp_rerun.json"
+LZ_PARALLEL=0 ./target/release/repro smp --json > "$scratch/smp_replay.json"
 # The top-level "host" object carries wall-clock nanoseconds, which no
 # two runs reproduce; every modelled field must still match byte for
 # byte — between reruns AND between the host-threaded backend and
@@ -109,14 +114,14 @@ LZ_PARALLEL=0 ./target/release/repro smp --json > /tmp/smp_replay.json
 strip_host() {
     python3 -c 'import json,sys; r=json.load(open(sys.argv[1])); r.pop("host",None); print(json.dumps(r,sort_keys=True))' "$1"
 }
-strip_host BENCH_smp_scaling.json > /tmp/smp_a.json
-strip_host /tmp/smp_rerun.json > /tmp/smp_b.json
-strip_host /tmp/smp_replay.json > /tmp/smp_c.json
-cmp /tmp/smp_a.json /tmp/smp_b.json || {
+strip_host BENCH_smp_scaling.json > "$scratch/smp_a.json"
+strip_host "$scratch/smp_rerun.json" > "$scratch/smp_b.json"
+strip_host "$scratch/smp_replay.json" > "$scratch/smp_c.json"
+cmp "$scratch/smp_a.json" "$scratch/smp_b.json" || {
     echo "SMP run is not byte-reproducible (modelled fields)" >&2
     exit 1
 }
-cmp /tmp/smp_a.json /tmp/smp_c.json || {
+cmp "$scratch/smp_a.json" "$scratch/smp_c.json" || {
     echo "SMP parallel run diverges from LZ_PARALLEL=0 replay" >&2
     exit 1
 }
@@ -169,17 +174,17 @@ echo "== host speed: benchmark/ alu_jit + nvm_scan + fleet_serve at seed 1 (gold
 # makes the run exit 1 and report "correct": false. The floors are about
 # half the median scaled sim_mips of five runs on a 2-vCPU x86-64 KVM
 # guest (alu_jit 421, nvm_scan 149 MIPS, with hot loops re-entering
-# their compiled block in place; fleet_serve's floor of 18 dates from a
-# median of 37, and it read 40).
+# their compiled block in place; fleet_serve 41, with one compiled-block
+# lookup per dispatch).
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload alu_jit --workload nvm_scan --workload fleet_serve --seed 1 > /tmp/host_speed.out
-tail -n 1 /tmp/host_speed.out | python3 -c '
+    --workload alu_jit --workload nvm_scan --workload fleet_serve --seed 1 > "$scratch/host_speed.out"
+tail -n 1 "$scratch/host_speed.out" | python3 -c '
 import json, sys
 report = json.load(sys.stdin)
 failed = report["failed"]
 assert report["correct"] is True, "benchmark output checks failed (golden modelled outputs)"
 assert failed == 0, f"{failed} failed ops"
-for workload, floor in (("alu_jit", 210), ("nvm_scan", 74), ("fleet_serve", 18)):
+for workload, floor in (("alu_jit", 210), ("nvm_scan", 74), ("fleet_serve", 20)):
     mips = report["metrics"][f"{workload}.sim_mips"]["value"]
     assert mips >= floor, f"{workload}: host speed regressed: {mips:.1f} MIPS < {floor}"
     print(f"  {workload}: {mips:.1f} MIPS, floor {floor}")
@@ -190,13 +195,13 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== repro chaos -> BENCH_chaos_soak.json (soak + determinism + reference engine) =="
 ./target/release/repro chaos --json > BENCH_chaos_soak.json
-./target/release/repro chaos --json > /tmp/chaos_rerun.json
-cmp BENCH_chaos_soak.json /tmp/chaos_rerun.json || {
+./target/release/repro chaos --json > "$scratch/chaos_rerun.json"
+cmp BENCH_chaos_soak.json "$scratch/chaos_rerun.json" || {
     echo "chaos soak is not byte-reproducible" >&2
     exit 1
 }
-LZ_ACCEL=0 ./target/release/repro chaos --json > /tmp/chaos_reference.json
-cmp BENCH_chaos_soak.json /tmp/chaos_reference.json || {
+LZ_ACCEL=0 ./target/release/repro chaos --json > "$scratch/chaos_reference.json"
+cmp BENCH_chaos_soak.json "$scratch/chaos_reference.json" || {
     echo "chaos soak diverges on the reference interpreter (LZ_ACCEL=0)" >&2
     exit 1
 }
@@ -219,8 +224,8 @@ cat BENCH_chaos_soak.json
 
 echo "== repro attacks -> BENCH_attack_corpus.json (corpus gate + determinism) =="
 ./target/release/repro attacks --json > BENCH_attack_corpus.json
-./target/release/repro attacks --json > /tmp/attacks_rerun.json
-cmp BENCH_attack_corpus.json /tmp/attacks_rerun.json || {
+./target/release/repro attacks --json > "$scratch/attacks_rerun.json"
+cmp BENCH_attack_corpus.json "$scratch/attacks_rerun.json" || {
     echo "attack corpus is not byte-reproducible" >&2
     exit 1
 }
@@ -250,13 +255,13 @@ cat BENCH_attack_corpus.json
 
 echo "== repro fleet -> BENCH_fleet.json (latency floors + determinism + replay) =="
 ./target/release/repro fleet --json > BENCH_fleet.json
-./target/release/repro fleet --json > /tmp/fleet_rerun.json
-cmp BENCH_fleet.json /tmp/fleet_rerun.json || {
+./target/release/repro fleet --json > "$scratch/fleet_rerun.json"
+cmp BENCH_fleet.json "$scratch/fleet_rerun.json" || {
     echo "fleet benchmark is not byte-reproducible" >&2
     exit 1
 }
-LZ_PARALLEL=0 ./target/release/repro fleet --json > /tmp/fleet_replay.json
-cmp BENCH_fleet.json /tmp/fleet_replay.json || {
+LZ_PARALLEL=0 ./target/release/repro fleet --json > "$scratch/fleet_replay.json"
+cmp BENCH_fleet.json "$scratch/fleet_replay.json" || {
     echo "fleet benchmark diverges from LZ_PARALLEL=0 replay" >&2
     exit 1
 }
@@ -296,13 +301,13 @@ cat BENCH_fleet.json
 
 echo "== repro recovery -> BENCH_recovery.json (soak floors + determinism + replay) =="
 ./target/release/repro recovery --json > BENCH_recovery.json
-./target/release/repro recovery --json > /tmp/recovery_rerun.json
-cmp BENCH_recovery.json /tmp/recovery_rerun.json || {
+./target/release/repro recovery --json > "$scratch/recovery_rerun.json"
+cmp BENCH_recovery.json "$scratch/recovery_rerun.json" || {
     echo "recovery soak is not byte-reproducible" >&2
     exit 1
 }
-LZ_PARALLEL=0 ./target/release/repro recovery --json > /tmp/recovery_replay.json
-cmp BENCH_recovery.json /tmp/recovery_replay.json || {
+LZ_PARALLEL=0 ./target/release/repro recovery --json > "$scratch/recovery_replay.json"
+cmp BENCH_recovery.json "$scratch/recovery_replay.json" || {
     echo "recovery soak diverges from LZ_PARALLEL=0 replay" >&2
     exit 1
 }

@@ -21,8 +21,9 @@
 //! TTBR/ASID domain switching over global and non-global pages, gate
 //! switches with and without a TLBI per switch, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
-//! JIT dispatch memo's epoch sources, one code VA mapped global for one
-//! ASID and non-global for another in both fill orders, quantum
+//! invalidation sources the compiled-block lookup must honour, one code
+//! VA mapped global for one ASID and non-global for another in both fill
+//! orders, quantum
 //! edges at every offset inside a block, and hot loops that stay in one
 //! block: side exits, in-place re-entry, and the self-patching and
 //! page-walking loops that must refuse it.
@@ -1041,7 +1042,7 @@ fn walk_config_memo_matches_live_regs_exhaustively() {
 }
 
 // ---------------------------------------------------------------------
-// Compiled loads/stores, branch terminals and the JIT dispatch memo
+// Compiled loads/stores, branch terminals and block invalidation
 // (DESIGN.md §13.1–§13.3)
 // ---------------------------------------------------------------------
 
@@ -1706,10 +1707,14 @@ fn two_side_exits_in_one_looping_block_agree() {
     assert!(fast.jit_loops >= 15, "phases 2 and 3 re-enter in place: {fast:?}");
 }
 
-// --- dispatch-memo epoch sources ---------------------------------------
+// --- invalidation sources `jit_block` honours ---------------------------
+//
+// The `jit_memo_*` names date from a dispatch memo that once sat in front
+// of `jit_block`; each scenario now pins one source of invalidation that
+// the compiled-block lookup itself must honour.
 
-/// The hot subroutine every memo scenario runs before and after the
-/// mutation under test: `movz x0, #200` at `HOT`, then the loop at
+/// The hot subroutine every invalidation scenario runs before and after
+/// the mutation under test: `movz x0, #200` at `HOT`, then the loop at
 /// `HOT_TOP` (same page as the main routine).
 const HOT: u64 = CODE + 0x800;
 const HOT_TOP: u64 = HOT + 4;
@@ -1728,7 +1733,7 @@ const STUB_PAGES: u64 = 72;
 /// first round compiles every block the second one runs, so no block is
 /// compiled between the second round's last hot dispatch and the host's
 /// mutation at its `svc #1`.
-fn memo_program() -> Vec<u8> {
+fn hot_page_program() -> Vec<u8> {
     let mut a = Asm::new(CODE);
     a.mov_imm64(19, DATA);
     a.movz(5, 2, 0);
@@ -1774,27 +1779,27 @@ fn memo_program() -> Vec<u8> {
 }
 
 /// Run the guest routine at `pc` to its `svc #2` (host-side, between the
-/// phases of a memo scenario).
+/// phases of an invalidation scenario).
 fn run_routine(m: &mut Machine, pc: u64) {
     m.enter(PState::user(), pc);
     assert_eq!(m.run(100_000), Exit::El2(ExceptionClass::Svc));
     assert_eq!(lz_arch::esr::esr_imm(m.sysreg(SysReg::ESR_EL2)), 2);
 }
 
-/// Run one memo scenario on both engines: run both main-routine rounds to the
-/// second `svc #1`, apply the `host` mutation, then re-enter the hot loop
-/// *directly* at `HOT_TOP` (returning into the main routine, which exits), so
-/// the first dispatch after the mutation is a PC whose memo slot the
-/// second round filled. On the accelerated engine compiled blocks must run
-/// in every round; `x3` is the loop's expected final sum (200 × its
-/// immediate, per round).
-fn memo_scenario(
+/// Run one invalidation scenario on both engines: run both main-routine
+/// rounds to the second `svc #1`, apply the `host` mutation, then re-enter
+/// the hot loop *directly* at `HOT_TOP` (returning into the main routine,
+/// which exits), so the first dispatch after the mutation is a PC whose
+/// stored block the second round ran. On the accelerated engine compiled
+/// blocks must run in every round; `x3` is the loop's expected final sum
+/// (200 × its immediate, per round).
+fn invalidation_scenario(
     ctx: &str,
     x3: u64,
     build: impl Fn(&[u8]) -> Machine,
     host: impl Fn(&mut Machine),
 ) -> lz_machine::metrics::FastStats {
-    let code = memo_program();
+    let code = hot_page_program();
     both_engines(
         ctx,
         || build(&code),
@@ -1830,9 +1835,9 @@ fn plain_build(code: &[u8]) -> Machine {
 
 #[test]
 fn jit_memo_block_store_agrees() {
-    // Compiling a new block in the hot page stores it there and bumps the
-    // epoch, so the memo refills its slots.
-    memo_scenario("memo: block store", 4200, plain_build, |m| {
+    // Lowering a new block in the hot page stores it beside the hot
+    // loop's, which `jit_block` keeps serving.
+    invalidation_scenario("jit_block: block store", 4200, plain_build, |m| {
         let compiled = m.tlb.fast_stats().jit_compiled;
         run_routine(m, FRESH);
         assert!(!m.accel() || m.tlb.fast_stats().jit_compiled > compiled, "FRESH compiled no block");
@@ -1843,8 +1848,8 @@ fn jit_memo_block_store_agrees() {
 fn jit_memo_eviction_agrees() {
     // Capacity eviction driven by the guest (calls into 72 stub pages,
     // which also fill the TLB), and by host-side icache fills alone
-    // (which leave the TLB generation alone, so only the epoch retires
-    // the memo slots of the evicted hot page).
+    // (which leave the TLB generation alone, so only the dropped page
+    // entry keeps `jit_block` from serving the hot page's blocks).
     let build = |code: &[u8]| {
         let mut m = plain_build(code);
         let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
@@ -1858,12 +1863,12 @@ fn jit_memo_eviction_agrees() {
         }
         m
     };
-    memo_scenario("memo: eviction by the guest", 4200, build, |m| {
+    invalidation_scenario("jit_block: eviction by the guest", 4200, build, |m| {
         let before = m.tlb.icache().eviction_count();
         run_routine(m, EVICT);
         assert!(!m.accel() || m.tlb.icache().eviction_count() > before, "the icache never evicted");
     });
-    memo_scenario("memo: eviction by icache fills", 4200, plain_build, |m| {
+    invalidation_scenario("jit_block: eviction by icache fills", 4200, plain_build, |m| {
         let before = m.tlb.icache().eviction_count();
         let pa = m.mem.alloc_frame();
         for i in 0..STUB_PAGES {
@@ -1876,10 +1881,10 @@ fn jit_memo_eviction_agrees() {
 #[test]
 fn jit_memo_tlbi_agrees() {
     // Every TLBI scope, then the same scopes as icache-only maintenance,
-    // which leaves the TLB generation alone so that only the epoch
-    // retires the memo slots.
+    // which leaves the TLB generation alone so that only the dropped
+    // page entries keep `jit_block` from serving the hot page's blocks.
     for scope in 0..8 {
-        memo_scenario(&format!("memo: TLBI scope {scope}"), 4200, plain_build, |m| match scope {
+        invalidation_scenario(&format!("jit_block: TLBI scope {scope}"), 4200, plain_build, |m| match scope {
             0 => m.tlb.invalidate_va(0, HOT),
             1 => m.tlb.invalidate_asid(0, 1),
             2 => m.tlb.invalidate_vmid(0),
@@ -1895,9 +1900,9 @@ fn jit_memo_tlbi_agrees() {
 #[test]
 fn jit_memo_tlb_generation_agrees() {
     // A TLB fill for an unrelated page moves the TLB generation without
-    // touching the icache: the memo's generation tag must retire its
-    // slots (`jit_block` refuses the stale arm, and the fetch re-arms).
-    memo_scenario("memo: TLB generation", 4200, plain_build, |m| {
+    // touching the icache: `jit_block` refuses the stale arm, and the
+    // fetch re-arms.
+    invalidation_scenario("jit_block: TLB generation", 4200, plain_build, |m| {
         let ctx = lz_machine::walk::AccessCtx { el: lz_arch::pstate::ExceptionLevel::El0, pan: false, unpriv: false };
         let gen = m.tlb.generation();
         assert!(m.probe(DATA + 0x1000, lz_machine::Access::Read, &ctx).is_ok());
@@ -1931,14 +1936,15 @@ fn jit_memo_rearm_under_new_asid_agrees() {
         m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, root));
     };
     // The global code entry heads its L1 TLB slot, so it is armed once
-    // for every ASID: the step under ASID 2 re-arms nothing, and the
-    // memo keeps serving ASID 1 the slots the first phase filled.
-    let every = memo_scenario("memo: ASID switch over an every-ASID arm", 4200, global_build, step_under_asid_2);
+    // for every ASID: the step under ASID 2 re-arms nothing, and
+    // `jit_block` keeps serving ASID 1 the blocks the first phase stored.
+    let every =
+        invalidation_scenario("jit_block: ASID switch over an every-ASID arm", 4200, global_build, step_under_asid_2);
     // A host-inserted non-global TLB entry of ASID 3 heads the code
     // page's L1 slot, so ASID 1's global entry lands behind it and the
     // icache entry is armed for one ASID at a time. The step under ASID
-    // 2 re-arms it for ASID 2; back under ASID 1, only the arm's epoch
-    // bump keeps the memo from serving the slots the first phase filled.
+    // 2 re-arms it for ASID 2; back under ASID 1, only the arm's ASID
+    // keeps `jit_block` from serving the blocks the first phase stored.
     let shadowed_build = |code: &[u8]| {
         let mut m = global_build(code);
         let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
@@ -1947,7 +1953,7 @@ fn jit_memo_rearm_under_new_asid_agrees() {
         m.tlb.insert(0, HOT, lz_machine::tlb::TlbEntry { s1: S1Perms { global: false, ..perms }, ..entry });
         m
     };
-    let rearm = memo_scenario("memo: re-arm under a new ASID", 4200, shadowed_build, step_under_asid_2);
+    let rearm = invalidation_scenario("jit_block: re-arm under a new ASID", 4200, shadowed_build, step_under_asid_2);
     assert!(
         rearm.jit_stepped > every.jit_stepped,
         "only the shadowed page re-arms, and single-steps the first dispatch after: {} vs {}",
@@ -1972,8 +1978,8 @@ enum Shadow {
 /// entry once the code is resident. Runs `steps` on both engines, which
 /// must agree, and checks the loop sums of the runs. The third run in a
 /// row under ASID 1 is the first that changes nothing in the icache, so
-/// the hot loop it admits into the dispatch memo is still there when
-/// the next run starts.
+/// the hot loop's block and arm it leaves are still there when the next
+/// run starts.
 fn shadowed_code_agrees(steps: &[Shadow], sums: &[u64]) {
     let bodies = [1u16, 2].map(|tag| {
         let mut a = Asm::new(CODE);
@@ -2044,8 +2050,8 @@ fn jit_memo_non_global_entry_ahead_of_global_agrees() {
     use Shadow::*;
     // ASID 2 runs first, so its icache entry and its L1 TLB entry both
     // come before the global ones ASID 1 adds. ASID 1's hot loop is
-    // admitted into the dispatch memo for ASID 1 alone; back under ASID
-    // 2, the fetch finds ASID 2's own entry and runs its own frame.
+    // served from an entry armed for ASID 1 alone; back under ASID 2,
+    // the fetch finds ASID 2's own entry and runs its own frame.
     shadowed_code_agrees(&[Run(2), Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 400]);
     // ASID 2's icache entry behind the global one, its L1 TLB entry
     // ahead: the TLB lookup decides, so ASID 2 still runs its own frame,
@@ -2059,7 +2065,7 @@ fn jit_memo_global_entry_ahead_of_non_global_agrees() {
     use Shadow::*;
     // The reverse fill order: ASID 1's global entry heads the L1 slot
     // and its icache page, is armed for every ASID, and its hot loop is
-    // admitted for every ASID. ASID 2's TLB lookup then hits that global
+    // served to every ASID. ASID 2's TLB lookup then hits that global
     // entry, so both engines run the global frame under ASID 2 too — the
     // architectural outcome of a global mapping shadowing a non-global
     // one, until a TLBI drops it.
@@ -2067,9 +2073,8 @@ fn jit_memo_global_entry_ahead_of_non_global_agrees() {
     // The global L1 entry ahead, ASID 2's icache entry ahead of the
     // global one: ASID 2's fetch finds its own entry, whose snapshot the
     // TLB no longer returns, and walks to the global frame. The global
-    // entry is armed for one ASID at a time, so the memo never serves it
-    // under ASID 2 where `jit_block` would not (debug builds assert this
-    // on every memo hit).
+    // entry is armed for one ASID at a time, so `jit_block` never serves
+    // its blocks under ASID 2 before a fetch under ASID 2 re-arms it.
     shadowed_code_agrees(&[Run(2), EvictTlb, Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 200]);
 }
 
@@ -2167,7 +2172,7 @@ fn tlbi_per_switch_gate_loop_agrees() {
 
 #[test]
 fn jit_memo_physical_code_patch_agrees() {
-    memo_scenario("memo: physical code patch", 2 * 1400 + 200 * 11, plain_build, |m| {
+    invalidation_scenario("jit_block: physical code patch", 2 * 1400 + 200 * 11, plain_build, |m| {
         // Rewrite the hot loop's `add x3, x3, #7` in place: same frame,
         // no TLB maintenance.
         let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));

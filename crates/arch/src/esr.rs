@@ -6,7 +6,7 @@
 //! handlers do.
 
 /// Exception class — the `EC` field (bits 31..26) of `ESR_ELx`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ExceptionClass {
     /// Unknown/unallocated instruction (EC 0b000000).
     Unknown,

@@ -28,8 +28,7 @@ use lightzone::pgt::{perm, PGT_ALL};
 use lightzone::{AblationConfig, LightZone, LzProgram};
 use lz_arch::asm::Asm;
 use lz_arch::{Platform, PAGE_SIZE};
-use lz_kernel::kvm::VmidAllocator;
-use lz_kernel::{Event, VmProt};
+use lz_kernel::{Event, IdAlloc, VmProt};
 
 /// Program text base (shared with the chaos program generators).
 pub const CODE: u64 = 0x40_0000;
@@ -494,7 +493,7 @@ fn run_exit(lz: &mut LightZone) -> i64 {
 /// the dead VE's page and the attacker exits with its secret.
 pub fn rollover_attack(platform: Platform, ablation: AblationConfig, cores: usize) -> RolloverOutcome {
     let mut lz = LightZone::with_ablation(platform, false, ablation);
-    lz.kernel.vmids = VmidAllocator::with_space(ROLLOVER_VMID_SPACE);
+    lz.kernel.vmids = IdAlloc::with_space(ROLLOVER_VMID_SPACE);
     if cores > 1 {
         lz.kernel.machine.configure_smp(cores);
     }
@@ -628,7 +627,7 @@ pub fn restore_donor_prog() -> LzProgram {
 ///    stale data entry.
 pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize) -> RestoreOutcome {
     let mut lz = LightZone::with_ablation(platform, false, ablation);
-    lz.kernel.vmids = VmidAllocator::with_space(ROLLOVER_VMID_SPACE);
+    lz.kernel.vmids = IdAlloc::with_space(ROLLOVER_VMID_SPACE);
     if cores > 1 {
         lz.kernel.machine.configure_smp(cores);
     }

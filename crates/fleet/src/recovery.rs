@@ -37,8 +37,7 @@ use lightzone::gate::layout;
 use lightzone::module::VeSnapshot;
 use lightzone::{LightZone, SECURITY_KILL};
 use lz_arch::{Platform, PAGE_SIZE};
-use lz_kernel::kvm::VmidAllocator;
-use lz_kernel::{Pid, Sysno, VmProt};
+use lz_kernel::{IdAlloc, Pid, Sysno, VmProt};
 use lz_machine::fields;
 use lz_machine::json::{Json, Object};
 use lz_machine::{EventKind, Exit, FaultPlan, FaultSite};
@@ -284,7 +283,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
     // it whatever `LZ_METRICS` says.
     lz.kernel.machine.set_metrics(true);
     if let Some(space) = cfg.vmid_space {
-        lz.kernel.vmids = VmidAllocator::with_space(space);
+        lz.kernel.vmids = IdAlloc::with_space(space);
     }
     if cfg.cores > 1 {
         lz.kernel.machine.configure_smp(cfg.cores);

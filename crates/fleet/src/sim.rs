@@ -36,8 +36,7 @@ use lightzone::api::{LzAsm, LzProgram, LzProgramBuilder, RW, SAN_PAN, SAN_TTBR};
 use lightzone::gate::layout;
 use lightzone::LightZone;
 use lz_arch::{Platform, PAGE_SIZE};
-use lz_kernel::kvm::VmidAllocator;
-use lz_kernel::{Event, Pid, Sysno, VmProt};
+use lz_kernel::{Event, IdAlloc, Pid, Sysno, VmProt};
 use lz_machine::fields;
 use lz_machine::json::{Json, Object};
 use lz_workloads::FleetShape;
@@ -279,7 +278,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     assert!(cfg.cores >= 1 && cfg.tenants >= 1 && cfg.domains_per_tenant >= 1);
     let mut lz = LightZone::new_host(cfg.platform);
     if let Some(space) = cfg.vmid_space {
-        lz.kernel.vmids = VmidAllocator::with_space(space);
+        lz.kernel.vmids = IdAlloc::with_space(space);
     }
     if cfg.cores > 1 {
         lz.kernel.machine.configure_smp(cfg.cores);

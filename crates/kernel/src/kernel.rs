@@ -9,7 +9,6 @@
 //! hypervisor mode") and 2 ("guest user mode to guest kernel mode").
 
 use crate::idalloc::IdAlloc;
-use crate::kvm::VmidAllocator;
 use crate::process::{Pid, Process, Program, UserContext};
 use crate::syscall::{self, Sysno, CUSTOM_BASE};
 use crate::vma::{user_range, VmProt, Vma, VmaSource};
@@ -77,7 +76,12 @@ pub struct Kernel {
     /// hygiene: a recycled grant forces `shootdown_asid` before reuse.
     pub asids: IdAlloc,
     pub(crate) cur: Option<Pid>,
-    pub vmids: VmidAllocator,
+    /// VMIDs, recycled with rollover hygiene; VMID 0 stays reserved for
+    /// the host. A recycled grant's previous life may still tag live TLB
+    /// entries, so the caller must `invalidate_vmid`/`shootdown_vmid`
+    /// before programming it into `VTTBR_EL2`: invalidation happens at
+    /// reuse, not at free (see [`IdAlloc`]).
+    pub vmids: IdAlloc,
     pub stats: Stats,
     /// Set while [`Kernel::run_smp`] drives the machine: in-kernel
     /// thread rotation is suppressed (the SMP scheduler owns placement)
@@ -101,7 +105,7 @@ impl Kernel {
             next_pid: 1,
             asids: IdAlloc::new(),
             cur: None,
-            vmids: VmidAllocator::new(),
+            vmids: IdAlloc::new(),
             stats: Stats::default(),
             smp_mode: false,
             descheduled: false,
@@ -113,7 +117,7 @@ impl Kernel {
     /// exceptions exit the interpreter to this modelled kernel.
     pub fn new_guest(platform: Platform) -> Self {
         let mut machine = Machine::new(platform);
-        let mut vmids = VmidAllocator::new();
+        let mut vmids = IdAlloc::new();
         let vmid = match vmids.alloc() {
             Ok(grant) => grant.id,
             // A fresh allocator's first grant cannot fail.

@@ -1,5 +1,5 @@
-//! KVM-like virtualization layer: VMID allocation and world-switch cost
-//! paths.
+//! KVM-like virtualization layer: world-switch cost paths. VMIDs come
+//! from [`crate::Kernel::vmids`], an [`crate::IdAlloc`].
 //!
 //! The *full* world switch modelled here is what a conventional KVM (VHE)
 //! hypercall pays — Table 4 row 5. LightZone's optimized partial switches
@@ -7,71 +7,7 @@
 //! deferred system-register pages) live in the `lightzone` crate and are
 //! measured against this path by the ablation benchmarks.
 
-use crate::idalloc::{IdAlloc, IdExhausted, IdGrant};
 use lz_machine::Machine;
-
-/// Allocates 16-bit VMIDs with generation-tagged recycling (VMID 0 is
-/// reserved for the host). Fresh VMIDs are handed out until the 2^16
-/// space is exhausted; after that rollover, freed VMIDs are recycled
-/// oldest-first. A recycled grant's previous life may still tag live TLB
-/// entries, so the caller must `invalidate_vmid`/`shootdown_vmid` before
-/// programming a recycled VMID into `VTTBR_EL2` — see
-/// [`crate::idalloc::IdAlloc`].
-#[derive(Debug, Clone)]
-pub struct VmidAllocator {
-    ids: IdAlloc,
-}
-
-impl VmidAllocator {
-    /// Full 2^16 − 1 VMID space.
-    pub fn new() -> Self {
-        VmidAllocator { ids: IdAlloc::new() }
-    }
-
-    /// Restricted space `1..=space` — lets tests reach VMID rollover in a
-    /// few allocations instead of 65,535.
-    pub fn with_space(space: u16) -> Self {
-        VmidAllocator { ids: IdAlloc::with_space(space) }
-    }
-
-    /// Allocate a VMID. Errors (instead of the seed's panic) only when
-    /// every VMID in the space is simultaneously live.
-    pub fn alloc(&mut self) -> Result<IdGrant, IdExhausted> {
-        self.ids.alloc()
-    }
-
-    /// Return a dead VM's VMID for recycling. TLB entries tagged with it
-    /// may stay resident until the VMID is next granted.
-    pub fn free(&mut self, vmid: u16) {
-        self.ids.free(vmid);
-    }
-
-    /// VMIDs currently live.
-    pub fn live(&self) -> u64 {
-        self.ids.live()
-    }
-
-    /// Total recycled grants (each one forced a shoot-down at reuse).
-    pub fn recycles(&self) -> u64 {
-        self.ids.recycles()
-    }
-
-    /// Times the 16-bit space was exhausted and wrapped.
-    pub fn rollovers(&self) -> u64 {
-        self.ids.rollovers()
-    }
-
-    /// Current allocator generation.
-    pub fn generation(&self) -> u64 {
-        self.ids.generation()
-    }
-}
-
-impl Default for VmidAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Number of EL1 system registers a conventional world switch context-
 /// switches in each direction (SCTLR, TTBR0/1, TCR, MAIR, VBAR, ESR, FAR,
@@ -131,31 +67,6 @@ pub struct GuestVm {
 mod tests {
     use super::*;
     use lz_arch::Platform;
-
-    #[test]
-    fn vmids_are_unique_and_nonzero() {
-        let mut a = VmidAllocator::new();
-        let x = a.alloc().unwrap();
-        let y = a.alloc().unwrap();
-        assert_ne!(x.id, 0);
-        assert_ne!(x.id, y.id);
-        assert!(!x.recycled && !y.recycled);
-    }
-
-    #[test]
-    fn vmid_rollover_marks_recycled_grants() {
-        let mut a = VmidAllocator::with_space(2);
-        let x = a.alloc().unwrap();
-        let y = a.alloc().unwrap();
-        assert!(a.alloc().is_err(), "all live: typed exhaustion, no panic");
-        a.free(x.id);
-        a.free(y.id);
-        let r = a.alloc().unwrap();
-        assert_eq!((r.id, r.recycled), (x.id, true), "oldest freed VMID first");
-        assert_eq!(a.rollovers(), 1);
-        assert_eq!(a.recycles(), 1);
-        assert_eq!(r.generation, 1);
-    }
 
     #[test]
     fn full_switch_is_expensive_on_carmel() {

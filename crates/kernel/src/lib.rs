@@ -9,8 +9,8 @@
 //! * [`idalloc`] — the generation-tagged recycling allocator behind
 //!   VMIDs and ASIDs (rollover-correct: recycled IDs force TLB
 //!   invalidation at reuse),
-//! * [`kvm`] — the KVM-like virtualization layer: VMID allocation and the
-//!   world-switch cost paths (full switches for conventional VMs; the
+//! * [`kvm`] — the KVM-like virtualization layer: the world-switch
+//!   cost paths (full switches for conventional VMs; the
 //!   partial, optimized switches LightZone uses are in the `lightzone`
 //!   crate),
 //! * [`kernel`] — the [`Kernel`] itself, in host (VHE, EL2) or guest

@@ -12,7 +12,6 @@
 //! `hvc`) or also exit ([`Machine::set_el1_external`]) when the current
 //! EL1 software is a modelled guest kernel.
 
-use crate::fxhash::FxHashMap;
 use crate::mem::PhysMem;
 use crate::metrics::{EventKind, Journal, MachineMetrics, Section};
 use crate::tlb::Tlb;
@@ -23,7 +22,6 @@ use lz_arch::insn::{Barrier, Insn, LogicOp, MemSize};
 use lz_arch::pstate::{ExceptionLevel, Nzcv, PState};
 use lz_arch::sysreg::{hcr, sctlr, SysReg};
 use lz_arch::{CycleModel, Platform};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -138,7 +136,9 @@ pub struct Cpu {
     pub pc: u64,
     /// Process state.
     pub pstate: PState,
-    sysregs: FxHashMap<SysReg, u64>,
+    /// System registers, indexed by `SysReg as usize` (see
+    /// [`Machine::sysreg`]).
+    sysregs: [u64; SysReg::ALL.len()],
     /// Cycle counter.
     pub cycles: u64,
     /// Retired-instruction counter.
@@ -157,7 +157,7 @@ impl Cpu {
             sp_el1: 0,
             pc: 0,
             pstate: PState::reset(),
-            sysregs: FxHashMap::default(),
+            sysregs: [0; SysReg::ALL.len()],
             cycles: 0,
             insns: 0,
             watchpoints: [None; 4],
@@ -168,9 +168,7 @@ impl Cpu {
     /// A fresh secondary-core CPU booted with this core's system
     /// registers (the modelled firmware programs every core alike).
     pub(crate) fn fork_boot_state(&self) -> Cpu {
-        let mut cpu = Cpu::new();
-        cpu.sysregs = self.sysregs.clone();
-        cpu
+        Cpu { sysregs: self.sysregs, ..Cpu::new() }
     }
 
     /// Read register `i` as an operand (31 = xzr = 0).
@@ -244,10 +242,6 @@ pub struct Machine {
     /// Set while this machine is a per-core epoch shell: carries the
     /// core identity and the cross-core effects deferred to the barrier.
     pub(crate) epoch: Option<crate::smp::EpochCtx>,
-    /// Generation of the translation-regime system registers; bumped by
-    /// [`Machine::set_sysreg`] so [`Machine::walk_config`] can memoise.
-    pub(crate) cfg_gen: u64,
-    pub(crate) cfg_memo: Cell<Option<(u64, WalkConfig)>>,
     /// SMP state: parked cores and cross-core traffic counters. A
     /// default machine is single-core; see [`crate::smp`].
     pub(crate) smp: crate::smp::SmpState,
@@ -278,8 +272,6 @@ impl Machine {
             el1_external: false,
             parallel: default_parallel(),
             epoch: None,
-            cfg_gen: 0,
-            cfg_memo: Cell::new(None),
             smp: crate::smp::SmpState::default(),
             chaos: crate::chaos::ChaosState::default(),
             panic_after: None,
@@ -293,13 +285,6 @@ impl Machine {
     /// count. Test-only by construction; production code never arms it.
     pub fn set_panic_after(&mut self, threshold: Option<u64>) {
         self.panic_after = threshold;
-    }
-
-    /// Invalidate the translation-regime memo (a different core's
-    /// system registers just became live).
-    pub(crate) fn regime_changed(&mut self) {
-        self.cfg_gen += 1;
-        self.cfg_memo.set(None);
     }
 
     /// Choose the execution engine on every core: `true` runs compiled
@@ -434,8 +419,12 @@ impl Machine {
         let mut traps = Section::new("traps");
         let total: u64 = self.metrics.traps.values().sum();
         traps.push("total", total);
-        for (class, n) in &self.metrics.traps {
-            traps.push(class.clone(), *n);
+        // By class name, so the listing does not follow the enum's
+        // variant order.
+        let mut by_name: Vec<_> = self.metrics.traps.iter().map(|(class, &n)| (format!("{class:?}"), n)).collect();
+        by_name.sort();
+        for (name, n) in by_name {
+            traps.push(name, n);
         }
 
         let cpu = Section::new("cpu")
@@ -477,20 +466,17 @@ impl Machine {
         self.el1_external
     }
 
-    /// Read a system register (no cycle charge — model-internal).
+    /// Read a system register of the active core (no cycle charge —
+    /// model-internal). Every register reads 0 until first written.
     pub fn sysreg(&self, reg: SysReg) -> u64 {
-        self.cpu.sysregs.get(&reg).copied().unwrap_or(0)
+        self.cpu.sysregs[reg as usize]
     }
 
-    /// Write a system register (no cycle charge — model-internal).
+    /// Write a system register of the active core (no cycle charge —
+    /// model-internal). Nothing caches a register's value, so the next
+    /// [`Machine::walk_config`] or access already sees the write.
     pub fn set_sysreg(&mut self, reg: SysReg, value: u64) {
-        if matches!(
-            reg,
-            SysReg::TTBR0_EL1 | SysReg::TTBR1_EL1 | SysReg::SCTLR_EL1 | SysReg::HCR_EL2 | SysReg::VTTBR_EL2
-        ) {
-            self.cfg_gen += 1;
-        }
-        self.cpu.sysregs.insert(reg, value);
+        self.cpu.sysregs[reg as usize] = value;
     }
 
     /// Charge cycles to the CPU counter.
@@ -533,29 +519,19 @@ impl Machine {
         self.cpu.pc = pc;
     }
 
-    /// Current translation regime configuration from the live registers.
-    /// Memoised against [`Machine::set_sysreg`]'s regime generation: any
-    /// write to a regime register (host-side, interpreted `MSR`, or a
-    /// core switch) bumps `cfg_gen` and forces a rebuild, so a stale memo
-    /// is impossible — see `walk_config_memo_never_stale` in
-    /// `tests/differential.rs`.
+    /// The active core's translation regime, built from its live
+    /// registers on every call (five indexed loads), so no register write
+    /// or core switch leaves a cached copy to invalidate.
     pub fn walk_config(&self) -> WalkConfig {
-        if let Some((gen, cfg)) = self.cfg_memo.get() {
-            if gen == self.cfg_gen {
-                return cfg;
-            }
-        }
         let sctlr_el1 = self.sysreg(SysReg::SCTLR_EL1);
         let hcr_el2 = self.sysreg(SysReg::HCR_EL2);
-        let cfg = WalkConfig {
+        WalkConfig {
             ttbr0: self.sysreg(SysReg::TTBR0_EL1),
             ttbr1: self.sysreg(SysReg::TTBR1_EL1),
             s1_enabled: sctlr_el1 & sctlr::M != 0,
             wxn: sctlr_el1 & sctlr::WXN != 0,
             vttbr: if hcr_el2 & hcr::VM != 0 { Some(self.sysreg(SysReg::VTTBR_EL2)) } else { None },
-        };
-        self.cfg_memo.set(Some((self.cfg_gen, cfg)));
-        cfg
+        }
     }
 
     /// Translate a VA in the current context without executing anything
@@ -1125,10 +1101,13 @@ impl Machine {
             }
         }
 
+        // `NZCV` and `SP_EL0` live in PSTATE and the EL0 stack pointer,
+        // which EL0 execution reads, not in the register file.
         if is_read {
             self.charge(self.model.sysreg_read);
             let v = match reg {
                 SysReg::NZCV => self.cpu.pstate.nzcv.to_bits(),
+                SysReg::SP_EL0 => self.cpu.sp_el0,
                 _ => self.sysreg(reg),
             };
             self.cpu.set_reg(rt, v);
@@ -1137,6 +1116,7 @@ impl Machine {
             let v = self.cpu.reg(rt);
             match reg {
                 SysReg::NZCV => self.cpu.pstate.nzcv = Nzcv::from_bits(v),
+                SysReg::SP_EL0 => self.cpu.sp_el0 = v,
                 _ => self.set_sysreg(reg, v),
             }
             // An interpreted EL1 `MSR TTBR0_EL1` is a call-gate domain
@@ -1793,6 +1773,23 @@ mod tests {
         m.cpu.pstate = PState { el: ExceptionLevel::El1, pan: false, irq_masked: false, nzcv: Default::default() };
         let exit = m.run(100);
         assert_eq!(exit, Exit::El2(ExceptionClass::TrappedSysreg));
+    }
+
+    #[test]
+    fn every_sysreg_has_its_own_slot() {
+        let mut m = Machine::new(Platform::CortexA55);
+        assert!(SysReg::ALL.iter().all(|&r| m.sysreg(r) == 0), "a register read nonzero before its first write");
+        for (i, &reg) in SysReg::ALL.iter().enumerate() {
+            m.set_sysreg(reg, 0x1000 + i as u64);
+        }
+        // A secondary core boots with a copy of the register file.
+        m.configure_smp(2);
+        for core in [0, 1] {
+            m.switch_core(core);
+            for (i, &reg) in SysReg::ALL.iter().enumerate() {
+                assert_eq!(m.sysreg(reg), 0x1000 + i as u64, "core {core}: {reg} shares a slot");
+            }
+        }
     }
 
     #[test]

@@ -57,13 +57,15 @@
 //! permission, so a block may cover words no step has fetched.
 //!
 //! An entry is armed for the fetch's ASID, or for **every** ASID when
-//! three facts hold: its snapshot is global, it is the first entry at
-//! its EL in the page's list, and that global entry heads the page's L1
-//! TLB slot. While the TLB generation holds, L1 is frozen and an L1 slot
-//! holds at most one global entry, so every ASID's L1 lookup returns
-//! that head, and `entry_mut`'s find order picks this entry for every
-//! ASID. A gate switch that only changes the ASID therefore keeps
-//! global code (the gate page, unprotected memory) armed.
+//! two facts hold: its snapshot is global, and that global entry heads
+//! the page's L1 TLB slot. While the TLB generation holds, L1 is frozen
+//! and an L1 slot holds at most one global entry, so every ASID's L1
+//! lookup returns that head. Blocks are reached only through
+//! `entry_mut`'s find order: an ASID whose own entry precedes the
+//! global one in the page's list finds its own entry and never this
+//! one, and every other ASID finds this one. A gate switch that only
+//! changes the ASID therefore keeps global code (the gate page,
+//! unprotected memory) armed.
 
 use crate::fxhash::FxHashMap;
 use crate::jit::CompiledBlock;
@@ -175,8 +177,7 @@ impl ICache {
     /// `tlb_gen` if it is the one [`Self::entry_mut`] finds for `asid` —
     /// the entry that carries the live TLB entry (see the module docs).
     /// `l1_head` is the first entry of the page's L1 TLB slot. The arm
-    /// covers every ASID when the entry's snapshot is global, the entry
-    /// is the first at its EL in the page's list, and its snapshot heads
+    /// covers every ASID when the entry's snapshot is global and heads
     /// the L1 slot; otherwise it covers `asid` only.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
@@ -195,12 +196,11 @@ impl ICache {
         // `entry_mut`'s find order. Entries are unique per (ASID tag, EL),
         // so the entry it finds carries the live TLB entry exactly when it
         // is the one just filled.
-        let at_el = |e: &PageEntry| e.info.el == info.el;
-        if entries.iter().position(|e| at_el(e) && e.info.snapshot.asid.is_none_or(|a| a == asid)) != Some(i) {
+        let finds = |e: &PageEntry| e.info.el == info.el && e.info.snapshot.asid.is_none_or(|a| a == asid);
+        if entries.iter().position(finds) != Some(i) {
             return;
         }
-        let every_asid =
-            info.snapshot.asid.is_none() && entries.iter().position(at_el) == Some(i) && l1_head == Some(info.snapshot);
+        let every_asid = info.snapshot.asid.is_none() && l1_head == Some(info.snapshot);
         let e = &mut entries[i];
         (e.fast_gen, e.fast_asid) = (tlb_gen, if every_asid { None } else { Some(asid) });
     }
@@ -625,6 +625,11 @@ mod tests {
 
     #[test]
     fn global_entry_arms_every_asid_only_when_it_leads() {
+        // A global entry that heads its L1 slot is armed for every ASID,
+        // and serves every ASID that `entry_mut` leads to it. An ASID
+        // whose own entry comes first in the page's list (case 5's ASID
+        // 2) finds that entry instead, so it is never served from the
+        // global one.
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let va = 0x1000;
@@ -638,7 +643,7 @@ mod tests {
             (&[el1], Some(global), &[1, 2, 3]), // another EL's entry does not count
             (&[], None, &[1]),
             (&[], Some(own), &[1]), // ASID 2's L1 lookup returns its own entry
-            (&[seed_info(Some(2), pa)], Some(global), &[1]), // ASID 2's fetch finds its own entry first
+            (&[seed_info(Some(2), pa)], Some(global), &[1, 3]), // ASID 2 finds its own (unarmed) entry first
         ];
         for (i, (before, l1_head, served)) in cases.into_iter().enumerate() {
             let mut ic = ICache::new(16);

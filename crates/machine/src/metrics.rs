@@ -152,7 +152,7 @@ pub struct MachineMetrics {
     /// page table in the LightZone design).
     pub switches_by_asid: BTreeMap<u16, u64>,
     /// Exceptions taken by the interpreter, by exception class.
-    pub traps: BTreeMap<String, u64>,
+    pub traps: BTreeMap<ExceptionClass, u64>,
 }
 
 impl MachineMetrics {
@@ -164,12 +164,12 @@ impl MachineMetrics {
 
     /// Count one exception of the given class.
     pub fn trap(&mut self, class: ExceptionClass) {
-        *self.traps.entry(format!("{class:?}")).or_insert(0) += 1;
+        *self.traps.entry(class).or_insert(0) += 1;
     }
 
     /// Traps of one class counted so far.
     pub fn trap_count(&self, class: ExceptionClass) -> u64 {
-        self.traps.get(&format!("{class:?}")).copied().unwrap_or(0)
+        self.traps.get(&class).copied().unwrap_or(0)
     }
 
     /// Fold the counters accumulated by an epoch shell into this set

@@ -1,5 +1,5 @@
 //! The two integer mixers behind every seeded stream in the model: the
-//! chaos engine's decision streams, the SMP and scheduler interleavers,
+//! chaos engine's decision streams, the SMP scheduler's core rotation,
 //! the soak and attack-corpus seeds, and the fleet's arrival schedule.
 //! One copy of each keeps those streams in step with one another.
 

@@ -2,13 +2,12 @@
 //!
 //! Each core owns its architectural CPU state ([`Cpu`]) and its private
 //! translation caches ([`Tlb`], which embeds the compiled-block icache);
-//! all cores share one [`PhysMem`](crate::PhysMem). Execution is
-//! *interleaved*, never truly concurrent: exactly one core — the
-//! **active** core, whose state lives directly in
-//! [`Machine::cpu`]/[`Machine::tlb`] — executes at any moment, and
+//! all cores share one [`PhysMem`](crate::PhysMem). Outside an epoch
+//! exactly one core — the **active** core, whose state lives directly
+//! in [`Machine::cpu`]/[`Machine::tlb`] — executes, and
 //! [`Machine::switch_core`] swaps which one that is. This keeps every
-//! existing single-core call site working unchanged and makes N-core
-//! runs byte-reproducible: for a fixed schedule the interleaving is a
+//! existing single-core call site working unchanged. N-core runs are
+//! byte-reproducible: for a fixed schedule of epochs (below) a run is a
 //! pure function of the initial state.
 //!
 //! # Coherence model
@@ -42,8 +41,8 @@
 //!
 //! # Epochs: true parallel host execution
 //!
-//! [`Machine::run_epoch`] generalizes the interleaver: every core with
-//! a nonzero budget runs its quantum in a private *shell* machine (its
+//! [`Machine::run_epoch`] runs one quantum on every core at once: each
+//! core with a nonzero budget runs in a private *shell* machine (its
 //! own `Cpu`/`Tlb`/icache/JIT cache plus a copy-on-write
 //! [`PhysMem`](crate::PhysMem) view), and all cross-core effects
 //! commit at the quantum barrier in core order — shared-memory write
@@ -59,6 +58,9 @@
 //! verification mode. The schedule of epochs and the commit order are
 //! the same in both modes, so cycles, journals, and counters are
 //! byte-identical (CI runs both and compares; see DESIGN.md §15).
+//! The budgets come from the three epoch drivers outside this crate:
+//! the kernel scheduler (`Kernel::run_smp`), the fleet's wave drain and
+//! the crash-recovery soak.
 
 use crate::cpu::{Cpu, Exit, Machine};
 use crate::helpers::{Helpers, Task};
@@ -249,9 +251,8 @@ impl Machine {
         &self.smp
     }
 
-    /// Make core `i` the active core, parking the current one. The
-    /// translation-regime memo is invalidated: each core has its own
-    /// system registers.
+    /// Make core `i` the active core, parking the current one; its
+    /// system registers, and so its translation regime, become live.
     pub fn switch_core(&mut self, i: usize) {
         assert!(i < self.smp.cores.len(), "core {i} not configured");
         if i == self.smp.active {
@@ -263,7 +264,6 @@ impl Machine {
         let prev = self.smp.active;
         self.smp.cores[prev] = Some(CoreCtx { cpu, tlb });
         self.smp.active = i;
-        self.regime_changed();
     }
 
     /// A core's architectural state (active or parked).
@@ -468,8 +468,6 @@ impl Machine {
                     el1_external: self.el1_external,
                     parallel: false,
                     epoch: Some(EpochCtx::default()),
-                    cfg_gen: 0,
-                    cfg_memo: std::cell::Cell::new(None),
                     smp: SmpState::default(),
                     chaos,
                     panic_after: self.panic_after,
@@ -543,53 +541,7 @@ impl Machine {
             self.cpu = ctx.cpu;
             self.tlb = ctx.tlb;
         }
-        self.regime_changed();
         results
-    }
-
-    /// Step all cores with a deterministic round-robin interleaver
-    /// built on [`Machine::run_epoch`]: each round hands every
-    /// still-running core a budget of up to `quantum` instructions
-    /// (assignment order rotated by a seedable LCG schedule) and runs
-    /// them as one epoch. Returns each core's exit (in core order);
-    /// `None` means the core was still running when the total `limit`
-    /// of retired instructions (summed across cores) was reached.
-    pub fn run_interleaved(&mut self, quantum: u64, seed: u64, limit: u64) -> Vec<Option<Exit>> {
-        assert!(quantum > 0);
-        let n = self.num_cores();
-        let mut exits: Vec<Option<Exit>> = vec![None; n];
-        let mut lcg = seed;
-        let mut executed = 0u64;
-        while exits.iter().any(|e| e.is_none()) && executed < limit {
-            lcg = crate::rng::lcg(lcg);
-            let start = ((lcg >> 33) as usize) % n;
-            let mut budgets = vec![0u64; n];
-            let mut remaining = limit - executed;
-            for k in 0..n {
-                let c = (start + k) % n;
-                if exits[c].is_some() || remaining == 0 {
-                    continue;
-                }
-                let b = quantum.min(remaining);
-                budgets[c] = b;
-                remaining -= b;
-            }
-            if budgets.iter().all(|&b| b == 0) {
-                break;
-            }
-            let results = self.run_epoch(&budgets);
-            for c in 0..n {
-                if budgets[c] == 0 {
-                    continue;
-                }
-                let (exit, used) = results[c];
-                executed += used;
-                if exit != Exit::Limit {
-                    exits[c] = Some(exit);
-                }
-            }
-        }
-        exits
     }
 
     /// Per-core metric sections (only emitted with more than one core):

@@ -389,6 +389,7 @@ ratchet crates/machine/src/tlb.rs 0
 ratchet crates/machine/src/smp.rs 5
 ratchet crates/machine/src/helpers.rs 0
 ratchet crates/machine/src/json.rs 0
+ratchet crates/machine/src/metrics.rs 0
 ratchet crates/kernel/src/sched.rs 2
 ratchet crates/core/src/module.rs 6
 ratchet crates/core/src/gate.rs 0
@@ -396,7 +397,11 @@ ratchet crates/core/src/pgt.rs 0
 ratchet crates/core/src/fakephys.rs 0
 ratchet crates/core/src/sanitizer.rs 0
 ratchet crates/arch/src/sensitive.rs 0
+ratchet crates/arch/src/sysreg.rs 0
+ratchet crates/arch/src/esr.rs 0
 ratchet crates/kernel/src/vma.rs 0
+ratchet crates/kernel/src/idalloc.rs 0
+ratchet crates/kernel/src/kvm.rs 0
 # kernel.rs: 4 = the three host-facing `no such pid` accessors and
 # `resume_syscall`'s current process; guest paths reach the current
 # process through `current_mut` and fail closed.

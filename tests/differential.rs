@@ -597,12 +597,13 @@ fn lightzone_syscall_loop_agrees() {
     assert_eq!(run(true), run(false), "LightZone syscall loop diverged");
 }
 
-/// Regression test for the unconditional [`Machine::walk_config`] memo:
-/// every way the translation regime can change — a host-side
-/// `set_sysreg`, an interpreted EL1 `MSR TTBR0_EL1`, an `ERET`, and a
-/// `switch_core` — must invalidate the memo, so a stale configuration
-/// can never serve a translation. Runs on the reference interpreter: the
-/// memo is the only cache in play.
+/// [`Machine::walk_config`] follows the live registers: after every way
+/// the translation regime can change — a host-side `set_sysreg`, an
+/// interpreted EL1 `MSR TTBR0_EL1`, an `ERET`, and a `switch_core` in
+/// both directions — the next translation uses the new regime, and a
+/// parked core's regime returns intact. Runs on the reference
+/// interpreter, so no fetch cache is in play. (The name predates the
+/// indexed register file: `walk_config` once memoised its result.)
 #[test]
 fn walk_config_memo_never_stale() {
     // Read-only: EL0-*writable* pages are never privileged-executable
@@ -665,16 +666,55 @@ fn walk_config_memo_never_stale() {
     assert_eq!(m.walk_config().ttbr0, ttbrs[0]);
 
     // 3. switch_core: the secondary core's (fresh) registers must become
-    // the live regime immediately, and core 0's must return intact.
+    // the live regime immediately, and each core's must return intact.
     m.configure_smp(2);
+    let core0_cfg = m.walk_config();
     m.switch_core(1);
     m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
     m.set_sysreg(SysReg::HCR_EL2, hcr::TGE | hcr::E2H);
     m.set_sysreg(SysReg::TTBR0_EL1, ttbrs[1]);
-    assert_eq!(probe_el0(&mut m), 0xBBBB, "switch_core(1) left core 0's memo live");
+    assert_eq!(probe_el0(&mut m), 0xBBBB, "switch_core(1) left core 0's regime live");
     m.switch_core(0);
-    assert_eq!(m.walk_config().ttbr0, ttbrs[0], "switch_core(0) left core 1's memo live");
+    assert_eq!(m.walk_config().ttbr0, ttbrs[0], "switch_core(0) left core 1's regime live");
+    assert_eq!(m.walk_config(), core0_cfg, "core 0's regime did not survive the round trip");
     assert_eq!(probe_el0(&mut m), 0xAAAA);
+    m.switch_core(1);
+    assert_eq!(probe_el0(&mut m), 0xBBBB, "core 1's regime was lost");
+}
+
+/// `SP_EL0` has one home: at EL1, `MRS`/`MSR SP_EL0` read and write the
+/// stack pointer EL0 runs on, on both engines. The EL1 code reads the
+/// EL0 stack pointer, points it into a scratch frame and `ERET`s; EL0
+/// then stores through `[sp]`. The MMU is off, so the store lands at
+/// the frame address EL1 wrote.
+#[test]
+fn el1_msr_sp_el0_moves_the_el0_stack_on_every_engine() {
+    let run = |accel: bool| {
+        let mut m = Machine::new(Platform::CortexA55);
+        m.set_accel(accel);
+        let code = m.mem.alloc_frame();
+        let stack = m.mem.alloc_frame();
+        let mut a = Asm::new(code);
+        a.mrs(3, SysReg::SP_EL0);
+        a.msr(SysReg::SP_EL0, 1);
+        a.eret();
+        a.str(2, 31, 0); // EL0, at `code + 12`
+        a.svc(0);
+        m.mem.write_bytes(code, &a.bytes());
+        m.set_sysreg(SysReg::HCR_EL2, hcr::TGE | hcr::E2H);
+        m.set_sysreg(SysReg::SPSR_EL1, PState::user().to_spsr());
+        m.set_sysreg(SysReg::ELR_EL1, code + 12);
+        m.cpu.sp_el0 = 0x1230;
+        m.cpu.x[1] = stack + 0x80;
+        m.cpu.x[2] = 0x5EED;
+        m.enter(PState::reset(), code);
+        assert_eq!(m.run(16), Exit::El2(ExceptionClass::Svc), "accel {accel}: the EL0 store did not complete");
+        assert_eq!(m.cpu.reg(3), 0x1230, "accel {accel}: MRS SP_EL0 did not read the EL0 stack pointer");
+        let moved = (m.cpu.sp_el0, m.mem.read(stack + 0x80, 8));
+        assert_eq!(moved, (stack + 0x80, Some(0x5EED)), "accel {accel}: MSR SP_EL0 missed the EL0 stack");
+        (m.cpu.cycles, m.cpu.insns)
+    };
+    assert_eq!(run(true), run(false), "the engine changed the SP_EL0 probe's cost");
 }
 
 /// Metrics must be observation-only: a machine with the event journal
@@ -868,11 +908,11 @@ fn jit_cross_core_code_flip_agrees() {
     assert!(blocks_on > 0, "warm-up never executed a compiled block");
 }
 
-/// Two cores interleaved on a quantum *smaller* than the hot block:
-/// compiled blocks must honor the per-slice instruction budget exactly
+/// Two cores run in epochs of a quantum *smaller* than the hot block:
+/// compiled blocks must honor the per-epoch instruction budget exactly
 /// (the dispatcher refuses entry when the block's footprint exceeds the
 /// remaining budget and single-steps), so per-core cycles, instruction
-/// counts, and the round-robin schedule are identical on both engines.
+/// counts, and the exits are identical on both engines.
 #[test]
 fn jit_smp_interleaved_quantum_agrees() {
     let run = |accel: bool, quantum: u64| {
@@ -902,7 +942,20 @@ fn jit_smp_interleaved_quantum_agrees() {
             m.enter(PState::user(), CODE);
         }
         m.switch_core(0);
-        let exits = m.run_interleaved(quantum, 0x1234, 100_000);
+        // One epoch per round, each running core with a full quantum,
+        // until both cores exit.
+        let mut exits = [None; 2];
+        let mut retired = 0;
+        while exits.contains(&None) {
+            assert!(retired < 100_000, "quantum {quantum}: the cores never exited");
+            let budgets = exits.map(|e| if e.is_none() { quantum } else { 0 });
+            for (c, (exit, used)) in m.run_epoch(&budgets).into_iter().enumerate() {
+                retired += used;
+                if budgets[c] > 0 && exit != Exit::Limit {
+                    exits[c] = Some(exit);
+                }
+            }
+        }
         let per_core: Vec<(u64, u64)> =
             (0..m.num_cores()).map(|i| (m.core_cpu(i).insns, m.core_cpu(i).cycles)).collect();
         let mut jit_blocks = 0u64;
@@ -919,125 +972,9 @@ fn jit_smp_interleaved_quantum_agrees() {
     for quantum in [7u64, 64] {
         let (exits_on, per_core_on, jit_blocks) = run(true, quantum);
         let (exits_off, per_core_off, _) = run(false, quantum);
-        assert_eq!(exits_on, exits_off, "quantum {quantum}: the engine changed the interleaved exits");
+        assert_eq!(exits_on, exits_off, "quantum {quantum}: the engine changed the exits");
         assert_eq!(per_core_on, per_core_off, "quantum {quantum}: the engine changed per-core accounting");
         assert!(jit_blocks > 0, "quantum {quantum}: no compiled block ever executed");
-    }
-}
-
-/// Exhaustive regression for the translation-regime memo (`cfg_memo`):
-/// after *every* mutator that can change the regime — a host-side
-/// `set_sysreg` and a charged kernel-path write of each of the five
-/// regime registers, an interpreted `MSR`, an `ERET`, `switch_core` in
-/// both directions, and a chaos-preempted SMP kernel run — the memoised
-/// [`Machine::walk_config`] must equal a config rebuilt from the live
-/// registers, so a stale memo can never serve a translation.
-#[test]
-fn walk_config_memo_matches_live_regs_exhaustively() {
-    use lz_machine::walk::WalkConfig;
-    let rebuild = |m: &Machine| -> WalkConfig {
-        let sctlr_el1 = m.sysreg(SysReg::SCTLR_EL1);
-        let hcr_el2 = m.sysreg(SysReg::HCR_EL2);
-        WalkConfig {
-            ttbr0: m.sysreg(SysReg::TTBR0_EL1),
-            ttbr1: m.sysreg(SysReg::TTBR1_EL1),
-            s1_enabled: sctlr_el1 & sctlr::M != 0,
-            wxn: sctlr_el1 & sctlr::WXN != 0,
-            vttbr: if hcr_el2 & hcr::VM != 0 { Some(m.sysreg(SysReg::VTTBR_EL2)) } else { None },
-        }
-    };
-    let check = |m: &Machine, ctx: &str| {
-        assert_eq!(m.walk_config(), rebuild(m), "memo went stale after {ctx}");
-    };
-
-    // 1. Host-side writes: both write paths, every regime register, the
-    // memo warmed before each so only a correct generation bump can
-    // keep it honest.
-    let mut m = Machine::new(Platform::CortexA55);
-    let mutations: [(SysReg, u64); 5] = [
-        (SysReg::TTBR0_EL1, ttbr::pack(3, 0x1000)),
-        (SysReg::TTBR1_EL1, 0x2000),
-        (SysReg::SCTLR_EL1, sctlr::M | sctlr::WXN | sctlr::SPAN),
-        (SysReg::HCR_EL2, hcr::VM),
-        (SysReg::VTTBR_EL2, 0x3000),
-    ];
-    for (reg, value) in mutations {
-        let _ = m.walk_config();
-        m.set_sysreg(reg, value);
-        check(&m, &format!("set_sysreg({reg:?})"));
-        let _ = m.walk_config();
-        m.write_sysreg_charged(reg, value ^ 0x40_0000);
-        check(&m, &format!("write_sysreg_charged({reg:?})"));
-    }
-
-    // 2. Interpreted MSR and ERET, run with the MMU off (identity
-    // regime) so the probe needs no page tables: the interpreter's
-    // sysreg-write path must bump the generation like the host's.
-    let mut m = Machine::new(Platform::CortexA55);
-    let entry = m.mem.alloc_frame();
-    let mut a = Asm::new(entry);
-    a.msr(SysReg::TTBR0_EL1, 20);
-    a.nop();
-    let code = a.bytes();
-    m.mem.write_bytes(entry, &code);
-    m.cpu.x[20] = ttbr::pack(7, 0x7000);
-    let _ = m.walk_config();
-    m.enter(PState::reset(), entry);
-    assert_eq!(m.run(2), Exit::Limit);
-    assert_eq!(m.walk_config().ttbr0, ttbr::pack(7, 0x7000), "interpreted MSR left the memo stale");
-    check(&m, "interpreted MSR TTBR0_EL1");
-    let mut a = Asm::new(entry);
-    a.eret();
-    a.nop();
-    m.mem.write_bytes(entry, &a.bytes());
-    m.set_sysreg(SysReg::SPSR_EL1, PState::user().to_spsr());
-    m.set_sysreg(SysReg::ELR_EL1, entry + 4);
-    let _ = m.walk_config();
-    m.enter(PState::reset(), entry);
-    assert_eq!(m.run(2), Exit::Limit);
-    check(&m, "ERET to EL0");
-
-    // 3. switch_core, both directions, with divergent per-core regimes.
-    m.configure_smp(2);
-    let core0_cfg = m.walk_config();
-    m.switch_core(1);
-    check(&m, "switch_core(1)");
-    m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(9, 0x9000));
-    let _ = m.walk_config();
-    m.switch_core(0);
-    check(&m, "switch_core(0)");
-    assert_eq!(m.walk_config(), core0_cfg, "core 0's regime did not survive the round trip");
-    m.switch_core(1);
-    assert_eq!(m.walk_config().ttbr0, ttbr::pack(9, 0x9000), "core 1's regime was lost");
-
-    // 4. A chaos-preempted SMP kernel run: scheduler preemption fires
-    // mid-quantum on every core, and the memo must still match the live
-    // registers of whichever core ends up active — and of every core.
-    use lz_machine::{FaultPlan, FaultSite};
-    let compute = |iters: u16| {
-        let mut a = Asm::new(CODE);
-        a.movz(1, iters, 0);
-        let top = a.label();
-        a.bind(top);
-        a.add_imm(2, 2, 3);
-        a.sub_imm(1, 1, 1);
-        a.cbnz(1, top);
-        a.movz(0, 0x2a, 0);
-        a.mov_imm64(8, lz_kernel::Sysno::Exit.nr());
-        a.svc(0);
-        lz_kernel::Program::from_code(CODE, a.bytes())
-    };
-    let mut k = lz_kernel::Kernel::new_host(Platform::CortexA55);
-    k.machine.chaos.install(FaultPlan::new(11).with_sites(&[FaultSite::SchedPreempt]).with_rate(2));
-    k.spawn(&compute(400));
-    k.spawn(&compute(90));
-    let run = k.run_smp(lz_kernel::SmpConfig { cores: 2, quantum: 32, seed: 7 }, 10_000_000);
-    assert!(!run.stalled, "chaos-preempted SMP run stalled");
-    assert_eq!(run.exited.len(), 2, "both compute processes must exit");
-    assert!(k.machine.chaos.faults_injected > 0, "preemption site never fired");
-    for i in 0..k.machine.num_cores() {
-        k.machine.switch_core(i);
-        check(&k.machine, &format!("chaos-preempted SMP run, core {i}"));
     }
 }
 

@@ -160,7 +160,7 @@ fn vmid_exhaustion_denial_then_reap_recovers() {
     let prog = b.build();
 
     let mut lz = LightZone::new_host(Platform::Carmel);
-    lz.kernel.vmids = lz_kernel::kvm::VmidAllocator::with_space(2);
+    lz.kernel.vmids = lz_kernel::IdAlloc::with_space(2);
     let run = |lz: &mut LightZone| {
         let pid = lz.spawn(&prog);
         lz.schedule_to(pid); // restores the host regime after a VE exit

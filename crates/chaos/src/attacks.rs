@@ -464,14 +464,6 @@ fn run_until(lz: &mut LightZone, chunk: u64, mut cond: impl FnMut(&LightZone) ->
     panic!("stepping condition never became true");
 }
 
-/// Run to process exit (rollover-attack phases are all exit-bounded).
-fn run_exit(lz: &mut LightZone) -> i64 {
-    match lz.run(50_000_000) {
-        Event::Exited(code) => code,
-        other => panic!("expected exit, got {other:?}"),
-    }
-}
-
 /// The full VMID-rollover stale-TLB attack, shared by the defended and
 /// ablated pen tests (the synthesis matrix keeps `skip_rollover_shootdown`
 /// out; this is its dedicated harness):
@@ -505,7 +497,7 @@ pub fn rollover_attack(platform: Platform, ablation: AblationConfig, cores: usiz
         lz.kernel.machine.switch_core(victim_core);
     }
     lz.schedule_to(victim);
-    let victim_exit = run_exit(&mut lz);
+    let victim_exit = lz.run_to_exit();
     if cores > 1 {
         lz.kernel.machine.switch_core(0);
     }
@@ -519,7 +511,7 @@ pub fn rollover_attack(platform: Platform, ablation: AblationConfig, cores: usiz
     for _ in 1..ROLLOVER_VMID_SPACE {
         let pid = lz.spawn(&rollover_churn_prog());
         lz.schedule_to(pid);
-        let code = run_exit(&mut lz);
+        let code = lz.run_to_exit();
         assert_eq!(code, 0, "churn VE exits cleanly");
     }
 
@@ -639,7 +631,7 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
         lz.kernel.machine.switch_core(victim_core);
     }
     lz.schedule_to(victim);
-    let victim_exit = run_exit(&mut lz);
+    let victim_exit = lz.run_to_exit();
     let vmid_v = lz.module.proc(victim).expect("victim VE is live").vmid;
     if cores > 1 {
         lz.kernel.machine.switch_core(0);
@@ -666,7 +658,7 @@ pub fn restore_attack(platform: Platform, ablation: AblationConfig, cores: usize
     for _ in 2..ROLLOVER_VMID_SPACE {
         let pid = lz.spawn(&rollover_churn_prog());
         lz.schedule_to(pid);
-        assert_eq!(run_exit(&mut lz), 0, "churn VE exits cleanly");
+        assert_eq!(lz.run_to_exit(), 0, "churn VE exits cleanly");
     }
 
     // Phase 5: the warm restart is granted the victim's VMID, recycled.

@@ -23,7 +23,7 @@ use lz_arch::sysreg::{hcr, sctlr, vttbr, SysReg};
 use lz_arch::{page_align_down, Platform, PAGE_SIZE};
 use lz_kernel::syscall::{custom, CUSTOM_BASE};
 use lz_kernel::vma::user_range;
-use lz_kernel::{Event, Kernel, KernelMode, Pid, SysOutcome};
+use lz_kernel::{Event, Kernel, KernelMode, Pid, SysOutcome, UserContext};
 use lz_machine::pte::{S1Perms, S2Perms};
 use lz_machine::walk::{alloc_table, free_table_tree, s2_map_block, s2_map_page, s2_unmap};
 use lz_machine::{EventKind, Exit, Machine, Report, Section};
@@ -151,6 +151,31 @@ impl AblationConfig {
     pub fn with_defense_off(defense: Defense) -> Self {
         AblationConfig::default().defense_off(defense)
     }
+
+    /// Invalidate `scope` of `vmid`'s translations on every online core
+    /// (IPI shootdown), or, under the deliberately broken
+    /// `skip_remote_shootdown`, on the issuing core only.
+    pub fn shootdown(&self, m: &mut Machine, vmid: u16, scope: TlbScope) {
+        match (scope, self.skip_remote_shootdown) {
+            (TlbScope::Vmid, false) => m.shootdown_vmid(vmid),
+            (TlbScope::Vmid, true) => m.tlb.invalidate_vmid(vmid),
+            (TlbScope::Asid(asid), false) => m.shootdown_asid(vmid, asid),
+            (TlbScope::Asid(asid), true) => m.tlb.invalidate_asid(vmid, asid),
+            (TlbScope::Va(va), false) => m.shootdown_va(vmid, va),
+            (TlbScope::Va(va), true) => m.tlb.invalidate_va(vmid, va),
+        }
+    }
+}
+
+/// What one [`AblationConfig::shootdown`] invalidates within a VMID.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TlbScope {
+    /// Every translation of the VMID.
+    Vmid,
+    /// One table ASID's translations.
+    Asid(u16),
+    /// One page.
+    Va(u64),
 }
 
 /// Per-page protection record (which domains may see the page, and how).
@@ -343,6 +368,15 @@ impl LzProc {
     pub fn domain_count(&self) -> usize {
         self.tables.iter().flatten().count()
     }
+
+    /// `TTBR0_EL1` of the default table, pgt 0: a fresh thread's and
+    /// every signal handler's domain. Pgt 0 lives as long as the VE
+    /// (`lz_enter` builds it before the VE exists, and `lz_free`
+    /// refuses it), so the 0 of a missing table, which no walk
+    /// resolves, never reaches a register.
+    pub fn default_ttbr0(&self) -> u64 {
+        self.tables.first().and_then(Option::as_ref).map_or(0, LzTable::ttbr0)
+    }
 }
 
 /// The LightZone kernel module (plus Lowvisor state for guests).
@@ -427,11 +461,7 @@ impl LzModule {
         };
         let vmid = grant.id;
         if grant.recycled && !self.ablation.skip_rollover_shootdown {
-            if self.ablation.skip_remote_shootdown {
-                k.machine.tlb.invalidate_vmid(vmid);
-            } else {
-                k.machine.shootdown_vmid(vmid);
-            }
+            self.ablation.shootdown(&mut k.machine, vmid, TlbScope::Vmid);
             self.rollover_shootdowns += 1;
             k.machine.charge(k.machine.model.dsb + k.machine.model.path_cost(60));
         }
@@ -501,36 +531,19 @@ impl LzModule {
         debug_assert_eq!(pgt0, 0);
 
         // Enter the VE: one-way (paper §4.1.1). The process resumes at
-        // the instruction after the svc, now at EL1.
+        // the instruction after the svc, now at EL1, on the stack it
+        // trapped with.
         k.process_mut(pid).in_lightzone = true;
-        let resume_pc = k.process(pid).ctx().pc;
-        let sp = k.process(pid).ctx().sp;
+        let ctx = k.process(pid).ctx();
+        let (resume_pc, sp) = (ctx.pc, ctx.sp);
+        self.load_ve_regime(&mut k.machine, &proc, proc.default_ttbr0());
         let m = &mut k.machine;
-        m.set_el1_external(false);
-        let mut hcr_val = hcr::VM | hcr::TTLB | hcr::TIDCP;
-        if self.ablation.gate_flavor.tlbi_after_switch {
-            // Ablation: the gate itself executes TLBI, so TLB maintenance
-            // cannot be trapped (the design the per-table ASIDs avoid).
-            hcr_val &= !hcr::TTLB;
-        }
-        if !allow_scalable {
-            // PAN-only processes may never touch stage-1 translation
-            // (§5.1.2: TVM/TRVM set).
-            hcr_val |= hcr::TVM | hcr::TRVM;
-        }
-        m.write_sysreg_charged(SysReg::HCR_EL2, hcr_val);
-        m.write_sysreg_charged(SysReg::VTTBR_EL2, vttbr::pack(vmid, s2_root));
-        m.write_sysreg_charged(SysReg::SCTLR_EL1, sctlr::M); // SPAN clear: exceptions set PAN
-        m.write_sysreg_charged(SysReg::TTBR0_EL1, proc.tables[0].as_ref().expect("pgt0").ttbr0());
-        m.write_sysreg_charged(SysReg::TTBR1_EL1, proc.ttbr1.root_fake);
-        m.write_sysreg_charged(SysReg::VBAR_EL1, layout::STUB_VA);
         m.cpu.sp_el1 = sp;
         // VE construction path (table/gate emission, bookkeeping).
         let setup = m.model.path_cost(2500) + entries.len() as u64 * m.model.path_cost(200);
         m.charge(setup);
         m.cpu.set_reg(0, 0);
-        let ps = PState { el: ExceptionLevel::El1, pan: true, irq_masked: false, nzcv: Default::default() };
-        m.enter(ps, resume_pc);
+        m.enter(ve_entry_pstate(), resume_pc);
 
         self.procs.insert(pid, proc);
         0
@@ -583,11 +596,7 @@ impl LzModule {
     fn alloc_table_in(&mut self, k: &mut Kernel, proc: &mut LzProc) -> Option<usize> {
         let grant = proc.asids.alloc().ok()?;
         if grant.recycled && !self.ablation.skip_rollover_shootdown {
-            if self.ablation.skip_remote_shootdown {
-                k.machine.tlb.invalidate_asid(proc.vmid, grant.id);
-            } else {
-                k.machine.shootdown_asid(proc.vmid, grant.id);
-            }
+            self.ablation.shootdown(&mut k.machine, proc.vmid, TlbScope::Asid(grant.id));
             self.rollover_shootdowns += 1;
             k.machine.charge(k.machine.model.dsb + k.machine.model.path_cost(40));
         }
@@ -618,7 +627,6 @@ impl LzModule {
     }
 
     fn lz_free(&mut self, k: &mut Kernel, pid: Pid, pgt: u64) -> u64 {
-        let skip_remote = self.ablation.skip_remote_shootdown;
         let Some(proc) = self.procs.get_mut(&pid) else { return u64::MAX };
         let idx = pgt as usize;
         if idx == 0 || idx >= proc.tables.len() || proc.tables[idx].is_none() {
@@ -654,11 +662,7 @@ impl LzModule {
         // from this view are covered by the VMID-wide shoot-down below.
         // Other cores may have cached translations through the freed
         // tree, so this must reach every online core.
-        if skip_remote {
-            k.machine.tlb.invalidate_vmid(proc.vmid);
-        } else {
-            k.machine.shootdown_vmid(proc.vmid);
-        }
+        self.ablation.shootdown(&mut k.machine, proc.vmid, TlbScope::Vmid);
         let m = &k.machine.model;
         let cost = m.dsb + m.path_cost(200 + 30 * freed_frames);
         k.machine.charge(cost);
@@ -682,7 +686,6 @@ impl LzModule {
 
     fn lz_prot(&mut self, k: &mut Kernel, pid: Pid, addr: u64, len: u64, pgt: u64, perm: u64) -> u64 {
         let Some(range) = user_range(addr, len) else { return u64::MAX };
-        let skip_remote = self.ablation.skip_remote_shootdown;
         let Some(proc) = self.procs.get_mut(&pid) else { return u64::MAX };
         let overlay = Overlay::from_bits(perm);
         let pan_all = pgt == PGT_ALL;
@@ -709,17 +712,8 @@ impl LzModule {
                         table.unmap_page(&mut k.machine.mem, &proc.fake, page);
                     }
                 }
-                if k.process(pid).mm.is_huge(page) {
-                    if skip_remote {
-                        k.machine.tlb.invalidate_vmid(proc.vmid);
-                    } else {
-                        k.machine.shootdown_vmid(proc.vmid);
-                    }
-                } else if skip_remote {
-                    k.machine.tlb.invalidate_va(proc.vmid, page);
-                } else {
-                    k.machine.shootdown_va(proc.vmid, page);
-                }
+                let scope = if k.process(pid).mm.is_huge(page) { TlbScope::Vmid } else { TlbScope::Va(page) };
+                self.ablation.shootdown(&mut k.machine, proc.vmid, scope);
             }
             page += PAGE_SIZE;
         }
@@ -938,6 +932,33 @@ impl LzModule {
         true
     }
 
+    /// Program `proc`'s virtual environment on the active core, every
+    /// write charged (§5.1): `HCR_EL2` with stage 2 on and TLB
+    /// maintenance trapped, `VTTBR_EL2` with the VE's VMID and stage-2
+    /// root, `SCTLR_EL1` with SPAN clear (exceptions set PAN), `ttbr0`
+    /// as the current domain, and `TTBR1_EL1`/`VBAR_EL1` at the module's
+    /// gates and stub.
+    fn load_ve_regime(&self, m: &mut Machine, proc: &LzProc, ttbr0: u64) {
+        let mut hcr_val = hcr::VM | hcr::TTLB | hcr::TIDCP;
+        if self.ablation.gate_flavor.tlbi_after_switch {
+            // Ablation: the gate itself executes TLBI, so TLB maintenance
+            // cannot be trapped (the design the per-table ASIDs avoid).
+            hcr_val &= !hcr::TTLB;
+        }
+        if !proc.scalable {
+            // PAN-only processes may never touch stage-1 translation
+            // (§5.1.2: TVM/TRVM set).
+            hcr_val |= hcr::TVM | hcr::TRVM;
+        }
+        m.set_el1_external(false);
+        m.write_sysreg_charged(SysReg::HCR_EL2, hcr_val);
+        m.write_sysreg_charged(SysReg::VTTBR_EL2, vttbr::pack(proc.vmid, proc.s2_root));
+        m.write_sysreg_charged(SysReg::SCTLR_EL1, sctlr::M);
+        m.write_sysreg_charged(SysReg::TTBR0_EL1, ttbr0);
+        m.write_sysreg_charged(SysReg::TTBR1_EL1, proc.ttbr1.root_fake);
+        m.write_sysreg_charged(SysReg::VBAR_EL1, layout::STUB_VA);
+    }
+
     /// Re-enter a LightZone process after a context switch: restore the
     /// VE's system registers and the thread's saved context, including
     /// its TTBR0 (the current domain) and PAN bit — both part of the
@@ -950,28 +971,11 @@ impl LzModule {
     pub fn enter_ve_process(&mut self, k: &mut Kernel, pid: Pid) {
         assert!(k.process(pid).exit_code.is_none(), "cannot schedule an exited process");
         let proc = self.procs.get(&pid).expect("process is in LightZone");
-        let mut hcr_val = hcr::VM | hcr::TTLB | hcr::TIDCP;
-        if self.ablation.gate_flavor.tlbi_after_switch {
-            hcr_val &= !hcr::TTLB;
-        }
-        if !proc.scalable {
-            hcr_val |= hcr::TVM | hcr::TRVM;
-        }
-        let vttbr_val = vttbr::pack(proc.vmid, proc.s2_root);
-        let ttbr1 = proc.ttbr1.root_fake;
-        let default_ttbr0 = proc.tables[0].as_ref().expect("pgt0").ttbr0();
         let ctx = k.process(pid).ctx().clone();
-        let m = &mut k.machine;
-        m.set_el1_external(false);
-        m.write_sysreg_charged(SysReg::HCR_EL2, hcr_val);
-        m.write_sysreg_charged(SysReg::VTTBR_EL2, vttbr_val);
-        m.write_sysreg_charged(SysReg::SCTLR_EL1, sctlr::M);
-        let ttbr0 = if ctx.ttbr0 != 0 { ctx.ttbr0 } else { default_ttbr0 };
-        m.write_sysreg_charged(SysReg::TTBR0_EL1, ttbr0);
-        m.write_sysreg_charged(SysReg::TTBR1_EL1, ttbr1);
-        m.write_sysreg_charged(SysReg::VBAR_EL1, layout::STUB_VA);
-        m.cpu.x = ctx.x;
-        m.cpu.sp_el1 = ctx.sp;
+        let ttbr0 = if ctx.ttbr0 != 0 { ctx.ttbr0 } else { proc.default_ttbr0() };
+        self.load_ve_regime(&mut k.machine, proc, ttbr0);
+        k.machine.cpu.x = ctx.x;
+        k.machine.cpu.sp_el1 = ctx.sp;
         k.set_current(pid);
         let mut ps = ctx.pstate;
         ps.el = ExceptionLevel::El1;
@@ -1105,14 +1109,19 @@ impl LzModule {
     /// Resume the VE at `pc`, restoring the PSTATE captured in SPSR_EL1
     /// (which carries the process's PAN bit across the trap).
     fn resume_ve(&self, k: &mut Kernel, pc: u64) {
-        let spsr1 = k.machine.sysreg(SysReg::SPSR_EL1);
-        let mut ps = PState::from_spsr(spsr1).unwrap_or(PState::reset());
+        let ps = trapped_pstate(k);
         debug_assert_eq!(ps.el, ExceptionLevel::El1, "VE traps come from EL1");
-        ps.el = ExceptionLevel::El1;
+        self.return_to_ve(k, ps, pc);
+    }
+
+    /// Enter the VE at `pc` with `pstate` at EL1, where a VE always runs,
+    /// through Lowvisor's return path on a guest kernel (§5.2.2).
+    fn return_to_ve(&self, k: &mut Kernel, mut pstate: PState, pc: u64) {
+        pstate.el = ExceptionLevel::El1;
         if matches!(k.mode, KernelMode::Guest { .. }) {
             lowvisor::charge_lowvisor_return(&mut k.machine, &self.ablation);
         }
-        k.machine.enter(ps, pc);
+        k.machine.enter(pstate, pc);
     }
 
     fn ve_syscall(&mut self, k: &mut Kernel, pid: Pid) -> Option<Event> {
@@ -1190,16 +1199,7 @@ impl LzModule {
     /// the paper's MySQL scenario (§9.2: each connection thread's stack
     /// in its own domain).
     fn ve_rotate_thread(&mut self, k: &mut Kernel, pid: Pid, pc: u64) {
-        let ttbr0 = k.machine.sysreg(SysReg::TTBR0_EL1);
-        let spsr1 = k.machine.sysreg(SysReg::SPSR_EL1);
-        let frame = lz_kernel::UserContext {
-            x: k.machine.cpu.x,
-            sp: k.machine.cpu.sp_el1,
-            pc,
-            pstate: PState::from_spsr(spsr1).unwrap_or(PState::reset()),
-            ttbr0,
-        };
-        *k.process_mut(pid).ctx_mut() = frame;
+        *k.process_mut(pid).ctx_mut() = ve_frame(k, pc);
         self.ve_switch_thread(k, pid);
     }
 
@@ -1209,7 +1209,6 @@ impl LzModule {
             let _ = k.kill_current(SECURITY_KILL);
             return;
         };
-        let default_ttbr0 = proc.tables[0].as_ref().expect("pgt0").ttbr0();
         // No runnable thread left (every survivor parked): a guest-made
         // deadlock. Fail closed by finishing the process instead of
         // panicking the host.
@@ -1217,7 +1216,7 @@ impl LzModule {
             let _ = k.kill_current(-11);
             return;
         };
-        let ctx = {
+        let mut ctx = {
             let p = k.process_mut(pid);
             p.cur_thread = next;
             p.ctx().clone()
@@ -1225,24 +1224,14 @@ impl LzModule {
         let m = &k.machine.model;
         let cost = m.path_cost(300) + m.gpregs_roundtrip(31);
         k.machine.charge(cost);
-        k.machine.cpu.x = ctx.x;
-        k.machine.cpu.sp_el1 = ctx.sp;
         // A fresh thread (never scheduled) has no recorded domain: it
         // starts in the default table with PAN set.
-        let fresh = ctx.ttbr0 == 0;
-        let ttbr0 = if fresh { default_ttbr0 } else { ctx.ttbr0 };
-        k.machine.write_sysreg_charged(SysReg::TTBR0_EL1, ttbr0);
-        let ps = if fresh {
-            PState { el: ExceptionLevel::El1, pan: true, irq_masked: false, nzcv: Default::default() }
-        } else {
-            let mut p = ctx.pstate;
-            p.el = ExceptionLevel::El1;
-            p
-        };
-        if matches!(k.mode, KernelMode::Guest { .. }) {
-            lowvisor::charge_lowvisor_return(&mut k.machine, &self.ablation);
+        if ctx.ttbr0 == 0 {
+            ctx.ttbr0 = proc.default_ttbr0();
+            ctx.pstate = ve_entry_pstate();
         }
-        k.machine.enter(ps, ctx.pc);
+        load_ve_context(k, &ctx);
+        self.return_to_ve(k, ctx.pstate, ctx.pc);
     }
 
     /// Deliver a pending signal to a LightZone process: the frame saves
@@ -1251,41 +1240,15 @@ impl LzModule {
     /// privilege), exactly the §6 signal-context extension.
     fn ve_deliver_signal(&mut self, k: &mut Kernel, pid: Pid, interrupted_pc: u64) -> bool {
         let Some(proc) = self.procs.get(&pid) else { return false };
-        let default_ttbr0 = proc.tables[0].as_ref().expect("pgt0").ttbr0();
-        let ttbr0 = k.machine.sysreg(SysReg::TTBR0_EL1);
-        let spsr1 = k.machine.sysreg(SysReg::SPSR_EL1);
-        let (sig, handler) = {
-            let p = k.process_mut(pid);
-            if p.sig_frame.is_some() {
-                return false;
-            }
-            let Some(&sig) = p.sig_pending.front() else { return false };
-            let Some(&handler) = p.sig_handlers.get(&sig) else {
-                p.sig_pending.pop_front();
-                return false;
-            };
-            p.sig_pending.pop_front();
-            (sig, handler)
-        };
-        let frame = lz_kernel::UserContext {
-            x: k.machine.cpu.x,
-            sp: k.machine.cpu.sp_el1,
-            pc: interrupted_pc,
-            pstate: PState::from_spsr(spsr1).unwrap_or(PState::reset()),
-            ttbr0,
-        };
-        k.process_mut(pid).sig_frame = Some(frame);
+        let Some((sig, handler)) = k.process_mut(pid).take_signal() else { return false };
+        k.process_mut(pid).sig_frame = Some(ve_frame(k, interrupted_pc));
         let m = &k.machine.model;
         let cost = m.path_cost(500) + 40 * m.mem_access;
         k.machine.charge(cost);
         k.machine.cpu.set_reg(0, sig);
         // Handler runs in the default table with PAN set.
-        k.machine.write_sysreg_charged(SysReg::TTBR0_EL1, default_ttbr0);
-        let ps = PState { el: ExceptionLevel::El1, pan: true, irq_masked: false, nzcv: Default::default() };
-        if matches!(k.mode, KernelMode::Guest { .. }) {
-            lowvisor::charge_lowvisor_return(&mut k.machine, &self.ablation);
-        }
-        k.machine.enter(ps, handler);
+        k.machine.write_sysreg_charged(SysReg::TTBR0_EL1, proc.default_ttbr0());
+        self.return_to_ve(k, ve_entry_pstate(), handler);
         true
     }
 
@@ -1298,15 +1261,8 @@ impl LzModule {
         let m = &k.machine.model;
         let cost = m.path_cost(400) + 40 * m.mem_access;
         k.machine.charge(cost);
-        k.machine.cpu.x = frame.x;
-        k.machine.cpu.sp_el1 = frame.sp;
-        k.machine.write_sysreg_charged(SysReg::TTBR0_EL1, frame.ttbr0);
-        let mut ps = frame.pstate;
-        ps.el = ExceptionLevel::El1;
-        if matches!(k.mode, KernelMode::Guest { .. }) {
-            lowvisor::charge_lowvisor_return(&mut k.machine, &self.ablation);
-        }
-        k.machine.enter(ps, frame.pc);
+        load_ve_context(k, &frame);
+        self.return_to_ve(k, frame.pstate, frame.pc);
         None
     }
 
@@ -1609,11 +1565,7 @@ impl LzModule {
         if huge_touched {
             // Block translations were cached per accessed page, so a
             // page-scoped TLBI on the block base is not enough.
-            if self.ablation.skip_remote_shootdown {
-                k.machine.tlb.invalidate_vmid(proc.vmid);
-            } else {
-                k.machine.shootdown_vmid(proc.vmid);
-            }
+            self.ablation.shootdown(&mut k.machine, proc.vmid, TlbScope::Vmid);
         }
         self.procs.insert(pid, proc);
     }
@@ -1630,11 +1582,7 @@ impl LzModule {
                     table.unmap_page(&mut k.machine.mem, &proc.fake, page);
                 }
             }
-            if self.ablation.skip_remote_shootdown {
-                k.machine.tlb.invalidate_va(proc.vmid, page);
-            } else {
-                k.machine.shootdown_va(proc.vmid, page);
-            }
+            self.ablation.shootdown(&mut k.machine, proc.vmid, TlbScope::Va(page));
             k.machine.charge(k.machine.model.dsb + k.machine.model.path_cost(40));
             proc.stats.bbm_unmaps += 1;
             k.machine.record_event(EventKind::BbmUnmap { page });
@@ -1764,6 +1712,34 @@ impl LzModule {
     }
 }
 
+/// PSTATE at the VE's trap, from `SPSR_EL1`: it carries the thread's
+/// PAN bit across the trap.
+fn trapped_pstate(k: &Kernel) -> PState {
+    PState::from_spsr(k.machine.sysreg(SysReg::SPSR_EL1)).unwrap_or(PState::reset())
+}
+
+/// A trapped VE thread's context, interrupted at `pc`: registers, its
+/// EL1 stack, [`trapped_pstate`] and its domain (`TTBR0_EL1`) — the
+/// LightZone-extended context of §6.
+fn ve_frame(k: &Kernel, pc: u64) -> UserContext {
+    let cpu = &k.machine.cpu;
+    UserContext { x: cpu.x, sp: cpu.sp_el1, pc, pstate: trapped_pstate(k), ttbr0: k.machine.sysreg(SysReg::TTBR0_EL1) }
+}
+
+/// Load a saved VE thread context onto the CPU: registers, its EL1
+/// stack and its domain (a charged `TTBR0_EL1` write).
+fn load_ve_context(k: &mut Kernel, ctx: &UserContext) {
+    k.machine.cpu.x = ctx.x;
+    k.machine.cpu.sp_el1 = ctx.sp;
+    k.machine.write_sysreg_charged(SysReg::TTBR0_EL1, ctx.ttbr0);
+}
+
+/// PSTATE of a VE thread's first instruction, and of every signal
+/// handler's: EL1 with PAN set, so no protected page is open.
+fn ve_entry_pstate() -> PState {
+    PState { el: ExceptionLevel::El1, pan: true, irq_masked: false, nzcv: Default::default() }
+}
+
 fn gate_code_perms() -> S1Perms {
     S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: false, global: true }
 }
@@ -1847,13 +1823,7 @@ impl LightZone {
     /// Dispatch one machine exit for the current process, as [`Self::run`]
     /// does between machine entries, without re-entering the machine.
     /// `None` means handled — the process keeps running.
-    ///
-    /// Epoch-style drivers (the fleet wave drain) run many VEs
-    /// concurrently via [`lz_machine::Machine::run_epoch`] and commit
-    /// each core's pending exit barrier-side through this method, after
-    /// switching the machine to that core and pointing
-    /// [`Kernel::set_current`] at its process.
-    pub fn dispatch_exit(&mut self, exit: lz_machine::Exit) -> Option<Event> {
+    pub fn dispatch_exit(&mut self, exit: Exit) -> Option<Event> {
         match self.kernel.handle_exit(exit)? {
             Event::Custom { nr, args } => self.module.handle_custom(&mut self.kernel, nr, args),
             Event::Raw(exit) => {
@@ -1866,6 +1836,21 @@ impl LightZone {
             }
             other => Some(other),
         }
+    }
+
+    /// Commit one core's pending exit at an epoch barrier: make `core`
+    /// the active core, dispatch `exit` for `pid` through
+    /// [`Self::dispatch_exit`], and leave no process current again.
+    /// Epoch drivers ([`lz_machine::Machine::run_epoch`]: the fleet's
+    /// wave drain, the recovery soak) keep one process live per core, so
+    /// between commits the active registers belong to a core, not to a
+    /// kernel-wide current process.
+    pub fn dispatch_on(&mut self, core: usize, pid: Pid, exit: Exit) -> Option<Event> {
+        self.kernel.machine.switch_core(core);
+        self.kernel.set_current(pid);
+        let event = self.dispatch_exit(exit);
+        self.kernel.clear_current();
+        event
     }
 
     /// Run to process exit; panics on anything else (test convenience).

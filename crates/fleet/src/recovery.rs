@@ -437,8 +437,8 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
         }
 
         // Schedule: one ready tenant per core, round-robin. Swapping
-        // the incumbent out goes through park (save to context) +
-        // `schedule_to` (the costed VE scheduling path).
+        // the incumbent out is `schedule_to` from the incumbent (the
+        // costed VE scheduling path, which saves its context first).
         let mut budgets = vec![0u64; cfg.cores];
         let mut sched: Vec<Option<usize>> = vec![None; cfg.cores];
         for core in 0..cfg.cores {
@@ -446,12 +446,8 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
             let Some(pid) = slots[s].pid else { continue };
             if occupant[core] != Some(s) {
                 lz.kernel.machine.switch_core(core);
-                if let Some(prev) = occupant[core].take() {
-                    if let Some(prev_pid) = slots[prev].pid {
-                        lz.kernel.set_current(prev_pid);
-                        lz.kernel.save_current();
-                        lz.kernel.clear_current();
-                    }
+                if let Some(prev_pid) = occupant[core].and_then(|prev| slots[prev].pid) {
+                    lz.kernel.set_current(prev_pid);
                 }
                 lz.schedule_to(pid);
                 lz.kernel.clear_current();
@@ -474,10 +470,7 @@ pub fn run_recovery(cfg: &RecoveryConfig) -> RecoveryRun {
             let deadline_blown = sup.on_insns(s, used);
             let mut dead = false;
             if exit != Exit::Limit {
-                lz.kernel.machine.switch_core(core);
-                lz.kernel.set_current(pid);
-                dead = lz.dispatch_exit(exit).is_some();
-                lz.kernel.clear_current();
+                dead = lz.dispatch_on(core, pid, exit).is_some();
             }
             let mut fault: Option<FaultKind> = None;
             if dead {

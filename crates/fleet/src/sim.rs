@@ -50,9 +50,10 @@ const RESULTS_BASE: u64 = 0x2800_0000;
 const ARENA_BASE: u64 = 0x3000_0000;
 
 const RUN_LIMIT: u64 = 400_000_000;
-/// Instructions per epoch in the multi-core wave drain. Tenants share
-/// no memory, so the quantum only balances barrier overhead against
-/// trap-handling latency (a pending VE exit waits out the epoch).
+/// Instructions per epoch in the wave drain, on every core count.
+/// Tenants share no memory, so the quantum only balances barrier
+/// overhead against trap-handling latency (a pending VE exit waits out
+/// the epoch).
 const FLEET_QUANTUM: u64 = 16_384;
 
 /// One fleet benchmark configuration.
@@ -280,16 +281,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     if let Some(space) = cfg.vmid_space {
         lz.kernel.vmids = IdAlloc::with_space(space);
     }
-    if cfg.cores > 1 {
-        lz.kernel.machine.configure_smp(cfg.cores);
-    }
+    lz.kernel.machine.configure_smp(cfg.cores);
     let shapes = [lz_workloads::httpd::fleet_shape(), lz_workloads::oltp::fleet_shape()];
 
-    // Phase 1: resident tenants. On one core each runs to completion
-    // sequentially; on an SMP machine every wave of `cores` tenants
-    // drains *concurrently* on the epoch executor — each tenant pinned
-    // to core `t % cores`, executing [`FLEET_QUANTUM`]-instruction
-    // epochs with all VE traps handled barrier-side in core order, so
+    // Phase 1: resident tenants. Every wave of `cores` tenants drains
+    // *concurrently* on the epoch executor (one core: a wave of one) —
+    // each tenant pinned to core `t % cores`, executing
+    // [`FLEET_QUANTUM`]-instruction epochs with all VE traps committed
+    // barrier-side in core order through `LightZone::dispatch_on`, so
     // the drain is byte-deterministic on both the parallel and the
     // replay backend.
     let mut services: Vec<Vec<u64>> = Vec::with_capacity(cfg.tenants);
@@ -325,66 +324,53 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
         }
         services.push(per_tenant);
     };
-    if cfg.cores == 1 {
-        for t in 0..cfg.tenants {
+    let n = cfg.cores;
+    for wave in 0..cfg.tenants.div_ceil(n) {
+        // Set up the wave: one tenant per core, entered via the costed
+        // VE scheduling path on its own core. `cur` is cleared between
+        // set-ups — with several processes live at once the active
+        // register state belongs to the core, not to a single
+        // kernel-wide current process.
+        let mut jobs: Vec<(usize, Pid, usize)> = Vec::with_capacity(n);
+        for t in wave * n..((wave + 1) * n).min(cfg.tenants) {
+            lz.kernel.machine.switch_core(t % n);
             let pid = spawn_tenant(&mut lz, t);
-            let ev = lz.run(RUN_LIMIT);
-            assert_eq!(ev, Event::Exited(0), "tenant {t} did not exit cleanly");
+            lz.kernel.clear_current();
+            jobs.push((t % n, pid, t));
+        }
+        // Drain the wave in epochs until every tenant exited.
+        let mut done = vec![false; jobs.len()];
+        let mut spent = vec![0u64; jobs.len()];
+        while done.iter().any(|&d| !d) {
+            let mut budgets = vec![0u64; n];
+            for (j, &(core, ..)) in jobs.iter().enumerate() {
+                if !done[j] {
+                    budgets[core] = FLEET_QUANTUM;
+                }
+            }
+            let results = lz.kernel.machine.run_epoch(&budgets);
+            for (j, &(core, pid, t)) in jobs.iter().enumerate() {
+                if done[j] {
+                    continue;
+                }
+                let (exit, used) = results[core];
+                spent[j] += used;
+                assert!(spent[j] <= RUN_LIMIT, "tenant {t} did not exit cleanly");
+                if exit == lz_machine::Exit::Limit {
+                    continue;
+                }
+                match lz.dispatch_on(core, pid, exit) {
+                    None => {}
+                    Some(Event::Exited(0)) => done[j] = true,
+                    Some(ev) => panic!("tenant {t} did not exit cleanly: {ev:?}"),
+                }
+            }
+        }
+        for &(_, pid, t) in &jobs {
             record_tenant(&lz, t, pid, &mut services);
         }
-    } else {
-        let n = cfg.cores;
-        for wave in 0..cfg.tenants.div_ceil(n) {
-            // Set up the wave: one tenant per core, entered via the
-            // costed VE scheduling path on its own core. `cur` is
-            // cleared between set-ups — with several processes live at
-            // once the active register state belongs to the core, not
-            // to a single kernel-wide current process.
-            let tenants: Vec<usize> = (wave * n..((wave + 1) * n).min(cfg.tenants)).collect();
-            let mut jobs: Vec<(usize, Pid, usize)> = Vec::with_capacity(tenants.len());
-            for &t in &tenants {
-                lz.kernel.machine.switch_core(t % n);
-                let pid = spawn_tenant(&mut lz, t);
-                lz.kernel.clear_current();
-                jobs.push((t % n, pid, t));
-            }
-            // Drain the wave in epochs until every tenant exited.
-            let mut done = vec![false; jobs.len()];
-            let mut spent = vec![0u64; jobs.len()];
-            while done.iter().any(|&d| !d) {
-                let mut budgets = vec![0u64; n];
-                for (j, &(core, ..)) in jobs.iter().enumerate() {
-                    if !done[j] {
-                        budgets[core] = FLEET_QUANTUM;
-                    }
-                }
-                let results = lz.kernel.machine.run_epoch(&budgets);
-                for (j, &(core, pid, t)) in jobs.iter().enumerate() {
-                    if done[j] {
-                        continue;
-                    }
-                    let (exit, used) = results[core];
-                    spent[j] += used;
-                    assert!(spent[j] <= RUN_LIMIT, "tenant {t} did not exit cleanly");
-                    if exit == lz_machine::Exit::Limit {
-                        continue;
-                    }
-                    lz.kernel.machine.switch_core(core);
-                    lz.kernel.set_current(pid);
-                    match lz.dispatch_exit(exit) {
-                        None => {}
-                        Some(Event::Exited(0)) => done[j] = true,
-                        Some(ev) => panic!("tenant {t} did not exit cleanly: {ev:?}"),
-                    }
-                    lz.kernel.clear_current();
-                }
-            }
-            for &(_, pid, t) in &jobs {
-                record_tenant(&lz, t, pid, &mut services);
-            }
-        }
-        lz.kernel.machine.switch_core(0);
     }
+    lz.kernel.machine.switch_core(0);
     let domains_live_peak = lz.module.domains_live();
 
     // Phase 2: open-loop queueing overlay over the measured services.

@@ -277,12 +277,8 @@ impl Kernel {
     /// Save the machine's user-visible state into the current process's
     /// context.
     pub fn save_current(&mut self) {
-        if let Some((p, m)) = self.current_mut() {
-            // LightZone processes run at EL1 and use SP_EL1.
-            let sp = if m.cpu.pstate.el == ExceptionLevel::El0 { m.cpu.sp_el0 } else { m.cpu.sp_el1 };
-            *p.ctx_mut() =
-                UserContext { x: m.cpu.x, sp, pc: m.cpu.pc, pstate: m.cpu.pstate, ttbr0: m.sysreg(SysReg::TTBR0_EL1) };
-        }
+        let (pc, pstate) = (self.machine.cpu.pc, self.machine.cpu.pstate);
+        self.save_thread_at(pc, pstate);
     }
 
     /// Make `pid` current without loading any machine state (the caller
@@ -355,7 +351,7 @@ impl Kernel {
 
     /// Return to the interrupted user context at `pc`.
     fn user_return(&mut self, host: bool, pc: u64, spsr: u64) {
-        let ps = PState::from_spsr(spsr).unwrap_or(PState::user());
+        let ps = user_pstate(spsr);
         debug_assert_eq!(ps.el, ExceptionLevel::El0);
         if host {
             self.machine.enter(ps, pc);
@@ -382,10 +378,7 @@ impl Kernel {
                 if nr >= CUSTOM_BASE {
                     // Save context at the post-syscall pc so the upper
                     // layer can resume with `resume_syscall`.
-                    self.save_current();
-                    if let Some((p, _)) = self.current_mut() {
-                        p.ctx_mut().pc = elr;
-                    }
+                    self.save_thread_at(elr, user_pstate(spsr));
                     return Some(Event::Custom { nr, args });
                 }
                 match self.do_syscall(nr, args) {
@@ -412,7 +405,7 @@ impl Kernel {
                         // it eventually resumes.
                         self.machine.cpu.set_reg(0, 0);
                         if self.smp_mode {
-                            self.save_thread_at(elr, spsr);
+                            self.save_thread_at(elr, user_pstate(spsr));
                             self.descheduled = true;
                         } else {
                             // Cooperative mode: another runnable thread
@@ -518,17 +511,12 @@ impl Kernel {
         self.user_return(host, pc, PState::user().to_spsr());
     }
 
-    /// Save the current thread's context as interrupted at `(pc, spsr)`.
-    fn save_thread_at(&mut self, pc: u64, spsr: u64) {
+    /// Save the current thread's context as interrupted at `pc` with
+    /// `pstate` (see [`thread_frame`]).
+    fn save_thread_at(&mut self, pc: u64, pstate: PState) {
         let Some((p, m)) = self.current_mut() else { return };
-        let sp = if m.cpu.pstate.el == ExceptionLevel::El0 { m.cpu.sp_el0 } else { m.cpu.sp_el1 };
-        *p.ctx_mut() = UserContext {
-            x: m.cpu.x,
-            sp,
-            pc,
-            pstate: PState::from_spsr(spsr).unwrap_or(PState::user()),
-            ttbr0: m.sysreg(SysReg::TTBR0_EL1),
-        };
+        let frame = thread_frame(p, m, pc, pstate);
+        *p.ctx_mut() = frame;
     }
 
     /// Save the current thread at `(pc, spsr)` and run the next runnable
@@ -537,7 +525,7 @@ impl Kernel {
         if self.cur.is_none() {
             return;
         }
-        self.save_thread_at(pc, spsr);
+        self.save_thread_at(pc, user_pstate(spsr));
         self.switch_to_next_thread(host);
     }
 
@@ -580,24 +568,8 @@ impl Kernel {
     /// was entered.
     fn deliver_signal(&mut self, host: bool, pc: u64, spsr: u64) -> bool {
         let Some((p, m)) = self.current_mut() else { return false };
-        if p.sig_frame.is_some() {
-            return false; // no nesting
-        }
-        let Some(&sig) = p.sig_pending.front() else { return false };
-        let Some(&handler) = p.sig_handlers.get(&sig) else {
-            // No handler: default action terminates (SIGKILL-style)
-            // would be handled by the caller; drop silently here.
-            p.sig_pending.pop_front();
-            return false;
-        };
-        p.sig_pending.pop_front();
-        p.sig_frame = Some(UserContext {
-            x: m.cpu.x,
-            sp: m.cpu.sp_el0,
-            pc,
-            pstate: PState::from_spsr(spsr).unwrap_or(PState::user()),
-            ttbr0: m.sysreg(SysReg::TTBR0_EL1),
-        });
+        let Some((sig, handler)) = p.take_signal() else { return false };
+        p.sig_frame = Some(thread_frame(p, m, pc, user_pstate(spsr)));
         // Signal-delivery path cost: frame setup + ucontext writes.
         let m = &self.machine.model;
         let cost = m.path_cost(500) + 40 * m.mem_access;
@@ -854,6 +826,21 @@ impl Kernel {
         }
         self.machine.charge(cost);
     }
+}
+
+/// `p`'s running thread as interrupted at `pc` with `pstate`: registers,
+/// the thread's own stack pointer and its domain (`TTBR0_EL1`, §6). A VE
+/// thread runs at EL1 on `SP_EL1`, any other thread at EL0 on `SP_EL0`,
+/// whichever EL the CPU trapped to.
+fn thread_frame(p: &Process, m: &Machine, pc: u64, pstate: PState) -> UserContext {
+    let sp = if p.in_lightzone { m.cpu.sp_el1 } else { m.cpu.sp_el0 };
+    UserContext { x: m.cpu.x, sp, pc, pstate, ttbr0: m.sysreg(SysReg::TTBR0_EL1) }
+}
+
+/// The user PSTATE a trap saved in `spsr` (a malformed value reads as
+/// plain EL0).
+fn user_pstate(spsr: u64) -> PState {
+    PState::from_spsr(spsr).unwrap_or(PState::user())
 }
 
 /// Result of a base-kernel syscall.

@@ -55,14 +55,6 @@ pub fn charge_full_world_switch(machine: &mut Machine) {
     machine.charge(gp);
 }
 
-/// A guest VM's identity as seen by the host KVM layer.
-#[derive(Debug, Clone, Copy)]
-pub struct GuestVm {
-    pub vmid: u16,
-    /// Stage-2 root for the VM.
-    pub s2_root: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

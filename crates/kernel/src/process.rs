@@ -228,6 +228,18 @@ impl Process {
     pub fn runnable_threads(&self) -> usize {
         self.threads.iter().filter(|t| !t.exited && !t.parked).count()
     }
+
+    /// The next signal to deliver and its handler, popped from the
+    /// pending queue: `None` while a handler runs (no nested delivery)
+    /// or when nothing is pending. A pending signal with no handler is
+    /// dropped (its default action is the caller's business).
+    pub fn take_signal(&mut self) -> Option<(u64, u64)> {
+        if self.sig_frame.is_some() {
+            return None;
+        }
+        let sig = self.sig_pending.pop_front()?;
+        self.sig_handlers.get(&sig).map(|&handler| (sig, handler))
+    }
 }
 
 #[cfg(test)]

@@ -658,17 +658,18 @@ impl Machine {
     /// Execute a compiled block (see [`crate::jit`]), re-entering it in
     /// place while it loops and `budget` covers another whole entry.
     ///
-    /// Equivalence to stepping: between segments the block revalidates
-    /// everything its dispatch checked — the TLB generation (a
+    /// Equivalence to stepping: the block revalidates what its dispatch
+    /// checked wherever a segment can have moved it. After every segment
+    /// it checks the PC (a data fault vectored to interpreted EL1, a
+    /// taken branch, or any other control transfer ends the block);
+    /// after a `Mem` or `Slow` segment also the TLB generation (a
     /// load/store may have inserted or promoted an entry, an interpreted
-    /// TLBI may have invalidated), the code frame's content version via
-    /// the `write_gen` shortcut (a self-modifying store ends the block
-    /// before the next fetch), and the PC (a data fault vectored to
-    /// interpreted EL1, a taken branch, or any other control transfer
-    /// ends the block). ALU runs cannot touch the TLB, memory, or the
-    /// journal, and move the PC only in a branch that ends the run, so
-    /// checking once per segment boundary observes exactly the states
-    /// stepping would: only `Mem` and `Slow` segments can perturb them.
+    /// TLBI may have invalidated) and the code frame's content version
+    /// via the `write_gen` shortcut (a self-modifying store ends the
+    /// block before the next fetch). ALU runs cannot touch the TLB,
+    /// memory, or the journal, and move the PC only in a branch that
+    /// ends the run, so these checks observe exactly the states stepping
+    /// would.
     /// Only chainable instructions (see [`crate::jit::lower`]) appear
     /// mid-block, so EL, PSTATE.PAN and the regime registers cannot
     /// change under a running block. Cycle,
@@ -683,9 +684,11 @@ impl Machine {
     /// back to `pc` at the end of an ALU run leaves the regime, EL, PAN
     /// and ASID as they were at entry, so `jit_block` would serve this
     /// same block from the same page entry under the same arm. What it
-    /// would check anew is re-checked here: the panic hook, the remaining
-    /// budget against `total`, and the TLB generation and code frame at
-    /// the boundary before segment 0. Nothing modelled is counted for it;
+    /// would check anew is re-checked here: the panic hook and the
+    /// remaining budget against `total`. The TLB generation and code
+    /// frame were last checked after the iteration's final `Mem` or
+    /// `Slow` segment, and the ALU run since cannot move them. Nothing
+    /// modelled is counted for it;
     /// it counts as a block execution in `FastStats::jit_blocks` and
     /// `FastStats::jit_loops`.
     fn step_jit(
@@ -738,6 +741,13 @@ impl Machine {
                         pc_k = pc;
                         si = 0;
                     }
+                    // An ALU run moves neither the TLB generation nor any
+                    // frame: nothing to revalidate, at a loop's re-entry
+                    // either.
+                    if si == block.segs.len() {
+                        break;
+                    }
+                    continue;
                 }
                 &Segment::Mem { word, rt, rn, offset, size, write } => {
                     self.tlb.count_superblock_insn();

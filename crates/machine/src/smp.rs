@@ -58,9 +58,10 @@
 //! verification mode. The schedule of epochs and the commit order are
 //! the same in both modes, so cycles, journals, and counters are
 //! byte-identical (CI runs both and compares; see DESIGN.md §15).
-//! The budgets come from the three epoch drivers outside this crate:
-//! the kernel scheduler (`Kernel::run_smp`), the fleet's wave drain and
-//! the crash-recovery soak.
+//! The budgets come from the epoch drivers outside this crate: the
+//! kernel's thread scheduler (`Kernel::run_smp`), and the fleet's wave
+//! drain (on every core count) and the crash-recovery soak, which commit
+//! each core's exit through one barrier call, `LightZone::dispatch_on`.
 
 use crate::cpu::{Cpu, Exit, Machine};
 use crate::helpers::{Helpers, Task};

@@ -391,7 +391,12 @@ ratchet crates/machine/src/helpers.rs 0
 ratchet crates/machine/src/json.rs 0
 ratchet crates/machine/src/metrics.rs 0
 ratchet crates/kernel/src/sched.rs 2
-ratchet crates/core/src/module.rs 6
+# module.rs: 2 = write_ttbr1_code's `fake resolves` (it re-reads a leaf
+# the module itself just mapped) and enter_ve_process's host-facing
+# `process is in LightZone` (a scheduler contract, documented under
+# Panics). Pgt 0's TTBR0 is read through `LzProc::default_ttbr0`,
+# which cannot panic.
+ratchet crates/core/src/module.rs 2
 ratchet crates/core/src/gate.rs 0
 ratchet crates/core/src/pgt.rs 0
 ratchet crates/core/src/fakephys.rs 0

@@ -300,10 +300,7 @@ fn warm_up(lz: &mut LightZone, pids: &[Pid]) {
         for core in 0..2 {
             let (exit, _) = results[core];
             if exit != Exit::Limit {
-                lz.kernel.machine.switch_core(core);
-                lz.kernel.set_current(pids[core]);
-                assert!(lz.dispatch_exit(exit).is_none(), "warm-up trap killed a VE");
-                lz.kernel.clear_current();
+                assert!(lz.dispatch_on(core, pids[core], exit).is_none(), "warm-up trap killed a VE");
             }
         }
         if results.iter().all(|&(exit, used)| exit == Exit::Limit && used == 2_000) {
@@ -364,10 +361,7 @@ fn contained_panic_run(parallel: bool, victim: usize) -> PanicImage {
     assert_eq!(results[neighbour], (Exit::Limit, 100_000), "the neighbour shell commits its quantum");
 
     // Barrier-side the panic becomes a typed kill of exactly that VE.
-    lz.kernel.machine.switch_core(victim);
-    lz.kernel.set_current(pids[victim]);
-    let kill_event = lz.dispatch_exit(Exit::HostPanic);
-    lz.kernel.clear_current();
+    let kill_event = lz.dispatch_on(victim, pids[victim], Exit::HostPanic);
     assert!(lz.reap(pids[victim]), "the killed VE reaps cleanly");
 
     // The survivor keeps serving: one more full quantum on its core.

@@ -112,6 +112,66 @@ fn gettid_distinguishes_threads() {
     assert_eq!(k.run(10_000_000), Event::Exited(0x21), "tid 2 spawned by tid 1");
 }
 
+/// A cloned thread keeps its stack across a switch away and back: it
+/// stores 42 at `[sp]`, yields to main, and after main exits reloads the
+/// value and exits with it. The saved context must hold the thread's
+/// `SP_EL0`, not the stack pointer of the EL the yield trapped to (EL2
+/// on the host kernel, EL1 on a guest kernel).
+#[test]
+fn yielding_thread_keeps_its_stack() {
+    let mut a = Asm::new(CODE);
+    let worker = a.label();
+    a.adr(0, worker);
+    a.mov_imm64(1, STACKS + 0x4000);
+    a.movz(2, 0, 0);
+    a.mov_imm64(8, Sysno::Clone.nr());
+    a.svc(0);
+    // Run the worker until it yields back, then end main's thread: the
+    // worker resumes from its saved context.
+    a.mov_imm64(8, Sysno::Yield.nr());
+    a.svc(0);
+    a.movz(0, 0, 0);
+    a.mov_imm64(8, Sysno::Exit.nr());
+    a.svc(0);
+    a.bind(worker);
+    a.movz(3, 42, 0);
+    a.str(3, 31, 0);
+    a.mov_imm64(8, Sysno::Yield.nr());
+    a.svc(0);
+    a.ldr(0, 31, 0);
+    a.mov_imm64(8, Sysno::Exit.nr());
+    a.svc(0);
+    let prog = Program::from_code(CODE, a.bytes()).with_anon_segment(STACKS, 0x8000, VmProt::RW);
+    for guest in [false, true] {
+        let mut k = if guest { Kernel::new_guest(Platform::CortexA55) } else { Kernel::new_host(Platform::CortexA55) };
+        let pid = k.spawn(&prog);
+        k.enter_process(pid);
+        assert_eq!(k.run(10_000_000), Event::Exited(42), "guest kernel: {guest}");
+    }
+}
+
+/// A VE runs on the stack it called `lz_enter` with: `SP_EL1` inherits
+/// the process's `SP_EL0`, so `[sp]` is the top of its stack VMA.
+#[test]
+fn ve_keeps_its_stack_across_lz_enter() {
+    let mut b = LzProgramBuilder::new(CODE);
+    b.asm.lz_enter(true, SAN_TTBR);
+    b.asm.movz(3, 42, 0);
+    b.asm.str(3, 31, 0);
+    b.asm.ldr(0, 31, 0);
+    b.asm.mov_imm64(8, Sysno::Exit.nr());
+    b.asm.svc(0);
+    let prog = b.build();
+    for guest in [false, true] {
+        let mut lz =
+            if guest { LightZone::new_guest(Platform::CortexA55) } else { LightZone::new_host(Platform::CortexA55) };
+        let pid = lz.spawn(&prog);
+        lz.enter_process(pid);
+        assert_eq!(lz.run_to_exit(), 42, "guest kernel: {guest}");
+        assert_eq!(lz.kernel.machine.cpu.sp_el1, 0x7ffe_fff0, "the VE ran on the process's stack");
+    }
+}
+
 /// LightZone per-thread stack domains (the §9.2 MySQL pattern): each
 /// worker attaches its own stack region to its own page table via a
 /// gate, then optionally pokes at the other worker's stack.

@@ -411,9 +411,9 @@ impl Machine {
             .with("jit_compiled", fast.jit_compiled);
 
         let mut gate = Section::new("gate").with("switches", self.metrics.domain_switches);
-        gate.push("distinct_domains", self.metrics.switches_by_asid.len() as u64);
-        for (asid, n) in &self.metrics.switches_by_asid {
-            gate.push(format!("asid_{asid}"), *n);
+        gate.push("distinct_domains", self.metrics.switched_asids().count() as u64);
+        for (asid, n) in self.metrics.switched_asids() {
+            gate.push(format!("asid_{asid}"), n);
         }
 
         let mut traps = Section::new("traps");
@@ -1311,7 +1311,11 @@ impl Machine {
     /// then `complete_access`'s `mem_access` charge and bus-error exit.
     /// Anything else runs `data_access` itself, and a probe miss continues
     /// there without probing again.
-    #[inline]
+    ///
+    /// Never inlined: inlined into `step_jit`, the memory path (probe,
+    /// frame lookup, byte move) would share the register allocation and
+    /// code layout of the ALU-run loop around it and slow that loop down.
+    #[inline(never)]
     fn jit_mem(&mut self, va: u64, size: MemSize, rt: u8, is_write: bool, next_pc: u64) -> Option<Exit> {
         let bytes = size.bytes();
         let watched = self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0;

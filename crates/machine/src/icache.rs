@@ -58,7 +58,8 @@
 //!
 //! An entry is armed for the fetch's ASID, or for **every** ASID when
 //! two facts hold: its snapshot is global, and that global entry heads
-//! the page's L1 TLB slot. While the TLB generation holds, L1 is frozen
+//! the page's L1 TLB slot (`Tlb::arm_scope` decides, for the micro-DTLB
+//! too). While the TLB generation holds, L1 is frozen
 //! and an L1 slot holds at most one global entry, so every ASID's L1
 //! lookup returns that head. Blocks are reached only through
 //! `entry_mut`'s find order: an ASID whose own entry precedes the
@@ -176,9 +177,9 @@ impl ICache {
     /// page entry ([`Self::fill`]), then arm the entry at TLB generation
     /// `tlb_gen` if it is the one [`Self::entry_mut`] finds for `asid` —
     /// the entry that carries the live TLB entry (see the module docs).
-    /// `l1_head` is the first entry of the page's L1 TLB slot. The arm
-    /// covers every ASID when the entry's snapshot is global and heads
-    /// the L1 slot; otherwise it covers `asid` only.
+    /// The arm covers the ASIDs `scope` names: every ASID (`None`) when
+    /// the snapshot is a global entry that heads the page's L1 TLB slot,
+    /// otherwise `asid` alone (`Tlb::arm_scope` decides).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &mut self,
@@ -188,7 +189,7 @@ impl ICache {
         va: u64,
         info: FillInfo,
         tlb_gen: u64,
-        l1_head: Option<TlbEntry>,
+        scope: Option<u16>,
     ) {
         self.misses += 1;
         let Some(i) = self.fill(mem, vmid, va, info) else { return };
@@ -200,9 +201,8 @@ impl ICache {
         if entries.iter().position(finds) != Some(i) {
             return;
         }
-        let every_asid = info.snapshot.asid.is_none() && l1_head == Some(info.snapshot);
         let e = &mut entries[i];
-        (e.fast_gen, e.fast_asid) = (tlb_gen, if every_asid { None } else { Some(asid) });
+        (e.fast_gen, e.fast_asid) = (tlb_gen, scope);
     }
 
     /// Create or restart the page entry of a fetch at `va` through
@@ -468,12 +468,12 @@ mod tests {
         pa
     }
 
-    /// Record an EL0 fetch at `va` under ASID 1 at TLB generation 1, with
-    /// an empty L1 TLB slot: the entry for `va` (code at `pa`; ASID 1, or
-    /// global) is armed for ASID 1 only.
+    /// Record an EL0 fetch at `va` under ASID 1 at TLB generation 1, armed
+    /// for ASID 1 only: the entry for `va` (code at `pa`; ASID 1, or
+    /// global).
     fn recorded(mem: &PhysMem, va: u64, pa: u64, global: bool) -> ICache {
         let mut ic = ICache::new(16);
-        ic.record(mem, 0, 1, va, seed_info(if global { None } else { Some(1) }, pa), 1, None);
+        ic.record(mem, 0, 1, va, seed_info(if global { None } else { Some(1) }, pa), 1, Some(1));
         ic
     }
 
@@ -522,7 +522,7 @@ mod tests {
         mem.write(pa, NOP, 4);
         assert!(!serves(&mut ic, &mem, 1, 0x1000, false), "write to the code frame must not serve the stale page");
         // The next recorded fetch restarts the stale entry in place.
-        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 1, None);
+        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 1, Some(1));
         assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
         assert!(serves(&mut ic, &mem, 1, 0x1000, false));
     }
@@ -543,7 +543,7 @@ mod tests {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let mut ic = ICache::new(16);
-        ic.record(&mem, 0, 1, 0x1000, seed_info(None, pa), 1, Some(seed_info(None, pa).snapshot));
+        ic.record(&mem, 0, 1, 0x1000, seed_info(None, pa), 1, None);
         for asid in [1u16, 7, 999] {
             assert!(serves(&mut ic, &mem, asid, 0x1000, false), "ASID {asid}");
         }
@@ -569,7 +569,7 @@ mod tests {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let mut ic = recorded(&mem, 0x1000, pa, true);
-        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 2, None);
+        ic.record(&mem, 0, 1, 0x1000, seed_info(Some(1), pa), 2, Some(1));
         assert_eq!((ic.len(), ic.stats()), (2, (0, 2)));
         assert!(!ic.serves(&mem, 0, 1, ExceptionLevel::El0, 0x1000, true, false, 2), "the shadowed entry is not armed");
         assert!(serves(&mut ic, &mem, 1, 0x1000, false), "the global entry keeps its arm");
@@ -625,32 +625,29 @@ mod tests {
 
     #[test]
     fn global_entry_arms_every_asid_only_when_it_leads() {
-        // A global entry that heads its L1 slot is armed for every ASID,
-        // and serves every ASID that `entry_mut` leads to it. An ASID
-        // whose own entry comes first in the page's list (case 5's ASID
-        // 2) finds that entry instead, so it is never served from the
-        // global one.
+        // A global entry armed for every ASID (its L1 slot head is
+        // global; `Tlb::arm_scope`) serves every ASID that `entry_mut`
+        // leads to it. An ASID whose own entry comes first in the page's
+        // list (case 3's ASID 2) finds that entry instead, so it is never
+        // served from the global one.
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let va = 0x1000;
-        let global = seed_info(None, pa).snapshot;
-        let own = seed_info(Some(2), pa).snapshot;
         let el1 = FillInfo { el: ExceptionLevel::El1, ..seed_info(Some(2), pa) };
-        // (entries filled before the global one, L1 slot head, ASIDs served
+        // (entries filled before the global one, arm scope, ASIDs served
         // after recording a fetch under ASID 1)
-        let cases: [(&[FillInfo], Option<TlbEntry>, &[u16]); 5] = [
-            (&[], Some(global), &[1, 2, 3]),
-            (&[el1], Some(global), &[1, 2, 3]), // another EL's entry does not count
-            (&[], None, &[1]),
-            (&[], Some(own), &[1]), // ASID 2's L1 lookup returns its own entry
-            (&[seed_info(Some(2), pa)], Some(global), &[1, 3]), // ASID 2 finds its own (unarmed) entry first
+        let cases: [(&[FillInfo], Option<u16>, &[u16]); 4] = [
+            (&[], None, &[1, 2, 3]),
+            (&[el1], None, &[1, 2, 3]), // another EL's entry does not count
+            (&[], Some(1), &[1]),
+            (&[seed_info(Some(2), pa)], None, &[1, 3]), // ASID 2 finds its own (unarmed) entry first
         ];
-        for (i, (before, l1_head, served)) in cases.into_iter().enumerate() {
+        for (i, (before, scope, served)) in cases.into_iter().enumerate() {
             let mut ic = ICache::new(16);
             for info in before {
                 ic.fill(&mem, 0, va, *info);
             }
-            ic.record(&mem, 0, 1, va, seed_info(None, pa), 1, l1_head);
+            ic.record(&mem, 0, 1, va, seed_info(None, pa), 1, scope);
             assert_eq!(served_asids(&mut ic, &mem, va), served, "case {i}");
         }
     }
@@ -666,7 +663,7 @@ mod tests {
             let (mut ic, _) = armed_with_block(&mem, va, pa, true);
             match i {
                 0 => ic.invalidate_va(0, va),
-                1 => ic.record(&mem, 0, 2, va, seed_info(None, pa), 1, None),
+                1 => ic.record(&mem, 0, 2, va, seed_info(None, pa), 1, Some(2)),
                 _ => assert!(mem.write(pa, NOP, 4)),
             }
             assert!(lookup(&mut ic, &mem, va, 1).is_none(), "{what} must refuse the stored block");
@@ -681,7 +678,7 @@ mod tests {
         assert!(!serves(&mut ic, &mem, 1, 0x1000, true), "WXN flip must not serve the old page");
         // The next recorded fetch, under the new regime, restarts the
         // entry in place.
-        ic.record(&mem, 0, 1, 0x1000, FillInfo { wxn: true, ..seed_info(Some(1), pa) }, 1, None);
+        ic.record(&mem, 0, 1, 0x1000, FillInfo { wxn: true, ..seed_info(Some(1), pa) }, 1, Some(1));
         assert_eq!((ic.len(), ic.eviction_count()), (1, 1));
         assert!(serves(&mut ic, &mem, 1, 0x1000, true));
     }

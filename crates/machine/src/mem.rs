@@ -15,6 +15,47 @@ struct Frame {
     version: u64,
 }
 
+/// The frame table: frames indexed by frame number, plus the number of
+/// live ones. Frame numbers are handed out densely from 1 MiB up (a
+/// contiguous allocation may skip to its alignment), so the table holds
+/// few holes and a lookup is one bounds check and one load. Only
+/// allocation and the epoch merge insert; a lookup past the end is a bus
+/// error and never grows the table.
+#[derive(Debug, Clone, Default)]
+struct FrameTable {
+    slots: Vec<Option<Frame>>,
+    live: usize,
+}
+
+impl FrameTable {
+    #[inline]
+    fn get(&self, frame: u64) -> Option<&Frame> {
+        self.slots.get(usize::try_from(frame).ok()?)?.as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, frame: u64) -> Option<&mut Frame> {
+        self.slots.get_mut(usize::try_from(frame).ok()?)?.as_mut()
+    }
+
+    /// Install `f` as frame `frame`, an allocator-issued number.
+    fn insert(&mut self, frame: u64, f: Frame) {
+        let i = frame as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        if self.slots[i].replace(f).is_none() {
+            self.live += 1;
+        }
+    }
+
+    fn remove(&mut self, frame: u64) -> Option<Frame> {
+        let f = self.slots.get_mut(usize::try_from(frame).ok()?)?.take()?;
+        self.live -= 1;
+        Some(f)
+    }
+}
+
 /// Dirty frames written by one core during an epoch, plus the shell-local
 /// generation they reached. Produced by [`PhysMem::take_epoch_overlay`],
 /// consumed by [`PhysMem::merge_epoch`] at the barrier.
@@ -54,7 +95,7 @@ impl EpochWrites {
 /// barrier-side — so the shared base is immutable while views exist.
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    frames: Arc<FxHashMap<u64, Frame>>,
+    frames: Arc<FrameTable>,
     /// Epoch write overlay: `Some` only inside a per-core epoch view.
     /// Reads check it before the shared base; writes copy the frame up.
     overlay: Option<FxHashMap<u64, Frame>>,
@@ -72,7 +113,7 @@ impl PhysMem {
     /// (null-PA bugs fault loudly).
     pub fn new() -> Self {
         PhysMem {
-            frames: Arc::new(FxHashMap::default()),
+            frames: Arc::new(FrameTable::default()),
             overlay: None,
             next_frame: (1 << 20) >> PAGE_SHIFT,
             free: Vec::new(),
@@ -142,7 +183,7 @@ impl PhysMem {
             // The shared base is immutable while views exist, so the
             // base frame (zeros if the frame vanished) is the pre-epoch
             // original every copy descended from.
-            let orig: Box<[u8; PAGE_SIZE as usize]> = match frames.get(&key) {
+            let orig: Box<[u8; PAGE_SIZE as usize]> = match frames.get(key) {
                 Some(f) => f.data.clone(),
                 None => Box::new([0u8; PAGE_SIZE as usize]),
             };
@@ -178,7 +219,7 @@ impl PhysMem {
     /// Mutable access to the shared frame table outside epochs. All
     /// views are merged and dropped before allocator paths run, so the
     /// `Arc` is unshared and this never copies.
-    fn base_mut(&mut self) -> &mut FxHashMap<u64, Frame> {
+    fn base_mut(&mut self) -> &mut FrameTable {
         debug_assert!(self.overlay.is_none(), "allocator paths never run inside an epoch");
         Arc::make_mut(&mut self.frames)
     }
@@ -230,7 +271,7 @@ impl PhysMem {
     /// free degrades to a leak instead of killing the host.
     pub fn try_free_frame(&mut self, pa: u64) -> bool {
         let frame = pa >> PAGE_SHIFT;
-        if self.base_mut().remove(&frame).is_none() {
+        if self.base_mut().remove(frame).is_none() {
             return false;
         }
         self.write_gen += 1;
@@ -255,19 +296,19 @@ impl PhysMem {
                 return Some(frame.version);
             }
         }
-        self.frames.get(&key).map(|f| f.version)
+        self.frames.get(key).map(|f| f.version)
     }
 
     /// Is this physical address backed by an allocated frame? (Epoch
     /// overlays only ever hold frames copied up from the base, so the
     /// base alone answers this.)
     pub fn is_mapped(&self, pa: u64) -> bool {
-        self.frames.contains_key(&(pa >> PAGE_SHIFT))
+        self.frames.get(pa >> PAGE_SHIFT).is_some()
     }
 
     /// Number of allocated frames (for memory-overhead accounting).
     pub fn allocated_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.live
     }
 
     /// Read-only view of the whole frame containing `pa`, or `None` on a
@@ -281,7 +322,7 @@ impl PhysMem {
                 return Some(&*frame.data);
             }
         }
-        self.frames.get(&key).map(|f| &*f.data)
+        self.frames.get(key).map(|f| &*f.data)
     }
 
     /// Mutable frame access; bumps the generation stamps because every
@@ -293,13 +334,13 @@ impl PhysMem {
         if let Some(overlay) = self.overlay.as_mut() {
             let frame = match overlay.entry(key) {
                 Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(self.frames.get(&key)?.clone()),
+                Entry::Vacant(e) => e.insert(self.frames.get(key)?.clone()),
             };
             self.write_gen = gen;
             frame.version = gen;
             return Some(&mut *frame.data);
         }
-        let frame = Arc::make_mut(&mut self.frames).get_mut(&key)?;
+        let frame = Arc::make_mut(&mut self.frames).get_mut(key)?;
         self.write_gen = gen;
         frame.version = gen;
         Some(&mut *frame.data)
@@ -560,5 +601,67 @@ mod tests {
         assert_eq!(m.allocated_frames(), 2);
         m.free_frame(a);
         assert_eq!(m.allocated_frames(), 1);
+        // Live frames, not table slots: a contiguous block's alignment gap
+        // and a failed free count nothing.
+        m.alloc_contiguous(512);
+        assert!(!m.try_free_frame(a));
+        assert_eq!(m.allocated_frames(), 513);
+        assert_eq!(m.alloc_frame(), a, "the freed frame is recycled first");
+        assert_eq!(m.allocated_frames(), 514);
+    }
+
+    #[test]
+    fn recycled_frame_comes_back_zeroed_at_every_word() {
+        let mut m = PhysMem::new();
+        let a = m.alloc_frame();
+        assert!(m.write_bytes(a, &[0xa5; PAGE_SIZE as usize]));
+        assert!(m.try_free_frame(a));
+        assert_eq!(m.alloc_frame(), a);
+        assert_eq!(m.frame(a), Some(&[0u8; PAGE_SIZE as usize]));
+    }
+
+    #[test]
+    fn contiguous_alloc_leaves_an_alignment_gap() {
+        let mut m = PhysMem::new();
+        let first = m.alloc_frame(); // frame 256, at 1 MiB
+        let block = m.alloc_contiguous(512);
+        assert_eq!(block, 2 << 20, "a 2 MiB block starts on a 2 MiB boundary");
+        for pa in (first + PAGE_SIZE..block).step_by(PAGE_SIZE as usize) {
+            assert!(!m.is_mapped(pa) && m.read_u64(pa).is_none(), "{pa:#x} lies in the gap");
+        }
+        assert!(m.is_mapped(block) && m.is_mapped(block + 511 * PAGE_SIZE));
+        assert_eq!(m.alloc_frame(), block + 512 * PAGE_SIZE, "single frames continue after the block");
+    }
+
+    #[test]
+    fn lookup_past_the_table_is_a_bus_error_and_never_grows_it() {
+        let mut m = PhysMem::new();
+        let pa = m.alloc_frame();
+        let len = m.frames.slots.len();
+        for far in [pa + PAGE_SIZE, 0x10_0000_0000, !0xfff] {
+            assert_eq!((m.read_u64(far), m.frame_version(far), m.is_mapped(far)), (None, None, false));
+            assert!(!m.write_u64(far, 1) && !m.try_free_frame(far));
+            let mut view = m.epoch_view();
+            assert!(!view.write_u64(far, 1));
+            assert_eq!(view.take_epoch_overlay().map(|p| p.dirty_frames()), Some(0));
+        }
+        assert_eq!(m.frames.slots.len(), len, "lookups never grow the table");
+    }
+
+    #[test]
+    fn merge_lands_in_the_indexed_table() {
+        // Writes at both ends of the table — its first frame and the last
+        // frame of a contiguous block — merge without adding a frame.
+        let mut m = PhysMem::new();
+        let low = m.alloc_frame();
+        let high = m.alloc_contiguous(512) + 511 * PAGE_SIZE;
+        let frames = m.allocated_frames();
+        let mut v0 = m.epoch_view();
+        let mut v1 = m.epoch_view();
+        assert!(v0.write_u64(low, 1) && v1.write_u64(high + 8, 2) && v1.write_u64(low + 8, 3));
+        let parts = vec![v0.take_epoch_overlay().unwrap(), v1.take_epoch_overlay().unwrap()];
+        assert_eq!(m.merge_epoch(parts), 0, "disjoint bytes of one frame do not conflict");
+        assert_eq!([m.read_u64(low), m.read_u64(low + 8), m.read_u64(high + 8)], [Some(1), Some(3), Some(2)]);
+        assert_eq!(m.allocated_frames(), frames);
     }
 }

@@ -149,8 +149,10 @@ pub struct MachineMetrics {
     /// Total interpreted `TTBR0_EL1` writes at EL1 (gate switches).
     pub domain_switches: u64,
     /// Gate switches broken down by target ASID (one ASID per domain
-    /// page table in the LightZone design).
-    pub switches_by_asid: BTreeMap<u16, u64>,
+    /// page table in the LightZone design), indexed by ASID. It grows
+    /// when a higher ASID first switches, so it is bounded by the 16-bit
+    /// ASID space; ASIDs never switched to read 0.
+    pub switches_by_asid: Vec<u64>,
     /// Exceptions taken by the interpreter, by exception class.
     pub traps: BTreeMap<ExceptionClass, u64>,
 }
@@ -159,7 +161,17 @@ impl MachineMetrics {
     /// Count one gate switch to `asid`.
     pub fn domain_switch(&mut self, asid: u16) {
         self.domain_switches += 1;
-        *self.switches_by_asid.entry(asid).or_insert(0) += 1;
+        let i = usize::from(asid);
+        if i >= self.switches_by_asid.len() {
+            self.switches_by_asid.resize(i + 1, 0);
+        }
+        self.switches_by_asid[i] += 1;
+    }
+
+    /// `(asid, switches)` for every ASID switched to, in ascending ASID
+    /// order.
+    pub fn switched_asids(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        (0..=u16::MAX).zip(self.switches_by_asid.iter().copied()).filter(|&(_, n)| n > 0)
     }
 
     /// Count one exception of the given class.
@@ -176,8 +188,11 @@ impl MachineMetrics {
     /// (commit-order barrier merge; see [`crate::smp`]).
     pub fn absorb(&mut self, other: MachineMetrics) {
         self.domain_switches += other.domain_switches;
-        for (asid, n) in other.switches_by_asid {
-            *self.switches_by_asid.entry(asid).or_insert(0) += n;
+        if self.switches_by_asid.len() < other.switches_by_asid.len() {
+            self.switches_by_asid.resize(other.switches_by_asid.len(), 0);
+        }
+        for (mine, n) in self.switches_by_asid.iter_mut().zip(other.switches_by_asid) {
+            *mine += n;
         }
         for (class, n) in other.traps {
             *self.traps.entry(class).or_insert(0) += n;
@@ -613,5 +628,23 @@ mod tests {
         };
         w.count_fault(&f);
         assert_eq!(w, WalkStats { s2_permission_faults: 1, ..WalkStats::default() });
+    }
+
+    #[test]
+    fn switches_by_asid_grow_and_absorb_element_wise() {
+        let mut a = MachineMetrics::default();
+        for asid in [5, 1, 5] {
+            a.domain_switch(asid);
+        }
+        let mut b = MachineMetrics::default();
+        for asid in [9, 0, 5] {
+            b.domain_switch(asid);
+        }
+        a.absorb(b);
+        assert_eq!(a.domain_switches, 6);
+        assert_eq!(a.switched_asids().collect::<Vec<_>>(), [(0, 1), (1, 1), (5, 3), (9, 1)]);
+        let mut c = MachineMetrics::default();
+        c.domain_switch(u16::MAX);
+        assert_eq!(c.switched_asids().collect::<Vec<_>>(), [(u16::MAX, 1)]);
     }
 }

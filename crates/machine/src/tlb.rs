@@ -91,8 +91,18 @@ impl TlbLevel {
     }
 }
 
-/// Number of micro-DTLB slots (direct-mapped by VPN).
-const DTLB_SLOTS: usize = 64;
+/// Micro-DTLB geometry: 64 slots in `DTLB_SETS` sets of `DTLB_WAYS`.
+const DTLB_SETS: usize = 16;
+const DTLB_WAYS: usize = 4;
+
+/// The micro-DTLB set of a VPN: the top bits of a multiplicative
+/// (Fibonacci) hash. Page-aligned regions a multiple of 256 KiB apart —
+/// one page table's code and data pages, a gate table beside a domain's
+/// first page — share `vpn & 63` but not, in general, this set.
+#[inline]
+fn dtlb_set(vpn: u64) -> usize {
+    (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DTLB_SETS.ilog2())) as usize
+}
 
 /// One armed micro-DTLB slot: a host-side memo that a data translation
 /// for exactly these tags was proven (by the full slow path) to be a free
@@ -103,13 +113,15 @@ const DTLB_SLOTS: usize = 64;
 /// EL, PSTATE.PAN, the unprivileged-access flag, whether stage 1 is on —
 /// is part of the tag, so a hit replays a result the slow path is
 /// guaranteed to reproduce.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DtlbSlot {
     gen: u64,
     vpn: u64,
     pa_page: u64,
     vmid: u16,
-    asid: u16,
+    /// The ASIDs the proof covers: one, or every ASID (`None`; see
+    /// [`Tlb::arm_scope`]).
+    asid: Option<u16>,
     el: ExceptionLevel,
     pan: bool,
     unpriv: bool,
@@ -123,7 +135,7 @@ const EMPTY_DTLB_SLOT: DtlbSlot = DtlbSlot {
     vpn: 0,
     pa_page: 0,
     vmid: 0,
-    asid: 0,
+    asid: None,
     el: ExceptionLevel::El0,
     pan: false,
     unpriv: false,
@@ -131,6 +143,8 @@ const EMPTY_DTLB_SLOT: DtlbSlot = DtlbSlot {
     read: false,
     write: false,
 };
+
+const EMPTY_DTLB: [[DtlbSlot; DTLB_WAYS]; DTLB_SETS] = [[EMPTY_DTLB_SLOT; DTLB_WAYS]; DTLB_SETS];
 
 /// A two-level TLB: a small micro-TLB in front of the main TLB, the
 /// usual ARM arrangement. Hitting only the main TLB costs a few cycles —
@@ -162,8 +176,11 @@ pub struct Tlb {
     /// interpreter with both off. Every TLB miss walks on either engine.
     /// Host-side only; every modelled quantity is identical either way.
     accel: bool,
-    /// Micro-DTLB: direct-mapped by VPN, guarded by `gen`.
-    dtlb: [DtlbSlot; DTLB_SLOTS],
+    /// Micro-DTLB: set-associative by a hash of the VPN (`dtlb_set`),
+    /// guarded by `gen`.
+    dtlb: [[DtlbSlot; DTLB_WAYS]; DTLB_SETS],
+    /// Per set, the way the next round-robin eviction replaces.
+    dtlb_next: [u8; DTLB_SETS],
     /// Host-side fast-path savings counters.
     pub(crate) fast: FastStats,
 }
@@ -187,7 +204,8 @@ impl Tlb {
             inval: InvalStats::default(),
             walk: WalkStats::default(),
             accel: false,
-            dtlb: [EMPTY_DTLB_SLOT; DTLB_SLOTS],
+            dtlb: EMPTY_DTLB,
+            dtlb_next: [0; DTLB_SETS],
             fast: FastStats::default(),
         }
     }
@@ -198,7 +216,7 @@ impl Tlb {
     pub fn set_accel(&mut self, on: bool) {
         self.accel = on;
         if !on {
-            self.dtlb = [EMPTY_DTLB_SLOT; DTLB_SLOTS];
+            self.dtlb = EMPTY_DTLB;
         }
     }
 
@@ -326,12 +344,29 @@ impl Tlb {
         self.gen
     }
 
+    /// The ASIDs a translation of `va` that left its TLB entry in L1 may
+    /// be replayed for while the generation holds: every ASID (`None`)
+    /// when the head entry of `va`'s L1 slot is global, otherwise `asid`
+    /// alone. While the generation holds L1 is frozen, and a global entry
+    /// matches every ASID, so an L1 lookup under any ASID returns a
+    /// global head — the entry the translation itself used. A global
+    /// entry behind another ASID's entry answers only the ASIDs whose
+    /// lookup passes that entry. The fetch cache's arms
+    /// ([`Self::record_fetch`]) and the micro-DTLB's ([`Self::dtlb_arm`])
+    /// both follow this rule.
+    fn arm_scope(&self, vmid: u16, asid: u16, va: u64) -> Option<u16> {
+        match self.l1.head(vmid, va) {
+            Some(head) if head.asid.is_none() => None,
+            _ => Some(asid),
+        }
+    }
+
     /// Record a successful reference fetch at `va` in the fetch cache
     /// (see `ICache::record`). The fetch left the TLB entry it used in L1
     /// — an L1 hit stays, an L2 hit was promoted, a walk inserted — so
     /// the L1 lookup returns that entry, and `record` arms the page
-    /// against it at the current generation. A global entry that heads
-    /// its L1 slot is armed for every ASID.
+    /// against it at the current generation, for the ASIDs
+    /// [`Self::arm_scope`] allows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_fetch(
         &mut self,
@@ -345,8 +380,8 @@ impl Tlb {
     ) {
         let Some(snapshot) = self.l1.lookup(vmid, asid, va) else { return };
         let info = FillInfo { el, s1_enabled, wxn, snapshot };
-        let l1_head = self.l1.head(vmid, va);
-        self.icache.record(mem, vmid, asid, va, info, self.gen, l1_head);
+        let scope = self.arm_scope(vmid, asid, va);
+        self.icache.record(mem, vmid, asid, va, info, self.gen, scope);
     }
 
     /// Micro-DTLB probe for a data access. A hit means the slow path
@@ -357,9 +392,12 @@ impl Tlb {
     /// * `gen` guards every structural TLB mutation (insert, promotion,
     ///   every `invalidate_*`, DVM shootdowns) — while it is unchanged,
     ///   L1 content is frozen;
-    /// * the tag pins VMID, ASID, EL, PSTATE.PAN, the unprivileged flag
-    ///   (LDTR/STTR) and whether stage 1 is on, so `set_sysreg`, ERET,
-    ///   PAN flips and domain switches all fall back to the slow path;
+    /// * the tag pins VMID, EL, PSTATE.PAN, the unprivileged flag
+    ///   (LDTR/STTR) and whether stage 1 is on, so `set_sysreg`, ERET
+    ///   and PAN flips fall back to the slow path;
+    /// * the ASID matches the slot's scope: the slot's own ASID, or any
+    ///   ASID for a slot armed through a global L1 head — so a domain
+    ///   switch keeps global data translations and misses the rest;
     /// * `read`/`write` are armed separately, so an entry proven only
     ///   for loads never short-circuits the write-permission check.
     ///
@@ -381,30 +419,30 @@ impl Tlb {
         if !self.accel {
             return None;
         }
-        let vpn = va >> 12;
-        let slot = &self.dtlb[(vpn as usize) & (DTLB_SLOTS - 1)];
-        let armed = if write { slot.write } else { slot.read };
-        if slot.gen == self.gen
-            && armed
-            && slot.vpn == vpn
-            && slot.vmid == vmid
-            && slot.asid == asid
-            && slot.el == el
-            && slot.pan == pan
-            && slot.unpriv == unpriv
-            && slot.s1_enabled == s1_enabled
-        {
-            self.hits += 1; // replay the free L1 hit
-            self.fast.dtlb_hits += 1;
-            return Some(slot.pa_page | (va & 0xfff));
-        }
-        None
+        let (vpn, gen) = (va >> 12, self.gen);
+        let slot = self.dtlb[dtlb_set(vpn)].iter().find(|s| {
+            s.gen == gen
+                && s.vpn == vpn
+                && (if write { s.write } else { s.read })
+                && s.vmid == vmid
+                && s.asid.is_none_or(|a| a == asid)
+                && s.el == el
+                && s.pan == pan
+                && s.unpriv == unpriv
+                && s.s1_enabled == s1_enabled
+        })?;
+        let pa = slot.pa_page | (va & 0xfff);
+        self.hits += 1; // replay the free L1 hit
+        self.fast.dtlb_hits += 1;
+        Some(pa)
     }
 
     /// Arm the micro-DTLB after a successful slow-path data translation:
     /// the caller proved `(tags, access kind) -> pa_page` at the current
-    /// generation. Re-arming the same mapping ORs in the new access kind;
-    /// anything else overwrites the direct-mapped slot.
+    /// generation, for the ASIDs [`Self::arm_scope`] allows. Re-arming
+    /// the same mapping ORs in the new access kind. Anything else takes
+    /// a way of `va`'s set: the first armed at an older generation (or
+    /// never), otherwise the set's round-robin victim.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn dtlb_arm(
@@ -422,27 +460,22 @@ impl Tlb {
         if !self.accel {
             return;
         }
-        let vpn = va >> 12;
-        let gen = self.gen;
-        let slot = &mut self.dtlb[(vpn as usize) & (DTLB_SLOTS - 1)];
-        if slot.gen == gen
-            && slot.vpn == vpn
-            && slot.vmid == vmid
-            && slot.asid == asid
-            && slot.el == el
-            && slot.pan == pan
-            && slot.unpriv == unpriv
-            && slot.s1_enabled == s1_enabled
-            && slot.pa_page == pa_page
-        {
-            if write {
-                slot.write = true;
-            } else {
-                slot.read = true;
-            }
+        let (vpn, gen) = (va >> 12, self.gen);
+        let asid = self.arm_scope(vmid, asid, va);
+        let armed = DtlbSlot { gen, vpn, pa_page, vmid, asid, el, pan, unpriv, s1_enabled, read: !write, write };
+        let set = dtlb_set(vpn);
+        let ways = &mut self.dtlb[set];
+        if let Some(slot) = ways.iter_mut().find(|s| **s == DtlbSlot { read: s.read, write: s.write, ..armed }) {
+            slot.read |= armed.read;
+            slot.write |= armed.write;
             return;
         }
-        *slot = DtlbSlot { gen, vpn, pa_page, vmid, asid, el, pan, unpriv, s1_enabled, read: !write, write };
+        let way = ways.iter().position(|s| s.gen != gen).unwrap_or_else(|| {
+            let way = usize::from(self.dtlb_next[set]);
+            self.dtlb_next[set] = ((way + 1) % DTLB_WAYS) as u8;
+            way
+        });
+        ways[way] = armed;
     }
 
     /// The compiled block for the fetch at `va`, served or lowered by
@@ -624,6 +657,129 @@ mod tests {
         t.insert(1, 0x1000, entry(Some(1), 0xc000));
         assert_eq!(t.lookup(1, 1, 0x1000).unwrap().pa_page, 0xc000);
         assert_eq!(t.len(), 1);
+    }
+
+    /// A TLB on the accelerated engine, so the micro-DTLB arms.
+    fn accel_tlb() -> Tlb {
+        let mut t = Tlb::new(16);
+        t.set_accel(true);
+        t
+    }
+
+    /// Arm an EL0 read of `vpn`'s page under `(vmid 1, asid)`, translated
+    /// to `pa`, at the current generation.
+    fn arm_read(t: &mut Tlb, asid: u16, vpn: u64, pa: u64) {
+        t.dtlb_arm(1, asid, ExceptionLevel::El0, false, false, true, vpn << 12, false, pa);
+    }
+
+    /// The micro-DTLB's answer for an EL0 read of `vpn`'s page under
+    /// `(vmid 1, asid)`.
+    fn probe_read(t: &mut Tlb, asid: u16, vpn: u64) -> Option<u64> {
+        t.dtlb_lookup(1, asid, ExceptionLevel::El0, false, false, true, vpn << 12, false)
+    }
+
+    #[test]
+    fn dtlb_set_spreads_pages_a_multiple_of_256_kib_apart() {
+        // `CODE` and `DATA` of the chaos programs, 1 MiB apart: the
+        // same `vpn & 63`, different sets.
+        assert_ne!(dtlb_set(0x400), dtlb_set(0x500));
+        let apart: std::collections::BTreeSet<usize> = (0..16u64).map(|k| dtlb_set(0x400 + k * 64)).collect();
+        assert!(apart.len() >= 8, "16 pages 256 KiB apart share {} sets", apart.len());
+        let consecutive: std::collections::BTreeSet<usize> = (0..16u64).map(|k| dtlb_set(0x400 + k)).collect();
+        assert_eq!(consecutive.len(), DTLB_SETS, "16 consecutive pages fill every set");
+        assert!((0..4096u64).all(|vpn| dtlb_set(vpn) < DTLB_SETS));
+    }
+
+    #[test]
+    fn dtlb_victim_is_a_stale_way_first_then_round_robin() {
+        let mut t = accel_tlb();
+        let set = dtlb_set(0x400);
+        let vpns: Vec<u64> = (0x400u64..).filter(|&v| dtlb_set(v) == set).take(10).collect();
+        let pa = |v: u64| v << 12;
+        let hits = |t: &mut Tlb, vs: &[u64]| vs.iter().map(|&v| probe_read(t, 1, v).is_some()).collect::<Vec<_>>();
+        // Five arms at one generation: the fifth replaces way 0, and the
+        // round-robin cursor moves on to way 1.
+        for &v in &vpns[..5] {
+            arm_read(&mut t, 1, v, pa(v));
+        }
+        assert_eq!(hits(&mut t, &vpns[..5]), [false, true, true, true, true]);
+        assert_eq!(probe_read(&mut t, 1, vpns[4]), Some(pa(vpns[4])));
+        // A new generation leaves every way stale: the next four arms take
+        // ways 0–3 in order, whatever the cursor says.
+        t.insert(2, 0, entry(Some(1), 0xa000));
+        for &v in &vpns[5..9] {
+            arm_read(&mut t, 1, v, pa(v));
+        }
+        assert_eq!(hits(&mut t, &vpns[..5]), [false; 5], "every arm of the old generation misses");
+        assert_eq!(hits(&mut t, &vpns[5..9]), [true; 4]);
+        // No stale way left: the cursor's way 1, armed second, goes.
+        arm_read(&mut t, 1, vpns[9], pa(vpns[9]));
+        assert_eq!(hits(&mut t, &vpns[5..10]), [true, false, true, true, true]);
+    }
+
+    #[test]
+    fn dtlb_rearm_of_the_same_mapping_adds_the_access_kind() {
+        let mut t = accel_tlb();
+        arm_read(&mut t, 1, 0x400, 0xa000);
+        let write = |t: &mut Tlb| t.dtlb_lookup(1, 1, ExceptionLevel::El0, false, false, true, 0x40_0000, true);
+        assert_eq!(write(&mut t), None, "a read arm proves nothing about writes");
+        t.dtlb_arm(1, 1, ExceptionLevel::El0, false, false, true, 0x40_0000, true, 0xa000);
+        assert_eq!((write(&mut t), probe_read(&mut t, 1, 0x400)), (Some(0xa000), Some(0xa000)));
+        assert_eq!(t.fast_stats().dtlb_hits, 2);
+        // Both kinds share one way: three more pages of the set fill the
+        // other three ways and leave it armed.
+        let set = dtlb_set(0x400);
+        for v in (0x401u64..).filter(|&v| dtlb_set(v) == set).take(3) {
+            arm_read(&mut t, 1, v, v << 12);
+        }
+        assert_eq!(probe_read(&mut t, 1, 0x400), Some(0xa000));
+    }
+
+    #[test]
+    fn dtlb_arms_every_asid_only_under_a_global_l1_head() {
+        let global = entry(None, 0xb000);
+        let own = entry(Some(2), 0xc000);
+        // (L1 slot contents, in fill order; the arming ASID; ASIDs among
+        // 1–3 the arm serves)
+        let cases: [(&[TlbEntry], u16, &[u16]); 4] = [
+            (&[global], 1, &[1, 2, 3]),
+            (&[own, global], 1, &[1]), // ASID 2's lookup returns its own entry
+            (&[own], 2, &[2]),
+            (&[], 1, &[1]), // no L1 entry to prove anything about other ASIDs
+        ];
+        for (i, (fills, asid, served)) in cases.into_iter().enumerate() {
+            let mut t = accel_tlb();
+            for e in fills {
+                t.insert(1, 0x40_0000, *e);
+            }
+            let pa = t.peek(1, asid, 0x40_0000).map_or(0xd000, |e| e.pa_page);
+            arm_read(&mut t, asid, 0x400, pa);
+            let hit: Vec<u16> = (1..=3).filter(|&a| probe_read(&mut t, a, 0x400).is_some()).collect();
+            assert_eq!(hit, served, "case {i}");
+            // Every replay is the lookup the slow path would make.
+            for a in hit {
+                assert_eq!(t.peek(1, a, 0x40_0000).map(|e| e.pa_page).unwrap_or(pa), pa, "case {i}, ASID {a}");
+            }
+            assert_eq!(t.dtlb_lookup(2, 1, ExceptionLevel::El0, false, false, true, 0x40_0000, false), None);
+        }
+    }
+
+    #[test]
+    fn dtlb_misses_after_any_generation_bump() {
+        let mut t = accel_tlb();
+        t.insert(1, 0x40_0000, entry(None, 0xb000));
+        for bump in 0..3 {
+            arm_read(&mut t, 1, 0x400, 0xb000);
+            assert_eq!(probe_read(&mut t, 7, 0x400), Some(0xb000));
+            match bump {
+                0 => t.insert(1, 0x9000, entry(Some(1), 0xa000)),
+                1 => t.invalidate_asid(1, 9),
+                _ => t.invalidate_va(1, 0x9000),
+            }
+            assert_eq!(probe_read(&mut t, 7, 0x400), None, "bump {bump}");
+        }
+        t.set_accel(false);
+        assert_eq!(probe_read(&mut t, 1, 0x400), None, "the reference engine never probes");
     }
 
     #[test]

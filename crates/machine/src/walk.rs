@@ -20,7 +20,7 @@ use crate::tlb::{Tlb, TlbEntry, TlbHit};
 use lz_arch::insn::Insn;
 use lz_arch::pstate::ExceptionLevel;
 use lz_arch::sysreg::{ttbr, vttbr};
-use lz_arch::CycleModel;
+use lz_arch::{CycleModel, PAGE_SIZE};
 
 /// Kind of memory access being translated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -706,12 +706,15 @@ pub fn table_slots(mem: &PhysMem, table: u64, level: u8) -> Vec<u64> {
         return Vec::new();
     }
     let Some(frame) = mem.frame(table) else { return Vec::new() };
-    let descs = frame.chunks_exact(8).map(|d| u64::from_le_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]]));
-    (0..)
-        .zip(descs)
-        .filter(|&(_, desc)| pte::is_valid(desc) && pte::is_table(desc, level))
-        .map(|(idx, _)| idx)
-        .collect()
+    let mut slots = Vec::new();
+    for idx in 0..(PAGE_SIZE / 8) as usize {
+        let at = idx * 8;
+        let desc = u64::from_le_bytes(std::array::from_fn(|k| frame[at + k]));
+        if pte::is_valid(desc) && pte::is_table(desc, level) {
+            slots.push(idx as u64);
+        }
+    }
+    slots
 }
 
 /// Free every *table* frame of the tree whose root table, at

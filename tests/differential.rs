@@ -22,8 +22,8 @@
 //! switches with and without a TLBI per switch, SMP
 //! quantum interleaving, compiled loads/stores and branch terminals, the
 //! invalidation sources the compiled-block lookup must honour, one code
-//! VA mapped global for one ASID and non-global for another in both fill
-//! orders, quantum
+//! VA and one data VA each mapped global for one ASID and non-global for
+//! another in both fill orders, gate switches over 32 domains, quantum
 //! edges at every offset inside a block, and hot loops that stay in one
 //! block: side exits, in-place re-entry, and the self-patching and
 //! page-walking loops that must refuse it.
@@ -1016,8 +1016,8 @@ fn guest_bytes(m: &Machine, va: u64, len: u64) -> Vec<u8> {
     let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
     (va..va + len)
         .map(|a| {
-            let (pa, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, a).expect("mapped");
-            m.mem.read(pa, 1).expect("backed") as u8
+            let (page, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, a).expect("mapped");
+            m.mem.read(page | (a & 0xfff), 1).expect("backed") as u8
         })
         .collect()
 }
@@ -1134,6 +1134,42 @@ fn jit_store_into_own_code_page_agrees() {
             (exit, data)
         },
     );
+}
+
+/// A loop that loads from `DATA` and stores into an unexecuted word of
+/// its own code page, 1 MiB below: the two pages share `vpn & 63`, so a
+/// direct-mapped micro-DTLB gives them one slot and never hits, while a
+/// set-associative one keeps both armed. Each code store changes the
+/// code frame's version, so the loop re-validates its blocks every
+/// iteration.
+#[test]
+fn jit_load_beside_a_store_into_own_code_page_hits_the_micro_dtlb() {
+    const ROUNDS: u64 = 100;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.mov_imm64(21, CODE + 0x800);
+    a.mov_imm64(0, ROUNDS);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.add_imm(1, 1, 3);
+    a.str(1, 19, 0);
+    a.str(1, 21, 0);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    assert!(code.len() < 0x800, "the stored word is never executed");
+    let fast = both_engines(
+        "load beside a store into own code page",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!(guest_bytes(m, CODE + 0x800, 8), (3 * ROUNDS).to_le_bytes(), "the code-page word");
+            (exit, (data, m.tlb.walk_stats()))
+        },
+    );
+    assert!(fast.dtlb_hits >= 2 * ROUNDS, "{} micro-DTLB hits over {ROUNDS} rounds", fast.dtlb_hits);
 }
 
 /// A loop that, each iteration, computes `movz x0, #k` and stores it
@@ -2015,6 +2051,97 @@ fn jit_memo_global_entry_ahead_of_non_global_agrees() {
     shadowed_code_agrees(&[Run(2), EvictTlb, Run(1), Run(1), Run(1), Run(2)], &[400, 200, 200, 200, 200]);
 }
 
+/// One data VA mapped two ways, under global code: global for ASID 1
+/// (a frame of 1s) and non-global for ASID 2 (a frame of 2s), so that a
+/// run under one ASID after the other inserts no TLB entry once both
+/// translations are resident. Runs `steps` on both engines, which must
+/// agree, and checks the loop sums of the runs: 200 loads of one byte
+/// each. The micro-DTLB may serve the global translation to every ASID
+/// only while it heads its L1 slot.
+fn shadowed_data_agrees(steps: &[Shadow], sums: &[u64]) {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(4, 200, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldrb(1, 19, 0);
+    a.add_reg(2, 2, 1);
+    a.subs_imm(4, 4, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let body = a.bytes();
+    let build = || {
+        let mut m = Machine::new(Platform::CortexA55);
+        let code = m.mem.alloc_frame();
+        m.mem.write_bytes(code, &body);
+        let mut ttbrs = [0u64; 2];
+        for (i, fill) in [1u8, 2].into_iter().enumerate() {
+            let root = alloc_table(&mut m.mem);
+            let data = m.mem.alloc_frame();
+            m.mem.write_bytes(data, &[fill; 0x1000]);
+            s1_map_page(&mut m.mem, root, CODE, code, S1Perms { global: true, ..user_rwx() });
+            s1_map_page(&mut m.mem, root, DATA, data, S1Perms { global: i == 0, ..lz_chaos::programs::user_rw() });
+            ttbrs[i] = ttbr::pack(i as u16 + 1, root);
+        }
+        m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+        m.set_sysreg(SysReg::HCR_EL2, hcr::TGE | hcr::E2H);
+        (m, ttbrs)
+    };
+    // Frame allocation is deterministic, so every engine's machine gets
+    // these same two roots.
+    let ttbrs = build().1;
+    let ctx = format!("shadowed data, {steps:?}");
+    both_engines(
+        &ctx,
+        || build().0,
+        |m| {
+            let mut exit = Exit::Limit;
+            let mut out = Vec::new();
+            for step in steps {
+                match *step {
+                    Shadow::Run(asid) => {
+                        m.set_sysreg(SysReg::TTBR0_EL1, ttbrs[asid as usize - 1]);
+                        m.cpu.x[2] = 0;
+                        m.enter(PState::user(), CODE);
+                        exit = m.run(100_000);
+                        assert_eq!(exit, Exit::El2(ExceptionClass::Svc), "{ctx}");
+                        out.push(m.cpu.reg(2));
+                    }
+                    Shadow::EvictTlb => {
+                        let filler = lz_machine::tlb::TlbEntry { asid: Some(9), pa_page: 0, s1: user_rwx(), s2: None };
+                        for i in 0..600 {
+                            m.tlb.insert(0, TOUCH_BASE + i * 0x1000, filler);
+                        }
+                    }
+                }
+            }
+            assert_eq!(out, sums, "{ctx}: loop sums");
+            (exit, (out, m.tlb.walk_stats()))
+        },
+    );
+}
+
+#[test]
+fn dtlb_non_global_entry_ahead_of_global_agrees() {
+    use Shadow::*;
+    // ASID 2 fills the data page's L1 slot first, so ASID 1's global
+    // entry lands behind it and is armed for ASID 1 alone: back under
+    // ASID 2 the probe misses, and the L1 lookup returns ASID 2's own
+    // frame.
+    shadowed_data_agrees(&[Run(2), Run(1), Run(2), Run(1), Run(2)], &[400, 200, 400, 200, 400]);
+}
+
+#[test]
+fn dtlb_global_entry_ahead_of_non_global_agrees() {
+    use Shadow::*;
+    // The reverse fill order: ASID 1's global entry heads the L1 slot and
+    // is armed for every ASID, so ASID 2 reads the global frame on both
+    // engines — the architectural outcome of a global mapping shadowing
+    // a non-global one — until the TLB drops it. After an eviction ASID
+    // 2 fills first, and the order above holds.
+    shadowed_data_agrees(&[Run(1), Run(2), EvictTlb, Run(2), Run(1), Run(2)], &[200, 200, 400, 200, 400]);
+}
+
 /// What a gate-switch loop leaves that both engines must agree on.
 #[derive(Debug, PartialEq)]
 struct GateLoopOutcome {
@@ -2025,31 +2152,44 @@ struct GateLoopOutcome {
     journal: String,
 }
 
-/// Run a LightZone process that alternates between two TTBR domains
-/// `rounds` times — two gate switches per round, each changing the ASID
-/// — with the whole loop and the gate page in global mappings, through
-/// gates of the given flavor. Returns the modelled outcome, the gate
-/// switches, and the dispatches the accelerated engine single-stepped.
-fn gate_switch_loop(accel: bool, rounds: u64, flavor: GateFlavor) -> (GateLoopOutcome, u64, u64) {
+/// Run a LightZone process that visits `domains` TTBR domains in turn
+/// `rounds` times — one gate switch per visit, each changing the ASID —
+/// with the whole loop and the gate page in global mappings, through
+/// gates of the given flavor. Each visit increments a word of the
+/// domain's own page (protected, so non-global) and reads a shared page
+/// (unprotected, so global). Returns the modelled outcome, the gate
+/// switches, and the accelerated engine's host-side counters.
+fn gate_switch_loop(
+    accel: bool,
+    rounds: u64,
+    domains: u16,
+    flavor: GateFlavor,
+) -> (GateLoopOutcome, u64, lz_machine::metrics::FastStats) {
     use lightzone::api::{LzAsm, LzProgramBuilder, RW, SAN_TTBR};
     const DOMAINS: u64 = 0x5000_0000;
+    let shared = DOMAINS + u64::from(domains) * 0x1000;
     let mut b = LzProgramBuilder::new(CODE);
-    b.with_segment(DOMAINS, vec![0u8; 0x2000], lz_kernel::VmProt::RW);
+    let mut pages = vec![0u8; usize::from(domains) * 0x1000];
+    pages.extend([1u8; 0x1000]);
+    b.with_segment(DOMAINS, pages, lz_kernel::VmProt::RW);
     b.asm.lz_enter(true, SAN_TTBR);
-    for d in 0..2u64 {
+    for d in 0..u64::from(domains) {
         b.asm.lz_alloc();
         b.asm.lz_map_gate_pgt_imm(d + 1, d);
         b.asm.lz_prot_imm(DOMAINS + d * 0x1000, 0x1000, d + 1, RW);
     }
+    b.asm.mov_imm64(20, shared);
     b.asm.mov_imm64(23, rounds);
     let top = b.asm.label();
     b.asm.bind(top);
-    for d in 0..2u16 {
+    for d in 0..domains {
         b.lz_switch_to_ttbr_gate(d);
         b.asm.mov_imm64(19, DOMAINS + u64::from(d) * 0x1000);
         b.asm.ldr(1, 19, 0);
         b.asm.add_imm(1, 1, 1);
         b.asm.str(1, 19, 0);
+        b.asm.ldrb(2, 20, 0);
+        b.asm.add_reg(24, 24, 2);
     }
     b.asm.subs_imm(23, 23, 1);
     b.asm.b_ne(top);
@@ -2070,7 +2210,7 @@ fn gate_switch_loop(accel: bool, rounds: u64, flavor: GateFlavor) -> (GateLoopOu
         walk: m.tlb.walk_stats(),
         journal: m.journal.dump_json(),
     };
-    (outcome, m.metrics.domain_switches, m.tlb.fast_stats().jit_stepped)
+    (outcome, m.metrics.domain_switches, m.tlb.fast_stats())
 }
 
 /// Gate switches between two domains over global code: both engines
@@ -2083,9 +2223,9 @@ fn gate_switch_loop(accel: bool, rounds: u64, flavor: GateFlavor) -> (GateLoopOu
 fn gate_switch_loop_over_global_code_stays_compiled() {
     let flavor = GateFlavor::default();
     let [short, long] = [50, 250].map(|rounds| {
-        let (outcome, switches, stepped) = gate_switch_loop(true, rounds, flavor);
-        assert_eq!(outcome, gate_switch_loop(false, rounds, flavor).0, "{rounds} rounds");
-        (switches, stepped)
+        let (outcome, switches, fast) = gate_switch_loop(true, rounds, 2, flavor);
+        assert_eq!(outcome, gate_switch_loop(false, rounds, 2, flavor).0, "{rounds} rounds");
+        (switches, fast.jit_stepped)
     });
     let (switches, stepped) = (long.0 - short.0, long.1 - short.1);
     assert_eq!(switches, 400, "two gate switches per round");
@@ -2100,11 +2240,35 @@ fn gate_switch_loop_over_global_code_stays_compiled() {
 fn tlbi_per_switch_gate_loop_agrees() {
     let flavor = GateFlavor { check_phase: true, tlbi_after_switch: true };
     let rounds = 50;
-    let (on, switches, _) = gate_switch_loop(true, rounds, flavor);
-    let (off, _, _) = gate_switch_loop(false, rounds, flavor);
+    let (on, switches, _) = gate_switch_loop(true, rounds, 2, flavor);
+    let (off, _, _) = gate_switch_loop(false, rounds, 2, flavor);
     assert_eq!(on, off, "TLBI-per-switch gate loop diverged");
     assert_eq!(switches, 2 * rounds, "two gate switches per round");
     assert!(on.walk.s1_walks > switches, "{} walks over {switches} flushing switches", on.walk.s1_walks);
+}
+
+/// Gate switches over 32 domains: both engines agree on every modelled
+/// counter, and the micro-DTLB keeps its translations across switches.
+/// A visit makes eight data accesses: the gate's five, the domain page's
+/// load and store, and the shared page's load. The gate's tables and the
+/// shared page are global and head their L1 slots, so their arms serve
+/// every ASID; each domain page's arm serves its own ASID and outlives
+/// the other 31 visits. Once warm, nothing walks and every access hits.
+/// Arming each slot for one ASID alone serves about three per visit.
+#[test]
+fn gate_switch_loop_over_32_domains_keeps_data_translations() {
+    const DOMAINS: u16 = 32;
+    let flavor = GateFlavor::default();
+    let [short, long] = [4, 12].map(|rounds| {
+        let (outcome, switches, fast) = gate_switch_loop(true, rounds, DOMAINS, flavor);
+        assert_eq!(outcome, gate_switch_loop(false, rounds, DOMAINS, flavor).0, "{rounds} rounds");
+        assert_eq!(switches, u64::from(DOMAINS) * rounds, "one gate switch per visit");
+        (outcome.walk.s1_walks, fast.dtlb_hits)
+    });
+    let visits = u64::from(DOMAINS) * 8;
+    let (walks, hits) = (long.0 - short.0, long.1 - short.1);
+    assert_eq!(walks, 0, "the warm rounds walk nothing");
+    assert!(hits >= 6 * visits, "{hits} micro-DTLB hits over {visits} warm visits");
 }
 
 #[test]

@@ -468,15 +468,29 @@ impl Machine {
 
     /// Read a system register of the active core (no cycle charge —
     /// model-internal). Every register reads 0 until first written.
+    /// `NZCV` and `SP_EL0` read the flags and the stack pointer EL0 runs
+    /// on, which live in PSTATE and the CPU, not in the register file.
+    #[inline]
     pub fn sysreg(&self, reg: SysReg) -> u64 {
-        self.cpu.sysregs[reg as usize]
+        match reg {
+            SysReg::NZCV => self.cpu.pstate.nzcv.to_bits(),
+            SysReg::SP_EL0 => self.cpu.sp_el0,
+            _ => self.cpu.sysregs[reg as usize],
+        }
     }
 
     /// Write a system register of the active core (no cycle charge —
     /// model-internal). Nothing caches a register's value, so the next
-    /// [`Machine::walk_config`] or access already sees the write.
+    /// [`Machine::walk_config`] or access already sees the write. `NZCV`
+    /// and `SP_EL0` write the live flags and EL0 stack pointer (see
+    /// [`Machine::sysreg`]).
+    #[inline]
     pub fn set_sysreg(&mut self, reg: SysReg, value: u64) {
-        self.cpu.sysregs[reg as usize] = value;
+        match reg {
+            SysReg::NZCV => self.cpu.pstate.nzcv = Nzcv::from_bits(value),
+            SysReg::SP_EL0 => self.cpu.sp_el0 = value,
+            _ => self.cpu.sysregs[reg as usize] = value,
+        }
     }
 
     /// Charge cycles to the CPU counter.
@@ -640,7 +654,7 @@ impl Machine {
         let (el, insn_base) = (self.cpu.pstate.el, self.model.insn_base);
         match self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
             Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
-                let (used, exit) = self.step_jit(&block, pc, pa_page, frame_version, budget);
+                let (used, exit) = self.step_jit(&block, &cfg, pc, pa_page, frame_version, budget);
                 debug_assert!(used <= budget, "compiled block overran its quantum budget");
                 (used, exit)
             }
@@ -672,7 +686,11 @@ impl Machine {
     /// would.
     /// Only chainable instructions (see [`crate::jit::lower`]) appear
     /// mid-block, so EL, PSTATE.PAN and the regime registers cannot
-    /// change under a running block. Cycle,
+    /// change under a running block: a regime register is written only
+    /// by a non-chainable terminal, after which nothing in the block
+    /// runs, and a `Mem` or `Slow` segment that faults moves the PC,
+    /// which ends the block. Every `Mem` segment therefore translates
+    /// under `cfg`, the regime the dispatch built. Cycle,
     /// instruction, and hit counters are charged in per-run batches that
     /// sum to the per-instruction totals, and no cycle-stamped event can
     /// be emitted between the instructions of a run (a branch included).
@@ -694,6 +712,7 @@ impl Machine {
     fn step_jit(
         &mut self,
         block: &crate::jit::CompiledBlock,
+        cfg: &WalkConfig,
         pc: u64,
         pa_page: u64,
         frame_version: u64,
@@ -757,7 +776,7 @@ impl Machine {
                     self.trace.record(pc_k, word, el);
                     let va = self.cpu.base_reg(rn).wrapping_add(offset);
                     pc_k += 4;
-                    exit = self.jit_mem(va, size, rt, write, pc_k);
+                    exit = self.jit_mem(cfg, va, size, rt, write, pc_k);
                     if exit.is_some() || self.cpu.pc != pc_k {
                         break;
                     }
@@ -1111,24 +1130,13 @@ impl Machine {
             }
         }
 
-        // `NZCV` and `SP_EL0` live in PSTATE and the EL0 stack pointer,
-        // which EL0 execution reads, not in the register file.
         if is_read {
             self.charge(self.model.sysreg_read);
-            let v = match reg {
-                SysReg::NZCV => self.cpu.pstate.nzcv.to_bits(),
-                SysReg::SP_EL0 => self.cpu.sp_el0,
-                _ => self.sysreg(reg),
-            };
-            self.cpu.set_reg(rt, v);
+            self.cpu.set_reg(rt, self.sysreg(reg));
         } else {
             self.charge(self.sysreg_write_cost(reg));
             let v = self.cpu.reg(rt);
-            match reg {
-                SysReg::NZCV => self.cpu.pstate.nzcv = Nzcv::from_bits(v),
-                SysReg::SP_EL0 => self.cpu.sp_el0 = v,
-                _ => self.set_sysreg(reg, v),
-            }
+            self.set_sysreg(reg, v);
             // An interpreted EL1 `MSR TTBR0_EL1` is a call-gate domain
             // switch (paper §4.1.2) — the event the observability layer
             // exists to count. Host-side `set_sysreg` calls (modelled
@@ -1204,6 +1212,25 @@ impl Machine {
         unpriv: bool,
         next_pc: u64,
     ) -> Option<Exit> {
+        let cfg = self.walk_config();
+        self.data_access_in(&cfg, va, size, rt, is_write, unpriv, next_pc, false)
+    }
+
+    /// [`Machine::data_access`] under the regime `cfg`. `dtlb_missed`
+    /// says the caller already probed the micro-DTLB for this unwatched
+    /// single-page access and missed, so translation skips that probe.
+    #[allow(clippy::too_many_arguments)]
+    fn data_access_in(
+        &mut self,
+        cfg: &WalkConfig,
+        va: u64,
+        size: MemSize,
+        rt: u8,
+        is_write: bool,
+        unpriv: bool,
+        next_pc: u64,
+        dtlb_missed: bool,
+    ) -> Option<Exit> {
         // Watchpoint match (EL0 accesses while enabled). Wrapping sums
         // keep an access at the top of the VA space from overflowing.
         if self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0 {
@@ -1218,39 +1245,16 @@ impl Machine {
                 }
             }
         }
-        let cfg = self.walk_config();
-        self.data_access_unwatched(&cfg, va, size, rt, is_write, unpriv, next_pc, false)
-    }
-
-    /// [`Machine::data_access`] past the watchpoint check. `dtlb_missed`
-    /// says the caller already probed the micro-DTLB for this
-    /// single-page access and missed, so translation skips that probe.
-    #[allow(clippy::too_many_arguments)]
-    fn data_access_unwatched(
-        &mut self,
-        cfg: &WalkConfig,
-        va: u64,
-        size: MemSize,
-        rt: u8,
-        is_write: bool,
-        unpriv: bool,
-        next_pc: u64,
-        dtlb_missed: bool,
-    ) -> Option<Exit> {
         let actx = AccessCtx { el: self.cpu.pstate.el, pan: self.cpu.pstate.pan, unpriv };
         let access = if is_write { Access::Write } else { Access::Read };
-        let bytes = size.bytes();
 
         // Split accesses that cross a page boundary (the second part of an
         // access at the top of the VA space wraps to page 0).
-        let first_len = first_page_len(va, bytes);
-        debug_assert!(!dtlb_missed || first_len == bytes, "only single-page accesses probe the micro-DTLB inline");
-        let mut pas = [(0u64, 0u64); 2];
-        let mut n = 0;
-        for (start, len) in [(va, first_len), (va.wrapping_add(first_len), bytes - first_len)] {
-            if len == 0 {
-                continue;
-            }
+        let first_len = first_page_len(va, size.bytes());
+        let crosses = first_len != size.bytes();
+        debug_assert!(!dtlb_missed || !crosses, "only single-page accesses probe the micro-DTLB inline");
+        let mut pas = [0u64; 2];
+        for (pa, start) in pas.iter_mut().zip([va, va.wrapping_add(first_len)]).take(1 + usize::from(crosses)) {
             let t = if dtlb_missed {
                 walk::translate_dtlb_missed(&self.mem, &mut self.tlb, &self.model, cfg, start, access, &actx)
             } else {
@@ -1259,8 +1263,7 @@ impl Machine {
             match t {
                 Ok(t) => {
                     self.charge(t.cost);
-                    pas[n] = (t.pa, len);
-                    n += 1;
+                    *pa = t.pa;
                 }
                 Err(f) => {
                     self.charge(self.model.stage1_walk());
@@ -1268,65 +1271,94 @@ impl Machine {
                 }
             }
         }
-        self.complete_access(&pas[..n], va, rt, is_write, next_pc)
+        let split = crosses.then_some((first_len, pas[1]));
+        self.complete_access(pas[0], split, size, va, rt, is_write, next_pc)
     }
 
     /// The translated tail of every data access: charge the memory
-    /// access, move the bytes of each `(pa, len)` part, and retire.
-    #[inline]
-    fn complete_access(&mut self, pas: &[(u64, u64)], va: u64, rt: u8, is_write: bool, next_pc: u64) -> Option<Exit> {
+    /// access, move the bytes and retire, or raise the bus error of a
+    /// missing frame. A single-page access (`split` is `None`) is one
+    /// fixed-width frame access at `pa`; one that crosses a page moves
+    /// its first `len` bytes at `pa` and the rest at `pa2`, for `split`
+    /// `Some((len, pa2))`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn complete_access(
+        &mut self,
+        pa: u64,
+        split: Option<(u64, u64)>,
+        size: MemSize,
+        va: u64,
+        rt: u8,
+        is_write: bool,
+        next_pc: u64,
+    ) -> Option<Exit> {
         self.charge(self.model.mem_access);
-        if is_write {
+        let moved = if is_write {
             let v = self.cpu.reg(rt);
-            let mut shift = 0;
-            for &(pa, len) in pas {
-                let part = (v >> shift) & mask_for(len);
-                if !self.mem.write(pa, part, len) {
-                    return self.bus_error(va);
+            match split {
+                None => self.mem.store(pa, size, v),
+                Some((len, pa2)) => {
+                    self.mem.write(pa, v, len) && self.mem.write(pa2, v >> (8 * len), size.bytes() - len)
                 }
-                shift += 8 * len;
             }
         } else {
-            let mut v = 0u64;
-            let mut shift = 0;
-            for &(pa, len) in pas {
-                match self.mem.read(pa, len) {
-                    Some(part) => v |= part << shift,
-                    None => return self.bus_error(va),
-                }
-                shift += 8 * len;
+            let v = match split {
+                None => self.mem.load(pa, size),
+                Some((len, pa2)) => self
+                    .mem
+                    .read(pa, len)
+                    .zip(self.mem.read(pa2, size.bytes() - len))
+                    .map(|(lo, hi)| lo | hi << (8 * len)),
+            };
+            if let Some(v) = v {
+                self.cpu.set_reg(rt, v);
             }
-            self.cpu.set_reg(rt, v);
+            v.is_some()
+        };
+        if !moved {
+            return self.bus_error(va);
         }
         self.cpu.pc = next_pc;
         None
     }
 
-    /// A JIT `Mem` segment's access (`LDR`/`STR`, immediate offset).
+    /// A JIT `Mem` segment's access (`LDR`/`STR`, immediate offset) under
+    /// `cfg`, the regime of the block's dispatch (see
+    /// [`Machine::step_jit`]), which is TLB-backed: `step_block`
+    /// single-steps the bare identity regime.
     ///
     /// The inline path is `data_access` for an armed micro-DTLB hit: with
-    /// no EL0 watchpoint to match, a single-page access, and a TLB-backed
-    /// regime, `data_access` would make exactly one `translate` call,
-    /// whose probe this is — same hit counters, zero translation cost,
-    /// then `complete_access`'s `mem_access` charge and bus-error exit.
-    /// Anything else runs `data_access` itself, and a probe miss continues
-    /// there without probing again.
+    /// no EL0 watchpoint to match and a single-page access, `data_access`
+    /// would make exactly one `translate` call, whose probe this is —
+    /// same hit counters, zero translation cost — and then
+    /// `complete_access`, whose single-page case is one fixed-width frame
+    /// access. Anything else runs `data_access_in` under the same `cfg`,
+    /// and a probe miss continues there without probing again.
     ///
-    /// Never inlined: inlined into `step_jit`, the memory path (probe,
-    /// frame lookup, byte move) would share the register allocation and
-    /// code layout of the ALU-run loop around it and slow that loop down.
+    /// Never inlined: inlined into `step_jit`, the memory path would share
+    /// the register allocation and code layout of the ALU-run loop around
+    /// it and slow that loop down. The hit path is inlined here instead: a
+    /// load hit is this one call, a store hit also calls `frame_mut`.
     #[inline(never)]
-    fn jit_mem(&mut self, va: u64, size: MemSize, rt: u8, is_write: bool, next_pc: u64) -> Option<Exit> {
-        let bytes = size.bytes();
+    fn jit_mem(
+        &mut self,
+        cfg: &WalkConfig,
+        va: u64,
+        size: MemSize,
+        rt: u8,
+        is_write: bool,
+        next_pc: u64,
+    ) -> Option<Exit> {
+        debug_assert_eq!(*cfg, self.walk_config(), "the regime changed under a running block");
         let watched = self.cpu.watchpoints_enabled && self.cpu.pstate.el == ExceptionLevel::El0;
-        let cfg = self.walk_config();
-        if watched || first_page_len(va, bytes) != bytes || !(cfg.s1_enabled || cfg.vttbr.is_some()) {
-            return self.data_access(va, size, rt, is_write, false, next_pc);
+        if watched || first_page_len(va, size.bytes()) != size.bytes() {
+            return self.data_access_in(cfg, va, size, rt, is_write, false, next_pc, false);
         }
         let ps = self.cpu.pstate;
         match self.tlb.dtlb_lookup(cfg.vmid(), cfg.asid(), ps.el, ps.pan, false, cfg.s1_enabled, va, is_write) {
-            Some(pa) => self.complete_access(&[(pa, bytes)], va, rt, is_write, next_pc),
-            None => self.data_access_unwatched(&cfg, va, size, rt, is_write, false, next_pc, true),
+            Some(pa) => self.complete_access(pa, None, size, va, rt, is_write, next_pc),
+            None => self.data_access_in(cfg, va, size, rt, is_write, false, next_pc, true),
         }
     }
 
@@ -1425,14 +1457,6 @@ impl Machine {
 #[inline]
 fn first_page_len(va: u64, bytes: u64) -> u64 {
     (4096 - (va & 0xfff)).min(bytes)
-}
-
-fn mask_for(len: u64) -> u64 {
-    if len >= 8 {
-        u64::MAX
-    } else {
-        (1u64 << (8 * len)) - 1
-    }
 }
 
 #[cfg(test)]
@@ -1793,17 +1817,53 @@ mod tests {
     fn every_sysreg_has_its_own_slot() {
         let mut m = Machine::new(Platform::CortexA55);
         assert!(SysReg::ALL.iter().all(|&r| m.sysreg(r) == 0), "a register read nonzero before its first write");
+        let value = |i: usize| 0xa000_1000 + i as u64;
         for (i, &reg) in SysReg::ALL.iter().enumerate() {
-            m.set_sysreg(reg, 0x1000 + i as u64);
+            m.set_sysreg(reg, value(i));
         }
-        // A secondary core boots with a copy of the register file.
+        // `NZCV` and `SP_EL0` have no slot: they are the live flags (bits
+        // 31:28 of the written value) and the EL0 stack pointer.
+        let sp_el0 = SysReg::ALL.iter().position(|&r| r == SysReg::SP_EL0).map(value);
+        assert_eq!((m.cpu.pstate.nzcv.to_bits(), Some(m.cpu.sp_el0)), (0xa000_0000, sp_el0));
+        // A secondary core boots with a copy of the register file, and
+        // with flags and a stack pointer of its own.
         m.configure_smp(2);
         for core in [0, 1] {
             m.switch_core(core);
             for (i, &reg) in SysReg::ALL.iter().enumerate() {
-                assert_eq!(m.sysreg(reg), 0x1000 + i as u64, "core {core}: {reg} shares a slot");
+                let live = match reg {
+                    SysReg::NZCV => m.cpu.pstate.nzcv.to_bits(),
+                    SysReg::SP_EL0 => m.cpu.sp_el0,
+                    _ => value(i),
+                };
+                assert_eq!(m.sysreg(reg), live, "core {core}: {reg} shares a slot");
             }
         }
+        assert_eq!([m.sysreg(SysReg::NZCV), m.sysreg(SysReg::SP_EL0)], [0, 0], "core 1 copied core 0's flags or stack");
+    }
+
+    /// A host-side `sysreg`/`set_sysreg` of `SP_EL0` or `NZCV` reads and
+    /// moves the stack and flags EL0 runs on.
+    #[test]
+    fn host_sp_el0_and_nzcv_are_el0s_live_stack_and_flags() {
+        use lz_arch::insn::Cond;
+        let mut a = Asm::new(CODE);
+        a.cset(3, Cond::Eq); // the flags the host wrote
+        a.movz(1, 0x77, 0);
+        a.str(1, 31, 8); // through the stack pointer the host wrote
+        a.mov_imm64(2, DATA + 0x108);
+        a.ldr(4, 2, 0);
+        a.movz(0, 0, 0);
+        a.subs_imm(0, 0, 1); // N: 0 - 1 is negative
+        a.svc(0);
+        let mut m = machine_with(a);
+        m.set_sysreg(SysReg::SP_EL0, DATA + 0x100);
+        m.set_sysreg(SysReg::NZCV, 1 << 30); // Z
+        assert_eq!(m.run(100), Exit::El2(ExceptionClass::Svc));
+        assert_eq!(m.cpu.reg(3), 1, "EL0 saw the host's Z flag");
+        assert_eq!(m.cpu.reg(4), 0x77, "EL0 stored through the host's stack pointer");
+        assert_eq!((m.sysreg(SysReg::SP_EL0), m.cpu.sp_el0), (DATA + 0x100, DATA + 0x100));
+        assert_eq!(m.sysreg(SysReg::NZCV), 1 << 31, "the host reads EL0's flags: N alone");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sparse physical memory with a frame allocator.
 
 use crate::fxhash::FxHashMap;
+use lz_arch::insn::MemSize;
 use lz_arch::{page_align_down, PAGE_SHIFT, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -315,6 +316,7 @@ impl PhysMem {
     /// bus error. Page-sized host scans (page-table teardown, the code
     /// sanitizer) use it to look the frame up once instead of once per
     /// word.
+    #[inline]
     pub fn frame(&self, pa: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
         let key = pa >> PAGE_SHIFT;
         if let Some(overlay) = &self.overlay {
@@ -364,6 +366,40 @@ impl PhysMem {
         let off = (pa & (PAGE_SIZE - 1)) as usize;
         frame[off..off + size as usize].copy_from_slice(&value.to_le_bytes()[..size as usize]);
         true
+    }
+
+    /// Load the `size`-wide little-endian value at `pa` with one
+    /// fixed-width frame access: the load of a translated data access,
+    /// which must not cross a page boundary (callers split those; in
+    /// release builds one that would is a bus error). `None` on a bus
+    /// error.
+    #[inline(always)]
+    pub fn load(&self, pa: u64, size: MemSize) -> Option<u64> {
+        debug_assert!((pa & (PAGE_SIZE - 1)) + size.bytes() <= PAGE_SIZE, "a fixed-width load crosses its page");
+        let bytes = &self.frame(pa)?[(pa & (PAGE_SIZE - 1)) as usize..];
+        Some(match size {
+            MemSize::B => u64::from(u8::from_le_bytes(*bytes.first_chunk()?)),
+            MemSize::H => u64::from(u16::from_le_bytes(*bytes.first_chunk()?)),
+            MemSize::W => u64::from(u32::from_le_bytes(*bytes.first_chunk()?)),
+            MemSize::X => u64::from_le_bytes(*bytes.first_chunk()?),
+        })
+    }
+
+    /// Store the low `size` bytes of `value` at `pa`, little-endian, with
+    /// one fixed-width frame access (the store of [`Self::load`], under
+    /// the same page rule). `false` on a bus error.
+    #[inline(always)]
+    pub fn store(&mut self, pa: u64, size: MemSize, value: u64) -> bool {
+        debug_assert!((pa & (PAGE_SIZE - 1)) + size.bytes() <= PAGE_SIZE, "a fixed-width store crosses its page");
+        let Some(frame) = self.frame_mut(pa) else { return false };
+        let bytes = &mut frame[(pa & (PAGE_SIZE - 1)) as usize..];
+        match size {
+            MemSize::B => bytes.first_chunk_mut().map(|b| *b = (value as u8).to_le_bytes()),
+            MemSize::H => bytes.first_chunk_mut().map(|b| *b = (value as u16).to_le_bytes()),
+            MemSize::W => bytes.first_chunk_mut().map(|b| *b = (value as u32).to_le_bytes()),
+            MemSize::X => bytes.first_chunk_mut().map(|b| *b = value.to_le_bytes()),
+        }
+        .is_some()
     }
 
     /// Read a 64-bit word (page-table descriptors).
@@ -434,6 +470,70 @@ mod tests {
             assert!(m.write(pa, value, size));
             assert_eq!(m.read(pa, size), Some(value));
         }
+    }
+
+    const WIDTHS: [MemSize; 4] = [MemSize::B, MemSize::H, MemSize::W, MemSize::X];
+
+    #[test]
+    fn fixed_width_access_at_both_ends_of_a_page() {
+        let mut m = PhysMem::new();
+        let pa = m.alloc_frame();
+        let value = 0x8877_6655_4433_2211u64;
+        for size in WIDTHS {
+            let n = size.bytes();
+            for off in [0, PAGE_SIZE - n] {
+                assert!(m.store(pa + off, size, value));
+                // Only the low `size` bytes move, zero-extended on load.
+                assert_eq!(m.load(pa + off, size), Some(value & (u64::MAX >> (64 - 8 * n))), "{size:?} at {off:#x}");
+                assert_eq!(m.read(pa + off, n), m.load(pa + off, size), "{size:?} at {off:#x}: load agrees with read");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_access_is_little_endian() {
+        let mut m = PhysMem::new();
+        let pa = m.alloc_frame();
+        assert!(m.store(pa, MemSize::X, 0x0807_0605_0403_0201));
+        assert_eq!(m.read_bytes(pa, 8), Some(vec![1, 2, 3, 4, 5, 6, 7, 8]));
+        let loads = WIDTHS.map(|size| m.load(pa + 1, size));
+        assert_eq!(loads, [Some(0x02), Some(0x0302), Some(0x0504_0302), Some(0x0008_0706_0504_0302)]);
+        // A narrow store leaves the neighbouring bytes alone.
+        assert!(m.store(pa + 2, MemSize::H, 0xbbaa));
+        assert_eq!(m.read_bytes(pa, 8), Some(vec![1, 2, 0xaa, 0xbb, 5, 6, 7, 8]));
+    }
+
+    #[test]
+    fn fixed_width_store_in_an_epoch_view_copies_the_frame_up() {
+        let mut m = PhysMem::new();
+        let pa = m.alloc_frame();
+        assert!(m.store(pa + 8, MemSize::W, 0x1111_1111));
+        let base_version = m.frame_version(pa);
+        let mut view = m.epoch_view();
+        for size in WIDTHS {
+            assert!(view.store(pa + 8, size, 0x2222_2222_2222_2222));
+        }
+        assert_eq!(view.load(pa + 8, MemSize::X), Some(0x2222_2222_2222_2222), "the view sees its stores");
+        assert_eq!(m.load(pa + 8, MemSize::X), Some(0x1111_1111), "the base frame is untouched");
+        assert_eq!(m.frame_version(pa), base_version);
+        assert_eq!(view.take_epoch_overlay().map(|p| p.dirty_frames()), Some(1), "one frame copied up");
+    }
+
+    #[test]
+    fn fixed_width_access_past_the_frame_table_is_a_bus_error() {
+        let mut m = PhysMem::new();
+        let pa = m.alloc_frame();
+        let gen = m.write_gen();
+        for far in [pa + PAGE_SIZE, 0x10_0000_0000, !0xfff] {
+            for size in WIDTHS {
+                assert_eq!(m.load(far, size), None, "{size:?} at {far:#x}");
+                assert!(!m.store(far, size, 1), "{size:?} at {far:#x}");
+            }
+            let mut view = m.epoch_view();
+            assert!(!view.store(far, MemSize::X, 1));
+            assert_eq!(view.take_epoch_overlay().map(|p| p.dirty_frames()), Some(0));
+        }
+        assert_eq!(m.write_gen(), gen, "bus errors write nothing");
     }
 
     #[test]

@@ -402,9 +402,10 @@ impl Tlb {
     ///   for loads never short-circuits the write-permission check.
     ///
     /// On a hit the replay is byte-identical to the slow path: one TLB
-    /// hit, zero modelled cycles.
+    /// hit, zero modelled cycles. Always inlined, so a compiled load or
+    /// store (`Machine::jit_mem`) probes without a call.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     pub(crate) fn dtlb_lookup(
         &mut self,
         vmid: u16,

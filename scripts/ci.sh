@@ -173,9 +173,12 @@ echo "== host speed: benchmark/ alu_jit + nvm_scan + fleet_serve at seed 1 (gold
 # (seed 1 includes every modelled output against benchmark/golden.json)
 # makes the run exit 1 and report "correct": false. The floors are about
 # half the median scaled sim_mips of five runs on a 2-vCPU x86-64 KVM
-# guest (alu_jit 421, nvm_scan 149 MIPS, with hot loops re-entering
+# guest when each was set (alu_jit 421 MIPS, with hot loops re-entering
 # their compiled block in place; fleet_serve 60, with a set-associative
-# micro-DTLB that keeps global data translations across gate switches).
+# micro-DTLB that keeps global data translations across gate switches;
+# nvm_scan 171, with a compiled load's micro-DTLB probe and frame access
+# inlined). The guest's level moves between sessions: the five runs that
+# set the nvm_scan floor read alu_jit 345 and fleet_serve 64.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload alu_jit --workload nvm_scan --workload fleet_serve --seed 1 > "$scratch/host_speed.out"
 tail -n 1 "$scratch/host_speed.out" | python3 -c '
@@ -184,7 +187,7 @@ report = json.load(sys.stdin)
 failed = report["failed"]
 assert report["correct"] is True, "benchmark output checks failed (golden modelled outputs)"
 assert failed == 0, f"{failed} failed ops"
-for workload, floor in (("alu_jit", 210), ("nvm_scan", 74), ("fleet_serve", 30)):
+for workload, floor in (("alu_jit", 210), ("nvm_scan", 85), ("fleet_serve", 30)):
     mips = report["metrics"][f"{workload}.sim_mips"]["value"]
     assert mips >= floor, f"{workload}: host speed regressed: {mips:.1f} MIPS < {floor}"
     print(f"  {workload}: {mips:.1f} MIPS, floor {floor}")

@@ -1172,6 +1172,55 @@ fn jit_load_beside_a_store_into_own_code_page_hits_the_micro_dtlb() {
     assert!(fast.dtlb_hits >= 2 * ROUNDS, "{} micro-DTLB hits over {ROUNDS} rounds", fast.dtlb_hits);
 }
 
+/// A compiled load, and then a compiled store, through an armed
+/// micro-DTLB slot whose frame was freed with `PhysMem::try_free_frame`
+/// and no TLBI. The slot still hits and the frame lookup fails, so the
+/// access raises the bus error the reference engine raises through its
+/// stale L1 TLB entry: the same exit, ESR, FAR, cycles and journal on
+/// both engines.
+#[test]
+fn jit_access_through_a_freed_frame_raises_the_reference_bus_error() {
+    for write in [false, true] {
+        let mut a = Asm::new(CODE);
+        a.mov_imm64(19, DATA);
+        a.movz(0, 8, 0);
+        let top = a.label();
+        a.bind(top);
+        let access = a.here();
+        if write {
+            a.str(1, 19, 0x10);
+        } else {
+            a.ldr(1, 19, 0x10);
+        }
+        a.subs_imm(0, 0, 1);
+        a.b_ne(top);
+        a.svc(0);
+        let code = a.bytes();
+        let ctx = if write { "compiled store through a freed frame" } else { "compiled load through a freed frame" };
+        both_engines(
+            ctx,
+            || build_machine(&code, &patch_area(4), true),
+            |m| {
+                assert_eq!(run_to_completion(m).0, Exit::El2(ExceptionClass::Svc), "{ctx}: the warm-up loop");
+                let root = ttbr::baddr(m.sysreg(SysReg::TTBR0_EL1));
+                let (frame, _, _) = lz_machine::walk::s1_lookup(&m.mem, root, DATA).expect("mapped");
+                assert!(m.mem.try_free_frame(frame));
+                let before = m.tlb.fast_stats();
+                m.enter(PState::user(), access);
+                let exit = m.run(100);
+                let after = m.tlb.fast_stats();
+                if m.tlb.accel() {
+                    let moved = (after.jit_blocks - before.jit_blocks, after.dtlb_hits - before.dtlb_hits);
+                    assert_eq!(moved, (1, 1), "{ctx}: one compiled block, whose access hit its armed slot");
+                }
+                assert_eq!(exit, Exit::El2(ExceptionClass::DataAbortLower), "{ctx}");
+                assert_eq!(m.sysreg(SysReg::FAR_EL2), DATA + 0x10, "{ctx}");
+                (exit, [SysReg::ESR_EL2, SysReg::FAR_EL2, SysReg::ELR_EL2].map(|r| m.sysreg(r)))
+            },
+        );
+    }
+}
+
 /// A loop that, each iteration, computes `movz x0, #k` and stores it
 /// into a later word of the block it is running, before reaching that
 /// word. The block was lowered from the code frame before the store, so

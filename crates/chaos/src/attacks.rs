@@ -608,7 +608,7 @@ pub fn restore_donor_prog() -> LzProgram {
 ///    entries into the last core's TLB and exits; a module-only reap
 ///    parks `vmid_v` on the free list with those entries intact.
 /// 3. A donor VE runs to its request boundary; the host parks it,
-///    captures a [`VeSnapshot`], then kills and fully reaps it (its own
+///    captures a [`VeSnapshot`](lightzone::module::VeSnapshot), then kills and fully reaps it (its own
 ///    VMID joins the free list *behind* the victim's).
 /// 4. Churn VEs exhaust the remaining fresh VMIDs.
 /// 5. `restore_ve` rebuilds the donor: its `lz_enter` pops `vmid_v`,

@@ -9,7 +9,7 @@
 use crate::fakephys::FakePhys;
 use lz_arch::PAGE_SIZE;
 use lz_machine::pte::{self, S1Perms, S2Perms};
-use lz_machine::walk::{s2_map_page, table_slots};
+use lz_machine::walk::{self, find_leaf, map_leaf, Frames, Tables};
 use lz_machine::{LzFault, PhysMem};
 
 /// One stage-1 tree of a LightZone process (one isolation domain view).
@@ -28,14 +28,48 @@ pub struct LzTable {
     pub table_frames: u64,
 }
 
+/// LightZone's table policy for `walk`'s descent: a table descriptor
+/// holds the table's fake address, a new table is allocated, given a
+/// fake address and mapped read-only at stage 2 (§5.1.2), and a freed
+/// table gives its stage-2 mapping and fake address back.
+struct Fakes<'a> {
+    fake: &'a mut FakePhys,
+    s2_root: u64,
+    /// The tree's `table_frames`, which counts every table grown.
+    table_frames: &'a mut u64,
+}
+
+#[deny(clippy::panic, clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+impl Tables for Fakes<'_> {
+    fn frame_of(&self, oa: u64) -> Option<u64> {
+        self.fake.real_of(oa)
+    }
+
+    fn grow(&mut self, mem: &mut PhysMem) -> Result<(u64, u64), LzFault> {
+        let real = mem.alloc_frame();
+        let fake = self.fake.assign(real);
+        map_leaf(mem, &mut Frames, self.s2_root, 1, fake, 3, pte::s2_page_desc(real, S2Perms::ro()))?;
+        *self.table_frames += 1;
+        Ok((real, fake))
+    }
+
+    fn release(&mut self, mem: &mut PhysMem, table: u64) {
+        if let Some(fake) = self.fake.fake_of(table) {
+            walk::s2_unmap(mem, self.s2_root, fake);
+            self.fake.release(table);
+        }
+    }
+}
+
 impl LzTable {
-    /// Allocate an empty tree: the root gets a fake address and a
-    /// read-only stage-2 mapping immediately.
+    /// Allocate an empty tree: the root is grown like every other table
+    /// of the tree, so it gets a fake address and a read-only stage-2
+    /// mapping immediately.
     pub fn new(mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64, asid: u16) -> Self {
-        let root_real = mem.alloc_frame();
-        let root_fake = fake.assign(root_real);
-        s2_map_page(mem, s2_root, root_fake, root_real, S2Perms::ro());
-        LzTable { root_real, root_fake, asid, table_frames: 1 }
+        let mut table_frames = 0;
+        let mut fakes = Fakes { fake, s2_root, table_frames: &mut table_frames };
+        let (root_real, root_fake) = fakes.grow(mem).unwrap_or_else(|e| panic!("LzTable::new: {e}"));
+        LzTable { root_real, root_fake, asid, table_frames }
     }
 
     /// The `TTBR0_EL1` value selecting this table.
@@ -43,43 +77,10 @@ impl LzTable {
         lz_arch::sysreg::ttbr::pack(self.asid, self.root_fake)
     }
 
-    /// Walk or grow the tree down to the table at `last_level`,
-    /// returning its real frame. Errors instead of panicking on a
-    /// malformed tree: these trees describe guest-corruptible state
-    /// (the VE can point `TTBR0_EL1` anywhere and chaos can corrupt
-    /// descriptors), so a bad shape must fault the VE, not the host.
-    fn descend(
-        &mut self,
-        mem: &mut PhysMem,
-        fake: &mut FakePhys,
-        s2_root: u64,
-        va: u64,
-        last_level: u8,
-    ) -> Result<u64, LzFault> {
-        let mut table_real = self.root_real;
-        for level in 0..last_level {
-            let idx = s1_idx(va, level);
-            let desc_pa = table_real + idx * 8;
-            let desc = mem.read_u64(desc_pa).ok_or(LzFault::UnbackedFrame { pa: desc_pa })?;
-            if pte::is_valid(desc) {
-                if desc & pte::TABLE_OR_PAGE == 0 {
-                    return Err(LzFault::BadDescriptor { pa: desc_pa, desc });
-                }
-                let next_fake = pte::desc_oa(desc);
-                table_real = fake.real_of(next_fake).ok_or(LzFault::UnresolvedFake { fake: next_fake })?;
-            } else {
-                let next_real = mem.alloc_frame();
-                let next_fake = fake.assign(next_real);
-                s2_map_page(mem, s2_root, next_fake, next_real, S2Perms::ro());
-                mem.write_u64(desc_pa, pte::table_desc(next_fake));
-                self.table_frames += 1;
-                table_real = next_real;
-            }
-        }
-        Ok(table_real)
-    }
-
-    /// Fallible [`LzTable::map_page`], for guest-reachable callers.
+    /// Fallible [`LzTable::map_page`], for guest-reachable callers: these
+    /// trees describe guest-corruptible state (the VE can point
+    /// `TTBR0_EL1` anywhere and chaos can corrupt descriptors), so a bad
+    /// shape returns the `LzFault` that kills the VE, never a panic.
     pub fn try_map_page(
         &mut self,
         mem: &mut PhysMem,
@@ -89,12 +90,8 @@ impl LzTable {
         leaf_fake: u64,
         perms: S1Perms,
     ) -> Result<(), LzFault> {
-        let table_real = self.descend(mem, fake, s2_root, va, 3)?;
-        let leaf_pa = table_real + s1_idx(va, 3) * 8;
-        if !mem.write_u64(leaf_pa, pte::s1_page_desc(leaf_fake, perms)) {
-            return Err(LzFault::UnbackedFrame { pa: leaf_pa });
-        }
-        Ok(())
+        let fakes = &mut Fakes { fake, s2_root, table_frames: &mut self.table_frames };
+        map_leaf(mem, fakes, self.root_real, 0, va, 3, pte::s1_page_desc(leaf_fake, perms)).map(drop)
     }
 
     /// Map one 4 KB page at `va` to `leaf_fake` (a fake address that
@@ -119,7 +116,10 @@ impl LzTable {
         self.try_map_page(mem, fake, s2_root, va, leaf_fake, perms).unwrap_or_else(|e| panic!("LZ map_page: {e}"))
     }
 
-    /// Fallible [`LzTable::map_block`], for guest-reachable callers.
+    /// Map one 2 MiB block at level 2 ("we use huge pages to map the
+    /// 2MB-sized buffers", §9.3). `leaf_fake` must be a block-aligned
+    /// fake base from [`FakePhys::assign_block`]; a misaligned `va` or
+    /// `leaf_fake` is `Misaligned`.
     pub fn try_map_block(
         &mut self,
         mem: &mut PhysMem,
@@ -132,73 +132,21 @@ impl LzTable {
         if va & 0x1f_ffff != 0 || leaf_fake & 0x1f_ffff != 0 {
             return Err(LzFault::Misaligned { addr: va | leaf_fake });
         }
-        let table_real = self.descend(mem, fake, s2_root, va, 2)?;
-        let leaf_pa = table_real + s1_idx(va, 2) * 8;
-        if !mem.write_u64(leaf_pa, pte::s1_block_desc(leaf_fake, perms)) {
-            return Err(LzFault::UnbackedFrame { pa: leaf_pa });
-        }
-        Ok(())
-    }
-
-    /// Map one 2 MiB block at level 2 ("we use huge pages to map the
-    /// 2MB-sized buffers", §9.3). `leaf_fake` must be a block-aligned
-    /// fake base from [`FakePhys::assign_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `va` and `leaf_fake` are 2 MiB aligned and the tree
-    /// is well formed; guest-reachable callers use
-    /// [`LzTable::try_map_block`].
-    pub fn map_block(
-        &mut self,
-        mem: &mut PhysMem,
-        fake: &mut FakePhys,
-        s2_root: u64,
-        va: u64,
-        leaf_fake: u64,
-        perms: S1Perms,
-    ) {
-        self.try_map_block(mem, fake, s2_root, va, leaf_fake, perms).unwrap_or_else(|e| panic!("LZ map_block: {e}"))
+        let fakes = &mut Fakes { fake, s2_root, table_frames: &mut self.table_frames };
+        map_leaf(mem, fakes, self.root_real, 0, va, 2, pte::s1_block_desc(leaf_fake, perms)).map(drop)
     }
 
     /// Clear the leaf descriptor for `va` (page or block). Returns the
     /// removed descriptor.
     pub fn unmap_page(&mut self, mem: &mut PhysMem, fake: &FakePhys, va: u64) -> Option<u64> {
-        let mut table_real = self.root_real;
-        for level in 0..=3u8 {
-            let desc_pa = table_real + s1_idx(va, level) * 8;
-            let desc = mem.read_u64(desc_pa)?;
-            if !pte::is_valid(desc) {
-                return None;
-            }
-            if pte::is_table(desc, level) {
-                table_real = fake.real_of(pte::desc_oa(desc))?;
-                continue;
-            }
-            mem.write_u64(desc_pa, 0);
-            return Some(desc);
-        }
-        None
+        find_leaf(mem, |oa| fake.real_of(oa), self.root_real, 0, va).map(|leaf| leaf.clear(mem))
     }
 
     /// Read back the leaf mapping for `va` (page or block):
     /// `(leaf_fake, perms)`.
     pub fn lookup(&self, mem: &PhysMem, fake: &FakePhys, va: u64) -> Option<(u64, S1Perms)> {
-        let mut table_real = self.root_real;
-        for level in 0..=3u8 {
-            let desc = mem.read_u64(table_real + s1_idx(va, level) * 8)?;
-            if !pte::is_valid(desc) {
-                return None;
-            }
-            if pte::is_table(desc, level) {
-                table_real = fake.real_of(pte::desc_oa(desc))?;
-                continue;
-            }
-            let block_shift = 39 - 9 * level as u64;
-            let within = va & ((1u64 << block_shift) - 1) & !(PAGE_SIZE - 1);
-            return Some((pte::desc_oa(desc) | within, S1Perms::from_bits(desc)));
-        }
-        None
+        find_leaf(mem, |oa| fake.real_of(oa), self.root_real, 0, va)
+            .map(|leaf| (leaf.page_of(va), S1Perms::from_bits(leaf.desc)))
     }
 
     /// Page-table memory in bytes (for §9's overhead numbers).
@@ -209,39 +157,12 @@ impl LzTable {
     /// Destroy the tree: free every table frame, release its fake
     /// address, and clear its stage-2 mapping. Leaf *data* frames belong
     /// to the process and are not touched (`lz_free` destroys the view,
-    /// not the memory).
-    /// Teardown is deliberately tolerant: a VE (or an injected fault)
-    /// may have corrupted the tree, and the worst a bad descriptor can
-    /// cost here is a leaked frame — never a host panic and never a
-    /// free of a frame the tree does not own (only frames reached via
-    /// the process's own fake-address space are visited).
-    pub fn free_tree(self, mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64) {
-        fn walk(mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64, table_real: u64, level: u8) {
-            // One frame lookup finds the table descriptors; each is
-            // re-read just before descending, because a child walk may
-            // have freed this frame or cleared the slot (`table_slots`).
-            // An unbacked table frame reads as "no descriptor": skip the
-            // subtree instead of panicking.
-            for idx in table_slots(mem, table_real, level) {
-                let desc = mem.read_u64(table_real + idx * 8).unwrap_or(0);
-                if pte::is_valid(desc) && pte::is_table(desc, level) {
-                    if let Some(next_real) = fake.real_of(pte::desc_oa(desc)) {
-                        walk(mem, fake, s2_root, next_real, level + 1);
-                    }
-                }
-            }
-            if let Some(fake_pa) = fake.fake_of(table_real) {
-                lz_machine::walk::s2_unmap(mem, s2_root, fake_pa);
-                fake.release(table_real);
-            }
-            mem.try_free_frame(table_real);
-        }
-        walk(mem, fake, s2_root, self.root_real, 0);
+    /// not the memory). Teardown is `walk::free_tree`, tolerant of a
+    /// tree the VE or an injected fault corrupted; it visits only frames
+    /// reached through the process's own fake-address space.
+    pub fn free_tree(mut self, mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64) {
+        walk::free_tree(mem, &mut Fakes { fake, s2_root, table_frames: &mut self.table_frames }, self.root_real, 0);
     }
-}
-
-fn s1_idx(va: u64, level: u8) -> u64 {
-    (va >> (39 - 9 * level as u64)) & 0x1ff
 }
 
 /// Permission overlay carried by `lz_prot` (Table 2: readable, writable,
@@ -301,7 +222,7 @@ pub const PGT_ALL: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lz_machine::walk::{alloc_table, s2_lookup};
+    use lz_machine::walk::{alloc_table, s2_lookup, s2_map_page};
 
     fn setup() -> (PhysMem, FakePhys, u64) {
         let mut mem = PhysMem::new();

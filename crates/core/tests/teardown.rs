@@ -1,56 +1,117 @@
-//! Page-table teardown order. `walk::free_table_tree` and
-//! `LzTable::free_tree` look each table frame up once and re-read a
-//! descriptor only just before descending; on every tree, well formed or
-//! corrupted, they must free exactly the frames the per-descriptor walks
-//! they replaced free, in the same order, with the same side effects.
+//! The one page-table descent on damaged trees, on each kind of tree it
+//! edits: a kernel stage-1 tree, a stage-2 tree and an `LzTable`.
+//!
+//! Its teardown (`walk::free_tree`) looks each table frame up once and
+//! re-reads a descriptor only just before descending; on every tree, well
+//! formed or corrupted, it must free exactly the frames the
+//! per-descriptor walk it replaced frees, in the same order, with the same
+//! side effects. Its growing walk and leaf search must refuse a damaged
+//! path with the same typed fault on every kind, and write nothing.
 
 use lightzone::fakephys::FakePhys;
 use lightzone::pgt::LzTable;
 use lz_machine::pte::{self, S1Perms, S2Perms};
-use lz_machine::walk::{alloc_table, free_table_tree, s2_unmap};
-use lz_machine::walk::{try_s1_map_block, try_s1_map_page, try_s2_map_block, try_s2_map_page};
-use lz_machine::PhysMem;
+use lz_machine::walk::{alloc_table, find_leaf, free_table_tree, map_leaf, s1_lookup, s1_unmap, s2_lookup, s2_unmap};
+use lz_machine::walk::{try_s1_map_block, try_s2_map_block, Frames};
+use lz_machine::{LzFault, PhysMem};
 use proptest::prelude::*;
 
 /// A real frame no allocation ever reaches.
 const UNBACKED: u64 = 0x10_0000_0000;
+/// The output address of every page and block mapped.
+const DATA: u64 = 0x8000_0000;
 
-/// The per-descriptor walk `free_table_tree` replaced.
-fn free_table_tree_per_descriptor(mem: &mut PhysMem, root: u64, root_level: u8) {
-    fn walk(mem: &mut PhysMem, table: u64, level: u8) {
-        if level < 3 {
-            for idx in 0..512u64 {
-                let desc = mem.read_u64(table + idx * 8).unwrap_or(0);
-                if pte::is_valid(desc) && pte::is_table(desc, level) {
-                    walk(mem, pte::desc_oa(desc), level + 1);
-                }
-            }
-        }
-        mem.try_free_frame(table);
-    }
-    walk(mem, root, root_level);
+/// The three kinds of tree the descent edits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    KernelS1,
+    Stage2,
+    Lz,
 }
 
-/// The per-descriptor walk `LzTable::free_tree` replaced.
-fn lz_free_tree_per_descriptor(t: LzTable, mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64) {
-    fn walk(mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64, table_real: u64, level: u8) {
-        if level < 3 {
-            for idx in 0..512u64 {
-                let desc = mem.read_u64(table_real + idx * 8).unwrap_or(0);
-                if pte::is_valid(desc) && pte::is_table(desc, level) {
-                    if let Some(next_real) = fake.real_of(pte::desc_oa(desc)) {
-                        walk(mem, fake, s2_root, next_real, level + 1);
-                    }
+const KINDS: [Kind; 3] = [Kind::KernelS1, Kind::Stage2, Kind::Lz];
+
+/// A tree of one kind in a memory of its own, behind one interface.
+struct Tree {
+    kind: Kind,
+    mem: PhysMem,
+    /// How table descriptors name table frames: an `LzTable`'s fake
+    /// map, which also names `UNBACKED` so damage can point a descriptor
+    /// at it, or the identity.
+    fake: FakePhys,
+    /// The stage-2 tree an `LzTable` maps its table frames in.
+    s2: u64,
+    /// The real root frame.
+    root: u64,
+    lz: Option<LzTable>,
+}
+
+impl Tree {
+    fn new(kind: Kind) -> Self {
+        let mut mem = PhysMem::new();
+        let (mut fake, mut s2, mut lz) = (FakePhys::identity(), 0, None);
+        if kind == Kind::Lz {
+            fake = FakePhys::new();
+            s2 = alloc_table(&mut mem);
+            lz = Some(LzTable::new(&mut mem, &mut fake, s2, 1));
+            fake.assign(UNBACKED);
+        }
+        let root = lz.as_ref().map_or_else(|| alloc_table(&mut mem), |t| t.root_real);
+        Tree { kind, mem, fake, s2, root, lz }
+    }
+
+    fn root_level(&self) -> u8 {
+        u8::from(self.kind == Kind::Stage2)
+    }
+
+    /// The address a table descriptor names the table at `real` by.
+    fn name_of(&self, real: u64) -> u64 {
+        self.fake.fake_of(real).unwrap_or(0)
+    }
+
+    /// Map a page at `va`, or a 2 MiB block if `block`.
+    fn map(&mut self, va: u64, block: bool) -> Result<(), LzFault> {
+        let (mem, root, s1, rwx) = (&mut self.mem, self.root, S1Perms::kernel_data(), S2Perms::rwx());
+        match (self.kind, self.lz.as_mut(), block) {
+            (Kind::Lz, Some(t), false) => t.try_map_page(mem, &mut self.fake, self.s2, va, DATA, s1),
+            (Kind::Lz, Some(t), true) => t.try_map_block(mem, &mut self.fake, self.s2, va, DATA, s1),
+            (Kind::Stage2, _, false) => {
+                map_leaf(mem, &mut Frames, root, 1, va, 3, pte::s2_page_desc(DATA, rwx)).map(drop)
+            }
+            (Kind::Stage2, _, true) => try_s2_map_block(mem, root, va, DATA, rwx).map(drop),
+            (_, _, false) => map_leaf(mem, &mut Frames, root, 0, va, 3, pte::s1_page_desc(DATA, s1)).map(drop),
+            (_, _, true) => try_s1_map_block(mem, root, va, DATA, s1).map(drop),
+        }
+    }
+
+    /// Look `va` up, then unmap it.
+    fn lookup_and_unmap(&mut self, va: u64) -> (Option<u64>, Option<u64>) {
+        let (mem, root) = (&mut self.mem, self.root);
+        match (self.kind, self.lz.as_mut()) {
+            (Kind::Lz, Some(t)) => (t.lookup(mem, &self.fake, va).map(|l| l.0), t.unmap_page(mem, &self.fake, va)),
+            (Kind::Stage2, _) => (s2_lookup(mem, root, va).map(|l| l.0), s2_unmap(mem, root, va)),
+            _ => (s1_lookup(mem, root, va).map(|l| l.0), s1_unmap(mem, root, va)),
+        }
+    }
+}
+
+/// The per-descriptor teardown `walk::free_tree` replaced.
+fn free_per_descriptor(tree: &mut Tree, table: u64, level: u8) {
+    if level < 3 {
+        for idx in 0..512u64 {
+            let desc = tree.mem.read_u64(table + idx * 8).unwrap_or(0);
+            if pte::is_valid(desc) && pte::is_table(desc, level) {
+                if let Some(next) = tree.fake.real_of(pte::desc_oa(desc)) {
+                    free_per_descriptor(tree, next, level + 1);
                 }
             }
         }
-        if let Some(fake_pa) = fake.fake_of(table_real) {
-            s2_unmap(mem, s2_root, fake_pa);
-            fake.release(table_real);
-        }
-        mem.try_free_frame(table_real);
     }
-    walk(mem, fake, s2_root, t.root_real, 0);
+    if let Some(fake_pa) = tree.fake.fake_of(table).filter(|_| tree.kind == Kind::Lz) {
+        s2_unmap(&mut tree.mem, tree.s2, fake_pa);
+        tree.fake.release(table);
+    }
+    tree.mem.try_free_frame(table);
 }
 
 /// What a teardown leaves behind. `realloc` reads the free order back:
@@ -63,16 +124,9 @@ struct Aftermath {
     realloc: Vec<u64>,
 }
 
-fn aftermath(mem: &mut PhysMem, fake_len: usize, frames_before: usize) -> Aftermath {
-    let write_gen = mem.write_gen();
-    let allocated = mem.allocated_frames();
-    let realloc = (0..=frames_before).map(|_| mem.alloc_frame()).collect();
-    Aftermath { write_gen, allocated, fake_len, realloc }
-}
-
 /// Damage planted into a tree before teardown. Every shape points a spare
-/// slot (508–511; the trees below only use slots 0–3 above the last
-/// level) somewhere a well-formed tree never does.
+/// slot (508–511 of a table on the first path, which the trees below
+/// leave empty) somewhere a well-formed tree never does.
 #[derive(Debug, Clone, Copy)]
 enum Corruption {
     /// A level-1-below-root table points at itself.
@@ -106,118 +160,65 @@ fn first_table_slot(mem: &PhysMem, table: u64) -> Option<u64> {
     (0..512).find(|idx| mem.read_u64(table + idx * 8).is_some_and(|d| pte::is_valid(d) && d & pte::TABLE_OR_PAGE != 0))
 }
 
-/// The table-frame path from `root` through each table's first table slot.
-fn first_path(mem: &PhysMem, root: u64, root_level: u8, resolve: impl Fn(u64) -> Option<u64>) -> Vec<u64> {
-    let mut path = vec![root];
-    for _ in root_level..3 {
+/// The table-frame path from the root through each table's first table slot.
+fn first_path(tree: &Tree) -> Vec<u64> {
+    let mut path = vec![tree.root];
+    for _ in tree.root_level()..3 {
         let table = path[path.len() - 1];
-        let Some(idx) = first_table_slot(mem, table) else { break };
-        let Some(next) = mem.read_u64(table + idx * 8).and_then(|d| resolve(pte::desc_oa(d))) else { break };
+        let Some(idx) = first_table_slot(&tree.mem, table) else { break };
+        let Some(next) = tree.mem.read_u64(table + idx * 8).and_then(|d| tree.fake.real_of(pte::desc_oa(d))) else {
+            break;
+        };
         path.push(next);
     }
     path
 }
 
-/// Plant `corruptions` into the tree at `root`. `fake_of` gives the
-/// address a descriptor names for a table frame, `resolve` the reverse.
-fn corrupt(
-    mem: &mut PhysMem,
-    root: u64,
-    root_level: u8,
-    corruptions: &[Corruption],
-    fake_of: impl Fn(u64) -> u64,
-    resolve: impl Fn(u64) -> Option<u64>,
-) -> Vec<u64> {
-    let path = first_path(mem, root, root_level, resolve);
-    let level2 = path.get(2 - root_level as usize).copied();
-    let mut released = Vec::new();
+/// Plant `corruptions` into the tree.
+fn corrupt(tree: &mut Tree, corruptions: &[Corruption]) {
+    let path = first_path(tree);
+    let level2 = path.get(2 - tree.root_level() as usize).copied();
     for &c in corruptions {
-        match (c, path.get(1).copied(), level2) {
-            (Corruption::SelfLoop, Some(t1), _) => {
-                mem.write_u64(t1 + 511 * 8, pte::table_desc(fake_of(t1)));
+        let (slot, desc) = match (c, path.get(1).copied(), level2) {
+            (Corruption::SelfLoop, Some(t1), _) => (t1 + 511 * 8, pte::table_desc(tree.name_of(t1))),
+            (Corruption::Ancestor, _, Some(t2)) => (t2 + 510 * 8, pte::table_desc(tree.name_of(tree.root))),
+            (Corruption::SharedChild, _, _) => match first_table_slot(&tree.mem, tree.root) {
+                Some(idx) => (tree.root + 509 * 8, tree.mem.read_u64(tree.root + idx * 8).unwrap_or(0)),
+                None => continue,
+            },
+            (Corruption::Unbacked, Some(t1), _) => (t1 + 508 * 8, pte::table_desc(tree.name_of(UNBACKED))),
+            (Corruption::Unresolved, _, Some(t2)) if tree.kind == Kind::Lz => {
+                tree.fake.release(t2);
+                continue;
             }
-            (Corruption::Ancestor, _, Some(t2)) => {
-                mem.write_u64(t2 + 510 * 8, pte::table_desc(fake_of(root)));
-            }
-            (Corruption::SharedChild, _, _) => {
-                if let Some(idx) = first_table_slot(mem, root) {
-                    let desc = mem.read_u64(root + idx * 8).unwrap_or(0);
-                    mem.write_u64(root + 509 * 8, desc);
-                }
-            }
-            (Corruption::Unbacked, Some(t1), _) => {
-                mem.write_u64(t1 + 508 * 8, pte::table_desc(fake_of(UNBACKED)));
-            }
-            (Corruption::Unresolved, _, Some(t2)) => released.push(t2),
-            _ => {}
-        }
+            _ => continue,
+        };
+        tree.mem.write_u64(slot, desc);
     }
-    released
 }
 
-/// Build a real-address stage-1 (root level 0) or stage-2 (root level 1)
-/// tree; returns the root.
-fn build_tree(mem: &mut PhysMem, stage2: bool, maps: &[Mapping], corruptions: &[Corruption]) -> u64 {
-    let root = alloc_table(mem);
-    let s1 = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
+/// Build a tree of `kind` from `maps`, damage it, and tear it down with
+/// the descent or, if `reference`, with the per-descriptor walk.
+fn teardown(kind: Kind, maps: &[Mapping], corruptions: &[Corruption], reference: bool) -> Aftermath {
+    let mut tree = Tree::new(kind);
     for &m in maps {
-        let va = va_of(m);
         // A page under an existing block is a shape error the fallible
         // mappers report; a block over a table orphans that table, which
         // both walks then leak alike.
-        let _ = match (stage2, m.4) {
-            (false, false) => try_s1_map_page(mem, root, va, 0x8000_0000, s1),
-            (false, true) => try_s1_map_block(mem, root, va, 0x8000_0000, s1),
-            (true, false) => try_s2_map_page(mem, root, va, 0x8000_0000, S2Perms::rwx()),
-            (true, true) => try_s2_map_block(mem, root, va, 0x8000_0000, S2Perms::rwx()),
-        };
+        let _ = tree.map(va_of(m), m.4);
     }
-    corrupt(mem, root, u8::from(stage2), corruptions, |pa| pa, Some);
-    root
-}
-
-/// Build and tear down one real-address tree with `free`.
-fn real_teardown(
-    stage2: bool,
-    maps: &[Mapping],
-    corruptions: &[Corruption],
-    free: fn(&mut PhysMem, u64, u8),
-) -> Aftermath {
-    let mut mem = PhysMem::new();
-    let root = build_tree(&mut mem, stage2, maps, corruptions);
-    let frames = mem.allocated_frames();
-    free(&mut mem, root, u8::from(stage2));
-    aftermath(&mut mem, 0, frames)
-}
-
-/// Build and tear down one `LzTable` (fake-address stage-1 tree with its
-/// table frames mapped read-only at stage 2), freeing it with the new
-/// walk or the per-descriptor reference.
-fn lz_teardown(maps: &[Mapping], corruptions: &[Corruption], reference: bool) -> Aftermath {
-    let mut mem = PhysMem::new();
-    let mut fake = FakePhys::new();
-    let s2 = alloc_table(&mut mem);
-    let mut t = LzTable::new(&mut mem, &mut fake, s2, 1);
-    let perms = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
-    for &m in maps {
-        let _ = if m.4 {
-            t.try_map_block(&mut mem, &mut fake, s2, va_of(m), 0x4000_0000, perms)
-        } else {
-            t.try_map_page(&mut mem, &mut fake, s2, va_of(m), 0x7000_0000, perms)
-        };
+    corrupt(&mut tree, corruptions);
+    let frames = tree.mem.allocated_frames();
+    let (root, level) = (tree.root, tree.root_level());
+    match tree.lz.take() {
+        _ if reference => free_per_descriptor(&mut tree, root, level),
+        Some(t) => t.free_tree(&mut tree.mem, &mut tree.fake, tree.s2),
+        None => free_table_tree(&mut tree.mem, root, level),
     }
-    let unbacked_fake = fake.assign(UNBACKED);
-    let fake_of = |real: u64| if real == UNBACKED { unbacked_fake } else { fake.fake_of(real).unwrap_or(0) };
-    for real in corrupt(&mut mem, t.root_real, 0, corruptions, fake_of, |f| fake.real_of(f)) {
-        fake.release(real);
-    }
-    let frames = mem.allocated_frames();
-    if reference {
-        lz_free_tree_per_descriptor(t, &mut mem, &mut fake, s2);
-    } else {
-        t.free_tree(&mut mem, &mut fake, s2);
-    }
-    aftermath(&mut mem, fake.len(), frames)
+    let write_gen = tree.mem.write_gen();
+    let allocated = tree.mem.allocated_frames();
+    let realloc = (0..=frames).map(|_| tree.mem.alloc_frame()).collect();
+    Aftermath { write_gen, allocated, fake_len: tree.fake.len(), realloc }
 }
 
 fn any_mapping() -> impl Strategy<Value = Mapping> {
@@ -237,8 +238,8 @@ const CYCLIC: [Mapping; 2] = [(0, 0, 2, 0, false), (1, 0, 0, 0, false)];
 
 #[test]
 fn cyclic_stage1_tree_frees_like_the_per_descriptor_walk() {
-    let new = real_teardown(false, &CYCLIC, &[Corruption::Ancestor], free_table_tree);
-    let reference = real_teardown(false, &CYCLIC, &[Corruption::Ancestor], free_table_tree_per_descriptor);
+    let new = teardown(Kind::KernelS1, &CYCLIC, &[Corruption::Ancestor], false);
+    let reference = teardown(Kind::KernelS1, &CYCLIC, &[Corruption::Ancestor], true);
     assert_eq!(new, reference);
     // The root and the first path's three tables are freed; the second
     // path's three tables leak.
@@ -247,8 +248,8 @@ fn cyclic_stage1_tree_frees_like_the_per_descriptor_walk() {
 
 #[test]
 fn cyclic_lz_table_frees_like_the_per_descriptor_walk() {
-    let new = lz_teardown(&CYCLIC, &[Corruption::Ancestor], false);
-    let reference = lz_teardown(&CYCLIC, &[Corruption::Ancestor], true);
+    let new = teardown(Kind::Lz, &CYCLIC, &[Corruption::Ancestor], false);
+    let reference = teardown(Kind::Lz, &CYCLIC, &[Corruption::Ancestor], true);
     assert_eq!(new, reference);
     // The stage-2 tree (3 frames) stays, plus the leaked subtree.
     assert_eq!(reference.allocated, 3 + 3, "the second root slot's subtree is unreachable");
@@ -256,14 +257,13 @@ fn cyclic_lz_table_frees_like_the_per_descriptor_walk() {
 
 #[test]
 fn every_corruption_alone_frees_like_the_per_descriptor_walk() {
-    let maps = [(0, 0, 0, 5, false), (0, 1, 2, 7, false), (2, 3, 1, 0, true), (3, 0, 0, 9, false)];
+    // The last mapping runs through slot 511 of tables no damage touches.
+    let maps =
+        [(0, 0, 0, 5, false), (0, 1, 2, 7, false), (2, 3, 1, 0, true), (3, 0, 0, 9, false), (3, 511, 511, 9, false)];
     for c in CORRUPTIONS {
-        for stage2 in [false, true] {
-            let new = real_teardown(stage2, &maps, &[c], free_table_tree);
-            let reference = real_teardown(stage2, &maps, &[c], free_table_tree_per_descriptor);
-            assert_eq!(new, reference, "{c:?}, stage2 {stage2}");
+        for kind in KINDS {
+            assert_eq!(teardown(kind, &maps, &[c], false), teardown(kind, &maps, &[c], true), "{c:?}, {kind:?}");
         }
-        assert_eq!(lz_teardown(&maps, &[c], false), lz_teardown(&maps, &[c], true), "{c:?}");
     }
 }
 
@@ -278,9 +278,8 @@ proptest! {
         corruptions in any_corruptions(),
         stage2 in any::<bool>(),
     ) {
-        let new = real_teardown(stage2, &maps, &corruptions, free_table_tree);
-        let reference = real_teardown(stage2, &maps, &corruptions, free_table_tree_per_descriptor);
-        prop_assert_eq!(new, reference);
+        let kind = if stage2 { Kind::Stage2 } else { Kind::KernelS1 };
+        prop_assert_eq!(teardown(kind, &maps, &corruptions, false), teardown(kind, &maps, &corruptions, true));
     }
 
     /// The same for `LzTable` trees, whose walk also releases each table's
@@ -290,6 +289,72 @@ proptest! {
         maps in proptest::collection::vec(any_mapping(), 0..24),
         corruptions in any_corruptions(),
     ) {
-        prop_assert_eq!(lz_teardown(&maps, &corruptions, false), lz_teardown(&maps, &corruptions, true));
+        prop_assert_eq!(teardown(Kind::Lz, &maps, &corruptions, false), teardown(Kind::Lz, &maps, &corruptions, true));
+    }
+}
+
+/// Where a typed-fault case maps: slot 1 at every level.
+const VA: u64 = 1 << 39 | 1 << 30 | 1 << 21 | 1 << 12;
+
+/// A refused map: a bad request, or damage planted on `VA`'s path.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// A block map at `VA`, which is not 2 MiB aligned.
+    MisalignedBlock,
+    /// A 2 MiB block over `VA` where a page map needs a level-2 table.
+    BlockInTheWay,
+    /// The root's slot points at a table in an unbacked frame.
+    UnbackedTable,
+    /// The root's slot holds a fake address that no longer resolves
+    /// (`LzTable` only: the other kinds resolve every address).
+    UnresolvedFake,
+}
+
+/// Set `tree` up for `case`: the fault the refused map must return, and
+/// whether `VA`'s path is damaged, so that lookup and unmap find nothing.
+fn plant(tree: &mut Tree, case: Refusal) -> Option<(LzFault, bool)> {
+    let root_slot = tree.root + 8;
+    Some(match case {
+        Refusal::MisalignedBlock => (LzFault::Misaligned { addr: VA | DATA }, false),
+        Refusal::BlockInTheWay => {
+            tree.map(VA & !0x1f_ffff, true).expect("an aligned block maps");
+            let block = find_leaf(&tree.mem, |name| tree.fake.real_of(name), tree.root, tree.root_level(), VA);
+            let block = block.expect("the block is found");
+            assert_eq!(block.level, 2);
+            (LzFault::BadDescriptor { pa: block.pa, desc: block.desc }, false)
+        }
+        Refusal::UnbackedTable => {
+            tree.map(VA, false).expect("a page maps");
+            tree.mem.write_u64(root_slot, pte::table_desc(tree.name_of(UNBACKED)));
+            (LzFault::UnbackedFrame { pa: UNBACKED + 8 }, true)
+        }
+        Refusal::UnresolvedFake if tree.kind == Kind::Lz => {
+            tree.map(VA, false).expect("a page maps");
+            let fake = pte::desc_oa(tree.mem.read_u64(root_slot).expect("the root is backed"));
+            tree.fake.release(tree.fake.real_of(fake).expect("the level-1 table resolves"));
+            (LzFault::UnresolvedFake { fake }, true)
+        }
+        Refusal::UnresolvedFake => return None,
+    })
+}
+
+/// Every refused map returns the same typed fault on every kind of tree
+/// and writes nothing; on a damaged path, lookup and unmap find nothing
+/// and write nothing either.
+#[test]
+fn refused_maps_return_the_same_typed_fault_on_every_tree_kind() {
+    let cases = [Refusal::MisalignedBlock, Refusal::BlockInTheWay, Refusal::UnbackedTable, Refusal::UnresolvedFake];
+    for kind in KINDS {
+        for case in cases {
+            let mut tree = Tree::new(kind);
+            let Some((fault, damaged)) = plant(&mut tree, case) else { continue };
+            let gen = tree.mem.write_gen();
+            let refused = tree.map(VA, matches!(case, Refusal::MisalignedBlock));
+            assert_eq!(refused, Err(fault), "{kind:?}, {case:?}");
+            if damaged {
+                assert_eq!(tree.lookup_and_unmap(VA), (None, None), "{kind:?}, {case:?}");
+            }
+            assert_eq!(tree.mem.write_gen(), gen, "{kind:?}, {case:?}: nothing written");
+        }
     }
 }

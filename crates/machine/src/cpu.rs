@@ -1317,7 +1317,7 @@ impl Machine {
             v.is_some()
         };
         if !moved {
-            return self.bus_error(va);
+            return self.bus_error(va, is_write);
         }
         self.cpu.pc = next_pc;
         None
@@ -1362,9 +1362,10 @@ impl Machine {
         }
     }
 
-    fn bus_error(&mut self, va: u64) -> Option<Exit> {
-        let f =
-            Fault { kind: FaultKind::Translation, stage: Stage::S1, level: 0, va, ipa: 0, wnr: false, s1ptw: false };
+    /// The external abort of an access whose frame is unbacked; a store's
+    /// sets `WnR`, as on the architecture.
+    fn bus_error(&mut self, va: u64, wnr: bool) -> Option<Exit> {
+        let f = Fault { kind: FaultKind::Translation, stage: Stage::S1, level: 0, va, ipa: 0, wnr, s1ptw: false };
         self.fault_exception(f, false)
     }
 

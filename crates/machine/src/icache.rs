@@ -9,7 +9,7 @@
 //! translated through, and the *content version* of the physical frame
 //! the code lives in (see `PhysMem::frame_version`). Compiled blocks
 //! (see [`crate::jit`]) are lowered straight from that frame and stored
-//! in the page entry, keyed by start slot. [`ICache::jit_block`] is the
+//! in the page entry, keyed by start slot. `ICache::jit_block` is the
 //! one lookup: it validates the page entry, then serves the stored block
 //! or lowers and stores one.
 //!
@@ -17,7 +17,7 @@
 //!
 //! The cache serves only compiled blocks. A single step is the
 //! reference fetch — `walk::translate`, `read_u32`, `Insn::decode` —
-//! and records the page it fetched from (see [`ICache::record`]). A
+//! and records the page it fetched from (see `ICache::record`). A
 //! block is served only when it is provably equivalent to stepping
 //! through it:
 //!
@@ -408,7 +408,7 @@ impl ICache {
     }
 
     /// Would a compiled block for the fetch at `va` be served from this
-    /// page at TLB generation `tlb_gen`? [`Self::armed_entry`]'s test,
+    /// page at TLB generation `tlb_gen`? `armed_entry`'s test,
     /// for tests and diagnostics.
     #[allow(clippy::too_many_arguments)]
     pub fn serves(

@@ -4,7 +4,7 @@
 //!
 //! Every block the accelerated engine runs is a [`CompiledBlock`],
 //! lowered once from the straight-line code at its start address in the
-//! code frame of an armed fetch-cache page entry (see [`lower`]) and
+//! code frame of an armed fetch-cache page entry (see `lower`) and
 //! stored in that page entry: runs of
 //! pure-ALU *templates* — function pointers selected at lowering time
 //! with register slots resolved, immediates constant-folded (including
@@ -17,8 +17,8 @@
 //! templates that end their ALU run: a *side exit*, after which lowering
 //! continues at the fall-through word. A block ending in `B` lowers it
 //! to a PC-writing template at the end of the last ALU run. A block with
-//! a branch back to its own first instruction [`loops`](CompiledBlock::loops),
-//! and `Machine::step_jit` re-enters it in place when that branch is
+//! a branch back to its own first instruction loops
+//! (`CompiledBlock::loops`), and `Machine::step_jit` re-enters it in place when that branch is
 //! taken. A run with nothing to template lowers to all-`Slow` segments,
 //! which execute exactly as stepping would.
 //!

@@ -1,5 +1,5 @@
-//! Address translation: stage-1 and stage-2 table walks, permission
-//! checks (including PAN), and table-building helpers.
+//! Address translation: the stage-1 and stage-2 hardware walkers, permission
+//! checks (including PAN), and the one software descent that edits every tree.
 //!
 //! The walker is where LightZone's isolation mechanisms actually bite:
 //!
@@ -20,7 +20,7 @@ use crate::tlb::{Tlb, TlbEntry, TlbHit};
 use lz_arch::insn::Insn;
 use lz_arch::pstate::ExceptionLevel;
 use lz_arch::sysreg::{ttbr, vttbr};
-use lz_arch::{CycleModel, PAGE_SIZE};
+use lz_arch::CycleModel;
 
 /// Kind of memory access being translated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,13 +117,11 @@ pub struct Translation {
 const LOW_HALF: u64 = 0;
 const HIGH_HALF: u64 = 0xffff;
 
-fn s1_idx(va: u64, level: u8) -> u64 {
-    (va >> (39 - 9 * level as u64)) & 0x1ff
-}
-
-fn s2_idx(ipa: u64, level: u8) -> u64 {
-    debug_assert!((1..=3).contains(&level));
-    (ipa >> (39 - 9 * level as u64)) & 0x1ff
+/// Index of `addr`'s descriptor in its level-`level` table (4 KB
+/// granule, 9 bits a level). A stage-1 tree's root is at level 0 and a
+/// stage-2 tree's at level 1; the index is the same function of the level.
+fn table_idx(addr: u64, level: u8) -> u64 {
+    (addr >> (39 - 9 * level as u64)) & 0x1ff
 }
 
 /// Translate a virtual address.
@@ -365,7 +363,7 @@ fn walk_stage1(
     for level in 0..=3u8 {
         // When stage 2 is on, the stage-1 descriptor address is itself an
         // IPA and must be translated (s1ptw faults).
-        let desc_ipa = table + s1_idx(va, level) * 8;
+        let desc_ipa = table + table_idx(va, level) * 8;
         let desc_pa = match cfg.vttbr {
             Some(vt) => {
                 let (pa, perms, _) = walk_stage2(mem, model, vttbr::baddr(vt), desc_ipa & !0xfff, va, wnr, true)?;
@@ -430,7 +428,7 @@ fn walk_stage2(
     let mut table = root;
     let cost = if s1ptw { 0 } else { model.stage2_walk() };
     for level in 1..=3u8 {
-        let desc_pa = table + s2_idx(ipa_page, level) * 8;
+        let desc_pa = table + table_idx(ipa_page, level) * 8;
         let desc = mem.read_u64(desc_pa).ok_or(Fault {
             kind: FaultKind::Translation,
             stage: Stage::S2,
@@ -525,45 +523,166 @@ fn check_s2(p: &S2Perms, access: Access) -> Result<(), FaultKind> {
 }
 
 // ---------------------------------------------------------------------------
-// Table construction helpers (used by the kernel substrate and LightZone).
+// Software table edits: one descent for every tree the kernel and
+// LightZone build (DESIGN.md §10.6).
 // ---------------------------------------------------------------------------
+
+/// A tree's table policy: how its table descriptors name table frames.
+/// [`Frames`] is the kernel's stage-1 trees' and every stage-2 tree's;
+/// LightZone's per-domain trees name tables by fake address.
+pub trait Tables {
+    /// The real frame of the table a table descriptor's output address
+    /// `oa` names, or `None` if it names none.
+    fn frame_of(&self, oa: u64) -> Option<u64>;
+    /// Make an empty table: its real frame and the output address its
+    /// table descriptor holds.
+    fn grow(&mut self, mem: &mut PhysMem) -> Result<(u64, u64), LzFault>;
+    /// Give back what table frame `table` holds besides itself, just
+    /// before [`free_tree`] frees it: nothing by default.
+    fn release(&mut self, _mem: &mut PhysMem, _table: u64) {}
+}
+
+/// Table descriptors hold real frame addresses.
+pub struct Frames;
+
+impl Tables for Frames {
+    fn frame_of(&self, oa: u64) -> Option<u64> {
+        Some(oa)
+    }
+
+    fn grow(&mut self, mem: &mut PhysMem) -> Result<(u64, u64), LzFault> {
+        let frame = mem.alloc_frame();
+        Ok((frame, frame))
+    }
+}
 
 /// Allocate an empty (all-invalid) table root.
 pub fn alloc_table(mem: &mut PhysMem) -> u64 {
     mem.alloc_frame()
 }
 
-fn ensure_table(mem: &mut PhysMem, table: u64, idx: u64) -> Result<u64, LzFault> {
-    let desc_pa = table + idx * 8;
-    let desc = mem.read_u64(desc_pa).ok_or(LzFault::UnbackedFrame { pa: desc_pa })?;
-    if pte::is_valid(desc) {
-        if desc & pte::TABLE_OR_PAGE == 0 {
-            // Remapping over a block mapping: the tree shape disagrees
-            // with the caller's request.
-            return Err(LzFault::BadDescriptor { pa: desc_pa, desc });
-        }
-        Ok(pte::desc_oa(desc))
-    } else {
-        let next = mem.alloc_frame();
-        mem.write_u64(desc_pa, pte::table_desc(next));
-        Ok(next)
+/// Write `desc` into the level-`leaf_level` slot for `addr` of the tree
+/// whose level-`root_level` root table is `root`, growing each missing
+/// table before writing its table descriptor. Returns the descriptor the
+/// slot held. A damaged path is a typed fault, never a panic: a block in
+/// the way is `BadDescriptor`, a slot in an unbacked frame
+/// `UnbackedFrame`, and a table address `tables` cannot resolve
+/// `UnresolvedFake`.
+#[deny(clippy::panic, clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+pub fn map_leaf<T: Tables>(
+    mem: &mut PhysMem,
+    tables: &mut T,
+    root: u64,
+    root_level: u8,
+    addr: u64,
+    leaf_level: u8,
+    desc: u64,
+) -> Result<u64, LzFault> {
+    let mut table = root;
+    for level in root_level..leaf_level {
+        let pa = table + table_idx(addr, level) * 8;
+        let next = mem.read_u64(pa).ok_or(LzFault::UnbackedFrame { pa })?;
+        table = if !pte::is_valid(next) {
+            let (frame, oa) = tables.grow(mem)?;
+            mem.write_u64(pa, pte::table_desc(oa));
+            frame
+        } else if pte::is_table(next, level) {
+            let oa = pte::desc_oa(next);
+            tables.frame_of(oa).ok_or(LzFault::UnresolvedFake { fake: oa })?
+        } else {
+            return Err(LzFault::BadDescriptor { pa, desc: next });
+        };
     }
-}
-
-fn write_leaf(mem: &mut PhysMem, desc_pa: u64, desc: u64) -> Result<u64, LzFault> {
-    let old = mem.read_u64(desc_pa).ok_or(LzFault::UnbackedFrame { pa: desc_pa })?;
-    mem.write_u64(desc_pa, desc);
+    let pa = table + table_idx(addr, leaf_level) * 8;
+    let old = mem.read_u64(pa).ok_or(LzFault::UnbackedFrame { pa })?;
+    mem.write_u64(pa, desc);
     Ok(old)
 }
 
-/// Fallible [`s1_map_page`]: errors instead of panicking when the tree
-/// is malformed (guest-corruptible trees must not kill the host).
-pub fn try_s1_map_page(mem: &mut PhysMem, root: u64, va: u64, pa: u64, perms: S1Perms) -> Result<u64, LzFault> {
-    let mut table = root;
-    for level in 0..3u8 {
-        table = ensure_table(mem, table, s1_idx(va, level))?;
+/// A leaf descriptor, at real address `pa` in a level-`level` table.
+#[derive(Debug, Clone, Copy)]
+pub struct Leaf {
+    pub pa: u64,
+    pub desc: u64,
+    pub level: u8,
+}
+
+impl Leaf {
+    /// The output page this leaf maps `addr`'s page to.
+    pub fn page_of(&self, addr: u64) -> u64 {
+        let block_shift = 39 - 9 * self.level as u64;
+        pte::desc_oa(self.desc) | (addr & ((1u64 << block_shift) - 1) & !0xfff)
     }
-    write_leaf(mem, table + s1_idx(va, 3) * 8, pte::s1_page_desc(pa, perms))
+
+    /// Invalidate the leaf; returns the descriptor it held.
+    pub fn clear(self, mem: &mut PhysMem) -> u64 {
+        mem.write_u64(self.pa, 0);
+        self.desc
+    }
+}
+
+/// The first valid non-table descriptor on `addr`'s path from `root`, a
+/// level-`root_level` table, resolving table addresses with the tree's
+/// [`Tables::frame_of`]. `None` at an invalid descriptor, an unbacked
+/// frame or an unresolved table address. Every lookup and unmap is this.
+#[deny(clippy::panic, clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+pub fn find_leaf(
+    mem: &PhysMem,
+    frame_of: impl Fn(u64) -> Option<u64>,
+    root: u64,
+    root_level: u8,
+    addr: u64,
+) -> Option<Leaf> {
+    let mut table = root;
+    for level in root_level..=3 {
+        let pa = table + table_idx(addr, level) * 8;
+        let desc = mem.read_u64(pa)?;
+        if !pte::is_valid(desc) {
+            return None;
+        }
+        if !pte::is_table(desc, level) {
+            return Some(Leaf { pa, desc, level });
+        }
+        table = frame_of(pte::desc_oa(desc))?;
+    }
+    None
+}
+
+/// Free every *table* frame of the tree whose level-`root_level` root
+/// table is `root`, children first, each just after [`Tables::release`]
+/// saw it. Leaf frames belong to whoever mapped them. A bad descriptor
+/// in a tree a dying guest damaged costs at worst a leaked frame, never
+/// a panic. Each table frame is looked up once for its table slots, and
+/// each slot is re-read just before descending: a child walk may have
+/// freed this frame (DESIGN.md §14.4).
+#[deny(clippy::panic, clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+pub fn free_tree<T: Tables>(mem: &mut PhysMem, tables: &mut T, root: u64, root_level: u8) {
+    let is_table = |desc| pte::is_valid(desc) && pte::is_table(desc, root_level);
+    let mut slots = Vec::new();
+    if let Some(frame) = (root_level < 3).then(|| mem.frame(root)).flatten() {
+        for idx in 0..512 {
+            let desc = u64::from_le_bytes(std::array::from_fn(|k| frame.get(idx * 8 + k).copied().unwrap_or(0)));
+            if is_table(desc) {
+                slots.push(idx as u64);
+            }
+        }
+    }
+    for idx in slots {
+        let desc = mem.read_u64(root + idx * 8).unwrap_or(0);
+        if is_table(desc) {
+            if let Some(next) = tables.frame_of(pte::desc_oa(desc)) {
+                free_tree(mem, tables, next, root_level + 1);
+            }
+        }
+    }
+    tables.release(mem, root);
+    mem.try_free_frame(root);
+}
+
+/// [`free_tree`] of a kernel stage-1 tree (`root_level` 0) or a stage-2
+/// tree (`root_level` 1).
+pub fn free_table_tree(mem: &mut PhysMem, root: u64, root_level: u8) {
+    free_tree(mem, &mut Frames, root, root_level);
 }
 
 /// Map one 4 KB page in a stage-1 tree, creating intermediate tables.
@@ -572,9 +691,10 @@ pub fn try_s1_map_page(mem: &mut PhysMem, root: u64, va: u64, pa: u64, perms: S1
 /// # Panics
 ///
 /// Panics on a malformed tree — host setup paths only; guest-reachable
-/// callers use [`try_s1_map_page`].
+/// callers use [`map_leaf`].
 pub fn s1_map_page(mem: &mut PhysMem, root: u64, va: u64, pa: u64, perms: S1Perms) -> u64 {
-    try_s1_map_page(mem, root, va, pa, perms).unwrap_or_else(|e| panic!("s1_map_page: {e}"))
+    map_leaf(mem, &mut Frames, root, 0, va, 3, pte::s1_page_desc(pa, perms))
+        .unwrap_or_else(|e| panic!("s1_map_page: {e}"))
 }
 
 /// Fallible [`s1_map_block`].
@@ -582,11 +702,7 @@ pub fn try_s1_map_block(mem: &mut PhysMem, root: u64, va: u64, pa: u64, perms: S
     if va & 0x1f_ffff != 0 || pa & 0x1f_ffff != 0 {
         return Err(LzFault::Misaligned { addr: va | pa });
     }
-    let mut table = root;
-    for level in 0..2u8 {
-        table = ensure_table(mem, table, s1_idx(va, level))?;
-    }
-    write_leaf(mem, table + s1_idx(va, 2) * 8, pte::s1_block_desc(pa, perms))
+    map_leaf(mem, &mut Frames, root, 0, va, 2, pte::s1_block_desc(pa, perms))
 }
 
 /// Map one 2 MiB block at level 2 in a stage-1 tree.
@@ -602,49 +718,12 @@ pub fn s1_map_block(mem: &mut PhysMem, root: u64, va: u64, pa: u64, perms: S1Per
 /// Clear the leaf descriptor for `va` in a stage-1 tree (page or block).
 /// Returns the removed descriptor, or `None` if nothing was mapped.
 pub fn s1_unmap(mem: &mut PhysMem, root: u64, va: u64) -> Option<u64> {
-    let mut table = root;
-    for level in 0..=3u8 {
-        let desc_pa = table + s1_idx(va, level) * 8;
-        let desc = mem.read_u64(desc_pa)?;
-        if !pte::is_valid(desc) {
-            return None;
-        }
-        if pte::is_table(desc, level) {
-            table = pte::desc_oa(desc);
-            continue;
-        }
-        mem.write_u64(desc_pa, 0);
-        return Some(desc);
-    }
-    None
+    find_leaf(mem, Some, root, 0, va).map(|leaf| leaf.clear(mem))
 }
 
 /// Read back the leaf mapping for `va` in a stage-1 tree.
 pub fn s1_lookup(mem: &PhysMem, root: u64, va: u64) -> Option<(u64, S1Perms, u8)> {
-    let mut table = root;
-    for level in 0..=3u8 {
-        let desc = mem.read_u64(table + s1_idx(va, level) * 8)?;
-        if !pte::is_valid(desc) {
-            return None;
-        }
-        if pte::is_table(desc, level) {
-            table = pte::desc_oa(desc);
-            continue;
-        }
-        let block_shift = 39 - 9 * level as u64;
-        let within = va & ((1u64 << block_shift) - 1) & !0xfff;
-        return Some((pte::desc_oa(desc) | within, S1Perms::from_bits(desc), level));
-    }
-    None
-}
-
-/// Fallible [`s2_map_page`].
-pub fn try_s2_map_page(mem: &mut PhysMem, root: u64, ipa: u64, pa: u64, perms: S2Perms) -> Result<u64, LzFault> {
-    let mut table = root;
-    for level in 1..3u8 {
-        table = ensure_table(mem, table, s2_idx(ipa, level))?;
-    }
-    write_leaf(mem, table + s2_idx(ipa, 3) * 8, pte::s2_page_desc(pa, perms))
+    find_leaf(mem, Some, root, 0, va).map(|leaf| (leaf.page_of(va), S1Perms::from_bits(leaf.desc), leaf.level))
 }
 
 /// Map one 4 KB page in a stage-2 tree (3 levels, root at level 1).
@@ -652,9 +731,10 @@ pub fn try_s2_map_page(mem: &mut PhysMem, root: u64, ipa: u64, pa: u64, perms: S
 /// # Panics
 ///
 /// Panics on a malformed tree — host setup paths only; guest-reachable
-/// callers use [`try_s2_map_page`].
+/// callers use [`map_leaf`].
 pub fn s2_map_page(mem: &mut PhysMem, root: u64, ipa: u64, pa: u64, perms: S2Perms) -> u64 {
-    try_s2_map_page(mem, root, ipa, pa, perms).unwrap_or_else(|e| panic!("s2_map_page: {e}"))
+    map_leaf(mem, &mut Frames, root, 1, ipa, 3, pte::s2_page_desc(pa, perms))
+        .unwrap_or_else(|e| panic!("s2_map_page: {e}"))
 }
 
 /// Fallible [`s2_map_block`].
@@ -662,8 +742,7 @@ pub fn try_s2_map_block(mem: &mut PhysMem, root: u64, ipa: u64, pa: u64, perms: 
     if ipa & 0x1f_ffff != 0 || pa & 0x1f_ffff != 0 {
         return Err(LzFault::Misaligned { addr: ipa | pa });
     }
-    let table = ensure_table(mem, root, s2_idx(ipa, 1))?;
-    write_leaf(mem, table + s2_idx(ipa, 2) * 8, pte::s2_block_desc(pa, perms))
+    map_leaf(mem, &mut Frames, root, 1, ipa, 2, pte::s2_block_desc(pa, perms))
 }
 
 /// Map one 2 MiB block at level 2 in a stage-2 tree.
@@ -673,87 +752,12 @@ pub fn s2_map_block(mem: &mut PhysMem, root: u64, ipa: u64, pa: u64, perms: S2Pe
 
 /// Clear the stage-2 leaf for `ipa`. Returns the removed descriptor.
 pub fn s2_unmap(mem: &mut PhysMem, root: u64, ipa: u64) -> Option<u64> {
-    let mut table = root;
-    for level in 1..=3u8 {
-        let desc_pa = table + s2_idx(ipa, level) * 8;
-        let desc = mem.read_u64(desc_pa)?;
-        if !pte::is_valid(desc) {
-            return None;
-        }
-        if pte::is_table(desc, level) {
-            table = pte::desc_oa(desc);
-            continue;
-        }
-        mem.write_u64(desc_pa, 0);
-        return Some(desc);
-    }
-    None
-}
-
-/// The slots of the valid table descriptors in the level-`level` table
-/// frame at `table`, in ascending order, found with one frame lookup.
-/// A level-3 table holds no table descriptors, and an unbacked frame
-/// reads as none.
-///
-/// Teardown walkers descend through these slots, re-reading each
-/// descriptor just before descending. Teardown never writes a valid
-/// descriptor, so between the scan and the re-read a slot can only lose
-/// its table descriptor, never gain one — on a corrupted, cyclic tree a
-/// child walk may free this very frame — and the walk frees the same
-/// frames in the same order as a per-descriptor walk.
-pub fn table_slots(mem: &PhysMem, table: u64, level: u8) -> Vec<u64> {
-    if level >= 3 {
-        return Vec::new();
-    }
-    let Some(frame) = mem.frame(table) else { return Vec::new() };
-    let mut slots = Vec::new();
-    for idx in 0..(PAGE_SIZE / 8) as usize {
-        let at = idx * 8;
-        let desc = u64::from_le_bytes(std::array::from_fn(|k| frame[at + k]));
-        if pte::is_valid(desc) && pte::is_table(desc, level) {
-            slots.push(idx as u64);
-        }
-    }
-    slots
-}
-
-/// Free every *table* frame of the tree whose root table, at
-/// `root_level`, is `root`: a stage-1 tree starts at level 0, a stage-2
-/// tree at level 1. Leaf frames (guest data, stage-1 tables mapped at
-/// stage 2) are owned by whoever mapped them and are not touched.
-/// Teardown is tolerant like `LzTable::free_tree`: a corrupted
-/// descriptor costs at worst a leaked frame, never a panic — process
-/// reaping must survive trees a dying guest damaged.
-pub fn free_table_tree(mem: &mut PhysMem, root: u64, root_level: u8) {
-    fn walk(mem: &mut PhysMem, table: u64, level: u8) {
-        for idx in table_slots(mem, table, level) {
-            let desc = mem.read_u64(table + idx * 8).unwrap_or(0);
-            if pte::is_valid(desc) && pte::is_table(desc, level) {
-                walk(mem, pte::desc_oa(desc), level + 1);
-            }
-        }
-        mem.try_free_frame(table);
-    }
-    walk(mem, root, root_level);
+    find_leaf(mem, Some, root, 1, ipa).map(|leaf| leaf.clear(mem))
 }
 
 /// Read back the stage-2 leaf mapping for `ipa`.
 pub fn s2_lookup(mem: &PhysMem, root: u64, ipa: u64) -> Option<(u64, S2Perms, u8)> {
-    let mut table = root;
-    for level in 1..=3u8 {
-        let desc = mem.read_u64(table + s2_idx(ipa, level) * 8)?;
-        if !pte::is_valid(desc) {
-            return None;
-        }
-        if pte::is_table(desc, level) {
-            table = pte::desc_oa(desc);
-            continue;
-        }
-        let block_shift = 39 - 9 * level as u64;
-        let within = ipa & ((1u64 << block_shift) - 1) & !0xfff;
-        return Some((pte::desc_oa(desc) | within, S2Perms::from_bits(desc), level));
-    }
-    None
+    find_leaf(mem, Some, root, 1, ipa).map(|leaf| (leaf.page_of(ipa), S2Perms::from_bits(leaf.desc), leaf.level))
 }
 
 #[cfg(test)]
@@ -1013,19 +1017,14 @@ mod tests {
     fn block_mapping_2mb() {
         let (mut mem, mut tlb, model) = setup();
         let root = alloc_table(&mut mem);
+        // `alloc_contiguous` aligns the run to its length, as a block needs.
         let base = mem.alloc_contiguous(512);
-        // alloc_contiguous starts at whatever next_frame is; align VA only.
         let va = 0x4000_0000u64;
-        // The PA must be 2 MiB aligned for a block; allocate fresh aligned
-        // space by rounding.
-        if base & 0x1f_ffff != 0 {
-            // Fall back to page mappings if unaligned (environment detail).
-            for i in 0..512 {
-                s1_map_page(&mut mem, root, va + i * 4096, base + i * 4096, user_rw());
-            }
-        } else {
-            s1_map_block(&mut mem, root, va, base, user_rw());
-        }
+        s1_map_block(&mut mem, root, va, base, user_rw());
+        assert_eq!(
+            s1_lookup(&mem, root, va + 0x12_3456).map(|(pa, _, level)| (pa, level)),
+            Some((base + 0x12_3000, 2))
+        );
         let cfg = WalkConfig { ttbr0: ttbr::pack(1, root), ttbr1: 0, s1_enabled: true, wxn: false, vttbr: None };
         let t = translate(&mem, &mut tlb, &model, &cfg, va + 0x12_3456, Access::Read, &user_ctx()).unwrap();
         assert_eq!(t.pa, base + 0x12_3456);

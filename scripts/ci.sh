@@ -2,6 +2,7 @@
 # CI for the LightZone reproduction.
 #
 # Runs the format gate, the clippy gate (every warning is an error), the
+# rustdoc gate (every broken or private intra-doc link is an error), the
 # tier-1 verify (ROADMAP.md), and the full
 # workspace suite on the default engine, on the reference interpreter
 # (LZ_ACCEL=0), and with the metrics journal disabled (LZ_METRICS=0; the
@@ -51,6 +52,9 @@ cargo fmt --check
 
 echo "== cargo clippy (workspace, all targets, warnings denied) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (workspace, warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== build (workspace, all targets) =="
 cargo build --release --workspace --all-targets

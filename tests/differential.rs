@@ -30,7 +30,7 @@
 
 use lightzone::gate::GateFlavor;
 use lz_arch::asm::Asm;
-use lz_arch::esr::ExceptionClass;
+use lz_arch::esr::{esr_abort_info, ExceptionClass};
 use lz_arch::insn::Insn;
 use lz_arch::pstate::PState;
 use lz_arch::sysreg::{hcr, sctlr, ttbr, vttbr, SysReg};
@@ -1177,7 +1177,7 @@ fn jit_load_beside_a_store_into_own_code_page_hits_the_micro_dtlb() {
 /// and no TLBI. The slot still hits and the frame lookup fails, so the
 /// access raises the bus error the reference engine raises through its
 /// stale L1 TLB entry: the same exit, ESR, FAR, cycles and journal on
-/// both engines.
+/// both engines, with the ESR's `WnR` set for the store.
 #[test]
 fn jit_access_through_a_freed_frame_raises_the_reference_bus_error() {
     for write in [false, true] {
@@ -1215,6 +1215,8 @@ fn jit_access_through_a_freed_frame_raises_the_reference_bus_error() {
                 }
                 assert_eq!(exit, Exit::El2(ExceptionClass::DataAbortLower), "{ctx}");
                 assert_eq!(m.sysreg(SysReg::FAR_EL2), DATA + 0x10, "{ctx}");
+                let (_, wnr, _) = esr_abort_info(m.sysreg(SysReg::ESR_EL2)).expect("an abort ESR");
+                assert_eq!(wnr, write, "{ctx}: WnR");
                 (exit, [SysReg::ESR_EL2, SysReg::FAR_EL2, SysReg::ELR_EL2].map(|r| m.sysreg(r)))
             },
         );

@@ -13,7 +13,7 @@
 
 use crate::fakephys::FakePhys;
 use crate::gate::{self, layout, GateFlavor, GateTables};
-use crate::pgt::{LzTable, Overlay, PGT_ALL};
+use crate::pgt::{free_mapped_frame, LzTable, Overlay, PGT_ALL};
 use crate::sanitizer::{self, WxDecision, WxTracker};
 use crate::{api::LzProgram, lowvisor, SECURITY_KILL};
 use lz_arch::esr::{self, ExceptionClass};
@@ -475,19 +475,17 @@ impl LzModule {
 
         // Stub page: `hvc #0` at the +0x200 (same-EL) and +0x400
         // (lower-EL) vector slots.
-        let stub_real = k.machine.mem.alloc_frame();
+        let stub_real = ttbr1.map_fresh_frame(
+            &mut k.machine.mem,
+            &mut fake,
+            s2_root,
+            layout::STUB_VA,
+            GATE_CODE_S2,
+            gate_code_perms(),
+        );
         let hvc = lz_arch::insn::Insn::Hvc { imm: 0 }.encode().to_le_bytes();
         k.machine.mem.write_bytes(stub_real + 0x200, &hvc);
         k.machine.mem.write_bytes(stub_real + 0x400, &hvc);
-        let stub_fake = fake.assign(stub_real);
-        s2_map_page(
-            &mut k.machine.mem,
-            s2_root,
-            stub_fake,
-            stub_real,
-            S2Perms { read: true, write: false, exec: true },
-        );
-        ttbr1.map_page(&mut k.machine.mem, &mut fake, s2_root, layout::STUB_VA, stub_fake, gate_code_perms());
         let mut owned_frames = vec![stub_real];
 
         // Gate stubs for every registered entry.
@@ -569,11 +567,15 @@ impl LzModule {
             let real = match ttbr1.lookup(&k.machine.mem, fake, page_va) {
                 Some((leaf_fake, _)) => fake.real_of(leaf_fake).expect("fake resolves"),
                 None => {
-                    let real = k.machine.mem.alloc_frame();
+                    let real = ttbr1.map_fresh_frame(
+                        &mut k.machine.mem,
+                        fake,
+                        s2_root,
+                        page_va,
+                        GATE_CODE_S2,
+                        gate_code_perms(),
+                    );
                     owned.push(real);
-                    let f = fake.assign(real);
-                    s2_map_page(&mut k.machine.mem, s2_root, f, real, S2Perms { read: true, write: false, exec: true });
-                    ttbr1.map_page(&mut k.machine.mem, fake, s2_root, page_va, f, gate_code_perms());
                     real
                 }
             };
@@ -734,12 +736,9 @@ impl LzModule {
         {
             let pages_needed = bytes.len().div_ceil(PAGE_SIZE as usize);
             while frames.len() < pages_needed {
-                let real = k.machine.mem.alloc_frame();
-                let f = fake.assign(real);
-                s2_map_page(&mut k.machine.mem, *s2_root, f, real, S2Perms::ro());
                 let va = base_va + frames.len() as u64 * PAGE_SIZE;
-                ttbr1.map_page(&mut k.machine.mem, fake, *s2_root, va, f, tab_data_perms());
-                frames.push(real);
+                let mem = &mut k.machine.mem;
+                frames.push(ttbr1.map_fresh_frame(mem, fake, *s2_root, va, S2Perms::ro(), tab_data_perms()));
             }
             for (i, chunk) in bytes.chunks(PAGE_SIZE as usize).enumerate() {
                 k.machine.mem.write_bytes(frames[i], chunk);
@@ -765,11 +764,7 @@ impl LzModule {
         }
         ttbr1.free_tree(&mut k.machine.mem, &mut fake, s2_root);
         for real in ttbrtab_frames.into_iter().chain(gatetab_frames).chain(owned_frames) {
-            if let Some(f) = fake.fake_of(real) {
-                s2_unmap(&mut k.machine.mem, s2_root, f);
-                fake.release(real);
-            }
-            k.machine.mem.try_free_frame(real);
+            free_mapped_frame(&mut k.machine.mem, &mut fake, s2_root, real);
         }
         free_table_tree(&mut k.machine.mem, s2_root, 1);
         k.vmids.free(vmid);
@@ -1739,6 +1734,10 @@ fn load_ve_context(k: &mut Kernel, ctx: &UserContext) {
 fn ve_entry_pstate() -> PState {
     PState { el: ExceptionLevel::El1, pan: true, irq_masked: false, nzcv: Default::default() }
 }
+
+/// Stage-2 permissions of the module's TTBR1 code pages (the exception
+/// stub and the gate stubs): readable and executable, never writable.
+const GATE_CODE_S2: S2Perms = S2Perms { read: true, write: false, exec: true };
 
 fn gate_code_perms() -> S1Perms {
     S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: false, global: true }

@@ -116,6 +116,32 @@ impl LzTable {
         self.try_map_page(mem, fake, s2_root, va, leaf_fake, perms).unwrap_or_else(|e| panic!("LZ map_page: {e}"))
     }
 
+    /// Map a fresh frame at `va`: allocate it, give it a fake address,
+    /// map that at stage 2 with `s2` and at `va` with `s1`, creating
+    /// intermediate tables. Returns the real frame, which
+    /// [`free_mapped_frame`] gives back. The module's own TTBR1 pages
+    /// (the exception stub, gate stubs, `TTBRTab` and `GateTab`) are
+    /// built this way.
+    ///
+    /// # Panics
+    ///
+    /// As [`LzTable::map_page`]: host setup paths only.
+    pub fn map_fresh_frame(
+        &mut self,
+        mem: &mut PhysMem,
+        fake: &mut FakePhys,
+        s2_root: u64,
+        va: u64,
+        s2: S2Perms,
+        s1: S1Perms,
+    ) -> u64 {
+        let real = mem.alloc_frame();
+        let leaf_fake = fake.assign(real);
+        walk::s2_map_page(mem, s2_root, leaf_fake, real, s2);
+        self.map_page(mem, fake, s2_root, va, leaf_fake, s1);
+        real
+    }
+
     /// Map one 2 MiB block at level 2 ("we use huge pages to map the
     /// 2MB-sized buffers", §9.3). `leaf_fake` must be a block-aligned
     /// fake base from [`FakePhys::assign_block`]; a misaligned `va` or
@@ -163,6 +189,14 @@ impl LzTable {
     pub fn free_tree(mut self, mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64) {
         walk::free_tree(mem, &mut Fakes { fake, s2_root, table_frames: &mut self.table_frames }, self.root_real, 0);
     }
+}
+
+/// Free a frame [`LzTable::map_fresh_frame`] mapped: clear its stage-2
+/// mapping and release its fake address, as a freed table's are, then
+/// free the frame. The stage-1 leaf goes with its tree.
+pub fn free_mapped_frame(mem: &mut PhysMem, fake: &mut FakePhys, s2_root: u64, real: u64) {
+    Fakes { fake, s2_root, table_frames: &mut 0 }.release(mem, real);
+    mem.try_free_frame(real);
 }
 
 /// Permission overlay carried by `lz_prot` (Table 2: readable, writable,

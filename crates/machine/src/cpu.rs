@@ -12,6 +12,7 @@
 //! `hvc`) or also exit ([`Machine::set_el1_external`]) when the current
 //! EL1 software is a modelled guest kernel.
 
+use crate::icache::Served;
 use crate::mem::PhysMem;
 use crate::metrics::{EventKind, Journal, MachineMetrics, Section};
 use crate::tlb::Tlb;
@@ -653,8 +654,8 @@ impl Machine {
         }
         let (el, insn_base) = (self.cpu.pstate.el, self.model.insn_base);
         match self.tlb.jit_block(&self.mem, cfg.vmid(), cfg.asid(), el, pc, cfg.s1_enabled, cfg.wxn, insn_base) {
-            Some((block, pa_page, frame_version)) if u64::from(block.total) <= budget => {
-                let (used, exit) = self.step_jit(&block, &cfg, pc, pa_page, frame_version, budget);
+            Some(served) if u64::from(served.block.total) <= budget => {
+                let (used, exit) = self.step_jit(&served, cfg, pc, budget);
                 debug_assert!(used <= budget, "compiled block overran its quantum budget");
                 (used, exit)
             }
@@ -675,22 +676,30 @@ impl Machine {
     /// Equivalence to stepping: the block revalidates what its dispatch
     /// checked wherever a segment can have moved it. After every segment
     /// it checks the PC (a data fault vectored to interpreted EL1, a
-    /// taken branch, or any other control transfer ends the block);
-    /// after a `Mem` or `Slow` segment also the TLB generation (a
-    /// load/store may have inserted or promoted an entry, an interpreted
-    /// TLBI may have invalidated) and the code frame's content version
-    /// via the `write_gen` shortcut (a self-modifying store ends the
-    /// block before the next fetch). ALU runs cannot touch the TLB,
-    /// memory, or the journal, and move the PC only in a branch that
-    /// ends the run, so these checks observe exactly the states stepping
-    /// would.
+    /// trapped or undefined system-register access, a taken branch, or
+    /// any other control transfer ends the block); after a `Mem` or
+    /// `Slow` segment also the TLB generation (a load/store may have
+    /// inserted or promoted an entry, an interpreted TLBI may have
+    /// invalidated) and the code frame's content version via the
+    /// `write_gen` shortcut (a self-modifying store ends the block before
+    /// the next fetch). ALU runs cannot touch the TLB, memory, or the
+    /// journal, and move the PC only in a branch that ends the run, so
+    /// these checks observe exactly the states stepping would.
+    ///
     /// Only chainable instructions (see [`crate::jit::lower`]) appear
-    /// mid-block, so EL, PSTATE.PAN and the regime registers cannot
-    /// change under a running block: a regime register is written only
-    /// by a non-chainable terminal, after which nothing in the block
-    /// runs, and a `Mem` or `Slow` segment that faults moves the PC,
-    /// which ends the block. Every `Mem` segment therefore translates
-    /// under `cfg`, the regime the dispatch built. Cycle,
+    /// mid-block, so EL and PSTATE.PAN cannot change under a running
+    /// block, and the one chainable instruction that can change the
+    /// regime is an `MSR` to a system register. After each `MSR` the
+    /// block rebuilds `cfg` from the live registers and runs on only
+    /// when nothing but `TTBR0_EL1` changed and the page entry's arm
+    /// covers the new ASID, which an every-ASID arm (the gate page's)
+    /// always does: the arm proves every word of the page a free L1 TLB
+    /// hit on one entry for each ASID it covers, and a `TTBR0_EL1` write
+    /// moves neither the TLB generation nor L1, so the fetches that
+    /// follow score exactly the hits the block replays. Any other regime
+    /// change (SCTLR `M`/`WXN`, `TTBR1_EL1`), or an ASID the arm does
+    /// not cover, ends the block at the `MSR`. Every `Mem` segment
+    /// therefore translates under `cfg`, the live regime. Cycle,
     /// instruction, and hit counters are charged in per-run batches that
     /// sum to the per-instruction totals, and no cycle-stamped event can
     /// be emitted between the instructions of a run (a branch included).
@@ -698,27 +707,24 @@ impl Machine {
     /// per-instruction bookkeeping; a `Mem` access is `data_access`
     /// itself or its armed micro-DTLB hit (`jit_mem`).
     ///
-    /// Re-entry is the dispatch `run` would make next. A taken branch
-    /// back to `pc` at the end of an ALU run leaves the regime, EL, PAN
-    /// and ASID as they were at entry, so `jit_block` would serve this
-    /// same block from the same page entry under the same arm. What it
+    /// Re-entry is what stepping would run next. A taken branch back to
+    /// `pc` at the end of an ALU run leaves EL, PAN, the SCTLR flags and
+    /// the VMID as they were at entry, and the ASID one the arm covers:
+    /// the entry's ASID, or, under an every-ASID arm, possibly one a
+    /// `TTBR0_EL1` write in an earlier iteration switched to. So every
+    /// word of the block is still a free L1 hit on the arm's entry, read
+    /// from the frame version the block was lowered from. Under a
+    /// changed ASID the dispatch might reach another page entry first
+    /// and single-step instead; both are stepping. What the dispatch
     /// would check anew is re-checked here: the panic hook and the
     /// remaining budget against `total`. The TLB generation and code
     /// frame were last checked after the iteration's final `Mem` or
     /// `Slow` segment, and the ALU run since cannot move them. Nothing
-    /// modelled is counted for it;
-    /// it counts as a block execution in `FastStats::jit_blocks` and
-    /// `FastStats::jit_loops`.
-    fn step_jit(
-        &mut self,
-        block: &crate::jit::CompiledBlock,
-        cfg: &WalkConfig,
-        pc: u64,
-        pa_page: u64,
-        frame_version: u64,
-        budget: u64,
-    ) -> (u64, Option<Exit>) {
+    /// modelled is counted for it; it counts as a block execution in
+    /// `FastStats::jit_blocks` and `FastStats::jit_loops`.
+    fn step_jit(&mut self, served: &Served, mut cfg: WalkConfig, pc: u64, budget: u64) -> (u64, Option<Exit>) {
         use crate::jit::Segment;
+        let block = &*served.block;
         self.tlb.count_jit_block();
         let el = self.cpu.pstate.el;
         let gen0 = self.tlb.generation();
@@ -776,7 +782,7 @@ impl Machine {
                     self.trace.record(pc_k, word, el);
                     let va = self.cpu.base_reg(rn).wrapping_add(offset);
                     pc_k += 4;
-                    exit = self.jit_mem(cfg, va, size, rt, write, pc_k);
+                    exit = self.jit_mem(&cfg, va, size, rt, write, pc_k);
                     if exit.is_some() || self.cpu.pc != pc_k {
                         break;
                     }
@@ -796,6 +802,16 @@ impl Machine {
                     if self.cpu.pc != pc_k {
                         break;
                     }
+                    if let Insn::MsrReg { .. } = insn {
+                        // Run on under the rebuilt regime only past a
+                        // `TTBR0_EL1` write whose ASID the arm covers.
+                        let now = self.walk_config();
+                        let covered = served.arm_asid.is_none_or(|a| a == now.asid());
+                        if !covered || (WalkConfig { ttbr0: cfg.ttbr0, ..now }) != cfg {
+                            break;
+                        }
+                        cfg = now;
+                    }
                     si += 1;
                 }
             }
@@ -804,7 +820,7 @@ impl Machine {
             }
             let wg = self.mem.write_gen();
             if wg != checked_wg {
-                if self.mem.frame_version(pa_page) != Some(frame_version) {
+                if self.mem.frame_version(served.pa_page) != Some(served.frame_version) {
                     break;
                 }
                 checked_wg = wg;

@@ -133,6 +133,24 @@ impl PageEntry {
     }
 }
 
+/// A compiled block served from an armed page entry (see
+/// [`ICache::jit_block`]), with the facts its run revalidates:
+/// the code frame's content version after every `Mem` or `Slow`
+/// segment, and the arm's ASID scope after a `TTBR0_EL1` write (see
+/// `Machine::step_jit`).
+#[derive(Debug)]
+pub(crate) struct Served {
+    pub(crate) block: Arc<CompiledBlock>,
+    /// The code frame the block was lowered from.
+    pub(crate) pa_page: u64,
+    /// `PhysMem::frame_version` of that frame when the entry was last
+    /// validated.
+    pub(crate) frame_version: u64,
+    /// The ASIDs the entry's arm covers: one, or every ASID (`None`; see
+    /// [`ICache::record`]).
+    pub(crate) arm_asid: Option<u16>,
+}
+
 /// The compiled-block fetch cache. Lives inside [`crate::Tlb`] so every
 /// TLB maintenance operation reaches it without new call sites.
 #[derive(Debug)]
@@ -293,9 +311,9 @@ impl ICache {
     /// one lowered now from the entry's code frame (see
     /// [`crate::jit::lower`]) and stored there for later lookups. A block
     /// is thus lowered only where it could be served, from a frame whose
-    /// content is the entry's version. Returns the block, its backing
-    /// `(pa_page, frame_version)` for per-segment content revalidation,
-    /// and whether this call lowered it.
+    /// content is the entry's version. Returns the block with what its
+    /// run revalidates against ([`Served`]), and whether this call
+    /// lowered it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -309,9 +327,9 @@ impl ICache {
         wxn: bool,
         tlb_gen: u64,
         insn_base: u64,
-    ) -> Option<(Arc<CompiledBlock>, u64, u64, bool)> {
+    ) -> Option<(Served, bool)> {
         let e = self.armed_entry(mem, vmid, asid, el, va, s1_enabled, wxn, tlb_gen)?;
-        let (pa_page, frame_version) = (e.info.snapshot.pa_page, e.frame_version);
+        let (pa_page, frame_version, arm_asid) = (e.info.snapshot.pa_page, e.frame_version, e.fast_asid);
         let mut lowered = false;
         let block = match e.blocks.entry(slot_of(va) as u16) {
             Entry::Occupied(stored) => stored.into_mut(),
@@ -321,7 +339,7 @@ impl ICache {
                 slot.insert(Arc::new(crate::jit::lower(va, &frame[(va & 0xfff) as usize..], insn_base)))
             }
         };
-        Some((Arc::clone(block), pa_page, frame_version, lowered))
+        Some((Served { block: Arc::clone(block), pa_page, frame_version, arm_asid }, lowered))
     }
 
     /// Count one compiled-block instruction.
@@ -579,8 +597,8 @@ mod tests {
     /// 1 on and WXN off, at TLB generation `tlb_gen`: the block, and
     /// whether this lookup lowered it.
     fn lookup(ic: &mut ICache, mem: &PhysMem, va: u64, tlb_gen: u64) -> Option<(Arc<CompiledBlock>, bool)> {
-        let (block, _, _, lowered) = ic.jit_block(mem, 0, 1, ExceptionLevel::El0, va, true, false, tlb_gen, 1)?;
-        Some((block, lowered))
+        let (served, lowered) = ic.jit_block(mem, 0, 1, ExceptionLevel::El0, va, true, false, tlb_gen, 1)?;
+        Some((served.block, lowered))
     }
 
     /// [`recorded`], with the compiled block at `va` lowered by its first
@@ -618,9 +636,9 @@ mod tests {
         let mut mem = PhysMem::new();
         let pa = nop_frame(&mut mem);
         let mut ic = recorded(&mem, 0x1000, pa, false);
-        let (block, block_pa, _, lowered) =
+        let (served, lowered) =
             ic.jit_block(&mem, 0, 1, ExceptionLevel::El0, 0x1ff8, true, false, 1, 1).expect("lowers");
-        assert_eq!((block.total, block_pa, lowered), (2, pa, true), "two words left in the page");
+        assert_eq!((served.block.total, served.pa_page, lowered), (2, pa, true), "two words left in the page");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! by its icache key), and flag-setting variants split into their own
 //! entry points — separated by `Mem` segments for `LDR`/`STR` (immediate
 //! offset, every size) and `Slow` segments for anything else that needs
-//! full interpreter bookkeeping (pair and unprivileged accesses, and
-//! non-branch terminals). `B.cond`, `CBZ` and `CBNZ` lower to PC-writing
+//! full interpreter bookkeeping (pair and unprivileged accesses,
+//! barriers, the register forms of `MRS` and `MSR`, and non-branch
+//! terminals). `B.cond`, `CBZ` and `CBNZ` lower to PC-writing
 //! templates that end their ALU run: a *side exit*, after which lowering
 //! continues at the fall-through word. A block ending in `B` lowers it
 //! to a PC-writing template at the end of the last ALU run. A block with
@@ -41,6 +42,13 @@
 //! boundaries: a store that bumps `write_gen` (self-modifying code) or a
 //! load that promotes a TLB entry ends the compiled block at the same
 //! boundary at which the next fetch would have noticed it.
+//!
+//! A `Slow` `MSR` may change the regime the block's fetches and `Mem`
+//! segments translate under; `Machine::step_jit` rebuilds it after each
+//! one and runs on only past a `TTBR0_EL1` write whose new ASID the
+//! page entry's arm covers. A LightZone call gate (`msr ttbr0_el1`,
+//! `isb`, a check phase ending in `mrs`, `ret`) on its global page
+//! therefore runs as one block.
 //!
 //! # Why batched cycle charging is cycle-invariant
 //!
@@ -393,13 +401,19 @@ fn close_run(segs: &mut Vec<Segment>, run: &mut Vec<Tmpl>, cycles: &mut u64) {
 ///
 /// Chainable instructions fall through to `pc + 4` when they do not fault
 /// or branch, and cannot by themselves change the exception level,
-/// PSTATE, a system register, or TLB *structure beyond ordinary inserts*
-/// — loads and stores may still fault or self-modify code, which
-/// `Machine::step_jit` catches by revalidating the TLB generation, the
-/// code frame version, and the PC after every `Mem` and `Slow` segment,
-/// and a taken conditional branch leaves the block through the PC check
-/// after its ALU run. Unconditional and indirect branches, exception
-/// generators, barriers, and system-register traffic all end the block.
+/// PSTATE.PAN, or TLB *structure beyond ordinary inserts* — loads and
+/// stores may still fault or self-modify code, which `Machine::step_jit`
+/// catches by revalidating the TLB generation, the code frame version,
+/// and the PC after every `Mem` and `Slow` segment, and a taken
+/// conditional branch leaves the block through the PC check after its
+/// ALU run. Barriers and the register forms of `MRS` and `MSR` are
+/// chainable `Slow` segments: a trapped or undefined access moves the
+/// PC, and after an `MSR` `step_jit` rebuilds the regime and ends the
+/// block unless only `TTBR0_EL1` changed under an arm that covers the
+/// new ASID. Unconditional and indirect branches, exception generators
+/// and returns, the immediate forms of `MSR` (PAN, DAIF), and `TLBI`
+/// and every other `SYS` op, which move the TLB generation, end the
+/// block.
 fn chainable(insn: &Insn) -> bool {
     matches!(
         insn,
@@ -426,6 +440,9 @@ fn chainable(insn: &Insn) -> bool {
             | Insn::BCond { .. }
             | Insn::Cbz { .. }
             | Insn::Nop
+            | Insn::Barrier(_)
+            | Insn::MrsReg { .. }
+            | Insn::MsrReg { .. }
     )
 }
 
@@ -433,6 +450,8 @@ fn chainable(insn: &Insn) -> bool {
 mod tests {
     use super::*;
     use lz_arch::asm::Asm;
+    use lz_arch::insn::{Barrier, PSTATE_PAN_OP1, PSTATE_PAN_OP2};
+    use lz_arch::sysreg::SysReg;
 
     fn code(words: &[u32]) -> Vec<u8> {
         words.iter().flat_map(|w| w.to_le_bytes()).collect()
@@ -633,6 +652,82 @@ mod tests {
         let mut cpu = Cpu::new();
         run_alu(&b, &mut cpu, 0x40_0004);
         assert_eq!(cpu.pc, 0x40_0000);
+    }
+
+    /// The instruction each segment of `b` starts with, `Alu` runs as
+    /// `None`.
+    fn slow_insns(b: &CompiledBlock) -> Vec<Option<Insn>> {
+        b.segs
+            .iter()
+            .map(|s| match s {
+                Segment::Slow { insn, .. } => Some(*insn),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_gate_switch_lowers_to_one_block() {
+        // A call gate's shape: the switch phase up to `msr ttbr0_el1`,
+        // `isb`, the check phase up to `mrs`, then `ret`; the fail path
+        // after it is the next block's.
+        let va = 0xffff_0000_0100_0000;
+        let mut a = Asm::new(va);
+        let fail = a.label();
+        a.mov_imm64(10, 0xffff_0000_0300_0000).ldr(12, 10, 8);
+        a.mov_imm64(9, 0xffff_0000_0200_0000).add_reg_lsl(9, 9, 12, 3).ldr(13, 9, 0);
+        a.msr(SysReg::TTBR0_EL1, 13).isb();
+        a.ldr(14, 10, 0).cmp_reg(14, 30).b_ne(fail);
+        a.ldr(12, 10, 8).mov_imm64(9, 0xffff_0000_0200_0000).add_reg_lsl(9, 9, 12, 3).ldr(9, 9, 0);
+        a.mrs(15, SysReg::TTBR0_EL1).cmp_reg(9, 15).b_ne(fail);
+        let ret = a.here();
+        a.ret();
+        a.bind(fail);
+        a.brk(0xdd);
+        let b = lower(va, &code(&a.words()), 1);
+        assert_eq!(u64::from(b.total), (ret + 4 - va) / 4, "one block up to and including the ret");
+        let slow: Vec<Insn> = slow_insns(&b).into_iter().flatten().collect();
+        let ttbr0 = SysReg::TTBR0_EL1.encoding();
+        assert_eq!(
+            slow,
+            [
+                Insn::MsrReg { enc: ttbr0, rt: 13 },
+                Insn::Barrier(Barrier::Isb),
+                Insn::MrsReg { rt: 15, enc: ttbr0 },
+                Insn::Ret { rn: 30 }
+            ],
+            "the msr, isb and mrs run mid-block"
+        );
+        assert!(matches!(b.segs.last(), Some(Segment::Slow { insn: Insn::Ret { .. }, .. })));
+    }
+
+    #[test]
+    fn barriers_and_system_register_moves_chain() {
+        let mut a = Asm::new(0x40_0000);
+        a.isb().emit(Insn::Barrier(Barrier::Dsb)).emit(Insn::Barrier(Barrier::Dmb));
+        a.mrs(1, SysReg::TPIDR_EL0).msr(SysReg::TPIDR_EL0, 2).nop();
+        let b = lower(0x40_0000, &code(&a.words()), 1);
+        assert_eq!(b.total, 6);
+        let kinds = slow_insns(&b).iter().map(Option::is_some).collect::<Vec<_>>();
+        assert_eq!(kinds, [true, true, true, true, true, false], "five Slow segments, then the nop's ALU run");
+    }
+
+    #[test]
+    fn generation_moves_exception_paths_and_branches_still_end_blocks() {
+        const TLBI_VMALLE1: u32 = 0xD508_871F;
+        for (name, last) in [
+            ("tlbi", Insn::decode(TLBI_VMALLE1)),
+            ("svc", Insn::Svc { imm: 0 }),
+            ("eret", Insn::Eret),
+            ("msr pan, #1", Insn::MsrImm { op1: PSTATE_PAN_OP1, crm: 1, op2: PSTATE_PAN_OP2 }),
+            ("blr", Insn::Blr { rn: 9 }),
+        ] {
+            let mut a = Asm::new(0x40_0000);
+            a.nop().emit(last).nop();
+            let b = lower(0x40_0000, &code(&a.words()), 1);
+            assert_eq!(b.total, 2, "{name} ends the block");
+            assert_eq!(slow_insns(&b).last(), Some(&Some(last)), "{name} is the block's last segment");
+        }
     }
 
     #[test]

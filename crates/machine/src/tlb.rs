@@ -11,7 +11,7 @@
 //!   switch.
 
 use crate::fxhash::FxHashMap;
-use crate::icache::{FillInfo, ICache};
+use crate::icache::{FillInfo, ICache, Served};
 use crate::metrics::{FastStats, InvalStats, WalkStats};
 use crate::pte::{S1Perms, S2Perms};
 use lz_arch::pstate::ExceptionLevel;
@@ -484,7 +484,8 @@ impl Tlb {
     /// `FastStats::jit_compiled` when lowered. Served only when armed at
     /// the *current* generation, so any TLBI, insert, or promotion since
     /// arming refuses service until a recorded fetch re-arms the page.
-    /// Returns the block and its backing `(pa_page, frame_version)`.
+    /// Returns the block with its backing code frame, content version
+    /// and arm scope.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn jit_block(
@@ -497,11 +498,10 @@ impl Tlb {
         s1_enabled: bool,
         wxn: bool,
         insn_base: u64,
-    ) -> Option<(std::sync::Arc<crate::jit::CompiledBlock>, u64, u64)> {
-        let (block, pa_page, frame_version, lowered) =
-            self.icache.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, self.gen, insn_base)?;
+    ) -> Option<Served> {
+        let (served, lowered) = self.icache.jit_block(mem, vmid, asid, el, va, s1_enabled, wxn, self.gen, insn_base)?;
         self.fast.jit_compiled += u64::from(lowered);
-        Some((block, pa_page, frame_version))
+        Some(served)
     }
 
     /// Count one compiled-block execution (host-side observability only).

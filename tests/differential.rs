@@ -1340,8 +1340,15 @@ fn jit_with_watchpoints_armed_agrees() {
 /// its own frame, pre-filled with the given byte), EL1 exceptions exiting
 /// the interpreter.
 fn build_el1_machine(code: &[u8], data_fill: &[u8]) -> (Machine, Vec<u64>) {
+    build_el1_machine_with(code, data_fill, true)
+}
+
+/// [`build_el1_machine`], with the code page mapped global or, when
+/// `global_code` is false, non-global in every root.
+fn build_el1_machine_with(code: &[u8], data_fill: &[u8], global_code: bool) -> (Machine, Vec<u64>) {
     let mut m = Machine::new(Platform::CortexA55);
-    let el1_code = S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: false, global: true };
+    let el1_code =
+        S1Perms { read: true, write: false, user_exec: false, priv_exec: true, el0: false, global: global_code };
     let user_rw = S1Perms { read: true, write: true, user_exec: false, priv_exec: false, el0: true, global: false };
     let code_pa = m.mem.alloc_frame();
     m.mem.write_bytes(code_pa, code);
@@ -1729,6 +1736,229 @@ fn two_side_exits_in_one_looping_block_agree() {
         },
     );
     assert!(fast.jit_loops >= 15, "phases 2 and 3 re-enter in place: {fast:?}");
+}
+
+// --- barriers and system-register moves mid-block ----------------------
+
+/// Run `m` to its next exit. On the accelerated engine, also assert the
+/// run's dispatches: `blocks` compiled-block executions (in-place
+/// re-entries included) and `steps` single steps.
+fn run_dispatching(m: &mut Machine, blocks: u64, steps: u64, ctx: &str) -> Exit {
+    let before = m.tlb.fast_stats();
+    let exit = m.run(100_000);
+    if m.accel() {
+        let after = m.tlb.fast_stats();
+        let ran = (after.jit_blocks - before.jit_blocks, after.jit_stepped - before.jit_stepped);
+        assert_eq!(ran, (blocks, steps), "{ctx}: (compiled blocks, single steps) of the warm run");
+    }
+    exit
+}
+
+/// `isb`, `dsb`, `dmb`, an `mrs` and an `msr` outside the regime inside
+/// a loop: the looping block holds all of them, re-enters in place, and
+/// charges each barrier and register move as stepping does.
+#[test]
+fn barriers_and_system_register_moves_run_mid_block() {
+    use lz_arch::insn::Barrier;
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(0, 40, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.isb();
+    a.add_imm(2, 2, 1);
+    a.emit(Insn::Barrier(Barrier::Dsb)).emit(Insn::Barrier(Barrier::Dmb));
+    a.mrs(3, SysReg::TPIDR_EL0);
+    a.add_reg(4, 4, 3);
+    a.msr(SysReg::TPIDR_EL0, 2);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let fast = both_engines(
+        "barriers and register moves",
+        || build_machine(&code, &patch_area(4), true),
+        |m| {
+            let (exit, data) = run_and_read_data(m);
+            assert_eq!(m.cpu.reg(4), 40 * 39 / 2, "each mrs reads the previous iteration's msr");
+            (exit, data)
+        },
+    );
+    assert!(fast.jit_loops >= 35, "the looping block holds the barriers and register moves: {fast:?}");
+}
+
+/// Emit a 20-iteration loop (a load and an add), then `access` and
+/// `svc #0`; returns the code and the address of `access`'s last word.
+/// The back edge's fall-through is in the looping block, so the block's
+/// last iteration runs `access`.
+fn emit_access_loop(access: impl Fn(&mut Asm)) -> (Vec<u8>, u64) {
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA);
+    a.movz(0, 20, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldr(1, 19, 0);
+    a.add_imm(2, 2, 1);
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    access(&mut a);
+    let at = a.here() - 4;
+    a.svc(0);
+    (a.bytes(), at)
+}
+
+/// Run an [`emit_access_loop`] program from `CODE` three times on each
+/// engine (at EL1 on [`build_el1_machine`], else at EL0), calling
+/// `before_last` before the third run. The third run is warm: it must
+/// run in compiled blocks alone, one dispatch and 19 in-place re-entries,
+/// so a compiled block runs the access. Returns that run's exit, ESR_EL2
+/// and ELR_EL2, which both engines agree on.
+fn access_loop_runs(ctx: &str, code: &[u8], el1: bool, before_last: impl Fn(&mut Machine)) -> (Exit, u64, u64) {
+    let build = || if el1 { build_el1_machine(code, &[7]).0 } else { build_machine(code, &patch_area(4), true) };
+    let restart = |m: &mut Machine| {
+        m.cpu.pstate = if el1 { PState::reset() } else { PState::user() };
+        m.cpu.pc = CODE;
+    };
+    let (exit, [esr, elr]) = engines_agree(ctx, build, |m| {
+        for _ in 0..2 {
+            restart(m);
+            m.run(100_000);
+        }
+        restart(m);
+        before_last(m);
+        let exit = run_dispatching(m, 20, 0, ctx);
+        (exit, [SysReg::ESR_EL2, SysReg::ELR_EL2].map(|r| m.sysreg(r)))
+    });
+    (exit, esr, elr)
+}
+
+/// `mrs ttbr0_el1` at EL1 under `HCR_EL2.TRVM`, run by a compiled block:
+/// the same trap to EL2, ESR and ELR as stepping.
+#[test]
+fn jit_mrs_under_trvm_traps_as_stepping_does() {
+    let mrs = Insn::MrsReg { enc: SysReg::TTBR0_EL1.encoding(), rt: 5 };
+    let (code, at) = emit_access_loop(|a| {
+        a.emit(mrs);
+    });
+    let (exit, esr, elr) = access_loop_runs("mrs under TRVM", &code, true, |m| {
+        m.set_sysreg(SysReg::HCR_EL2, hcr::TRVM);
+    });
+    assert_eq!(exit, Exit::El2(ExceptionClass::TrappedSysreg));
+    assert_eq!((esr, elr), (lz_arch::esr::esr_trapped_sysreg(mrs.encode()), at));
+}
+
+/// `msr ttbr0_el1` at EL1 under `HCR_EL2.TVM`, run by a compiled block:
+/// the same trap as stepping, before the write. Untrapped, the `msr`
+/// rewrites the value the `mrs` before it read, which leaves the regime
+/// as it was and the block running.
+#[test]
+fn jit_msr_ttbr0_under_tvm_traps_as_stepping_does() {
+    let msr = Insn::MsrReg { enc: SysReg::TTBR0_EL1.encoding(), rt: 5 };
+    let (code, at) = emit_access_loop(|a| {
+        a.mrs(5, SysReg::TTBR0_EL1).emit(msr);
+    });
+    let (exit, esr, elr) = access_loop_runs("msr under TVM", &code, true, |m| {
+        m.set_sysreg(SysReg::HCR_EL2, hcr::TVM);
+    });
+    assert_eq!(exit, Exit::El2(ExceptionClass::TrappedSysreg));
+    assert_eq!((esr, elr), (lz_arch::esr::esr_trapped_sysreg(msr.encode()), at));
+}
+
+/// An EL1-only `mrs` at EL0, run by a compiled block: the same
+/// undefined-instruction trap as stepping.
+#[test]
+fn jit_el1_only_mrs_at_el0_is_undefined_as_stepping_does() {
+    let (code, at) = emit_access_loop(|a| {
+        a.mrs(5, SysReg::SCTLR_EL1);
+    });
+    let (exit, esr, elr) = access_loop_runs("EL1-only mrs at EL0", &code, false, |_| {});
+    assert_eq!(exit, Exit::El2(ExceptionClass::Unknown));
+    assert_eq!((esr, elr), (ExceptionClass::Unknown.ec() << 26, at));
+}
+
+/// An `msr` between two loads of `DATA`, which ASID 1 maps to a frame of
+/// 1s and ASID 2 to a frame of 2s, run three times from ASID 1 on each
+/// engine. A `TTBR0_EL1` write on global code keeps the block running,
+/// and the second load reads the new ASID's frame; on a non-global code
+/// page, whose arm covers ASID 1 alone, the block ends at the write. A
+/// `TTBR1_EL1` or `SCTLR_EL1.WXN` write ends the block too; after the
+/// WXN flip, the page entry (recorded without WXN) also refuses the next
+/// dispatch, which single-steps, and the next run's first dispatch.
+#[test]
+fn jit_regime_writes_mid_block_agree() {
+    let roots = build_el1_machine(&[], &[1, 2]).1;
+    let asid2 = ttbr::pack(2, roots[1]);
+    let wxn = sctlr::M | sctlr::SPAN | sctlr::WXN;
+    // (what, register, value, global code page, the warm run's compiled
+    // blocks and single steps, the second load)
+    let cases = [
+        ("ttbr0_el1 on global code", SysReg::TTBR0_EL1, asid2, true, (1, 0), 2),
+        ("ttbr0_el1 on non-global code", SysReg::TTBR0_EL1, asid2, false, (2, 0), 2),
+        ("ttbr1_el1", SysReg::TTBR1_EL1, roots[1], true, (2, 0), 1),
+        ("sctlr_el1.wxn", SysReg::SCTLR_EL1, wxn, true, (2, 2), 1),
+    ];
+    for (what, reg, value, global, (blocks, steps), second) in cases {
+        let mut a = Asm::new(CODE);
+        a.mov_imm64(19, DATA).mov_imm64(20, value);
+        a.ldrb(1, 19, 0).msr(reg, 20).ldrb(3, 19, 0);
+        a.svc(0);
+        let code = a.bytes();
+        both_engines(
+            what,
+            || build_el1_machine_with(&code, &[1, 2], global).0,
+            |m| {
+                let mut exit = Exit::Limit;
+                for run in 0..3 {
+                    m.set_sysreg(SysReg::TTBR0_EL1, ttbr::pack(1, roots[0]));
+                    m.set_sysreg(SysReg::TTBR1_EL1, 0);
+                    m.set_sysreg(SysReg::SCTLR_EL1, sctlr::M | sctlr::SPAN);
+                    m.cpu.pstate = PState::reset();
+                    m.cpu.pc = CODE;
+                    exit = if run < 2 { m.run(100_000) } else { run_dispatching(m, blocks, steps, what) };
+                    assert_eq!(exit, Exit::El1(ExceptionClass::Svc), "{what}");
+                    assert_eq!((m.cpu.reg(1), m.cpu.reg(3)), (1, second), "{what}: the loads' frames");
+                }
+                (exit, m.sysreg(reg))
+            },
+        );
+    }
+}
+
+/// A looping block on global code whose every iteration loads `DATA`,
+/// then writes `TTBR0_EL1` to the other ASID: it re-enters in place
+/// under the ASID it switched to, and each load reads the live ASID's
+/// frame on both engines.
+#[test]
+fn looping_block_alternating_asids_reenters_in_place() {
+    const ROUNDS: u16 = 30;
+    let roots = build_el1_machine(&[], &[1, 2]).1;
+    let (asid1, asid2) = (ttbr::pack(1, roots[0]), ttbr::pack(2, roots[1]));
+    let mut a = Asm::new(CODE);
+    a.mov_imm64(19, DATA).mov_imm64(20, asid2).mov_imm64(22, asid1 ^ asid2);
+    a.movz(0, ROUNDS, 0);
+    let top = a.label();
+    a.bind(top);
+    a.ldrb(1, 19, 0);
+    a.add_reg(2, 2, 1);
+    a.msr(SysReg::TTBR0_EL1, 20);
+    a.eor_reg(20, 20, 22); // the other ASID's value, for the next write
+    a.subs_imm(0, 0, 1);
+    a.b_ne(top);
+    a.svc(0);
+    let code = a.bytes();
+    let fast = both_engines(
+        "alternating ASIDs",
+        || build_el1_machine(&code, &[1, 2]).0,
+        |m| {
+            let exit = m.run(100_000);
+            assert_eq!(exit, Exit::El1(ExceptionClass::Svc));
+            let half = u64::from(ROUNDS / 2);
+            assert_eq!(m.cpu.reg(2), half + 2 * half, "odd rounds read ASID 1's frame, even ones ASID 2's");
+            (exit, m.sysreg(SysReg::TTBR0_EL1))
+        },
+    );
+    assert!(fast.jit_loops >= u64::from(ROUNDS) - 8, "the loop re-enters in place across ASIDs: {fast:?}");
 }
 
 // --- invalidation sources `jit_block` honours ---------------------------
@@ -2269,18 +2499,23 @@ fn gate_switch_loop(
 /// compiled blocks. Global code (the gate page, the loop) is armed for
 /// every ASID, so a switch neither single-steps nor re-arms it; an arm
 /// that covers one ASID at a time single-steps two dispatches per
-/// switch here.
+/// switch here. The gate's switch and check phases run as one block,
+/// through its `msr ttbr0_el1`, `isb` and `mrs`, so a warm switch costs
+/// at most three compiled dispatches: the call, the gate, and the
+/// visit's code after it. Ending a block at each of the three reads
+/// about 5.5.
 #[test]
 fn gate_switch_loop_over_global_code_stays_compiled() {
     let flavor = GateFlavor::default();
     let [short, long] = [50, 250].map(|rounds| {
         let (outcome, switches, fast) = gate_switch_loop(true, rounds, 2, flavor);
         assert_eq!(outcome, gate_switch_loop(false, rounds, 2, flavor).0, "{rounds} rounds");
-        (switches, fast.jit_stepped)
+        (switches, fast.jit_stepped, fast.jit_blocks)
     });
-    let (switches, stepped) = (long.0 - short.0, long.1 - short.1);
+    let (switches, stepped, blocks) = (long.0 - short.0, long.1 - short.1, long.2 - short.2);
     assert_eq!(switches, 400, "two gate switches per round");
     assert!(stepped * 10 < switches, "{stepped} single steps over {switches} warm gate switches");
+    assert!(blocks <= 3 * switches, "{blocks} compiled dispatches over {switches} warm gate switches");
 }
 
 /// The same loop through the TLBI-per-switch gates of the ASID ablation
